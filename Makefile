@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint verify-kernels test test-short test-race bench bench-baseline bench-compare metrics serve ci
+.PHONY: build vet lint verify-kernels test test-short test-race bench bench-check bench-baseline bench-compare metrics serve ci
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,11 @@ test-race:
 
 bench:
 	$(GO) test -bench . -run NONE ./...
+
+# The end-to-end benchmark (bench/) is a separate Go module that
+# `go build ./...` skips: vet and test it on its own (a few seconds).
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # Mapper/simulator performance baseline: runs the BenchmarkCoreMap /
 # BenchmarkCoreMapPortfolio / BenchmarkSimRun suite and writes the

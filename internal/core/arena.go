@@ -23,9 +23,9 @@ import (
 //     (cloneInto / reset), so arena reuse cannot change mapping results:
 //     identical Options + seed produce byte-identical mappings (pinned by
 //     testdata/golden_mappings.txt).
-//   - Plan chunks and the route memo are reset together at each bind
-//     step; committed partials copy everything they keep out of plan
-//     memory, so no chunk pointer survives a reset.
+//   - Plan chunks are reset at each bind step; committed partials copy
+//     everything they keep out of plan memory, so no chunk pointer
+//     survives a reset.
 
 // chunk is a bump allocator for plan scratch ([]moveStep, []holdAdd, …).
 // take carves a zero-length slice with exact capacity; appending past the
@@ -53,39 +53,10 @@ func (c *chunk[T]) take(n int) []T {
 
 func (c *chunk[T]) reset() { c.buf = c.buf[:0] }
 
-// planKey identifies one memoized operand-routing search: the partial's
-// occupancy epoch, the value to deliver, the consumer (tile, cycle), and
-// the overlay shape under which the search ran.
-type planKey struct {
-	epoch uint32
-	v     cdfg.NodeID
-	tc    arch.TileID
-	cc    int32
-	flags uint8
-}
-
-// Overlay-shape flags for planKey. A routing search only ever runs under
-// a nil overlay (finalize writebacks) or an overlay holding nothing but
-// the consumer's own claim (first operand of a candidate); sibling-plan
-// effects make later operands uncacheable.
-const (
-	memoNilOverlay   uint8 = 0
-	memoClaimNoProd  uint8 = 1
-	memoClaimProduce uint8 = 2
-)
-
-type planMemo struct {
-	pl routePlan
-	ok bool
-}
-
 // mapperArena owns every reusable buffer of one mapper goroutine.
 type mapperArena struct {
-	// free is the partial-mapping free list; epoch is the monotonic
-	// generation counter stamped onto partials so caches keyed by
-	// occupancy state invalidate on any binding change.
-	free  []*partial
-	epoch uint32
+	// free is the partial-mapping free list.
+	free []*partial
 
 	// Map-level scratch (one Map call at a time).
 	used     []int
@@ -126,16 +97,6 @@ type mapperArena struct {
 	retros  chunk[wbRetro]
 	recomps chunk[recompStep]
 
-	// memo caches operand-routing searches (including failures) keyed by
-	// occupancy epoch; see planOperandMemo. Entries are pointers into the
-	// memoVals chunk: planMemo is larger than Go's 128-byte inline map
-	// value limit, so storing it by value would heap-allocate every
-	// insert. The chunk and the map are cleared together in bindReset.
-	// memoHits is observable by white-box tests.
-	memo     map[planKey]*planMemo
-	memoVals chunk[planMemo]
-	memoHits int
-
 	// pathCache memoizes the canonical torus routes per (from, to) pair.
 	// It depends only on the grid topology, so it survives across Map
 	// calls and is invalidated when the arena sees a different grid shape.
@@ -145,11 +106,7 @@ type mapperArena struct {
 	hopsBuf   []arch.TileID
 }
 
-func newMapperArena() *mapperArena {
-	return &mapperArena{memo: map[planKey]*planMemo{}}
-}
-
-var arenaPool = sync.Pool{New: func() any { return newMapperArena() }}
+var arenaPool = sync.Pool{New: func() any { return new(mapperArena) }}
 
 func getArena() *mapperArena  { return arenaPool.Get().(*mapperArena) }
 func putArena(a *mapperArena) { arenaPool.Put(a) }
@@ -163,7 +120,7 @@ func putArena(a *mapperArena) { arenaPool.Put(a) }
 type Arena struct{ a *mapperArena }
 
 // NewArena returns a fresh arena.
-func NewArena() *Arena { return &Arena{a: newMapperArena()} }
+func NewArena() *Arena { return &Arena{a: new(mapperArena)} }
 
 // WithArena returns a copy of the options that runs the mapper on the
 // given arena. A nil arena leaves the options unchanged.
@@ -174,17 +131,9 @@ func (o Options) WithArena(ar *Arena) Options {
 	return o
 }
 
-// nextEpoch returns a fresh occupancy generation.
-func (a *mapperArena) nextEpoch() uint32 {
-	a.epoch++
-	return a.epoch
-}
-
-// bindReset starts a new bind step: the route memo and every plan chunk
-// die together (committed partials have already copied what they keep).
+// bindReset starts a new bind step: every plan chunk dies (committed
+// partials have already copied what they keep).
 func (a *mapperArena) bindReset() {
-	clear(a.memo)
-	a.memoVals.reset()
 	a.moves.reset()
 	a.holds.reset()
 	a.reads.reset()
@@ -265,7 +214,7 @@ func (a *mapperArena) resetPartial(p *partial, nTiles, nNodes, rrf int) {
 	}
 	p.maxCycle, p.moves, p.recomputes, p.checkedTo = 0, 0, 0, 0
 	p.cost = 0
-	p.touch(a)
+	p.touch()
 }
 
 // cloneInto deep-copies src into the recycled dst, reusing every slice
@@ -311,7 +260,7 @@ func (a *mapperArena) cloneInto(dst, src *partial) {
 	dst.recomputes = src.recomputes
 	dst.cost = src.cost
 	dst.checkedTo = src.checkedTo
-	dst.touch(a)
+	dst.touch()
 }
 
 // frontierBegin hands out the stamped estimate arrays frontierOf uses in

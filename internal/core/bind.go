@@ -172,13 +172,10 @@ func (cx *bbCtx) earliestCycle(p *partial, n cdfg.NodeID) int {
 func (cx *bbCtx) argAvail(p *partial, a cdfg.NodeID) int {
 	nd := cx.block.Nodes[a]
 	switch nd.Op {
-	case cdfg.OpConst:
+	case cdfg.OpConst, cdfg.OpSym:
+		// Symbol homes, pinned already or at first use, are readable from
+		// cycle 0.
 		return 0
-	case cdfg.OpSym:
-		if len(p.locs[a]) > 0 {
-			return 0
-		}
-		return 0 // unpinned symbol: pinned at first use, readable from cycle 0
 	}
 	best := math.MaxInt
 	for _, l := range p.locs[a] {
@@ -261,19 +258,34 @@ func (cx *bbCtx) cabBlacklist(p *partial) uint32 {
 	return mask
 }
 
-// genCandidates enumerates feasible bindings of node n under partial p
-// within [earliest, earliest+window]. With tail set, the window is
-// anchored at the end of the partial's current schedule, where slots are
-// free on every tile — the last-resort reroute region.
-func (cx *bbCtx) genCandidates(p *partial, n cdfg.NodeID, window int, tail bool, out []candidate) []candidate {
+// genCandidates enumerates feasible bindings of node n under partial p at
+// cycles [base+lo, base+hi], where base is n's earliest cycle. With tail
+// set, base moves to the end of the partial's current schedule if that is
+// later — where slots are free on every tile, the last-resort reroute
+// region — and cycles up to earliest+MaxSlack are skipped: a tail pass
+// only runs after the non-tail passes of its bind step scanned that whole
+// window and found nothing.
+//
+// Callers widen a window by passing lo = previous hi + 1, so no (partial,
+// tile, cycle) is planned twice in one bind step. This is exact: within a
+// bind step the partial, its earliest cycle, its CAB blacklist and
+// planCandidate's result at every (tile, cycle) are all fixed, and cycles
+// are the outer loop, so the split passes append the same candidates in
+// the same order one scan of the whole window would.
+func (cx *bbCtx) genCandidates(p *partial, n cdfg.NodeID, lo, hi int, tail bool, out []candidate) []candidate {
 	nd := cx.block.Nodes[n]
 	blacklist := cx.cabBlacklist(p)
 	earliest := cx.earliestCycle(p, n)
-	if tail && p.maxCycle > earliest {
-		earliest = p.maxCycle
+	base := earliest
+	if tail && p.maxCycle > base {
+		base = p.maxCycle
+	}
+	from := base + lo
+	if tail && from <= earliest+cx.opt.MaxSlack {
+		from = earliest + cx.opt.MaxSlack + 1
 	}
 	produces := nd.Op.HasResult()
-	for cc := earliest; cc <= earliest+window; cc++ {
+	for cc := from; cc <= base+hi; cc++ {
 		for t := 0; t < cx.grid.NumTiles(); t++ {
 			tid := arch.TileID(t)
 			if blacklist&(1<<uint(t)) != 0 {
@@ -353,20 +365,7 @@ func (cx *bbCtx) planCandidate(p *partial, n cdfg.NodeID, t arch.TileID, cc int,
 				ap.Plan.Cost += 1.5 * (1 - float64(b)/48)
 			}
 		} else {
-			// While the overlay holds nothing beyond the consumer's own
-			// claim, the routing search is a pure function of the
-			// partial's epoch and can hit the per-bind-step memo.
-			var ok bool
-			if o.clean() {
-				flags := memoClaimNoProd
-				if len(o.prods) > 0 {
-					flags = memoClaimProduce
-				}
-				ok = cx.planOperandMemo(p, o, flags, a, t, cc, blacklist, &ap.Plan)
-			} else {
-				ok = cx.planOperand(p, o, a, t, cc, blacklist, &ap.Plan)
-			}
-			if !ok {
+			if !cx.planOperand(p, o, a, t, cc, blacklist, &ap.Plan) {
 				return false
 			}
 			o.merge(&ap.Plan)
@@ -470,7 +469,7 @@ func (cx *bbCtx) apply(cand *candidate, st *Stats) *partial {
 	p.locs[cand.node] = append(p.locs[cand.node], loc{Tile: cand.tile, Cycle: cand.cycle, Reg: reg})
 	p.cost += cand.cost
 	cx.releaseDeadRegs(p, nd)
-	p.touch(cx.arena)
+	p.touch()
 	return p
 }
 
@@ -832,28 +831,31 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 	cands := ar.cands[:0]
 	defer func() { ar.cands = cands[:0] }()
 	for oi, n := range order {
-		// New bind step: the route memo and the plan chunks from the
-		// previous node are dead (children copied what they keep).
-		st.MemoEvictions += len(ar.memo)
-		st.MemoResets++
+		// New bind step: the plan chunks from the previous node are dead
+		// (children copied what they keep).
 		ar.bindReset()
 		window := cx.opt.SlackWindow
 		cands = cands[:0]
 		tail := false
 		tRoute := time.Now()
+		// Each pass scans only the offsets [lo, window] the previous
+		// passes left out; it widens only when the whole beam yielded
+		// nothing (see genCandidates).
+		lo := 0
 		for {
 			for _, p := range beam {
-				cands = cx.genCandidates(p, n, window, tail, cands)
+				cands = cx.genCandidates(p, n, lo, window, tail, cands)
 			}
 			if len(cands) > 0 {
 				break
 			}
+			lo = window + 1
 			if window >= cx.opt.MaxSlack {
 				if !tail {
 					// Last resort: bind past the current makespan, where
 					// every tile has free slots (the reroute region).
 					tail = true
-					window = cx.opt.SlackWindow
+					lo, window = 0, cx.opt.SlackWindow
 					st.Retries++
 					continue
 				}

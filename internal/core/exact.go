@@ -264,7 +264,6 @@ func (s *exactSearch) searchBlock(bi int, acc *exactAcc) bool {
 		users:    cdfg.Users(block),
 		symHomes: acc.symHomes,
 		cab:      s.opt.Flow >= FlowCAB,
-		stats:    s.mst,
 		hopsBuf:  make([]arch.TileID, 0, s.grid.Rows+s.grid.Cols+2),
 	}
 	cx.liveOutValues = map[cdfg.NodeID]bool{}
@@ -365,15 +364,16 @@ func (s *exactSearch) dfs(cx *bbCtx, bi int, acc *exactAcc, order []cdfg.NodeID,
 	s.st.Expanded++
 
 	n := order[oi]
-	// New bind step: plan chunks and the route memo reset together. Every
-	// candidate must be realized into a self-contained child before any
-	// recursion, which resets the chunks again.
+	// New bind step: the plan chunks reset. Every candidate must be
+	// realized into a self-contained child before any recursion, which
+	// resets the chunks again.
 	s.ar.bindReset()
-	cands := cx.genCandidates(p, n, s.opt.MaxSlack, false, s.ar.cands[:0])
+	cands := cx.genCandidates(p, n, 0, s.opt.MaxSlack, false, s.ar.cands[:0])
 	if len(cands) == 0 {
 		// Last-resort reroute region past the current makespan, exactly
-		// like the heuristic's tail escalation.
-		cands = cx.genCandidates(p, n, s.opt.MaxSlack, true, cands)
+		// like the heuristic's tail escalation (it skips the cycles the
+		// pass above already found empty).
+		cands = cx.genCandidates(p, n, 0, s.opt.MaxSlack, true, cands)
 	}
 	perm := s.ar.candIdx[:0]
 	for i := range cands {

@@ -72,7 +72,7 @@ func (cx *bbCtx) homeOf(p *partial, s string, def cdfg.NodeID) (SymLoc, error) {
 			p.newHomes = map[string]SymLoc{}
 		}
 		p.newHomes[s] = h
-		p.touch(cx.arena)
+		p.touch()
 		return h, true
 	}
 	// First pass: only tiles keeping headroom in their register file and
@@ -113,7 +113,7 @@ func (cx *bbCtx) writebackSym(p *partial, s string, def cdfg.NodeID) error {
 	for _, l := range p.locs[def] {
 		if l.Tile == home.Tile && l.Reg == hr && l.Cycle >= 0 {
 			p.setWriteCycle(rrf, home.Tile, hr, l.Cycle)
-			p.touch(cx.arena)
+			p.touch()
 			return nil
 		}
 	}
@@ -143,7 +143,7 @@ func (cx *bbCtx) writebackSym(p *partial, s string, def cdfg.NodeID) error {
 		slot.WReg = home.Reg
 		p.setWriteCycle(rrf, home.Tile, hr, l.Cycle)
 		p.noteWrite(rrf, home.Tile, hr, l.Cycle)
-		p.touch(cx.arena)
+		p.touch()
 		return nil
 	}
 
@@ -161,11 +161,11 @@ func (cx *bbCtx) writebackSym(p *partial, s string, def cdfg.NodeID) error {
 		if !cx.free(p, nil, home.Tile, w) || !cx.canProduce(p, nil, home.Tile, w) {
 			continue
 		}
-		// The blacklist is cached on the partial's epoch and the routing
-		// search memoizes per (epoch, def, tile, w), so re-walking the
-		// window after failed cycles stays cheap.
+		// The blacklist is cached on the partial until its next mutation,
+		// so re-walking the window after failed cycles only pays for the
+		// routing search itself.
 		ap := argPlan{Arg: def}
-		if !cx.planOperandMemo(p, nil, memoNilOverlay, def, home.Tile, w, cx.cabBlacklist(p), &ap.Plan) {
+		if !cx.planOperand(p, nil, def, home.Tile, w, cx.cabBlacklist(p), &ap.Plan) {
 			continue
 		}
 		src := cx.applyPlan(p, &ap, nil)
@@ -187,7 +187,7 @@ func (cx *bbCtx) writebackSym(p *partial, s string, def cdfg.NodeID) error {
 		p.setWriteCycle(rrf, home.Tile, hr, w)
 		p.noteWrite(rrf, home.Tile, hr, w)
 		p.cost += costMove
-		p.touch(cx.arena)
+		p.touch()
 		return nil
 	}
 	var locs []string

@@ -124,7 +124,6 @@ func Map(g *cdfg.Graph, grid *arch.Grid, opt Options) (*Mapping, error) {
 			users:    cdfg.Users(block),
 			symHomes: m.SymHomes,
 			cab:      opt.Flow >= FlowCAB,
-			stats:    &m.Stats,
 			// Longest route a chain can take is bounded by the two-leg
 			// corner path, so hops never outgrow this and planChain can
 			// skip the capacity write-back.

@@ -99,13 +99,12 @@ type Stats struct {
 	Retries int
 	// Recomputes counts recompute transformations applied.
 	Recomputes int
-	// MemoHits/MemoMisses count route-memo lookups (see planOperandMemo);
-	// MemoResets counts bind-step resets and MemoEvictions the entries
-	// those resets discarded.
-	MemoHits      int
-	MemoMisses    int
-	MemoResets    int
-	MemoEvictions int
+	// MemoHits and MemoMisses are always zero. They counted lookups of a
+	// route memo the mapper no longer has (widened slack windows scan
+	// only new cycles, so no route is planned twice); they remain only
+	// because the benchmark command in bench/ still reads them.
+	MemoHits   int
+	MemoMisses int
 
 	// Exact describes the branch-and-bound run when the mapping came from
 	// the exact backend; zero for heuristic mappings.

@@ -16,10 +16,6 @@ func recordMapStats(r *obs.Recorder, st *Stats, ar *mapperArena) {
 	r.Counter("core.prune.acmap").Add(int64(st.PrunedACMAP))
 	r.Counter("core.prune.ecmap").Add(int64(st.PrunedECMAP))
 	r.Counter("core.prune.stochastic").Add(int64(st.PrunedStochastic))
-	r.Counter("core.memo.hits").Add(int64(st.MemoHits))
-	r.Counter("core.memo.misses").Add(int64(st.MemoMisses))
-	r.Counter("core.memo.resets").Add(int64(st.MemoResets))
-	r.Counter("core.memo.evictions").Add(int64(st.MemoEvictions))
 	r.Counter("core.phase.schedule_us").Add(st.Phases.Schedule.Microseconds())
 	r.Counter("core.phase.route_us").Add(st.Phases.Route.Microseconds())
 	r.Counter("core.phase.bind_us").Add(st.Phases.Bind.Microseconds())
@@ -33,7 +29,6 @@ func recordMapStats(r *obs.Recorder, st *Stats, ar *mapperArena) {
 	r.Gauge("core.arena.plan_chunk_cap").Set(int64(cap(ar.plans.buf)))
 	r.Gauge("core.arena.move_chunk_cap").Set(int64(cap(ar.moves.buf)))
 	r.Gauge("core.arena.read_chunk_cap").Set(int64(cap(ar.reads.buf)))
-	r.Gauge("core.arena.memo_chunk_cap").Set(int64(cap(ar.memoVals.buf)))
 	r.Gauge("core.arena.path_cache_size").Set(int64(len(ar.pathCache)))
 }
 

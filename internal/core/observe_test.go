@@ -65,21 +65,11 @@ func TestMapObsInvariance(t *testing.T) {
 	if total > st.CompileTime {
 		t.Errorf("phase times %v exceed compile time %v", total, st.CompileTime)
 	}
-	if st.MemoHits+st.MemoMisses <= 0 {
-		t.Error("no memo lookups counted")
-	}
-	if st.MemoResets <= 0 {
-		t.Error("no memo resets counted")
-	}
-
 	if got := rec.Counter("core.map.calls").Value(); got != 1 {
 		t.Errorf("core.map.calls = %d, want 1", got)
 	}
 	if got := rec.Counter("core.map.partials").Value(); got != int64(st.Partials) {
 		t.Errorf("core.map.partials = %d, want %d", got, st.Partials)
-	}
-	if got := rec.Counter("core.memo.hits").Value(); got != int64(st.MemoHits) {
-		t.Errorf("core.memo.hits = %d, want %d", got, st.MemoHits)
 	}
 
 	events := sink.Events()

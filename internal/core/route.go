@@ -93,13 +93,6 @@ type overlay struct {
 	consts  []constAdd
 }
 
-// clean reports whether the overlay holds nothing beyond the consumer's
-// own slot claim — the precondition for memoizing an operand search.
-func (o *overlay) clean() bool {
-	return len(o.claimed) == 1 && len(o.holds) == 0 && len(o.regs) == 0 &&
-		len(o.retros) == 0 && len(o.consts) == 0
-}
-
 func slotKey(t arch.TileID, c int) int64 { return int64(t)<<32 | int64(uint32(c)) }
 
 func containsKey(keys []int64, k int64) bool {
@@ -170,10 +163,6 @@ type bbCtx struct {
 	// arena owns all reusable mapper scratch state (see arena.go); the
 	// block mapper is single-goroutine, so sharing is never an issue.
 	arena *mapperArena
-	// stats points at the mapping's Stats so the hot path can bump memo
-	// counters without reaching through Options (may be nil in white-box
-	// tests that build a bbCtx by hand).
-	stats *Stats
 	// hopsBuf is the scratch hop list reused across planChain calls.
 	hopsBuf []arch.TileID
 }
@@ -452,41 +441,6 @@ const retroPlaceholder uint8 = 0xff
 // routing search asks for the same pairs thousands of times per block.
 func (cx *bbCtx) paths(a, b arch.TileID) [][]arch.TileID {
 	return cx.arena.paths(cx, a, b)
-}
-
-// planOperandMemo wraps planOperand with the arena's per-bind-step memo.
-// It may only be called when the search is a pure function of the
-// partial's epoch: under a nil overlay (finalize writebacks) or an overlay
-// holding nothing but the consumer's own claim, with the claim shape
-// captured in flags. Negative results are cached too — re-enumeration
-// after a widened slack window is the memo's main hit source.
-func (cx *bbCtx) planOperandMemo(p *partial, o *overlay, flags uint8, v cdfg.NodeID, tc arch.TileID, cc int, blacklist uint32, out *routePlan) bool {
-	ar := cx.arena
-	key := planKey{epoch: p.epoch, v: v, tc: tc, cc: int32(cc), flags: flags}
-	if e, hit := ar.memo[key]; hit {
-		ar.memoHits++
-		if cx.stats != nil {
-			cx.stats.MemoHits++
-		}
-		if e.ok {
-			*out = e.pl
-		}
-		return e.ok
-	}
-	if cx.stats != nil {
-		cx.stats.MemoMisses++
-	}
-	ok := cx.planOperand(p, o, v, tc, cc, blacklist, out)
-	pms := ar.memoVals.take(1)
-	pms = pms[:1]
-	pm := &pms[0]
-	if ok {
-		*pm = planMemo{pl: *out, ok: true}
-	} else {
-		*pm = planMemo{}
-	}
-	ar.memo[key] = pm
-	return ok
 }
 
 func (cx *bbCtx) computePaths(a, b arch.TileID) [][]arch.TileID {

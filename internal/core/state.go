@@ -275,20 +275,15 @@ type partial struct {
 	cost       float64
 	checkedTo  int // ECMAP frontier already verified
 
-	// epoch is the occupancy generation (from the arena counter): any
-	// mutation of the binding state bumps it via touch, invalidating the
-	// route memo entries and the cached CAB blacklist keyed on it.
-	epoch   uint32
+	// blMask caches the CAB blacklist while blValid; any mutation of the
+	// binding state clears blValid via touch.
 	blMask  uint32
 	blValid bool
 }
 
-// touch marks the partial as mutated: route-memo entries and the cached
-// CAB blacklist for the old epoch no longer apply.
-func (p *partial) touch(a *mapperArena) {
-	p.epoch = a.nextEpoch()
-	p.blValid = false
-}
+// touch marks the partial as mutated: the cached CAB blacklist no longer
+// applies.
+func (p *partial) touch() { p.blValid = false }
 
 func (p *partial) clone() *partial {
 	c := &partial{

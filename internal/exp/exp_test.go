@@ -290,7 +290,7 @@ func TestRunnerObsAndSummary(t *testing.T) {
 		t.Errorf("cached re-run bumped core.map.calls to %d", got)
 	}
 	sum := r.InstrumentationSummary()
-	if !strings.Contains(sum, "FIR") || !strings.Contains(sum, "memo-hit") {
+	if !strings.Contains(sum, "FIR") || !strings.Contains(sum, "partials") || strings.Contains(sum, "memo-hit") {
 		t.Errorf("summary misses the FIR row or headers:\n%s", sum)
 	}
 }

@@ -409,16 +409,15 @@ func (r *Runner) CPU(kernel string) (*CPUCell, error) {
 
 // InstrumentationSummary renders a per-kernel roll-up of every cell the
 // runner has evaluated so far: cells run, mappings found, simulated
-// cycles, compile time, partials explored, route-memo hit rate and
-// pruned-partial total. Kernels appear in the canonical kernel order, so
-// the table is deterministic for a given set of evaluated cells.
+// cycles, compile time, partials explored and pruned-partial total.
+// Kernels appear in the canonical kernel order, so the table is
+// deterministic for a given set of evaluated cells.
 func (r *Runner) InstrumentationSummary() string {
 	type agg struct {
-		cells, mapped         int
-		cycles                int64
-		compile               time.Duration
-		partials, pruned      int
-		memoHits, memoLookups int
+		cells, mapped    int
+		cycles           int64
+		compile          time.Duration
+		partials, pruned int
 	}
 	byKernel := map[string]*agg{}
 	r.mu.Lock()
@@ -436,23 +435,17 @@ func (r *Runner) InstrumentationSummary() string {
 		a.compile += c.CompileTime
 		a.partials += c.MapStats.Partials
 		a.pruned += c.MapStats.PrunedACMAP + c.MapStats.PrunedECMAP + c.MapStats.PrunedStochastic
-		a.memoHits += c.MapStats.MemoHits
-		a.memoLookups += c.MapStats.MemoHits + c.MapStats.MemoMisses
 	}
 	r.mu.Unlock()
 	t := trace.NewTable("per-kernel instrumentation summary",
-		"kernel", "cells", "mapped", "cycles", "compile", "partials", "memo-hit", "pruned")
+		"kernel", "cells", "mapped", "cycles", "compile", "partials", "pruned")
 	for _, name := range kernels.Names() {
 		a := byKernel[name]
 		if a == nil {
 			continue
 		}
-		hit := "-"
-		if a.memoLookups > 0 {
-			hit = fmt.Sprintf("%.0f%%", 100*float64(a.memoHits)/float64(a.memoLookups))
-		}
 		t.Add(name, a.cells, a.mapped, a.cycles, a.compile.Round(time.Millisecond),
-			a.partials, hit, a.pruned)
+			a.partials, a.pruned)
 	}
 	return t.String()
 }

@@ -101,8 +101,6 @@ func TestLiveScrapeMetrics(t *testing.T) {
 		"core_prune_acmap",
 		"core_prune_ecmap",
 		"core_prune_stochastic",
-		"core_memo_hits",
-		"core_memo_misses",
 		"core_phase_schedule_us",
 		"core_phase_route_us",
 		"core_phase_bind_us",

@@ -22,6 +22,13 @@ go run ./cmd/cgralint -json ./... | tee cgralint.json
 echo "== go build ./..."
 go build ./...
 
+# The benchmark in bench/ is its own Go module (its go.mod points back at
+# the repository root), so `go build ./...` above never compiles it. Vet
+# and test it here, so that a change to core.Stats or any layer API it
+# calls cannot break the benchmark silently.
+echo "== bench module (make bench-check)"
+(cd bench && go vet . && go test .)
+
 # Dead-context strip gate: every kernel's CAB bitstream must survive
 # static analysis + dead-context elimination with a verifier-clean
 # result (cgramap -strip exits non-zero on a dirty re-verification),
@@ -198,8 +205,8 @@ go test -race -timeout 45m $short ./...
 # rebuild up to 4 pools against a steady-state baseline that amortized
 # them all (observed up to ~3x on the smallest kernel). The tolerance
 # sits above that noise floor. The regression this guards against —
-# losing arena reuse or plan memoization — is 4-6 orders of magnitude,
-# far past any tolerance here.
+# losing arena reuse (per-candidate plan, overlay and partial
+# allocations) — is 4-6 orders of magnitude, far past any tolerance here.
 # The obs-off gate (BenchmarkCoreMapObsOff vs the same run's
 # BenchmarkCoreMap) is exact on full bench runs, but at one iteration it
 # rides the same arena-pool GC noise, so it gets the same widened
