@@ -541,8 +541,14 @@ func (h *fnv1a) u64(v uint64) {
 	*h = fnv1a(x)
 }
 
-func (h *fnv1a) i(v int)    { h.u64(uint64(int64(v))) }
-func (h *fnv1a) b(v bool)   { if v { h.u64(1) } else { h.u64(0) } }
+func (h *fnv1a) i(v int) { h.u64(uint64(int64(v))) }
+func (h *fnv1a) b(v bool) {
+	if v {
+		h.u64(1)
+	} else {
+		h.u64(0)
+	}
+}
 func (h *fnv1a) str(s string) {
 	x := uint64(*h)
 	for i := 0; i < len(s); i++ {

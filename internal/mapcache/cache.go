@@ -1,8 +1,22 @@
+// Package mapcache implements a content-addressed cache for compiled CGRA
+// mappings: a two-tier store — in-memory sharded LRU with singleflight
+// deduplication plus an optional verified on-disk tier (cache.go,
+// disk.go) — keyed by the SHA-256 of the graph's plain text
+// (cdfg.MarshalText) × mapper options × grid structure × portfolio
+// description. A graph hits only entries stored for the same text: a
+// renamed or renumbered copy is a different key.
+//
+// Determinism rules: nothing in the key may consult wall-clock time, map
+// iteration order, or process-local identities — the detrand/maprange
+// analyzers in internal/lint enforce this package-wide.
 package mapcache
 
 import (
 	"bytes"
 	"container/list"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
@@ -51,11 +65,24 @@ type Request struct {
 	Objective string
 }
 
-// key renders the full content address: canonical graph hash × sanitized
+// graphDigest renders the request graph's plain text and its SHA-256, the
+// graph half of the cache key.
+func graphDigest(g *cdfg.Graph) ([]byte, [sha256.Size]byte, error) {
+	if g == nil {
+		return nil, [sha256.Size]byte{}, fmt.Errorf("mapcache: request has no graph")
+	}
+	text, err := g.MarshalText()
+	if err != nil {
+		return nil, [sha256.Size]byte{}, err
+	}
+	return text, sha256.Sum256(text), nil
+}
+
+// key renders the full content address: graph text hash × sanitized
 // mapper options × structural grid fingerprint × portfolio description.
-func (r *Request) key(c *Canon) string {
+func (r *Request) key(sum [sha256.Size]byte) string {
 	var b strings.Builder
-	b.WriteString(c.HashHex())
+	b.WriteString(hex.EncodeToString(sum[:]))
 	b.WriteByte('|')
 	b.WriteString(r.Opt.Fingerprint())
 	b.WriteByte('|')
@@ -98,9 +125,8 @@ type Meta struct {
 	Backend   string
 }
 
-// Result is a cache response. Program is rebuilt for the caller's graph
-// (cached images are stored in canonical block order and permuted back),
-// and Image is its serialized form in the caller's block order.
+// Result is a cache response. Program is rebuilt against the caller's
+// graph, and Image is its serialized form.
 type Result struct {
 	Program *asm.Program
 	Image   []byte
@@ -113,8 +139,8 @@ type Result struct {
 
 type entry struct {
 	key       string
-	canonText []byte
-	image     []byte // canonical block order
+	graphText []byte
+	image     []byte
 	meta      Meta
 }
 
@@ -173,37 +199,37 @@ func (c *Cache) Len() int {
 	return n
 }
 
-func (c *Cache) shardOf(key string) *shard {
-	return &c.shards[uint64(fnvOffset.str(key))%uint64(len(c.shards))]
+// shardOf picks the shard from the leading bytes of the graph digest.
+func (c *Cache) shardOf(sum [sha256.Size]byte) *shard {
+	return &c.shards[binary.LittleEndian.Uint64(sum[:8])%uint64(len(c.shards))]
 }
 
 // GetOrStore returns the cached result for req, computing and storing it
 // via compute on a miss. Concurrent identical requests are coalesced: one
-// caller computes, the rest wait and share the stored entry. Requests the
-// cache cannot key soundly (a profiled Opt, or a graph the canonicalizer
-// rejects) bypass both tiers and compute directly.
+// caller computes, the rest wait and share the stored entry. A request
+// with a profiled Opt cannot be keyed soundly; it bypasses both tiers and
+// computes directly.
 func (c *Cache) GetOrStore(req Request, compute func() (Computed, error)) (Result, error) {
 	rec := c.cfg.Obs
 	if req.Opt.Profile != nil {
 		rec.Counter("mapcache.bypass").Inc()
 		return c.computeOnly(compute)
 	}
-	canon, err := Canonicalize(req.Graph)
+	text, sum, err := graphDigest(req.Graph)
 	if err != nil {
-		rec.Counter("mapcache.bypass").Inc()
-		return c.computeOnly(compute)
+		return Result{}, err
 	}
-	key := req.key(canon)
-	sh := c.shardOf(key)
+	key := req.key(sum)
+	sh := c.shardOf(sum)
 
 	for {
 		sh.mu.Lock()
 		if el, ok := sh.entries[key]; ok {
 			e := el.Value.(*entry)
-			if bytes.Equal(e.canonText, canon.Text) {
+			if bytes.Equal(e.graphText, text) {
 				sh.lru.MoveToFront(el)
 				sh.mu.Unlock()
-				res, err := c.materialize(e, &req, canon, "memory")
+				res, err := materialize(e, &req, "memory")
 				if err == nil {
 					rec.Counter("mapcache.hit").Inc()
 					return res, nil
@@ -213,14 +239,14 @@ func (c *Cache) GetOrStore(req Request, compute func() (Computed, error)) (Resul
 				c.remove(sh, key)
 				rec.Counter("mapcache.reject").Inc()
 			} else {
-				// Same 256-bit key, different canonical text: a hash
-				// collision. Correctness never rests on collision-freedom —
-				// the entry simply does not match, so recompute.
+				// Same 256-bit key, different graph text: a hash collision.
+				// Correctness never rests on collision-freedom — the entry
+				// simply does not match, so recompute.
 				sh.mu.Unlock()
 				rec.Counter("mapcache.reject").Inc()
 			}
 			rec.Counter("mapcache.miss").Inc()
-			return c.computeAndStore(sh, key, &req, canon, compute)
+			return c.computeAndStore(sh, key, text, compute)
 		}
 		if fl, ok := sh.inflight[key]; ok {
 			sh.mu.Unlock()
@@ -235,7 +261,7 @@ func (c *Cache) GetOrStore(req Request, compute func() (Computed, error)) (Resul
 		sh.inflight[key] = fl
 		sh.mu.Unlock()
 
-		res, err := c.lead(sh, key, &req, canon, compute)
+		res, err := c.lead(sh, key, &req, text, compute)
 
 		sh.mu.Lock()
 		delete(sh.inflight, key)
@@ -247,15 +273,15 @@ func (c *Cache) GetOrStore(req Request, compute func() (Computed, error)) (Resul
 
 // lead runs the miss path as the singleflight leader: disk tier first,
 // then compute-and-store.
-func (c *Cache) lead(sh *shard, key string, req *Request, canon *Canon, compute func() (Computed, error)) (Result, error) {
+func (c *Cache) lead(sh *shard, key string, req *Request, text []byte, compute func() (Computed, error)) (Result, error) {
 	rec := c.cfg.Obs
 	if c.cfg.Dir != "" {
-		if e, rejected := c.loadDisk(key, canon); e != nil {
+		if e, rejected := c.loadDisk(key, text); e != nil {
 			// Trust gate: a disk entry is only served after the rebuilt
 			// program passes the full static verifier against the caller's
 			// graph. A poisoned-but-checksummed file fails here and is
 			// re-mapped, never trusted.
-			if res, err := c.materialize(e, req, canon, "disk"); err == nil && verifyDiskResult(&res) == nil {
+			if res, err := materialize(e, req, "disk"); err == nil && verifyDiskResult(&res) == nil {
 				c.insert(sh, e)
 				rec.Counter("mapcache.disk_hit").Inc()
 				return res, nil
@@ -266,7 +292,7 @@ func (c *Cache) lead(sh *shard, key string, req *Request, canon *Canon, compute 
 		}
 	}
 	rec.Counter("mapcache.miss").Inc()
-	return c.computeAndStore(sh, key, req, canon, compute)
+	return c.computeAndStore(sh, key, text, compute)
 }
 
 // computeOnly runs compute without touching either tier (bypass path).
@@ -282,7 +308,7 @@ func (c *Cache) computeOnly(compute func() (Computed, error)) (Result, error) {
 	return Result{Program: prog, Image: img, Meta: meta, Source: "bypass"}, nil
 }
 
-func (c *Cache) computeAndStore(sh *shard, key string, req *Request, canon *Canon, compute func() (Computed, error)) (Result, error) {
+func (c *Cache) computeAndStore(sh *shard, key string, text []byte, compute func() (Computed, error)) (Result, error) {
 	comp, err := compute()
 	if err != nil {
 		return Result{}, err
@@ -291,13 +317,7 @@ func (c *Cache) computeAndStore(sh *shard, key string, req *Request, canon *Cano
 	if err != nil {
 		return Result{}, err
 	}
-	canonImg := img
-	if !isIdentity(canon.BlockPerm) {
-		if canonImg, err = permuteImage(img, canon.BlockPerm); err != nil {
-			return Result{}, fmt.Errorf("mapcache: canonicalize image: %w", err)
-		}
-	}
-	e := &entry{key: key, canonText: canon.Text, image: canonImg, meta: meta}
+	e := &entry{key: key, graphText: text, image: img, meta: meta}
 	c.insert(sh, e)
 	c.cfg.Obs.Counter("mapcache.store").Inc()
 	if c.cfg.Dir != "" {
@@ -342,26 +362,13 @@ func finishComputed(comp *Computed) (*asm.Program, Meta, []byte, error) {
 }
 
 // materialize rebuilds a Result for the caller's graph from a stored
-// entry: permute the canonical-order image into the caller's block order,
-// decode it, and rebuild the executable program against the caller's
-// graph. Memory-tier entries were stored by this process under a
-// byte-compared canonical text, so no re-verification runs here; the disk
-// path layers verify.CheckProgram on top (see loadDisk/lead).
-func (c *Cache) materialize(e *entry, req *Request, canon *Canon, source string) (Result, error) {
-	imgBytes := e.image
-	permuted := !isIdentity(canon.BlockPerm)
-	if permuted {
-		inv := make([]int, len(canon.BlockPerm))
-		for orig, ci := range canon.BlockPerm {
-			inv[ci] = orig
-		}
-		var err error
-		if imgBytes, err = permuteImage(e.image, inv); err != nil {
-			return Result{}, err
-		}
-	} else {
-		imgBytes = append([]byte(nil), e.image...)
-	}
+// entry: decode a copy of the image and rebuild the executable program
+// against the caller's graph. Memory-tier entries were stored by this
+// process under a byte-compared graph text, so no re-verification runs
+// here; the disk path layers verify.CheckProgram on top (see
+// loadDisk/lead).
+func materialize(e *entry, req *Request, source string) (Result, error) {
+	imgBytes := append([]byte(nil), e.image...)
 	img, err := asm.LoadImage(imgBytes)
 	if err != nil {
 		return Result{}, err
@@ -369,19 +376,6 @@ func (c *Cache) materialize(e *entry, req *Request, canon *Canon, source string)
 	prog, err := asm.ProgramFromImage(img, req.Graph, req.Grid)
 	if err != nil {
 		return Result{}, err
-	}
-	if permuted {
-		// Block reordering changed each tile's constant first-use order;
-		// re-derive the CRFs and re-encode so the program satisfies the
-		// assembler's CRF normal form (decoded instructions carry constant
-		// values, so this is an encoding-only rewrite). The serialized image
-		// is rebuilt to match.
-		if err := asm.NormalizeCRF(prog); err != nil {
-			return Result{}, err
-		}
-		if imgBytes, err = asm.SaveImage(prog); err != nil {
-			return Result{}, err
-		}
 	}
 	return Result{Program: prog, Image: imgBytes, Meta: e.meta, Hit: true, Source: source}, nil
 }

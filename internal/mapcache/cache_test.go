@@ -89,9 +89,10 @@ func TestCacheColdWarm(t *testing.T) {
 	}
 }
 
-// TestCacheIsomorphicHit: a relabeled isomorphic graph hits the entry
-// stored for the original, and the returned program — rebuilt through the
-// block-permutation shuffle — verifies against the relabeled graph.
+// TestCacheIsomorphicHit: a relabeled isomorphic graph is a different
+// key. Its first request misses the original's entry and computes a
+// program for the relabeled graph; from then on each graph hits its own
+// entry, and each served program is exactly as legal as its cold compile.
 func TestCacheIsomorphicHit(t *testing.T) {
 	grid := arch.MustGrid(arch.HOM32)
 	rec := obs.NewRecorder(obs.NewRegistry(), nil)
@@ -100,8 +101,7 @@ func TestCacheIsomorphicHit(t *testing.T) {
 
 	// A representative subset: full kernels with branches and memory traffic
 	// plus generated graphs with larger block counts (mapping every kernel
-	// under FlowCAB takes minutes; invariance of the hash itself is covered
-	// exhaustively by TestCanonicalHashInvariance).
+	// under FlowCAB takes minutes).
 	all := testGraphs(t)
 	subset := map[string]*cdfg.Graph{
 		"FIR": all["FIR"], "FFT": all["FFT"], "DCFilter": all["DCFilter"],
@@ -110,59 +110,81 @@ func TestCacheIsomorphicHit(t *testing.T) {
 	for name, g := range subset {
 		g := g
 		t.Run(name, func(t *testing.T) {
-			var calls atomic.Int64
-			req := mapcache.Request{Graph: g, Grid: grid, Opt: opt}
-			cold, err := c.GetOrStore(req, mapCompute(t, g, grid, opt, &calls))
-			if err != nil {
-				t.Skipf("kernel does not map on this grid: %v", err)
-			}
 			pg := permuteGraph(t, g, rand.New(rand.NewSource(7)))
-			preq := mapcache.Request{Graph: pg, Grid: grid, Opt: opt}
-			warm, err := c.GetOrStore(preq, mapCompute(t, pg, grid, opt, &calls))
-			if err != nil {
-				t.Fatal(err)
+			var calls atomic.Int64
+			cold := map[*cdfg.Graph]mapcache.Result{}
+			for _, gr := range []*cdfg.Graph{g, pg} {
+				res, err := c.GetOrStore(mapcache.Request{Graph: gr, Grid: grid, Opt: opt}, mapCompute(t, gr, grid, opt, &calls))
+				if err != nil {
+					t.Skipf("graph does not map on this grid: %v", err)
+				}
+				if res.Hit {
+					t.Fatal("relabeled graph hit the original's entry")
+				}
+				cold[gr] = res
 			}
-			if !warm.Hit {
-				t.Fatal("isomorphic relabeling missed the cache")
-			}
-			if calls.Load() != 1 {
-				t.Fatalf("compute ran %d times, want 1", calls.Load())
-			}
-			// The materialized program must be exactly as legal as the one
-			// the mapper produced (some generated graphs exceed CM capacity
-			// under default options; the cache must not make that worse).
-			if verify.CheckProgram(cold.Program).Err() == nil {
-				if r := verify.CheckProgram(warm.Program); r.Err() != nil {
-					t.Fatalf("materialized program fails verification against the relabeled graph: %v", r.Err())
+			for _, gr := range []*cdfg.Graph{g, pg} {
+				warm, err := c.GetOrStore(mapcache.Request{Graph: gr, Grid: grid, Opt: opt}, mapCompute(t, gr, grid, opt, &calls))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !warm.Hit || !bytes.Equal(warm.Image, cold[gr].Image) {
+					t.Fatalf("repeat request: hit=%v, image equal=%v", warm.Hit, bytes.Equal(warm.Image, cold[gr].Image))
+				}
+				// Some generated graphs exceed CM capacity under default
+				// options; the cache must not make a program less legal.
+				if verify.CheckProgram(cold[gr].Program).Err() == nil {
+					if r := verify.CheckProgram(warm.Program); r.Err() != nil {
+						t.Fatalf("served program fails verification against its graph: %v", r.Err())
+					}
 				}
 			}
-			if warm.Meta.Words != cold.Meta.Words {
-				t.Fatalf("hit reports %d words, original %d", warm.Meta.Words, cold.Meta.Words)
+			if calls.Load() != 2 {
+				t.Fatalf("compute ran %d times, want 2", calls.Load())
 			}
 		})
 	}
 }
 
-// TestCacheKeySeparation: changing any key ingredient — options, seeds,
-// backends, objective — misses instead of returning the old entry.
+// TestCacheKeySeparation: changing any key ingredient — the graph's name
+// or a constant, options, seeds, backends, objective — misses instead of
+// returning the old entry.
 func TestCacheKeySeparation(t *testing.T) {
 	grid := arch.MustGrid(arch.HOM32)
 	g := kernelGraph(t, "FIR")
 	c := mapcache.New(mapcache.Config{})
 	var calls atomic.Int64
 
+	renamed := g.Clone()
+	renamed.Name += "-renamed"
+	constChanged := g.Clone()
+	var konst *cdfg.Node
+	for _, b := range constChanged.Blocks {
+		for _, n := range b.Nodes {
+			if n.Op == cdfg.OpConst && konst == nil {
+				konst = n
+			}
+		}
+	}
+	if konst == nil {
+		t.Fatal("FIR has no constant to change")
+	}
+	konst.Val++
+
 	base := mapcache.Request{Graph: g, Grid: grid, Opt: core.DefaultOptions(core.FlowCAB)}
 	seeded := core.DefaultOptions(core.FlowCAB)
 	seeded.Seed = 3
 	variants := []mapcache.Request{
 		base,
+		{Graph: renamed, Grid: grid, Opt: base.Opt},
+		{Graph: constChanged, Grid: grid, Opt: base.Opt},
 		{Graph: g, Grid: grid, Opt: seeded},
 		{Graph: g, Grid: grid, Opt: base.Opt, Seeds: []int64{0, 1}},
 		{Graph: g, Grid: grid, Opt: base.Opt, Backends: []string{"exact"}},
 		{Graph: g, Grid: grid, Opt: base.Opt, Objective: "power"},
 	}
 	for i, req := range variants {
-		if _, err := c.GetOrStore(req, mapCompute(t, g, grid, req.Opt, &calls)); err != nil {
+		if _, err := c.GetOrStore(req, mapCompute(t, req.Graph, grid, req.Opt, &calls)); err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
 	}

@@ -16,10 +16,10 @@ import (
 // Disk-tier envelope format. All integers little-endian:
 //
 //	magic   "CGMC"                 4 bytes
-//	version u32                    (currently 1)
+//	version u32                    (currently 2)
 //	keyLen  u32, key               full cache key (collision guard)
-//	canLen  u32, canonical text    byte-compared against the caller's
-//	imgLen  u32, image             bitstream in canonical block order
+//	txtLen  u32, graph text        byte-compared against the caller's
+//	imgLen  u32, image             bitstream
 //	metaLen u32, meta JSON         Meta
 //	digest  sha256                 over every preceding byte
 //
@@ -30,7 +30,7 @@ import (
 // still rejected and re-mapped, never trusted.
 const (
 	diskMagic   = "CGMC"
-	diskVersion = 1
+	diskVersion = 2
 	diskSuffix  = ".mapcache"
 )
 
@@ -39,32 +39,31 @@ func (c *Cache) diskPath(key string) string {
 	return filepath.Join(c.cfg.Dir, fmt.Sprintf("%x%s", sum[:16], diskSuffix))
 }
 
+// encodeEnvelope serializes e in the disk-tier envelope format.
+func encodeEnvelope(e *entry) []byte {
+	// Meta holds only integers, strings and integer slices, which
+	// json.Marshal always encodes.
+	metaJSON, _ := json.Marshal(e.meta)
+	buf := []byte(diskMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, diskVersion)
+	for _, blob := range [][]byte{[]byte(e.key), e.graphText, e.image, metaJSON} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blob)))
+		buf = append(buf, blob...)
+	}
+	sum := sha256.Sum256(buf)
+	return append(buf, sum[:]...)
+}
+
 func (c *Cache) storeDisk(e *entry) error {
 	if err := os.MkdirAll(c.cfg.Dir, 0o755); err != nil {
 		return err
 	}
-	metaJSON, err := json.Marshal(e.meta)
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	buf.WriteString(diskMagic)
-	w32 := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	wblob := func(b []byte) { w32(uint32(len(b))); buf.Write(b) }
-	w32(diskVersion)
-	wblob([]byte(e.key))
-	wblob(e.canonText)
-	wblob(e.image)
-	wblob(metaJSON)
-	sum := sha256.Sum256(buf.Bytes())
-	buf.Write(sum[:])
-
 	path := c.diskPath(e.key)
 	tmp, err := os.CreateTemp(c.cfg.Dir, "tmp-*"+diskSuffix)
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if _, err := tmp.Write(encodeEnvelope(e)); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err
@@ -84,9 +83,9 @@ func (c *Cache) storeDisk(e *entry) error {
 
 // loadDisk reads and validates the disk entry for key. It returns the
 // entry on success; (nil, false) when no entry exists; (nil, true) when a
-// file exists but failed validation (corrupt, wrong key, stale canonical
+// file exists but failed validation (corrupt, wrong key, different graph
 // text) — the caller counts that as a disk rejection and recomputes.
-func (c *Cache) loadDisk(key string, canon *Canon) (*entry, bool) {
+func (c *Cache) loadDisk(key string, graphText []byte) (*entry, bool) {
 	data, err := os.ReadFile(c.diskPath(key))
 	if err != nil {
 		return nil, false
@@ -95,7 +94,7 @@ func (c *Cache) loadDisk(key string, canon *Canon) (*entry, bool) {
 	if err != nil {
 		return nil, true
 	}
-	if e.key != key || !bytes.Equal(e.canonText, canon.Text) {
+	if e.key != key || !bytes.Equal(e.graphText, graphText) {
 		return nil, true
 	}
 	return e, true
@@ -134,7 +133,7 @@ func parseEnvelope(data []byte) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	canonText, err := blob()
+	graphText, err := blob()
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +148,7 @@ func parseEnvelope(data []byte) (*entry, error) {
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("mapcache: %d trailing bytes in disk entry", r.Len())
 	}
-	e := &entry{key: string(key), canonText: canonText, image: image}
+	e := &entry{key: string(key), graphText: graphText, image: image}
 	if err := json.Unmarshal(metaJSON, &e.meta); err != nil {
 		return nil, err
 	}
@@ -183,20 +182,5 @@ func RewriteEntry(path string, mutate func(image []byte) []byte) error {
 		return err
 	}
 	e.image = mutate(e.image)
-	metaJSON, err := json.Marshal(e.meta)
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	buf.WriteString(diskMagic)
-	w32 := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	wblob := func(b []byte) { w32(uint32(len(b))); buf.Write(b) }
-	w32(diskVersion)
-	wblob([]byte(e.key))
-	wblob(e.canonText)
-	wblob(e.image)
-	wblob(metaJSON)
-	sum := sha256.Sum256(buf.Bytes())
-	buf.Write(sum[:])
-	return os.WriteFile(path, buf.Bytes(), 0o644)
+	return os.WriteFile(path, encodeEnvelope(e), 0o644)
 }

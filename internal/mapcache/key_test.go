@@ -2,6 +2,7 @@ package mapcache_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -16,8 +17,8 @@ import (
 // renumbered along a random order that respects dataflow and the
 // interpreter's memory-op ordering (stores are barriers; loads between two
 // stores may swap), commutative operands are randomly swapped, and the
-// graph is renamed. Canonicalize must map every output of this back to the
-// same hash.
+// graph is renamed. The cache key records all of it, so every output of
+// this is a different key.
 func permuteGraph(t *testing.T, g *cdfg.Graph, rng *rand.Rand) *cdfg.Graph {
 	t.Helper()
 	ng := g.Clone()
@@ -148,75 +149,69 @@ func testGraphs(t *testing.T) map[string]*cdfg.Graph {
 	return gs
 }
 
-// TestCanonicalHashStable: canonicalizing twice, canonicalizing the
-// canonical text itself, and round-tripping the input through MarshalText
-// all yield the same hash, and the canonical text is a valid graph.
+// digest returns g's graph text and the graph half of its cache key.
+func digest(t *testing.T, g *cdfg.Graph) ([]byte, [sha256.Size]byte) {
+	t.Helper()
+	text, sum, err := mapcache.GraphDigest(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return text, sum
+}
+
+// TestCanonicalHashStable: the graph key is a pure function of the graph's
+// text: keying twice, keying a deep clone, and keying the graph rebuilt
+// from its own text all agree, and that rebuilt graph renders the same
+// text again.
 func TestCanonicalHashStable(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		g := g
 		t.Run(name, func(t *testing.T) {
-			c1, err := mapcache.Canonicalize(g)
-			if err != nil {
-				t.Fatal(err)
+			text, sum := digest(t, g)
+			if _, again := digest(t, g); again != sum {
+				t.Fatal("keying the same graph twice produced different keys")
 			}
-			c2, err := mapcache.Canonicalize(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(c1.Text, c2.Text) {
-				t.Fatal("canonicalizing the same graph twice produced different texts")
-			}
-			cg, err := cdfg.UnmarshalText(c1.Text)
-			if err != nil {
-				t.Fatalf("canonical text is not a valid graph: %v", err)
-			}
-			c3, err := mapcache.Canonicalize(cg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c3.Sum != c1.Sum {
-				t.Fatal("canonical form is not a fixpoint: canonicalizing the canonical text changed the hash")
-			}
-			text, err := g.MarshalText()
-			if err != nil {
-				t.Fatal(err)
+			if _, cs := digest(t, g.Clone()); cs != sum {
+				t.Fatal("a deep clone keys differently from the original")
 			}
 			rg, err := cdfg.UnmarshalText(text)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("graph text is not a valid graph: %v", err)
 			}
-			c4, err := mapcache.Canonicalize(rg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c4.Sum != c1.Sum {
-				t.Fatal("MarshalText round-trip changed the canonical hash")
+			rtext, rsum := digest(t, rg)
+			if !bytes.Equal(rtext, text) || rsum != sum {
+				t.Fatal("MarshalText round-trip changed the graph text or its key")
 			}
 		})
 	}
 }
 
-// TestCanonicalHashInvariance: random isomorphic relabelings — node
-// renumbering, commutative-operand swaps, block reordering, renames —
-// leave the canonical text (hence the hash) unchanged.
+// TestCanonicalHashInvariance: the key is invariant to exactly what the
+// graph text does not record. A random relabeling (node renumbering,
+// commutative-operand swaps, block reordering, renames) keeps its own key
+// across a clone and a text round trip, but never shares the original's
+// key: relabeled graphs are cached as distinct entries.
 func TestCanonicalHashInvariance(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		g := g
 		t.Run(name, func(t *testing.T) {
-			base, err := mapcache.Canonicalize(g)
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, base := digest(t, g)
 			for trial := 0; trial < 20; trial++ {
 				rng := rand.New(rand.NewSource(int64(1000 + trial)))
 				pg := permuteGraph(t, g, rng)
-				pc, err := mapcache.Canonicalize(pg)
+				ptext, psum := digest(t, pg)
+				if psum == base {
+					t.Fatalf("trial %d: relabeling kept the original's key", trial)
+				}
+				if _, cs := digest(t, pg.Clone()); cs != psum {
+					t.Fatalf("trial %d: cloning the relabeled graph changed its key", trial)
+				}
+				rg, err := cdfg.UnmarshalText(ptext)
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
-				if !bytes.Equal(pc.Text, base.Text) {
-					t.Fatalf("trial %d: isomorphic relabeling changed the canonical text:\n--- original\n%s\n--- permuted\n%s",
-						trial, base.Text, pc.Text)
+				if _, rs := digest(t, rg); rs != psum {
+					t.Fatalf("trial %d: round-tripping the relabeled graph changed its key", trial)
 				}
 			}
 		})
@@ -224,20 +219,13 @@ func TestCanonicalHashInvariance(t *testing.T) {
 }
 
 // TestCanonicalHashInequality: structural surgery — bypassing a node,
-// eliminating dead nodes — must change the hash whenever it changes the
+// eliminating dead nodes — must change the key whenever it changes the
 // graph.
 func TestCanonicalHashInequality(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		g := g
 		t.Run(name, func(t *testing.T) {
-			base, err := mapcache.Canonicalize(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			origText, err := g.MarshalText()
-			if err != nil {
-				t.Fatal(err)
-			}
+			origText, base := digest(t, g)
 			mutated := 0
 			for bb := range g.Blocks {
 				for id := range g.Blocks[bb].Nodes {
@@ -250,16 +238,13 @@ func TestCanonicalHashInequality(t *testing.T) {
 					}
 					// Bypassing a node nothing uses rewrites no edges;
 					// only count mutations that actually changed the graph.
-					if mt, err := mg.MarshalText(); err != nil || bytes.Equal(mt, origText) {
+					mt, ms := digest(t, mg)
+					if bytes.Equal(mt, origText) {
 						continue
 					}
 					mutated++
-					mc, err := mapcache.Canonicalize(mg)
-					if err != nil {
-						t.Fatalf("bypass b%d n%d: %v", bb, id, err)
-					}
-					if mc.Sum == base.Sum {
-						t.Fatalf("bypassing b%d n%d left the canonical hash unchanged", bb, id)
+					if ms == base {
+						t.Fatalf("bypassing b%d n%d left the key unchanged", bb, id)
 					}
 					if mutated >= 5 {
 						break
@@ -271,12 +256,8 @@ func TestCanonicalHashInequality(t *testing.T) {
 			}
 			dg := g.Clone()
 			if cdfg.EliminateDeadNodes(dg) > 0 {
-				dc, err := mapcache.Canonicalize(dg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if dc.Sum == base.Sum {
-					t.Fatal("dead-node elimination changed the graph but not the canonical hash")
+				if _, ds := digest(t, dg); ds == base {
+					t.Fatal("dead-node elimination changed the graph but not the key")
 				}
 			}
 		})

@@ -158,7 +158,7 @@ const (
 	StaticUnsound
 	// CacheStale: the mapping cache served a warm bitstream that is not
 	// byte-identical to the cold compile of the same request — the content
-	// address, the canonical form, or a cache tier returned the wrong
+	// address, the stored graph text, or a cache tier returned the wrong
 	// entry. The cache's contract is byte-exact reuse, so any difference
 	// is a bug.
 	CacheStale

@@ -421,11 +421,11 @@ type batchRun struct {
 	fault     []error
 	fallback  []int32
 
-	s0, s1, s2   []int32   // per-operand-position constant scratch
-	maddr, mval  []int32   // [slot*B+lane] memory address/value scratch
+	s0, s1, s2    []int32   // per-operand-position constant scratch
+	maddr, mval   []int32   // [slot*B+lane] memory address/value scratch
 	maddrV, mvalV [][]int32 // per-slot resolved views for the current cycle
-	bankCnt      []int32
-	banksTouched []int32
+	bankCnt       []int32
+	banksTouched  []int32
 
 	tracing   bool
 	evBuf     [][]laneEvent

@@ -326,10 +326,10 @@ type at struct {
 	node cdfg.NodeID
 }
 
-func nowhere() at                  { return at{blk: cdfg.None, tile: -1, cyc: -1, node: cdfg.None} }
-func atBlock(bb cdfg.BBID) at      { a := nowhere(); a.blk = bb; return a }
-func (a at) onTile(t int) at       { a.tile = t; return a }
-func (a at) atCycle(c int) at      { a.cyc = c; return a }
+func nowhere() at                     { return at{blk: cdfg.None, tile: -1, cyc: -1, node: cdfg.None} }
+func atBlock(bb cdfg.BBID) at         { a := nowhere(); a.blk = bb; return a }
+func (a at) onTile(t int) at          { a.tile = t; return a }
+func (a at) atCycle(c int) at         { a.cyc = c; return a }
 func (a at) forNode(n cdfg.NodeID) at { a.node = n; return a }
 
 func (c *checker) diag(code string, a at, format string, args ...any) {

@@ -336,8 +336,8 @@ func benchPortfolioPruning(b *testing.B, noIncumbent bool) {
 }
 
 // BenchmarkMapCached measures the content-addressed mapping cache on the
-// heaviest kernel. cold is a full miss — canonicalize, map, assemble,
-// store — on a fresh cache every iteration; warm is the steady-state
+// heaviest kernel. cold is a full miss — key the graph text, map,
+// assemble, store — on a fresh cache every iteration; warm is the steady-state
 // memory-tier hit the cgrad repeat path is built around. The acceptance
 // bar is warm ≥ 100× faster than BenchmarkCoreMap/MatM.
 func BenchmarkMapCached(b *testing.B) {

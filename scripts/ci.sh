@@ -11,6 +11,14 @@ short="${1:-}"
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt gate: these files need gofmt -w:" >&2
+    echo "$unformatted" | sed 's/^/  /' >&2
+    exit 1
+fi
+
 # Repo-specific analyzers (internal/lint): nondeterministic map
 # iteration, wall-clock/unseeded randomness in the mapper and the
 # simulator, dropped errors. Zero findings is the bar; fix violations,
