@@ -67,8 +67,7 @@ type mapperArena struct {
 	soft     []int
 
 	// Block-level scratch.
-	cands    []candidate
-	candIdx  []int32
+	stream   candStream
 	children []*partial
 	weights  []float64
 	order    []cdfg.NodeID

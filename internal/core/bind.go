@@ -35,36 +35,16 @@ type argPlan struct {
 	Pin  *pinStep
 }
 
-// candidate is one feasible binding of a node under a specific partial.
-// partialsByCost and candsByCost are concrete sort.Interface adapters:
-// both sorts sit on the binder's hot path, where the reflection-based
-// sort.SliceStable swapper showed up in profiles.
+// partialsByCost is a concrete sort.Interface adapter: the beam sort sits
+// on the binder's hot path, where the reflection-based sort.SliceStable
+// swapper showed up in profiles.
 type partialsByCost []*partial
 
 func (s partialsByCost) Len() int           { return len(s) }
 func (s partialsByCost) Less(i, j int) bool { return s[i].cost < s[j].cost }
 func (s partialsByCost) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
-// candsByCost sorts an index permutation instead of the ~64-byte candidate
-// structs themselves (the struct swaps dominated the sort in profiles).
-// The index tie-break makes the comparison a total order, so the plain
-// (unstable) sort yields exactly the permutation sort.Stable produced.
-type candsByCost struct {
-	cands []candidate
-	idx   []int32
-}
-
-func (s candsByCost) Len() int { return len(s.idx) }
-func (s candsByCost) Less(i, j int) bool {
-	a, b := &s.cands[s.idx[i]], &s.cands[s.idx[j]]
-	ca, cb := a.parent.cost+a.cost, b.parent.cost+b.cost
-	if ca != cb {
-		return ca < cb
-	}
-	return s.idx[i] < s.idx[j]
-}
-func (s candsByCost) Swap(i, j int) { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-
+// candidate is one feasible binding of a node under a specific partial.
 type candidate struct {
 	parent *partial
 	node   cdfg.NodeID
@@ -74,13 +54,6 @@ type candidate struct {
 	cost   float64 // delta cost over the parent
 }
 
-// scheduleOrder returns the order in which the block's operations are
-// bound: a topological order refined by the paper's list-scheduling
-// priority — smaller mobility first, then larger fan-out, then node id.
-func scheduleOrder(b *cdfg.BasicBlock, s *cdfg.Sched) []cdfg.NodeID {
-	return scheduleOrderInto(b, s, cdfg.Users(b), nil)
-}
-
 // scheduleOrder on the context reuses the precomputed user lists and the
 // arena's order/ready/pending buffers. The returned slice aliases arena
 // memory and stays valid until the next mapBlock call on the same arena.
@@ -88,6 +61,10 @@ func (cx *bbCtx) scheduleOrder() []cdfg.NodeID {
 	return scheduleOrderInto(cx.block, cx.sched, cx.users, cx.arena)
 }
 
+// scheduleOrderInto returns the order in which the block's operations are
+// bound: a topological order refined by the paper's list-scheduling
+// priority — smaller mobility first, then larger fan-out, then node id.
+// A nil arena allocates the result.
 func scheduleOrderInto(b *cdfg.BasicBlock, s *cdfg.Sched, users [][]cdfg.NodeID, ar *mapperArena) []cdfg.NodeID {
 	var pendingArgs []int
 	var ready, order []cdfg.NodeID
@@ -258,57 +235,6 @@ func (cx *bbCtx) cabBlacklist(p *partial) uint32 {
 	return mask
 }
 
-// genCandidates enumerates feasible bindings of node n under partial p at
-// cycles [base+lo, base+hi], where base is n's earliest cycle. With tail
-// set, base moves to the end of the partial's current schedule if that is
-// later — where slots are free on every tile, the last-resort reroute
-// region — and cycles up to earliest+MaxSlack are skipped: a tail pass
-// only runs after the non-tail passes of its bind step scanned that whole
-// window and found nothing.
-//
-// Callers widen a window by passing lo = previous hi + 1, so no (partial,
-// tile, cycle) is planned twice in one bind step. This is exact: within a
-// bind step the partial, its earliest cycle, its CAB blacklist and
-// planCandidate's result at every (tile, cycle) are all fixed, and cycles
-// are the outer loop, so the split passes append the same candidates in
-// the same order one scan of the whole window would.
-func (cx *bbCtx) genCandidates(p *partial, n cdfg.NodeID, lo, hi int, tail bool, out []candidate) []candidate {
-	nd := cx.block.Nodes[n]
-	blacklist := cx.cabBlacklist(p)
-	earliest := cx.earliestCycle(p, n)
-	base := earliest
-	if tail && p.maxCycle > base {
-		base = p.maxCycle
-	}
-	from := base + lo
-	if tail && from <= earliest+cx.opt.MaxSlack {
-		from = earliest + cx.opt.MaxSlack + 1
-	}
-	produces := nd.Op.HasResult()
-	for cc := from; cc <= base+hi; cc++ {
-		for t := 0; t < cx.grid.NumTiles(); t++ {
-			tid := arch.TileID(t)
-			if blacklist&(1<<uint(t)) != 0 {
-				continue
-			}
-			if nd.Op.IsMem() && !cx.grid.Tile(tid).HasLSU {
-				continue
-			}
-			if !cx.free(p, nil, tid, cc) {
-				continue
-			}
-			if produces && !cx.canProduce(p, nil, tid, cc) {
-				continue
-			}
-			out = append(out, candidate{})
-			if !cx.planCandidate(p, n, tid, cc, blacklist, &out[len(out)-1]) {
-				out = out[:len(out)-1]
-			}
-		}
-	}
-	return out
-}
-
 // planCandidate plans the routing of every operand of n to (t, cc),
 // filling *cand. On false the candidate is unusable and must be dropped.
 func (cx *bbCtx) planCandidate(p *partial, n cdfg.NodeID, t arch.TileID, cc int, blacklist uint32, cand *candidate) bool {
@@ -359,10 +285,7 @@ func (cx *bbCtx) planCandidate(p *partial, n cdfg.NodeID, t arch.TileID, cc int,
 			ap.Plan = routePlan{
 				Src:   isa.Src{Kind: isa.SrcReg}, // register resolved at apply
 				Reads: append(ar.reads.take(1), regRead{Tile: t, Reg: -2, Cycle: cc}),
-				Cost:  costRegAlloc,
-			}
-			if b := cx.soft[t]; cx.cab && b < unconstrained && b < 48 {
-				ap.Plan.Cost += 1.5 * (1 - float64(b)/48)
+				Cost:  cx.pinCost(t),
 			}
 		} else {
 			if !cx.planOperand(p, o, a, t, cc, blacklist, &ap.Plan) {
@@ -384,13 +307,10 @@ func (cx *bbCtx) planCandidate(p *partial, n cdfg.NodeID, t arch.TileID, cc int,
 	// context fetch per execution, quadratic in the tile's CM depth.
 	if cx.opt.EnergyAware {
 		for _, tt := range cx.affectedTiles(cand, t) {
-			cm := float64(cx.grid.Tile(tt).CMWords)
-			cand.cost += cx.opt.EnergyWeight * cm * cm / 4096
+			cand.cost += cx.energyCost(tt)
 		}
 	}
-	// Mild load-balance pressure: hot tiles should not absorb everything
-	// (the latency-driven spreading of the basic binder).
-	cand.cost += 0.015 * float64(p.tiles[t].Ops+p.tiles[t].Moves)
+	cand.cost += cx.loadCost(p, t)
 	// Constraint-aware binding steers away from tiles whose context
 	// memory is filling up, before the hard pruning filters have to
 	// reject, and prefers placements that do not fragment the schedule
@@ -404,21 +324,45 @@ func (cx *bbCtx) planCandidate(p *partial, n cdfg.NodeID, t arch.TileID, cc int,
 			cand.cost += 0.4 * float64(gapDelta)
 		}
 		for _, tt := range cx.affectedTiles(cand, t) {
-			if cx.soft[tt] >= unconstrained {
-				continue
-			}
-			soft := cx.soft[tt]
-			if soft < 1 {
-				soft = 1
-			}
-			proj := float64(p.words(tt, p.maxCycle, false) + 1)
-			frac := proj / float64(soft)
-			if frac > 0.5 {
-				cand.cost += 6 * (frac - 0.5)
-			}
+			cand.cost += cx.softCost(p, tt)
 		}
 	}
 	return true
+}
+
+// pinCost is the plan cost of pinning a symbol home on tile t.
+func (cx *bbCtx) pinCost(t arch.TileID) float64 {
+	c := costRegAlloc
+	if b := cx.soft[t]; cx.cab && b < unconstrained && b < 48 {
+		c += 1.5 * (1 - float64(b)/48)
+	}
+	return c
+}
+
+// energyCost is the energy-aware placement cost of one instruction on t.
+func (cx *bbCtx) energyCost(t arch.TileID) float64 {
+	cm := float64(cx.grid.Tile(t).CMWords)
+	return cx.opt.EnergyWeight * cm * cm / 4096
+}
+
+// loadCost is the mild load-balance pressure of tile t: hot tiles should
+// not absorb everything (the latency-driven spreading of the basic
+// binder).
+func (cx *bbCtx) loadCost(p *partial, t arch.TileID) float64 {
+	return 0.015 * float64(p.tiles[t].Ops+p.tiles[t].Moves)
+}
+
+// softCost is the constraint-aware binding's pressure against giving t
+// another instruction once its soft budget is more than half used.
+func (cx *bbCtx) softCost(p *partial, t arch.TileID) float64 {
+	if !cx.cab || cx.soft[t] >= unconstrained {
+		return 0
+	}
+	frac := float64(p.words(t, p.maxCycle, false)+1) / float64(max(cx.soft[t], 1))
+	if frac <= 0.5 {
+		return 0
+	}
+	return 6 * (frac - 0.5)
 }
 
 // affectedTiles lists the tiles receiving an instruction from the
@@ -828,25 +772,24 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 	order := cx.scheduleOrder()
 	st.Phases.Schedule += time.Since(tSched)
 	beam := []*partial{init}
-	cands := ar.cands[:0]
-	defer func() { ar.cands = cands[:0] }()
+	cs := &ar.stream
 	for oi, n := range order {
 		// New bind step: the plan chunks from the previous node are dead
 		// (children copied what they keep).
 		ar.bindReset()
 		window := cx.opt.SlackWindow
-		cands = cands[:0]
 		tail := false
 		tRoute := time.Now()
 		// Each pass scans only the offsets [lo, window] the previous
 		// passes left out; it widens only when the whole beam yielded
-		// nothing (see genCandidates).
+		// nothing (see candStream.enumerate).
 		lo := 0
 		for {
+			cs.reset(cx, n, st)
 			for _, p := range beam {
-				cands = cx.genCandidates(p, n, lo, window, tail, cands)
+				cs.enumerate(p, lo, window, tail)
 			}
-			if len(cands) > 0 {
+			if cs.ready() {
 				break
 			}
 			lo = window + 1
@@ -869,28 +812,30 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 			st.Retries++
 		}
 		st.Phases.Route += time.Since(tRoute)
-		// The exact binder can enumerate hundreds of placements; rank by
-		// accumulated cost and realize only the most promising.
-		tBind := time.Now()
-		perm := ar.candIdx[:0]
-		for i := range cands {
-			perm = append(perm, int32(i))
-		}
-		ar.candIdx = perm
-		sort.Sort(candsByCost{cands: cands, idx: perm})
 		// Realize candidates best-first until enough children survive the
 		// memory filters (the cap bounds survivors, so a run of filtered
-		// placements does not exhaust the binder's patience).
+		// placements does not exhaust the binder's patience). The stream
+		// plans lazily; that planning counts as route time.
+		tBind := time.Now()
+		var planning time.Duration
 		limit := cx.opt.CandidateCap
 		children := ar.children[:0]
-		acPruned, ecPruned := 0, 0
+		acPruned, ecPruned, realized := 0, 0, 0
+		var first *partial
 		unbound := order[oi+1:]
 		var sampleViol []string
-		for _, ci := range perm {
-			if len(children) >= limit {
+		for len(children) < limit {
+			tPlan := time.Now()
+			cand := cs.next()
+			planning += time.Since(tPlan)
+			if cand == nil {
 				break
 			}
-			child := cx.apply(&cands[ci], st)
+			if realized == 0 {
+				first = cand.parent
+			}
+			realized++
+			child := cx.apply(cand, st)
 			st.Partials++
 			if cx.opt.Flow >= FlowACMAP && !cx.acmapOK(child, true) {
 				acPruned++
@@ -919,10 +864,11 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 		ar.children = children[:0]
 		st.PrunedACMAP += acPruned
 		st.PrunedECMAP += ecPruned
-		st.Phases.Bind += time.Since(tBind)
+		st.Phases.Route += planning
+		st.Phases.Bind += time.Since(tBind) - planning
 		if len(children) == 0 {
 			return nil, fmt.Errorf("core: all %d bindings of node n%d in block %q violate memory constraints (flow %s) %v\n%s",
-				len(cands), n, cx.block.Name, cx.opt.Flow, sampleViol, cx.memReport(cands[perm[0]].parent))
+				realized, n, cx.block.Name, cx.opt.Flow, sampleViol, cx.memReport(first))
 		}
 		tPrune := time.Now()
 		newBeam := stochasticPrune(children, cx.opt.BeamWidth, cx.opt.DetFraction, rng, st, ar)

@@ -368,26 +368,24 @@ func (s *exactSearch) dfs(cx *bbCtx, bi int, acc *exactAcc, order []cdfg.NodeID,
 	// realized into a self-contained child before any recursion, which
 	// resets the chunks again.
 	s.ar.bindReset()
-	cands := cx.genCandidates(p, n, 0, s.opt.MaxSlack, false, s.ar.cands[:0])
-	if len(cands) == 0 {
+	cs := &s.ar.stream
+	cs.reset(cx, n, s.mst)
+	cs.enumerate(p, 0, s.opt.MaxSlack, false)
+	if !cs.ready() {
 		// Last-resort reroute region past the current makespan, exactly
 		// like the heuristic's tail escalation (it skips the cycles the
 		// pass above already found empty).
-		cands = cx.genCandidates(p, n, 0, s.opt.MaxSlack, true, cands)
+		cs.reset(cx, n, s.mst)
+		cs.enumerate(p, 0, s.opt.MaxSlack, true)
 	}
-	perm := s.ar.candIdx[:0]
-	for i := range cands {
-		perm = append(perm, int32(i))
-	}
-	sort.Sort(candsByCost{cands: cands, idx: perm})
 
-	children := make([]*partial, 0, len(cands))
-	for _, ci := range perm {
+	var children []*partial
+	for cand := cs.next(); cand != nil; cand = cs.next() {
 		if s.budget <= 0 {
 			s.stopped = true
 			break
 		}
-		child := cx.apply(&cands[ci], s.mst)
+		child := cx.apply(cand, s.mst)
 		s.budget--
 		s.mst.Partials++
 		if !s.childFits(cx, child) {
@@ -397,11 +395,8 @@ func (s *exactSearch) dfs(cx *bbCtx, bi int, acc *exactAcc, order []cdfg.NodeID,
 		}
 		children = append(children, child)
 	}
-	// The candidates (and their chunk-backed plans) are dead: release the
-	// shared buffers so deeper dfs levels can reuse them.
-	s.ar.cands = cands[:0]
-	s.ar.candIdx = perm[:0]
-
+	// The stream is done with before any recursion (drained, or abandoned
+	// with the search stopped): deeper dfs levels reuse it.
 	complete := !s.stopped
 	for _, child := range children {
 		if !s.stopped && !s.dfs(cx, bi, acc, order, oi+1, child) {

@@ -152,7 +152,7 @@ func TestMapKernelsMatrix(t *testing.T) {
 func TestScheduleOrder(t *testing.T) {
 	g := smallLoop(4)
 	blk := g.Blocks[1]
-	order := scheduleOrder(blk, cdfg.Analyze(blk))
+	order := scheduleOrderInto(blk, cdfg.Analyze(blk), cdfg.Users(blk), nil)
 	pos := map[cdfg.NodeID]int{}
 	for i, n := range order {
 		pos[n] = i

@@ -99,6 +99,11 @@ type Stats struct {
 	Retries int
 	// Recomputes counts recompute transformations applied.
 	Recomputes int
+	// Planned counts the (partial, tile, cycle) slots the binder
+	// route-planned; Screened counts the slots it dropped unplanned
+	// because some operand cannot arrive there in time.
+	Planned  int
+	Screened int
 	// MemoHits and MemoMisses are always zero. They counted lookups of a
 	// route memo the mapper no longer has (widened slack windows scan
 	// only new cycles, so no route is planned twice); they remain only

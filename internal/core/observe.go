@@ -13,6 +13,8 @@ func recordMapStats(r *obs.Recorder, st *Stats, ar *mapperArena) {
 	r.Counter("core.map.partials").Add(int64(st.Partials))
 	r.Counter("core.map.retries").Add(int64(st.Retries))
 	r.Counter("core.map.recomputes").Add(int64(st.Recomputes))
+	r.Counter("core.route.planned").Add(int64(st.Planned))
+	r.Counter("core.route.screened").Add(int64(st.Screened))
 	r.Counter("core.prune.acmap").Add(int64(st.PrunedACMAP))
 	r.Counter("core.prune.ecmap").Add(int64(st.PrunedECMAP))
 	r.Counter("core.prune.stochastic").Add(int64(st.PrunedStochastic))

@@ -75,8 +75,9 @@ type Options struct {
 	// Seed seeds the stochastic pruning. Equal seeds reproduce mappings.
 	Seed int64
 
-	// CandidateCap bounds the binding candidates considered per partial
-	// mapping per node (the exact binder can enumerate hundreds).
+	// CandidateCap bounds the children each bind step keeps: candidates
+	// are realized best-first across the whole beam until this many
+	// survive the memory filters (a window holds thousands of slots).
 	CandidateCap int
 
 	// SlackWindow is how many cycles beyond a node's earliest feasible

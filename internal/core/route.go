@@ -632,16 +632,10 @@ func (cx *bbCtx) planChain(p *partial, o *overlay, l loc, path []arch.TileID, tc
 // planRecompute duplicates a producer whose operands are all constants on
 // the consumer tile the cycle before consumption.
 func (cx *bbCtx) planRecompute(p *partial, o *overlay, v cdfg.NodeID, tc arch.TileID, cc int, out *routePlan) bool {
-	nd := cx.block.Nodes[v]
-	switch nd.Op {
-	case cdfg.OpConst, cdfg.OpSym, cdfg.OpLoad, cdfg.OpStore, cdfg.OpBr:
+	if !cx.recomputable(v) {
 		return false
 	}
-	for _, a := range nd.Args {
-		if cx.block.Nodes[a].Op != cdfg.OpConst {
-			return false
-		}
-	}
+	nd := cx.block.Nodes[v]
 	cyc := cc - 1
 	if cyc < 0 || !cx.free(p, o, tc, cyc) || !cx.canProduce(p, o, tc, cyc) {
 		return false
@@ -667,5 +661,21 @@ func (cx *bbCtx) planRecompute(p *partial, o *overlay, v cdfg.NodeID, tc arch.Ti
 	}
 	pl.Recomp = rc
 	pl.Holds = append(cx.arena.holds.take(1), holdAdd{Tile: tc, Prod: cyc, Last: cc})
+	return true
+}
+
+// recomputable reports whether v is a producer whose operands are all
+// constants, so a consumer's tile can duplicate it.
+func (cx *bbCtx) recomputable(v cdfg.NodeID) bool {
+	nd := cx.block.Nodes[v]
+	switch nd.Op {
+	case cdfg.OpConst, cdfg.OpSym, cdfg.OpLoad, cdfg.OpStore, cdfg.OpBr:
+		return false
+	}
+	for _, a := range nd.Args {
+		if cx.block.Nodes[a].Op != cdfg.OpConst {
+			return false
+		}
+	}
 	return true
 }

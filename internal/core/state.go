@@ -60,14 +60,6 @@ type tileState struct {
 // every mutation that changes the tile's Ops, Moves or occupied cycles.
 func (t *tileState) dirty() { t.cacheHorizon = -1 }
 
-func (t *tileState) clone() tileState {
-	c := *t
-	c.Slots = append([]Slot(nil), t.Slots...)
-	c.Holds = append([]hold(nil), t.Holds...)
-	c.Consts = append([]int32(nil), t.Consts...)
-	return c
-}
-
 // slotAt returns the slot at the cycle, growing the schedule as needed.
 func (t *tileState) slotAt(c int) *Slot {
 	for len(t.Slots) <= c {
@@ -284,36 +276,6 @@ type partial struct {
 // touch marks the partial as mutated: the cached CAB blacklist no longer
 // applies.
 func (p *partial) touch() { p.blValid = false }
-
-func (p *partial) clone() *partial {
-	c := &partial{
-		tiles:         make([]tileState, len(p.tiles)),
-		locs:          make([][]loc, len(p.locs)),
-		regLastRead:   append([]int16(nil), p.regLastRead...),
-		regLastWrite:  append([]int16(nil), p.regLastWrite...),
-		regWriteCycle: append([]int16(nil), p.regWriteCycle...),
-		maxCycle:      p.maxCycle,
-		moves:         p.moves,
-		recomputes:    p.recomputes,
-		cost:          p.cost,
-		checkedTo:     p.checkedTo,
-	}
-	for i := range p.tiles {
-		c.tiles[i] = p.tiles[i].clone()
-	}
-	for i := range p.locs {
-		if len(p.locs[i]) > 0 {
-			c.locs[i] = append([]loc(nil), p.locs[i]...)
-		}
-	}
-	if p.newHomes != nil {
-		c.newHomes = make(map[string]SymLoc, len(p.newHomes))
-		for k, v := range p.newHomes {
-			c.newHomes[k] = v
-		}
-	}
-	return c
-}
 
 // noWrite marks a home register with no writeback scheduled yet.
 const noWrite = int16(0x7fff)

@@ -150,7 +150,8 @@ func TestPartialCloneIsDeep(t *testing.T) {
 	}
 	occupy(&p.tiles[0], 0)
 	p.locs[1] = []loc{{Tile: 0, Cycle: 0, Reg: noReg}}
-	c := p.clone()
+	c := new(partial)
+	new(mapperArena).cloneInto(c, p)
 	occupy(&c.tiles[0], 1)
 	c.locs[1][0].Reg = 3
 	c.newHomes["y"] = SymLoc{}

@@ -8,37 +8,31 @@ import (
 	"repro/internal/kernels"
 )
 
-// candKey is the part of a candidate that decides the search: where and
-// when the node binds, and what it costs.
-type candKey struct {
-	node  cdfg.NodeID
-	tile  arch.TileID
-	cycle int
-	cost  float64
-}
-
-func candKeys(cands []candidate) []candKey {
-	keys := make([]candKey, len(cands))
-	for i, c := range cands {
-		keys[i] = candKey{c.node, c.tile, c.cycle, c.cost}
-	}
-	return keys
-}
-
-// widenedScan enumerates the offsets [0, maxSlack] the way mapBlock widens
-// its window: one pass per doubling, each scanning only the offsets the
-// previous passes left out.
-func widenedScan(cx *bbCtx, p *partial, n cdfg.NodeID, tail bool) []candidate {
-	var out []candidate
-	lo, window := 0, cx.opt.SlackWindow
+// widenedPasses lists the offset ranges mapBlock scans while widening
+// its window over [0, maxSlack]: one pass per doubling, each covering only
+// the offsets the previous passes left out.
+func widenedPasses(opt *Options) [][2]int {
+	var passes [][2]int
+	lo, window := 0, opt.SlackWindow
 	for {
-		out = cx.genCandidates(p, n, lo, window, tail, out)
-		if window >= cx.opt.MaxSlack {
-			return out
+		passes = append(passes, [2]int{lo, window})
+		if window >= opt.MaxSlack {
+			return passes
 		}
 		lo = window + 1
-		window = min(2*window, cx.opt.MaxSlack)
+		window = min(2*window, opt.MaxSlack)
 	}
+}
+
+// slotsOf runs the given enumeration passes over p in one fresh stream
+// and returns the slots it holds, in enumeration order.
+func slotsOf(cx *bbCtx, p *partial, n cdfg.NodeID, tail bool, passes ...[2]int) []slotEntry {
+	cs := &cx.arena.stream
+	cs.reset(cx, n, &Stats{})
+	for _, r := range passes {
+		cs.enumerate(p, r[0], r[1], tail)
+	}
+	return append([]slotEntry(nil), cs.heap...)
 }
 
 // testBlockCtx builds the binder context of one block the way Map does
@@ -72,25 +66,25 @@ func testBlockCtx(g *cdfg.Graph, b *cdfg.BasicBlock, grid *arch.Grid, opt *Optio
 	return cx
 }
 
-func sameCands(t *testing.T, what string, got, want []candidate) {
+func sameSlots(t *testing.T, what string, got, want []slotEntry) {
 	t.Helper()
-	g, w := candKeys(got), candKeys(want)
-	if len(g) != len(w) {
-		t.Fatalf("%s: %d candidates, one full scan gives %d", what, len(g), len(w))
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d slots, one full pass gives %d", what, len(got), len(want))
 	}
-	for i := range g {
-		if g[i] != w[i] {
-			t.Fatalf("%s: candidate %d is %+v, one full scan gives %+v", what, i, g[i], w[i])
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: slot %d is %+v, one full pass gives %+v", what, i, got[i], want[i])
 		}
 	}
 }
 
 // TestIncrementalWideningMatchesFullScan pins the invariant mapBlock's
 // slack-window widening relies on: splitting a window into passes that
-// each scan only new cycles yields exactly the candidates, in the same
-// order, of one scan over the whole window — for the plain passes and for
-// the tail passes past the schedule's end. The partials are the ones a
-// greedy walk reaches while binding every block of every kernel.
+// each enumerate only new cycles yields exactly the slots, keys and
+// enumeration indices, in the same order, of one pass over the whole
+// window — for the plain passes and for the tail passes past the
+// schedule's end. The partials are the ones a greedy walk reaches while
+// binding every block of every kernel.
 func TestIncrementalWideningMatchesFullScan(t *testing.T) {
 	cells := []struct {
 		flow Flow
@@ -103,6 +97,7 @@ func TestIncrementalWideningMatchesFullScan(t *testing.T) {
 			grid := arch.MustGrid(c.cfg)
 			opt := DefaultOptions(c.flow)
 			opt.sanitize()
+			whole := [2]int{0, opt.MaxSlack}
 			for _, b := range g.Blocks {
 				cx := testBlockCtx(g, b, grid, &opt)
 				p := cx.initialPartial(make([][]int32, grid.NumTiles()), make([]uint16, grid.NumTiles()))
@@ -110,48 +105,52 @@ func TestIncrementalWideningMatchesFullScan(t *testing.T) {
 					cx.arena.bindReset()
 					steps++
 					e := cx.earliestCycle(p, n)
-					full := cx.genCandidates(p, n, 0, opt.MaxSlack, false, nil)
-					sameCands(t, k.Name+" window", widenedScan(cx, p, n, false), full)
+					full := slotsOf(cx, p, n, false, whole)
+					sameSlots(t, k.Name+" window", slotsOf(cx, p, n, false, widenedPasses(&opt)...), full)
 					w1 := opt.SlackWindow
-					two := cx.genCandidates(p, n, 0, w1, false, nil)
-					if len(two) > 0 && len(two) < len(full) {
+					if first := slotsOf(cx, p, n, false, [2]int{0, w1}); len(first) > 0 && len(first) < len(full) {
 						split++
 					}
-					two = cx.genCandidates(p, n, w1+1, opt.MaxSlack, false, two)
-					sameCands(t, k.Name+" [e,e+w1]+(e+w1,e+w2]", two, full)
+					sameSlots(t, k.Name+" [e,e+w1]+(e+w1,e+w2]",
+						slotsOf(cx, p, n, false, [2]int{0, w1}, [2]int{w1 + 1, opt.MaxSlack}), full)
 
-					tail := cx.genCandidates(p, n, 0, opt.MaxSlack, true, nil)
-					sameCands(t, k.Name+" tail", widenedScan(cx, p, n, true), tail)
-					for _, tc := range tail {
-						if tc.cycle <= e+opt.MaxSlack || tc.cycle < p.maxCycle {
-							t.Fatalf("%s: tail candidate at cycle %d (earliest %d, maxCycle %d) rescans a plain-pass cycle",
-								k.Name, tc.cycle, e, p.maxCycle)
+					tail := slotsOf(cx, p, n, true, whole)
+					sameSlots(t, k.Name+" tail", slotsOf(cx, p, n, true, widenedPasses(&opt)...), tail)
+					for _, ts := range tail {
+						if ts.cycle <= e+opt.MaxSlack || ts.cycle < p.maxCycle {
+							t.Fatalf("%s: tail slot at cycle %d (earliest %d, maxCycle %d) rescans a plain-pass cycle",
+								k.Name, ts.cycle, e, p.maxCycle)
 						}
 					}
 					tails += len(tail)
 
 					// Advance along the cheapest candidate, as the beam's
 					// best partial would.
-					pick := full
-					if len(pick) == 0 {
-						pick = tail
-					}
-					if len(pick) == 0 {
+					best := firstCandidate(cx, p, n)
+					if best == nil {
 						break
 					}
-					best := 0
-					for i := range pick {
-						if pick[i].cost < pick[best].cost {
-							best = i
-						}
-					}
-					p = cx.apply(&pick[best], &Stats{})
+					p = cx.apply(best, &Stats{})
 				}
 			}
 		}
 	}
 	if split == 0 || tails == 0 {
-		t.Fatalf("vacuous: %d bind steps, %d split across the first window, %d tail candidates", steps, split, tails)
+		t.Fatalf("vacuous: %d bind steps, %d split across the first window, %d tail slots", steps, split, tails)
 	}
-	t.Logf("%d bind steps, %d with candidates on both sides of the first window, %d tail candidates", steps, split, tails)
+	t.Logf("%d bind steps, %d with slots on both sides of the first window, %d tail slots", steps, split, tails)
+}
+
+// firstCandidate is the stream's best candidate for n under p: from the
+// plain window, or past the schedule's end when that is empty.
+func firstCandidate(cx *bbCtx, p *partial, n cdfg.NodeID) *candidate {
+	cs := &cx.arena.stream
+	for _, tail := range []bool{false, true} {
+		cs.reset(cx, n, &Stats{})
+		cs.enumerate(p, 0, cx.opt.MaxSlack, tail)
+		if c := cs.next(); c != nil {
+			return c
+		}
+	}
+	return nil
 }

@@ -38,14 +38,41 @@ func warm(b *testing.B, op func() error) {
 	b.ResetTimer()
 }
 
-func BenchmarkCoreMap(b *testing.B) {
+// mapWarmCalls is how many untimed Map calls warmMap makes. A fresh arena
+// keeps growing its recycled partials for dozens of calls (FIR allocates
+// 1345 objects on its second call, about 430 on its 30th); after
+// this many, one measured iteration — the CI bench gate — allocates
+// within a few percent of the recorded full-run figures.
+const mapWarmCalls = 16
+
+// warmMap is warm for mapper benchmarks: it runs op mapWarmCalls times.
+func warmMap(b *testing.B, op func() error) {
+	b.Helper()
+	for i := 0; i < mapWarmCalls; i++ {
+		if err := op(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+}
+
+func BenchmarkCoreMap(b *testing.B) { benchCoreMap(b, nil) }
+
+// benchCoreMap maps every kernel under CAB on HOM64, one sub-benchmark
+// per kernel. Each sub-benchmark threads its own arena through
+// Options.WithArena, so no sync.Pool miss can rebuild one mid-run and
+// allocation counts repeat exactly. recorder, when set, makes each
+// sub-benchmark's recorder.
+func benchCoreMap(b *testing.B, recorder func() *obs.Recorder) {
 	for _, k := range kernels.All() {
-		k := k
 		g := k.Build()
 		b.Run(k.Name, func(b *testing.B) {
-			opt := core.DefaultOptions(core.FlowCAB)
+			opt := core.DefaultOptions(core.FlowCAB).WithArena(core.NewArena())
+			if recorder != nil {
+				opt.Obs = recorder()
+			}
 			b.ReportAllocs()
-			warm(b, func() error { _, err := core.Map(g, perfGrid(), opt); return err })
+			warmMap(b, func() error { _, err := core.Map(g, perfGrid(), opt); return err })
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Map(g, perfGrid(), opt); err != nil {
 					b.Fatal(err)
@@ -53,6 +80,58 @@ func BenchmarkCoreMap(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCoreMapPooled is BenchmarkCoreMap/MatM without an explicit
+// arena: every Map borrows one from the mapper's sync.Pool, as plain
+// callers do. A GC can empty the pool between iterations, so its
+// allocation count is not exact; its delta against BenchmarkCoreMap/MatM
+// is what the pool costs.
+func BenchmarkCoreMapPooled(b *testing.B) {
+	k, err := kernels.ByName("MatM")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := k.Build()
+	opt := core.DefaultOptions(core.FlowCAB)
+	b.Run(k.Name, func(b *testing.B) {
+		b.ReportAllocs()
+		warmMap(b, func() error { _, err := core.Map(g, perfGrid(), opt); return err })
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Map(g, perfGrid(), opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkCoreMapNoMapping measures the failing path: NonSepFilter
+// under CAB on HET2 exhausts every block retry before reporting no
+// mapping, which makes it a third of each paper-cold benchmark pass. It
+// fails if the cell ever maps.
+func BenchmarkCoreMapNoMapping(b *testing.B) {
+	k, err := kernels.ByName("NonSepFilter")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := k.Build()
+	grid := arch.MustGrid(arch.HET2)
+	b.Run(k.Name+"/HET2", func(b *testing.B) {
+		opt := core.DefaultOptions(core.FlowCAB).WithArena(core.NewArena())
+		op := func() error {
+			if _, err := core.Map(g, grid, opt); err == nil {
+				return fmt.Errorf("%s maps under CAB on HET2; the benchmark measures the failing path", k.Name)
+			}
+			return nil
+		}
+		b.ReportAllocs()
+		warm(b, op)
+		for i := 0; i < b.N; i++ {
+			if err := op(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkCoreMapPortfolio measures the production portfolio path —
@@ -285,24 +364,9 @@ func BenchmarkStrip(b *testing.B) {
 // BenchmarkCoreMapObsOff pins the disabled-instrumentation hot path: an
 // explicitly nil recorder must cost BenchmarkCoreMap nothing — zero extra
 // allocations per op. scripts/bench.sh -compare checks each ObsOff result
-// against the plain CoreMap baseline in BENCH_core.json with a 0% alloc
-// tolerance.
+// against the same run's plain CoreMap result with a 0% alloc tolerance.
 func BenchmarkCoreMapObsOff(b *testing.B) {
-	for _, k := range kernels.All() {
-		k := k
-		g := k.Build()
-		b.Run(k.Name, func(b *testing.B) {
-			opt := core.DefaultOptions(core.FlowCAB)
-			opt.Obs = nil
-			b.ReportAllocs()
-			warm(b, func() error { _, err := core.Map(g, perfGrid(), opt); return err })
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Map(g, perfGrid(), opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchCoreMap(b, func() *obs.Recorder { return nil })
 }
 
 // BenchmarkPortfolioPruned / BenchmarkPortfolioUnpruned isolate what
@@ -423,19 +487,7 @@ func BenchmarkMapCachedObsOff(b *testing.B) {
 // counters, phase timers and per-Map spans into a buffered sink. The
 // delta against BenchmarkCoreMapObsOff is the price of -metrics/-events.
 func BenchmarkCoreMapObsOn(b *testing.B) {
-	for _, k := range kernels.All() {
-		k := k
-		g := k.Build()
-		b.Run(k.Name, func(b *testing.B) {
-			opt := core.DefaultOptions(core.FlowCAB)
-			opt.Obs = obs.NewRecorder(obs.NewRegistry(), obs.NewBufferSink(0))
-			b.ReportAllocs()
-			warm(b, func() error { _, err := core.Map(g, perfGrid(), opt); return err })
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Map(g, perfGrid(), opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchCoreMap(b, func() *obs.Recorder {
+		return obs.NewRecorder(obs.NewRegistry(), obs.NewBufferSink(0))
+	})
 }
