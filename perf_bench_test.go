@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/arch"
@@ -38,19 +39,35 @@ func warm(b *testing.B, op func() error) {
 	b.ResetTimer()
 }
 
-// mapWarmCalls is how many untimed Map calls warmMap makes. A fresh arena
-// keeps growing its recycled partials for dozens of calls (FIR allocates
-// 1345 objects on its second call, about 430 on its 30th); after
-// this many, one measured iteration — the CI bench gate — allocates
-// within a few percent of the recorded full-run figures.
-const mapWarmCalls = 16
+// A fresh arena keeps growing its recycled partials for dozens of Map
+// calls before every partial owns its largest slices (MatM, CAB on HOM64:
+// 33694 allocations on the first call, 2989 on the second, 1238 on the
+// 72nd and 1224 from the 73rd on). warmMap therefore runs op untimed until
+// mapSteadyCalls calls in a row allocate the same number of objects, at
+// most mapWarmCap calls. From then on every call allocates the same count,
+// so allocs/op no longer depends on b.N and the obs-off gate can compare
+// two benchmarks at different iteration counts exactly. The longest run of
+// equal counts before the final level is 6 calls (Convolution).
+const (
+	mapSteadyCalls = 10
+	mapWarmCap     = 300
+)
 
-// warmMap is warm for mapper benchmarks: it runs op mapWarmCalls times.
 func warmMap(b *testing.B, op func() error) {
 	b.Helper()
-	for i := 0; i < mapWarmCalls; i++ {
+	var ms runtime.MemStats
+	var last uint64
+	for calls, same := 0, 0; same < mapSteadyCalls && calls < mapWarmCap; calls++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
 		if err := op(); err != nil {
 			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		if n := ms.Mallocs - before; n == last {
+			same++
+		} else {
+			last, same = n, 1
 		}
 	}
 	b.ResetTimer()
@@ -61,13 +78,16 @@ func BenchmarkCoreMap(b *testing.B) { benchCoreMap(b, nil) }
 // benchCoreMap maps every kernel under CAB on HOM64, one sub-benchmark
 // per kernel. Each sub-benchmark threads its own arena through
 // Options.WithArena, so no sync.Pool miss can rebuild one mid-run and
-// allocation counts repeat exactly. recorder, when set, makes each
-// sub-benchmark's recorder.
+// allocation counts repeat exactly. The arena outlives the repeated runs
+// the testing package makes while it sizes b.N, so only the first one
+// pays the full warm-up. recorder, when set, makes each sub-benchmark's
+// recorder.
 func benchCoreMap(b *testing.B, recorder func() *obs.Recorder) {
 	for _, k := range kernels.All() {
 		g := k.Build()
+		ar := core.NewArena()
 		b.Run(k.Name, func(b *testing.B) {
-			opt := core.DefaultOptions(core.FlowCAB).WithArena(core.NewArena())
+			opt := core.DefaultOptions(core.FlowCAB).WithArena(ar)
 			if recorder != nil {
 				opt.Obs = recorder()
 			}

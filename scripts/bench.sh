@@ -83,15 +83,12 @@ tol_bytes="${BENCH_BYTES_TOLERANCE_PCT:-50}"
 tol_allocs="${BENCH_ALLOCS_TOLERANCE_PCT:-25}"
 # The obs-off gate: BenchmarkCoreMapObsOff must allocate exactly what the
 # same run's BenchmarkCoreMap did (a nil recorder is free). Both thread
-# their own arena per sub-benchmark, so at equal iteration counts (the
-# -benchtime=1x CI gate) the default 0% is exact. The mapping-cache pair
-# has its own knob, defaulting to the same value: its warm hits vary by
-# a few allocations from run to run at 1x.
+# their own arena per sub-benchmark and warm it until every call
+# allocates the same count, so the default 0% is exact at any -benchtime.
 tol_obsoff="${BENCH_OBSOFF_ALLOCS_TOLERANCE_PCT:-0}"
-tol_cache_obsoff="${BENCH_CACHE_OBSOFF_ALLOCS_TOLERANCE_PCT:-$tol_obsoff}"
 echo
-echo "== compare vs $baseline (tolerance ns +${tol_ns}%, B/op +${tol_bytes}%, allocs/op +${tol_allocs}%, obs-off allocs +${tol_obsoff}%, cache obs-off allocs +${tol_cache_obsoff}%)"
-awk -v tol_ns="$tol_ns" -v tol_bytes="$tol_bytes" -v tol_allocs="$tol_allocs" -v tol_obsoff="$tol_obsoff" -v tol_cache_obsoff="$tol_cache_obsoff" '
+echo "== compare vs $baseline (tolerance ns +${tol_ns}%, B/op +${tol_bytes}%, allocs/op +${tol_allocs}%, obs-off allocs +${tol_obsoff}%)"
+awk -v tol_ns="$tol_ns" -v tol_bytes="$tol_bytes" -v tol_allocs="$tol_allocs" -v tol_obsoff="$tol_obsoff" '
 function field(line, key,   v) {
     v = line
     if (!sub(".*\"" key "\": *", "", v)) return ""
@@ -136,10 +133,17 @@ function check(name, metric, b, c, tol,   delta, mark) {
         check(name " (obs-off)", "allocs/op", cur_allocs[alt], field($0, "allocs_per_op"), tol_obsoff)
     }
     # Same gate for the mapping-cache hit path: a cache built with a nil
-    # recorder must not allocate more per warm hit than the plain run.
+    # recorder must not allocate more per warm hit than the plain run. One
+    # warm MatM hit allocates 992 to 1001 objects (10000 hits: 97% at 992,
+    # mean excess 0.16; also with the GC off and GOMAXPROCS=1, so not a
+    # sync.Pool eviction). The pair may therefore differ by 9 objects per
+    # run, floor(9/N) per op: the spread of one hit at -benchtime=1x, and
+    # exact from N = 10 on, where the mean excess cannot move the
+    # truncated allocs/op.
     alt = name
-    if (sub(/^BenchmarkMapCachedObsOff\//, "BenchmarkMapCached/", alt) && (alt in cur_allocs)) {
-        check(name " (obs-off)", "allocs/op", cur_allocs[alt], field($0, "allocs_per_op"), tol_cache_obsoff)
+    if (sub(/^BenchmarkMapCachedObsOff\//, "BenchmarkMapCached/", alt) && (alt in cur_allocs) && cur_allocs[alt] + 0 > 0) {
+        slack = int(9 / field($0, "iterations"))
+        check(name " (obs-off)", "allocs/op", cur_allocs[alt], field($0, "allocs_per_op"), 100.0 * slack / cur_allocs[alt])
     }
     if (!(name in base_ns)) {
         printf "%-42s %14s ns/op  (no baseline)\n", name, field($0, "ns_per_op")
