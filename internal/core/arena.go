@@ -18,7 +18,10 @@ import (
 // Invariants:
 //   - An arena is single-goroutine: Map never shares one, MapPortfolio
 //     hands each worker its own, and the sync.Pool hands an arena to at
-//     most one Map at a time.
+//     most one Map at a time. Map's side-by-side retry attempts run one
+//     worker on the caller's arena and every other worker on a child
+//     arena the caller's arena owns (child), so children come and go
+//     with their parent through the pool and WithArena.
 //   - Recycled memory is always fully overwritten before reuse
 //     (cloneInto / reset), so arena reuse cannot change mapping results:
 //     identical Options + seed produce byte-identical mappings (pinned by
@@ -103,6 +106,11 @@ type mapperArena struct {
 	pathRows  int
 	pathCols  int
 	hopsBuf   []arch.TileID
+
+	// attempts is Map's per-block attempt table and sub the child arenas
+	// of its retry workers (see mapAttempts).
+	attempts []blockAttempt
+	sub      []*mapperArena
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(mapperArena) }}
@@ -128,6 +136,24 @@ func (o Options) WithArena(ar *Arena) Options {
 		o.arena = ar.a
 	}
 	return o
+}
+
+// child returns the i-th child arena, creating it on first use.
+func (a *mapperArena) child(i int) *mapperArena {
+	for len(a.sub) <= i {
+		a.sub = append(a.sub, new(mapperArena))
+	}
+	return a.sub[i]
+}
+
+// hops returns the planChain hop scratch, empty. Its capacity covers the
+// longest route a chain can take on g, the two-leg corner path, so hops
+// never outgrow it and planChain can skip the capacity write-back.
+func (a *mapperArena) hops(g *arch.Grid) []arch.TileID {
+	if n := g.Rows + g.Cols + 2; cap(a.hopsBuf) < n {
+		a.hopsBuf = make([]arch.TileID, 0, n)
+	}
+	return a.hopsBuf[:0]
 }
 
 // bindReset starts a new bind step: every plan chunk dies (committed
@@ -160,6 +186,13 @@ func (a *mapperArena) getPartial() *partial {
 func (a *mapperArena) putPartial(p *partial) {
 	if p != nil {
 		a.free = append(a.free, p)
+	}
+}
+
+// putPartials returns every partial of a dead list to the free list.
+func (a *mapperArena) putPartials(ps []*partial) {
+	for _, p := range ps {
+		a.putPartial(p)
 	}
 }
 

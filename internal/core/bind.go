@@ -774,6 +774,10 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 	beam := []*partial{init}
 	cs := &ar.stream
 	for oi, n := range order {
+		if cx.race != nil && cx.race.lost(cx.attempt) {
+			ar.putPartials(beam)
+			return nil, errAbandoned
+		}
 		// New bind step: the plan chunks from the previous node are dead
 		// (children copied what they keep).
 		ar.bindReset()
@@ -873,9 +877,7 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 		tPrune := time.Now()
 		newBeam := stochasticPrune(children, cx.opt.BeamWidth, cx.opt.DetFraction, rng, st, ar)
 		// The old beam (the children's parents) is fully superseded.
-		for _, p := range beam {
-			ar.putPartial(p)
-		}
+		ar.putPartials(beam)
 		beam = newBeam
 		st.Phases.Prune += time.Since(tPrune)
 	}

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
@@ -124,10 +128,6 @@ func Map(g *cdfg.Graph, grid *arch.Grid, opt Options) (*Mapping, error) {
 			users:    cdfg.Users(block),
 			symHomes: m.SymHomes,
 			cab:      opt.Flow >= FlowCAB,
-			// Longest route a chain can take is bounded by the two-leg
-			// corner path, so hops never outgrow this and planChain can
-			// skip the capacity write-back.
-			hopsBuf: make([]arch.TileID, 0, grid.Rows+grid.Cols+2),
 		}
 		ar.budget = cx.budget
 		cx.liveOutValues = map[cdfg.NodeID]bool{}
@@ -170,32 +170,7 @@ func Map(g *cdfg.Graph, grid *arch.Grid, opt Options) (*Mapping, error) {
 		if opt.Obs.Enabled() {
 			blockSpan = opt.Obs.StartSpan("core.map.block", "core", opt.ObsTID)
 		}
-		var done []*partial
-		var err error
-		for a := 0; a < attempts; a++ {
-			if cerr := opt.ctxErr(); cerr != nil {
-				err = cerr
-				break
-			}
-			attemptOpt := opt
-			grow := a
-			if grow > 2 {
-				grow = 2
-			}
-			attemptOpt.BeamWidth = opt.BeamWidth << grow
-			attemptOpt.CandidateCap = opt.CandidateCap << grow
-			attemptOpt.Seed = opt.Seed + int64(a)*7919
-			cx.opt = &attemptOpt
-			if a > 0 {
-				rng = rand.New(rand.NewSource(attemptOpt.Seed))
-			}
-			init := cx.initialPartial(consts, usedRegs)
-			done, err = cx.mapBlock(init, rng, &m.Stats)
-			if err == nil {
-				break
-			}
-			m.Stats.Retries++
-		}
+		at, err := cx.mapAttempts(attempts, rng, consts, usedRegs, &m.Stats)
 		if opt.Obs.Enabled() {
 			blockSpan.End(map[string]any{"block": block.Name, "ok": err == nil})
 		}
@@ -203,7 +178,9 @@ func Map(g *cdfg.Graph, grid *arch.Grid, opt Options) (*Mapping, error) {
 			m.Stats.CompileTime = time.Since(start)
 			return nil, fmt.Errorf("core: mapping %q onto %s: %w", g.Name, grid.Name, err)
 		}
-		win := selectBest(done)
+		// The winner's rng carries on into the later blocks.
+		rng = at.rng
+		win := selectBest(at.done)
 		m.Blocks[bbid] = cx.commit(win)
 		for t := range used {
 			used[t] += m.Blocks[bbid].Words(arch.TileID(t))
@@ -214,10 +191,9 @@ func Map(g *cdfg.Graph, grid *arch.Grid, opt Options) (*Mapping, error) {
 			m.SymHomes[s] = h
 		}
 		// Everything the winner contributes is copied out above; the
-		// finalized partials can be recycled for the next block.
-		for _, p := range done {
-			ar.putPartial(p)
-		}
+		// finalized partials go back to the arena that produced them.
+		at.cx.arena.putPartials(at.done)
+		*at = blockAttempt{}
 	}
 	m.Stats.CompileTime = time.Since(start)
 	if opt.Flow.memoryAware() {
@@ -236,6 +212,164 @@ func Map(g *cdfg.Graph, grid *arch.Grid, opt Options) (*Mapping, error) {
 		}
 	}
 	return m, nil
+}
+
+// blockAttempt is one try at mapping a block. Attempt a runs on a
+// private copy of the block context whose beam width and candidate cap
+// are widened by 2^min(a, 2) and whose seed moves by a*7919. Attempt 0
+// continues the Map's rng; every later attempt reseeds.
+type blockAttempt struct {
+	cx   bbCtx
+	opt  Options
+	rng  *rand.Rand
+	st   Stats
+	done []*partial
+	err  error
+	ran  bool
+}
+
+// start prepares attempt a of cx's block on arena ar. A nil rng reseeds.
+func (at *blockAttempt) start(cx *bbCtx, a int, ar *mapperArena, rng *rand.Rand) {
+	*at = blockAttempt{cx: *cx, opt: *cx.opt, rng: rng, ran: true}
+	grow := min(a, 2)
+	at.opt.BeamWidth <<= grow
+	at.opt.CandidateCap <<= grow
+	at.opt.Seed += int64(a) * 7919
+	if rng == nil {
+		at.rng = rand.New(rand.NewSource(at.opt.Seed))
+	}
+	at.cx.opt = &at.opt
+	at.cx.arena = ar
+	at.cx.hopsBuf = ar.hops(cx.grid)
+	at.cx.attempt = a
+}
+
+// run maps the attempt's block from a fresh initial partial.
+func (at *blockAttempt) run(consts [][]int32, usedRegs []uint16) {
+	init := at.cx.initialPartial(consts, usedRegs)
+	at.done, at.err = at.cx.mapBlock(init, at.rng, &at.st)
+}
+
+// runAttempts is one retry worker: on arena ar it runs attempts first,
+// first+stride, … until none is left or the next one can no longer
+// matter. The fixed stride keeps each attempt on the same arena from
+// call to call.
+func (cx *bbCtx) runAttempts(r *retryRace, res []blockAttempt, ar *mapperArena, first, stride int, consts [][]int32, usedRegs []uint16) {
+	for a := first; a < len(res) && !r.lost(a); a += stride {
+		at := &res[a]
+		at.start(cx, a, ar, nil)
+		at.cx.race = r
+		at.run(consts, usedRegs)
+		if at.err == nil {
+			r.succeed(a)
+		}
+	}
+}
+
+// retryRace coordinates a block's speculative attempts 1..n-1.
+type retryRace struct {
+	opt *Options     // the Map's options, for cancellation
+	won atomic.Int32 // the lowest attempt that succeeded so far; n if none
+}
+
+// errAbandoned ends a speculative attempt whose result can no longer
+// matter. It never leaves mapAttempts.
+var errAbandoned = errors.New("core: retry attempt abandoned")
+
+// lost reports whether attempt a can no longer matter: a lower attempt
+// succeeded, or the Map's context was cancelled.
+func (r *retryRace) lost(a int) bool {
+	return int(r.won.Load()) < a || r.opt.ctxErr() != nil
+}
+
+// succeed records that attempt a found a mapping.
+func (r *retryRace) succeed(a int) {
+	for {
+		w := r.won.Load()
+		if int(w) <= a || r.won.CompareAndSwap(w, int32(a)) {
+			return
+		}
+	}
+}
+
+// mapAttempts maps cx's block in up to n attempts and returns the
+// lowest-index attempt that succeeds. Attempt 0 runs on the caller's
+// goroutine, arena and rng. Once it fails, attempts 1..n-1 run side by
+// side on W = min(GOMAXPROCS, n-1) workers: worker 0 is the caller, on
+// its own arena; worker w > 0 is a goroutine on a child arena; worker w
+// runs attempts w+1, w+1+W, …. The attempts are independent (DESIGN.md
+// §10), so the outcome is that of running them in order: st gains the
+// counters of attempts 0..winner plus one Retries per failed attempt,
+// and if all fail the last attempt's error is returned. An attempt above
+// the lowest success so far is abandoned between bind steps, as is every
+// speculative attempt once the Map's context is cancelled.
+func (cx *bbCtx) mapAttempts(n int, rng *rand.Rand, consts [][]int32, usedRegs []uint16, st *Stats) (*blockAttempt, error) {
+	ar := cx.arena
+	if cap(ar.attempts) < n {
+		ar.attempts = make([]blockAttempt, n)
+	}
+	res := ar.attempts[:n]
+	for a := range res {
+		res[a] = blockAttempt{}
+	}
+	res[0].start(cx, 0, ar, rng)
+	res[0].run(consts, usedRegs)
+	if res[0].err != nil && n > 1 {
+		race := &retryRace{opt: cx.opt}
+		race.won.Store(int32(n))
+		workers := min(runtime.GOMAXPROCS(0), n-1)
+		var wg sync.WaitGroup
+		for w := 1; w < workers; w++ {
+			wg.Add(1)
+			go func(war *mapperArena) {
+				defer wg.Done()
+				cx.runAttempts(race, res, war, 1+w, workers, consts, usedRegs)
+			}(ar.child(w - 1))
+		}
+		cx.runAttempts(race, res, ar, 1, workers, consts, usedRegs)
+		wg.Wait()
+	}
+
+	// Replay the sequential loop over the results. Every attempt but the
+	// winner is cleared, so the arena keeps no graph alive.
+	win, counted, started := -1, 0, 0
+	var err error
+	stopped := false
+	for a := range res {
+		at := &res[a]
+		if at.ran {
+			started++
+		}
+		switch {
+		case stopped:
+			// Finished or cut short after the sequential loop stopped.
+			at.cx.arena.putPartials(at.done)
+		case !at.ran || at.err == errAbandoned:
+			// Only cancellation stops an attempt below the lowest success.
+			if err = cx.opt.ctxErr(); err == nil {
+				panic("core: retry attempt abandoned with no lower success and no cancellation")
+			}
+			stopped = true
+		default:
+			counted++
+			st.add(&at.st)
+			if at.err == nil {
+				win, stopped = a, true
+				continue
+			}
+			st.Retries++
+			err = at.err
+		}
+		*at = blockAttempt{}
+	}
+	if r := cx.opt.Obs; r.Enabled() {
+		r.Counter("core.map.attempts").Add(int64(counted))
+		r.Counter("core.map.attempts_abandoned").Add(int64(started - counted))
+	}
+	if win < 0 {
+		return nil, err
+	}
+	return &res[win], nil
 }
 
 // initialPartial builds the block's starting state: symbol homes pinned in

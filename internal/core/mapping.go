@@ -86,7 +86,9 @@ type PhaseTimes struct {
 type Stats struct {
 	// CompileTime is the wall-clock mapping duration.
 	CompileTime time.Duration
-	// Phases splits CompileTime across the binder's phases.
+	// Phases splits the search time across the binder's phases, summed
+	// over the block attempts that count (see Map). Retry attempts run
+	// side by side, so the sum can exceed CompileTime.
 	Phases PhaseTimes
 	// Partials counts partial mappings created over the whole run.
 	Partials int
@@ -95,7 +97,9 @@ type Stats struct {
 	PrunedACMAP      int
 	PrunedECMAP      int
 	PrunedStochastic int
-	// Retries counts slack-window widenings (reroute transformations).
+	// Retries counts slack-window widenings (reroute transformations)
+	// plus one per failed block attempt: Map retries a cornered block
+	// with a wider beam, and each attempt that finds no mapping adds one.
 	Retries int
 	// Recomputes counts recompute transformations applied.
 	Recomputes int
@@ -114,6 +118,26 @@ type Stats struct {
 	// Exact describes the branch-and-bound run when the mapping came from
 	// the exact backend; zero for heuristic mappings.
 	Exact ExactStats
+}
+
+// add folds another block attempt's search counters into s: the phase
+// times and every counter mapBlock maintains. CompileTime, the always-zero
+// memo counters and Exact are left alone; a heuristic attempt never sets
+// them.
+func (s *Stats) add(o *Stats) {
+	s.Phases.Schedule += o.Phases.Schedule
+	s.Phases.Route += o.Phases.Route
+	s.Phases.Bind += o.Phases.Bind
+	s.Phases.Prune += o.Phases.Prune
+	s.Phases.Finalize += o.Phases.Finalize
+	s.Partials += o.Partials
+	s.PrunedACMAP += o.PrunedACMAP
+	s.PrunedECMAP += o.PrunedECMAP
+	s.PrunedStochastic += o.PrunedStochastic
+	s.Retries += o.Retries
+	s.Recomputes += o.Recomputes
+	s.Planned += o.Planned
+	s.Screened += o.Screened
 }
 
 // ExactStats describes one exact-backend search.

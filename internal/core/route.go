@@ -165,6 +165,11 @@ type bbCtx struct {
 	arena *mapperArena
 	// hopsBuf is the scratch hop list reused across planChain calls.
 	hopsBuf []arch.TileID
+	// race, when set, coordinates this speculative retry attempt (number
+	// attempt) with its siblings; mapBlock abandons the attempt once its
+	// result can no longer matter.
+	race    *retryRace
+	attempt int
 }
 
 // free reports whether the slot is empty in both the partial and overlay.

@@ -128,7 +128,11 @@ func BenchmarkCoreMapPooled(b *testing.B) {
 // BenchmarkCoreMapNoMapping measures the failing path: NonSepFilter
 // under CAB on HET2 exhausts every block retry before reporting no
 // mapping, which makes it a third of each paper-cold benchmark pass. It
-// fails if the cell ever maps.
+// fails if the cell ever maps. Its retry attempts run side by side, on
+// the threaded arena and a child arena. With two workers the allocation
+// count of a call wanders by one to three objects around 212.8k, so
+// warmMap would rarely see ten equal calls in a row; one warm call is
+// used instead.
 func BenchmarkCoreMapNoMapping(b *testing.B) {
 	k, err := kernels.ByName("NonSepFilter")
 	if err != nil {
@@ -144,6 +148,31 @@ func BenchmarkCoreMapNoMapping(b *testing.B) {
 			}
 			return nil
 		}
+		b.ReportAllocs()
+		warm(b, op)
+		for i := 0; i < b.N; i++ {
+			if err := op(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkCoreMapRetry measures a block that maps only on a retry:
+// under CAB on HOM32, MatM's jloop block fails four attempts and maps on
+// the fifth. A sixth attempt may start beside the fifth and be abandoned
+// when the fifth succeeds; how far it gets depends on scheduling, so
+// allocs/op is not exact here.
+func BenchmarkCoreMapRetry(b *testing.B) {
+	k, err := kernels.ByName("MatM")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := k.Build()
+	grid := arch.MustGrid(arch.HOM32)
+	b.Run(k.Name+"/HOM32", func(b *testing.B) {
+		opt := core.DefaultOptions(core.FlowCAB).WithArena(core.NewArena())
+		op := func() error { _, err := core.Map(g, grid, opt); return err }
 		b.ReportAllocs()
 		warm(b, op)
 		for i := 0; i < b.N; i++ {

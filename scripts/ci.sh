@@ -157,12 +157,14 @@ go run ./cmd/cgratrace -diff cmd/cgratrace/testdata/trace_old.jsonl cmd/cgratrac
 
 # Portfolio-pruning golden gate: incumbent sharing must be invisible in
 # the output. The invariance test pins the winning seed and bitstream
-# bytes with pruning on vs off at several worker counts, and the golden
+# bytes with pruning on vs off at several worker counts; the retry test
+# pins the same for a cornered block's side-by-side retry attempts
+# (GOMAXPROCS 1 vs 4: images, search counters, error text); and the golden
 # checksum test pins the single-map path against the 140 checked-in
 # cells in testdata/golden_mappings.txt (-short subset here; the full
 # matrix runs with the suite below).
 echo "== portfolio-pruning golden gate (winner invariance + golden checksums)"
-go test -run TestPortfolioPruningWinnerInvariant ./internal/core
+go test -run 'TestPortfolioPruningWinnerInvariant|TestRetryAttemptsMatchSequential' ./internal/core
 go test -short -run TestGoldenMappingChecksums .
 
 # Bounded differential-oracle smoke: a small seeded sweep of generated
