@@ -16,12 +16,20 @@ import (
 // free list the moment the beam drops them.
 //
 // Invariants:
-//   - An arena is single-goroutine: Map never shares one, MapPortfolio
-//     hands each worker its own, and the sync.Pool hands an arena to at
-//     most one Map at a time. Map's side-by-side retry attempts run one
-//     worker on the caller's arena and every other worker on a child
-//     arena the caller's arena owns (child), so children come and go
-//     with their parent through the pool and WithArena.
+//   - An arena is single-goroutine. Map and ExactBackend.Map take one
+//     from the process-wide free list (getArena) and put it back when
+//     they return; each MapPortfolio worker holds one for its whole
+//     lifetime and hands it to its jobs in Options.arena, as the exact
+//     backend does to its warm-start Map. Map's side-by-side retry
+//     attempts run one worker on the Map's arena and every other worker
+//     on a child arena that arena owns (child), so children come and go
+//     with their parent.
+//   - The free list is LIFO and the GC never empties it: a caller that
+//     maps on one goroutine gets back the arena it just returned, so its
+//     allocation count stays at steady state across GCs. The list holds
+//     at most the peak number of arenas held at once (one per concurrent
+//     Map, exact search or portfolio worker), and keeps them for the life
+//     of the process.
 //   - Recycled memory is always fully overwritten before reuse
 //     (cloneInto / reset), so arena reuse cannot change mapping results:
 //     identical Options + seed produce byte-identical mappings (pinned by
@@ -113,29 +121,31 @@ type mapperArena struct {
 	sub      []*mapperArena
 }
 
-var arenaPool = sync.Pool{New: func() any { return new(mapperArena) }}
+// arenas is the process-wide free list of idle arenas.
+var arenas struct {
+	mu   sync.Mutex
+	free []*mapperArena
+}
 
-func getArena() *mapperArena  { return arenaPool.Get().(*mapperArena) }
-func putArena(a *mapperArena) { arenaPool.Put(a) }
-
-// Arena is a reusable bundle of mapper scratch state. Callers that map
-// many graphs on one goroutine (the experiment runner's workers, long
-// sweeps) can allocate one Arena and thread it through Options.WithArena
-// so every Map call reuses the same memory; Map calls without an explicit
-// arena draw one from an internal sync.Pool. An Arena must not be used by
-// two goroutines at once.
-type Arena struct{ a *mapperArena }
-
-// NewArena returns a fresh arena.
-func NewArena() *Arena { return &Arena{a: new(mapperArena)} }
-
-// WithArena returns a copy of the options that runs the mapper on the
-// given arena. A nil arena leaves the options unchanged.
-func (o Options) WithArena(ar *Arena) Options {
-	if ar != nil {
-		o.arena = ar.a
+// getArena takes the most recently returned arena off the free list, or
+// makes a fresh one when the list is empty.
+func getArena() *mapperArena {
+	arenas.mu.Lock()
+	defer arenas.mu.Unlock()
+	n := len(arenas.free)
+	if n == 0 {
+		return new(mapperArena)
 	}
-	return o
+	a := arenas.free[n-1]
+	arenas.free = arenas.free[:n-1]
+	return a
+}
+
+// putArena returns an arena its holder is done with to the free list.
+func putArena(a *mapperArena) {
+	arenas.mu.Lock()
+	arenas.free = append(arenas.free, a)
+	arenas.mu.Unlock()
 }
 
 // child returns the i-th child arena, creating it on first use.

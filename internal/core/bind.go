@@ -1,10 +1,12 @@
 package core
 
 import (
-	"fmt"
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/arch"
@@ -556,46 +558,61 @@ func (cx *bbCtx) applyPlan(p *partial, ap *argPlan, st *Stats) isa.Src {
 	return src
 }
 
+// text builds the mapper's failure messages with strconv rather than fmt.
+// fmt keeps its printers in a pool that every GC may empty, so a Map
+// whose attempts fail would allocate a different count on every call.
+type text []byte
+
+func (b text) s(s string) text { return append(b, s...) }
+func (b text) d(v int) text    { return strconv.AppendInt(b, int64(v), 10) }
+func (b text) q(s string) text { return strconv.AppendQuote(b, s) }
+
 // diagnose renders why a node is hard to bind under one representative
 // partial: the operand locations and per-tile pressure.
 func (cx *bbCtx) diagnose(p *partial, n cdfg.NodeID) string {
-	var sb []byte
-	add := func(format string, args ...any) { sb = fmt.Appendf(sb, format, args...) }
-	add("  earliest=%d maxCycle=%d\n", cx.earliestCycle(p, n), p.maxCycle)
+	b := text(nil).s("  earliest=").d(cx.earliestCycle(p, n)).s(" maxCycle=").d(p.maxCycle).s("\n")
 	for _, a := range cx.block.Nodes[n].Args {
-		add("  arg n%d (%s): locs", a, cx.block.Nodes[a].Op)
+		b = b.s("  arg n").d(int(a)).s(" (").s(cx.block.Nodes[a].Op.String()).s("): locs")
 		for _, l := range p.locs[a] {
-			add(" (t%d,c%d,r%d)", l.Tile+1, l.Cycle, l.Reg)
+			b = b.s(" (t").d(int(l.Tile) + 1).s(",c").d(l.Cycle).s(",r").d(int(l.Reg)).s(")")
 		}
-		add("\n")
+		b = b.s("\n")
 	}
 	for t := range p.tiles {
 		ts := &p.tiles[t]
-		add("  t%d: ops=%d moves=%d regs=%d/%d budget=%d holds=%v\n",
-			t+1, ts.Ops, ts.Moves, cx.grid.RRFSize-ts.freeRegs(cx.grid.RRFSize),
-			cx.grid.RRFSize, cx.budget[t], ts.Holds)
+		b = b.s("  t").d(t + 1).s(": ops=").d(ts.Ops).s(" moves=").d(ts.Moves).
+			s(" regs=").d(cx.grid.RRFSize - ts.freeRegs(cx.grid.RRFSize)).s("/").d(cx.grid.RRFSize).
+			s(" budget=").d(cx.budget[t]).s(" holds=[")
+		for i, h := range ts.Holds {
+			if i > 0 {
+				b = b.s(" ")
+			}
+			b = b.s("{").d(h.Prod).s(" ").d(h.Last).s("}")
+		}
+		b = b.s("]\n")
 	}
-	return string(sb)
+	return string(b)
 }
 
 // memReport renders per-tile context-word pressure for diagnostics,
 // listing the offending instructions of overflowing tiles.
 func (cx *bbCtx) memReport(p *partial) string {
-	var sb []byte
+	var b text
 	for t := range p.tiles {
 		w := p.words(arch.TileID(t), p.maxCycle, true)
-		sb = fmt.Appendf(sb, "  t%d: words=%d(+trail %d) budget=%d",
-			t+1, p.words(arch.TileID(t), p.maxCycle, false), w, cx.budget[t])
+		b = b.s("  t").d(t + 1).s(": words=").d(p.words(arch.TileID(t), p.maxCycle, false)).
+			s("(+trail ").d(w).s(") budget=").d(cx.budget[t])
 		if w > cx.budget[t] {
 			for c, sl := range p.tiles[t].Slots {
 				if sl.Kind != SlotEmpty {
-					sb = fmt.Appendf(sb, " [c%d %d n%d wb=%v]", c, sl.Kind, sl.Node, sl.WB)
+					b = b.s(" [c").d(c).s(" ").d(int(sl.Kind)).s(" n").d(int(sl.Node)).
+						s(" wb=").s(strconv.FormatBool(sl.WB)).s("]")
 				}
 			}
 		}
-		sb = append(sb, '\n')
+		b = b.s("\n")
 	}
-	return string(sb)
+	return string(b)
 }
 
 // violation names the first tile violating the in-flight memory filters.
@@ -612,7 +629,7 @@ func (cx *bbCtx) violation(p *partial) string {
 			w += int(owed[t])
 		}
 		if w > cx.budget[t] {
-			return fmt.Sprintf("t%d=%d/%d", t+1, w, cx.budget[t])
+			return string(text(nil).s("t").d(t + 1).s("=").d(w).s("/").d(cx.budget[t]))
 		}
 	}
 	return "?"
@@ -806,8 +823,10 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 					st.Retries++
 					continue
 				}
-				return nil, fmt.Errorf("core: no binding for node n%d (%s) in block %q under flow %s\n%s",
-					n, cx.block.Nodes[n].Op, cx.block.Name, cx.opt.Flow, cx.diagnose(beam[0], n))
+				err := text(nil).s("core: no binding for node n").d(int(n)).s(" (").s(cx.block.Nodes[n].Op.String()).
+					s(") in block ").q(cx.block.Name).s(" under flow ").s(cx.opt.Flow.String()).s("\n").s(cx.diagnose(beam[0], n))
+				ar.putPartials(beam)
+				return nil, errors.New(string(err))
 			}
 			window *= 2
 			if window > cx.opt.MaxSlack {
@@ -871,8 +890,11 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 		st.Phases.Route += planning
 		st.Phases.Bind += time.Since(tBind) - planning
 		if len(children) == 0 {
-			return nil, fmt.Errorf("core: all %d bindings of node n%d in block %q violate memory constraints (flow %s) %v\n%s",
-				realized, n, cx.block.Name, cx.opt.Flow, sampleViol, cx.memReport(first))
+			err := text(nil).s("core: all ").d(realized).s(" bindings of node n").d(int(n)).s(" in block ").q(cx.block.Name).
+				s(" violate memory constraints (flow ").s(cx.opt.Flow.String()).s(") [").s(strings.Join(sampleViol, " ")).
+				s("]\n").s(cx.memReport(first))
+			ar.putPartials(beam)
+			return nil, errors.New(string(err))
 		}
 		tPrune := time.Now()
 		newBeam := stochasticPrune(children, cx.opt.BeamWidth, cx.opt.DetFraction, rng, st, ar)
@@ -898,11 +920,11 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 		}
 		switch {
 		case cx.opt.Flow >= FlowECMAP && !cx.ecmapOK(p, false):
-			lastErr = fmt.Errorf("core: finalized block %q overflows context memory\n%s", cx.block.Name, cx.memReport(p))
+			lastErr = errors.New(string(text(nil).s("core: finalized block ").q(cx.block.Name).s(" overflows context memory\n").s(cx.memReport(p))))
 			ar.putPartial(p)
 			continue
 		case cx.opt.Flow == FlowACMAP && !cx.acmapOK(p, false):
-			lastErr = fmt.Errorf("core: finalized block %q overflows context memory (approximate)\n%s", cx.block.Name, cx.memReport(p))
+			lastErr = errors.New(string(text(nil).s("core: finalized block ").q(cx.block.Name).s(" overflows context memory (approximate)\n").s(cx.memReport(p))))
 			ar.putPartial(p)
 			continue
 		}
@@ -911,7 +933,7 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 	st.Phases.Finalize += time.Since(tFin)
 	if len(done) == 0 {
 		if lastErr == nil {
-			lastErr = fmt.Errorf("core: no finalized mapping for block %q", cx.block.Name)
+			lastErr = errors.New(string(text(nil).s("core: no finalized mapping for block ").q(cx.block.Name)))
 		}
 		return nil, lastErr
 	}

@@ -32,9 +32,9 @@ func Map(g *cdfg.Graph, grid *arch.Grid, opt Options) (*Mapping, error) {
 		return nil, fmt.Errorf("core: invalid grid: %w", err)
 	}
 
-	// The arena owns every reusable scratch buffer of the search. Callers
-	// can thread their own (Options.WithArena, MapPortfolio workers);
-	// otherwise one is borrowed from the pool for the duration of the call.
+	// The arena owns every reusable scratch buffer of the search. The
+	// exact backend and portfolio workers hand over theirs; otherwise one
+	// comes off the process-wide free list for the duration of the call.
 	ar := opt.arena
 	if ar == nil {
 		ar = getArena()
@@ -92,7 +92,7 @@ func Map(g *cdfg.Graph, grid *arch.Grid, opt Options) (*Mapping, error) {
 	for oi, bbid := range order {
 		if err := opt.ctxErr(); err != nil {
 			m.Stats.CompileTime = time.Since(start)
-			return nil, fmt.Errorf("core: mapping %q onto %s: %w", g.Name, grid.Name, err)
+			return nil, &mapError{g.Name, grid.Name, err}
 		}
 		// Incumbent abort: once the words already committed plus the floor
 		// of everything left provably cannot beat the portfolio's best
@@ -176,7 +176,7 @@ func Map(g *cdfg.Graph, grid *arch.Grid, opt Options) (*Mapping, error) {
 		}
 		if err != nil {
 			m.Stats.CompileTime = time.Since(start)
-			return nil, fmt.Errorf("core: mapping %q onto %s: %w", g.Name, grid.Name, err)
+			return nil, &mapError{g.Name, grid.Name, err}
 		}
 		// The winner's rng carries on into the later blocks.
 		rng = at.rng
@@ -212,6 +212,18 @@ func Map(g *cdfg.Graph, grid *arch.Grid, opt Options) (*Mapping, error) {
 		}
 	}
 	return m, nil
+}
+
+// mapError is a Map failure on one graph and grid. It formats only when
+// read, so a failing Map allocates the same count on every call (see text).
+type mapError struct {
+	graph, grid string
+	err         error
+}
+
+func (e *mapError) Unwrap() error { return e.err }
+func (e *mapError) Error() string {
+	return fmt.Sprintf("core: mapping %q onto %s: %v", e.graph, e.grid, e.err)
 }
 
 // blockAttempt is one try at mapping a block. Attempt a runs on a

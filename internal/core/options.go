@@ -139,9 +139,11 @@ type Options struct {
 	// blocks and between retry attempts once the context is cancelled.
 	ctx context.Context
 
-	// arena, when set (WithArena, MapPortfolio workers), supplies the
-	// reusable search scratch state; Map otherwise borrows one from a
-	// process-wide pool. An arena must never be shared concurrently.
+	// arena, when set, is the search scratch state Map runs on: the
+	// exact backend hands its own to the warm-start Map and each
+	// MapPortfolio worker hands its own to every job it runs. Map
+	// otherwise takes one from the process-wide free list and puts it back
+	// on return (see arena.go). An arena is never shared concurrently.
 	arena *mapperArena
 
 	// incumbent, when set (by MapPortfolio on non-exhaustive backend jobs),

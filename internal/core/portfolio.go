@@ -304,10 +304,9 @@ func MapPortfolio(ctx context.Context, g *cdfg.Graph, grid *arch.Grid, opt Optio
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One arena per worker: jobs running on the same worker reuse
-			// its buffers, and workers never share (arenas are not
-			// concurrency-safe). The caller's arena, if any, is ignored here
-			// for the same reason.
+			// One arena per worker, off the free list: jobs running on the
+			// same worker reuse its buffers, and workers never share
+			// (arenas are not concurrency-safe).
 			ar := getArena()
 			defer putArena(ar)
 			for i := range jobs {

@@ -80,13 +80,11 @@ type Fig5 struct {
 }
 
 // fig5Jobs lists the cells Fig 5 needs, as prefetch closures.
-func (r *Runner) fig5Jobs() []func(*core.Arena, int) {
-	var jobs []func(*core.Arena, int)
+func (r *Runner) fig5Jobs() []func(int) {
+	var jobs []func(int)
 	for _, name := range kernels.Names() {
-		name := name
 		for _, trav := range []cdfg.TraversalKind{cdfg.TraverseForward, cdfg.TraverseWeighted} {
-			trav := trav
-			jobs = append(jobs, func(ar *core.Arena, tid int) { r.runTraversalArena(ar, tid, name, core.FlowBasic, arch.HOM64, trav) })
+			jobs = append(jobs, func(tid int) { r.run(tid, name, core.FlowBasic, arch.HOM64, trav) })
 		}
 	}
 	return jobs
@@ -159,14 +157,12 @@ type LatencyFig struct {
 }
 
 // latencyFigJobs lists the cells one of Figs 6–8 needs.
-func (r *Runner) latencyFigJobs(flow core.Flow) []func(*core.Arena, int) {
-	var jobs []func(*core.Arena, int)
+func (r *Runner) latencyFigJobs(flow core.Flow) []func(int) {
+	var jobs []func(int)
 	for _, name := range kernels.Names() {
-		name := name
-		jobs = append(jobs, func(ar *core.Arena, tid int) { r.baselineArena(ar, tid, name) })
+		jobs = append(jobs, func(tid int) { r.run(tid, name, core.FlowBasic, arch.HOM64) })
 		for _, cfg := range awareConfigs() {
-			cfg := cfg
-			jobs = append(jobs, func(ar *core.Arena, tid int) { r.runArena(ar, tid, name, flow, cfg) })
+			jobs = append(jobs, func(tid int) { r.run(tid, name, flow, cfg) })
 		}
 	}
 	return jobs
@@ -249,19 +245,16 @@ type Fig9 struct {
 }
 
 // fig9Jobs lists the cells Fig 9 needs: the full flow×kernel×config grid.
-func (r *Runner) fig9Jobs() []func(*core.Arena, int) {
-	var jobs []func(*core.Arena, int)
+func (r *Runner) fig9Jobs() []func(int) {
+	var jobs []func(int)
 	for _, flow := range core.Flows() {
-		flow := flow
 		for _, name := range kernels.Names() {
-			name := name
 			if flow == core.FlowBasic {
-				jobs = append(jobs, func(ar *core.Arena, tid int) { r.runArena(ar, tid, name, flow, arch.HOM64) })
+				jobs = append(jobs, func(tid int) { r.run(tid, name, flow, arch.HOM64) })
 				continue
 			}
 			for _, cfg := range awareConfigs() {
-				cfg := cfg
-				jobs = append(jobs, func(ar *core.Arena, tid int) { r.runArena(ar, tid, name, flow, cfg) })
+				jobs = append(jobs, func(tid int) { r.run(tid, name, flow, cfg) })
 			}
 		}
 	}
@@ -322,16 +315,15 @@ type Fig10 struct {
 
 // cpuCompareJobs lists the cells Fig 10 and Table II share: the CPU
 // baseline plus basic/HOM64 and CAB on the heterogeneous configs.
-func (r *Runner) cpuCompareJobs() []func(*core.Arena, int) {
-	var jobs []func(*core.Arena, int)
+func (r *Runner) cpuCompareJobs() []func(int) {
+	var jobs []func(int)
 	for _, name := range kernels.Names() {
-		name := name
 		jobs = append(jobs,
 			// Cache warm-up only: the serial pass reports CPU errors.
-			func(*core.Arena, int) { _, _ = r.CPU(name) },
-			func(ar *core.Arena, tid int) { r.runArena(ar, tid, name, core.FlowBasic, arch.HOM64) },
-			func(ar *core.Arena, tid int) { r.runArena(ar, tid, name, core.FlowCAB, arch.HET1) },
-			func(ar *core.Arena, tid int) { r.runArena(ar, tid, name, core.FlowCAB, arch.HET2) })
+			func(int) { _, _ = r.CPU(name) },
+			func(tid int) { r.run(tid, name, core.FlowBasic, arch.HOM64) },
+			func(tid int) { r.run(tid, name, core.FlowCAB, arch.HET1) },
+			func(tid int) { r.run(tid, name, core.FlowCAB, arch.HET2) })
 	}
 	return jobs
 }
@@ -626,8 +618,8 @@ func (t *DeadContext) Render() string {
 // renders from cached cells; calling it up front is also the cheapest way
 // to parallelize a custom sequence of figure runs.
 func (r *Runner) PrefetchAll() {
-	var jobs []func(*core.Arena, int)
-	jobs = append(jobs, func(ar *core.Arena, tid int) { r.runArena(ar, tid, "MatM", core.FlowBasic, arch.HOM64) })
+	var jobs []func(int)
+	jobs = append(jobs, func(tid int) { r.run(tid, "MatM", core.FlowBasic, arch.HOM64) })
 	jobs = append(jobs, r.fig5Jobs()...)
 	// fig9Jobs covers the latency figures' grid (Figs 6-8) as well.
 	jobs = append(jobs, r.fig9Jobs()...)

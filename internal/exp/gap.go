@@ -54,12 +54,11 @@ func (r *Runner) RunGapTable(config arch.ConfigName, budget int) (*GapTable, err
 	flows := []core.Flow{core.FlowBasic, core.FlowACMAP, core.FlowECMAP, core.FlowCAB}
 	names := kernels.Names()
 	t := &GapTable{Config: config, Budget: budget, Cells: make([]*GapCell, len(names)*len(flows))}
-	jobs := make([]func(*core.Arena, int), 0, len(t.Cells))
+	jobs := make([]func(int), 0, len(t.Cells))
 	for ki, name := range names {
 		for fi, flow := range flows {
-			ki, fi, name, flow := ki, fi, name, flow
-			jobs = append(jobs, func(ar *core.Arena, tid int) {
-				t.Cells[ki*len(flows)+fi] = r.gapCell(ar, tid, name, flow, config, budget)
+			jobs = append(jobs, func(tid int) {
+				t.Cells[ki*len(flows)+fi] = r.gapCell(tid, name, flow, config, budget)
 			})
 		}
 	}
@@ -72,14 +71,14 @@ func (r *Runner) RunGapTable(config arch.ConfigName, budget int) (*GapTable, err
 	return t, nil
 }
 
-func (r *Runner) gapCell(ar *core.Arena, tid int, kernel string, flow core.Flow, config arch.ConfigName, budget int) *GapCell {
+func (r *Runner) gapCell(tid int, kernel string, flow core.Flow, config arch.ConfigName, budget int) *GapCell {
 	c := &GapCell{Kernel: kernel, Flow: flow, Heuristic: -1, Exact: -1}
 	k, err := kernels.ByName(kernel)
 	if err != nil {
 		c.Fail = err.Error()
 		return c
 	}
-	opt := core.DefaultOptions(flow).WithArena(ar)
+	opt := core.DefaultOptions(flow)
 	opt.ExactNodeBudget = budget
 	opt.Obs = r.Obs
 	opt.ObsTID = tid

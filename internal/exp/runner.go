@@ -100,58 +100,79 @@ type Runner struct {
 	// analysis still run per cell, so cached cells render identically.
 	Cache *mapcache.Cache
 
-	mu          sync.Mutex
-	cells       map[cellKey]*Cell
-	cpus        map[string]*CPUCell
-	inflight    map[cellKey]chan struct{}
-	cpuInflight map[string]chan struct{}
+	cells memo[cellKey, *Cell]
+	cpus  memo[string, cpuResult]
+}
+
+// cpuResult is a memoized CPU evaluation.
+type cpuResult struct {
+	c   *CPUCell
+	err error
 }
 
 // NewRunner returns a Runner with the default power parameters.
-func NewRunner() *Runner {
-	return &Runner{
-		Params:      power.Default(),
-		cells:       map[cellKey]*Cell{},
-		cpus:        map[string]*CPUCell{},
-		inflight:    map[cellKey]chan struct{}{},
-		cpuInflight: map[string]chan struct{}{},
+func NewRunner() *Runner { return &Runner{Params: power.Default()} }
+
+// memo caches one value per key. A request for a key another goroutine
+// is computing waits for that result instead of computing it again.
+type memo[K comparable, V any] struct {
+	mu       sync.Mutex
+	done     map[K]V
+	inflight map[K]chan struct{}
+}
+
+// get returns the value for key, computing it with eval on first request.
+func (m *memo[K, V]) get(key K, eval func() V) V {
+	m.mu.Lock()
+	for {
+		if v, ok := m.done[key]; ok {
+			m.mu.Unlock()
+			return v
+		}
+		ch, busy := m.inflight[key]
+		if !busy {
+			break
+		}
+		m.mu.Unlock()
+		<-ch
+		m.mu.Lock()
 	}
+	if m.done == nil {
+		m.done, m.inflight = map[K]V{}, map[K]chan struct{}{}
+	}
+	ch := make(chan struct{})
+	m.inflight[key] = ch
+	m.mu.Unlock()
+	v := eval()
+	m.mu.Lock()
+	m.done[key] = v
+	delete(m.inflight, key)
+	m.mu.Unlock()
+	close(ch)
+	return v
 }
 
 // prefetch runs the jobs on the runner's worker pool and waits for all of
 // them. Jobs are cache-warming closures (r.Run / r.CPU calls); their
 // results land in the cell cache, so the serial rendering that follows is
-// independent of execution order. Each worker owns one mapper arena for
-// its whole lifetime — every cell it evaluates reuses the same search
-// scratch memory instead of allocating per (kernel, config) — and arenas
-// never influence mapping results, so the byte-identical-output guarantee
-// is unaffected. The worker index doubles as the trace track (obs tid)
-// each job's spans land on, so concurrent cells reconstruct as parallel
-// per-worker timelines instead of interleaving on one track.
-func (r *Runner) prefetch(jobs []func(*core.Arena, int)) {
+// independent of execution order. Each job gets its worker's index, which
+// doubles as the trace track (obs tid) its spans land on, so concurrent
+// cells reconstruct as parallel per-worker timelines instead of
+// interleaving on one track.
+func (r *Runner) prefetch(jobs []func(tid int)) {
 	n := r.Workers
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if n > len(jobs) {
-		n = len(jobs)
-	}
-	if n <= 1 {
-		ar := core.NewArena()
-		for _, j := range jobs {
-			j(ar, 0)
-		}
-		return
-	}
-	ch := make(chan func(*core.Arena, int))
+	n = min(n, len(jobs))
+	ch := make(chan func(int))
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			ar := core.NewArena()
 			for j := range ch {
-				j(ar, tid)
+				j(tid)
 			}
 		}(i)
 	}
@@ -164,74 +185,39 @@ func (r *Runner) prefetch(jobs []func(*core.Arena, int)) {
 
 // Run evaluates one cell with the flow's default traversal.
 func (r *Runner) Run(kernel string, flow core.Flow, config arch.ConfigName) *Cell {
-	return r.runArena(nil, 0, kernel, flow, config)
-}
-
-// runArena is Run with an optional caller-owned mapper arena and trace
-// track (prefetch workers thread theirs through so all their cells share
-// scratch memory and trace on the worker's tid).
-func (r *Runner) runArena(ar *core.Arena, tid int, kernel string, flow core.Flow, config arch.ConfigName) *Cell {
-	opt := core.DefaultOptions(flow).WithArena(ar)
-	opt.ObsTID = tid
-	return r.run(kernel, flow, config, opt)
+	return r.run(0, kernel, flow, config)
 }
 
 // RunTraversal evaluates a cell forcing the CDFG traversal order (the
 // Fig 5 experiment).
 func (r *Runner) RunTraversal(kernel string, flow core.Flow, config arch.ConfigName, trav cdfg.TraversalKind) *Cell {
-	return r.runTraversalArena(nil, 0, kernel, flow, config, trav)
+	return r.run(0, kernel, flow, config, trav)
 }
 
-func (r *Runner) runTraversalArena(ar *core.Arena, tid int, kernel string, flow core.Flow, config arch.ConfigName, trav cdfg.TraversalKind) *Cell {
-	opt := core.DefaultOptions(flow).WithArena(ar)
+// run evaluates one cell on trace track tid, forcing the traversal order
+// when one is given (RunTraversal) and using the flow's default otherwise
+// (Run). Prefetch workers pass their index as tid.
+func (r *Runner) run(tid int, kernel string, flow core.Flow, config arch.ConfigName, trav ...cdfg.TraversalKind) *Cell {
+	opt := core.DefaultOptions(flow)
 	opt.ObsTID = tid
-	opt.Traversal = trav
-	opt.ForceTraversal = true
-	return r.run(kernel, flow, config, opt)
-}
-
-func (r *Runner) run(kernel string, flow core.Flow, config arch.ConfigName, opt core.Options) *Cell {
-	key := cellKey{kernel, flow, config, opt.Traversal, opt.ForceTraversal}
-	r.mu.Lock()
-	for {
-		if c, ok := r.cells[key]; ok {
-			r.mu.Unlock()
-			return c
-		}
-		ch, busy := r.inflight[key]
-		if !busy {
-			break
-		}
-		// Another goroutine is evaluating this cell; wait for it.
-		r.mu.Unlock()
-		<-ch
-		r.mu.Lock()
+	if len(trav) > 0 {
+		opt.Traversal = trav[0]
+		opt.ForceTraversal = true
 	}
-	ch := make(chan struct{})
-	r.inflight[key] = ch
-	r.mu.Unlock()
-	c := r.evaluate(kernel, flow, config, opt)
-	r.mu.Lock()
-	r.cells[key] = c
-	delete(r.inflight, key)
-	r.mu.Unlock()
-	close(ch)
-	return c
-}
-
-// evaluate wraps one cell evaluation in an exp.cell span carrying the
-// cell's identity, so offline analysis (cgratrace) can group every mapper
-// and simulator span nested under it by kernel × flow × config.
-func (r *Runner) evaluate(kernel string, flow core.Flow, config arch.ConfigName, opt core.Options) *Cell {
-	sp := r.Obs.StartSpan("exp.cell", "exp", opt.ObsTID)
-	c := r.evaluateCell(kernel, flow, config, opt)
-	sp.End(map[string]any{
-		"kernel": kernel, "flow": flow.String(), "config": string(config), "ok": c.OK,
+	key := cellKey{kernel, flow, config, opt.Traversal, opt.ForceTraversal}
+	return r.cells.get(key, func() *Cell {
+		// The exp.cell span carries the cell's identity, so offline analysis
+		// (cgratrace) can group every mapper and simulator span nested under
+		// it by kernel × flow × config.
+		sp := r.Obs.StartSpan("exp.cell", "exp", tid)
+		c := r.evaluate(kernel, flow, config, opt)
+		sp.End(map[string]any{"kernel": kernel, "flow": flow.String(), "config": string(config), "ok": c.OK})
+		return c
 	})
-	return c
 }
 
-func (r *Runner) evaluateCell(kernel string, flow core.Flow, config arch.ConfigName, opt core.Options) *Cell {
+// evaluate maps, assembles, analyzes and simulates one cell.
+func (r *Runner) evaluate(kernel string, flow core.Flow, config arch.ConfigName, opt core.Options) *Cell {
 	c := &Cell{Kernel: kernel, Flow: flow, Config: config}
 	k, err := kernels.ByName(kernel)
 	if err != nil {
@@ -365,29 +351,14 @@ func (r *Runner) simulate(s *sim.Sim, k kernels.Kernel) (*sim.Result, cdfg.Memor
 // CPU evaluates (and caches) a kernel's baseline execution, verifying the
 // output against the golden reference.
 func (r *Runner) CPU(kernel string) (*CPUCell, error) {
-	r.mu.Lock()
-	for {
-		if c, ok := r.cpus[kernel]; ok {
-			r.mu.Unlock()
-			return c, nil
-		}
-		ch, busy := r.cpuInflight[kernel]
-		if !busy {
-			break
-		}
-		r.mu.Unlock()
-		<-ch
-		r.mu.Lock()
-	}
-	ch := make(chan struct{})
-	r.cpuInflight[kernel] = ch
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		delete(r.cpuInflight, kernel)
-		r.mu.Unlock()
-		close(ch)
-	}()
+	res := r.cpus.get(kernel, func() cpuResult {
+		c, err := r.cpu(kernel)
+		return cpuResult{c, err}
+	})
+	return res.c, res.err
+}
+
+func (r *Runner) cpu(kernel string) (*CPUCell, error) {
 	k, err := kernels.ByName(kernel)
 	if err != nil {
 		return nil, err
@@ -400,11 +371,7 @@ func (r *Runner) CPU(kernel string) (*CPUCell, error) {
 	if err := k.Check(mem); err != nil {
 		return nil, fmt.Errorf("exp: CPU run of %s failed verification: %w", kernel, err)
 	}
-	c := &CPUCell{Kernel: kernel, Cycles: res.Cycles, Instrs: res.Instrs, Energy: r.Params.CPUEnergy(res)}
-	r.mu.Lock()
-	r.cpus[kernel] = c
-	r.mu.Unlock()
-	return c, nil
+	return &CPUCell{Kernel: kernel, Cycles: res.Cycles, Instrs: res.Instrs, Energy: r.Params.CPUEnergy(res)}, nil
 }
 
 // InstrumentationSummary renders a per-kernel roll-up of every cell the
@@ -420,8 +387,8 @@ func (r *Runner) InstrumentationSummary() string {
 		partials, pruned int
 	}
 	byKernel := map[string]*agg{}
-	r.mu.Lock()
-	for key, c := range r.cells {
+	r.cells.mu.Lock()
+	for key, c := range r.cells.done {
 		a := byKernel[key.kernel]
 		if a == nil {
 			a = &agg{}
@@ -436,7 +403,7 @@ func (r *Runner) InstrumentationSummary() string {
 		a.partials += c.MapStats.Partials
 		a.pruned += c.MapStats.PrunedACMAP + c.MapStats.PrunedECMAP + c.MapStats.PrunedStochastic
 	}
-	r.mu.Unlock()
+	r.cells.mu.Unlock()
 	t := trace.NewTable("per-kernel instrumentation summary",
 		"kernel", "cells", "mapped", "cycles", "compile", "partials", "pruned")
 	for _, name := range kernels.Names() {
@@ -453,8 +420,4 @@ func (r *Runner) InstrumentationSummary() string {
 // Baseline returns the basic-flow HOM64 cell a figure normalizes against.
 func (r *Runner) Baseline(kernel string) *Cell {
 	return r.Run(kernel, core.FlowBasic, arch.HOM64)
-}
-
-func (r *Runner) baselineArena(ar *core.Arena, tid int, kernel string) *Cell {
-	return r.runArena(ar, tid, kernel, core.FlowBasic, arch.HOM64)
 }

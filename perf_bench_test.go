@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -27,8 +28,8 @@ import (
 
 func perfGrid() *arch.Grid { return arch.MustGrid(arch.HOM64) }
 
-// warm runs one untimed operation before the measured loop so pooled
-// arenas and decode caches are primed. This keeps -benchtime=1x — the CI
+// warm runs one untimed operation before the measured loop so arenas and
+// decode caches are primed. This keeps -benchtime=1x — the CI
 // bench gate — comparable to the steady-state numbers in BENCH_core.json
 // instead of measuring one-time warm-up allocation.
 func warm(b *testing.B, op func() error) {
@@ -44,20 +45,32 @@ func warm(b *testing.B, op func() error) {
 // 33694 allocations on the first call, 2989 on the second, 1238 on the
 // 72nd and 1224 from the 73rd on). warmMap therefore runs op untimed until
 // mapSteadyCalls calls in a row allocate the same number of objects, at
-// most mapWarmCap calls. From then on every call allocates the same count,
+// most maxCalls calls. From then on every call allocates the same count,
 // so allocs/op no longer depends on b.N and the obs-off gate can compare
 // two benchmarks at different iteration counts exactly. The longest run of
 // equal counts before the final level is 6 calls (Convolution).
+//
+// Rows that map on one goroutine settle within mapWarmCap calls. The
+// count of a portfolio row never settles exactly: its jobs land on the
+// worker arenas in a timing-dependent order and incumbent pruning aborts
+// a timing-dependent set of them. Nor does the failing Map of
+// BenchmarkCoreMapNoMapping: its hundreds of recycled partials keep
+// growing for hundreds of calls (NonSepFilter, CAB on HET2: 3471
+// allocations on the 40th call, 3400 on the 200th), and its retry worker
+// goroutine now and then costs the runtime a new goroutine descriptor.
+// Those rows warm for noisyWarmCalls calls, past the steep part of the
+// curve, so -benchtime=1x stays comparable to full runs.
 const (
 	mapSteadyCalls = 10
 	mapWarmCap     = 300
+	noisyWarmCalls = 40
 )
 
-func warmMap(b *testing.B, op func() error) {
+func warmMap(b *testing.B, maxCalls int, op func() error) {
 	b.Helper()
 	var ms runtime.MemStats
 	var last uint64
-	for calls, same := 0, 0; same < mapSteadyCalls && calls < mapWarmCap; calls++ {
+	for calls, same := 0, 0; same < mapSteadyCalls && calls < maxCalls; calls++ {
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
 		if err := op(); err != nil {
@@ -75,24 +88,38 @@ func warmMap(b *testing.B, op func() error) {
 
 func BenchmarkCoreMap(b *testing.B) { benchCoreMap(b, nil) }
 
+var warmKernelsOnce sync.Once
+
 // benchCoreMap maps every kernel under CAB on HOM64, one sub-benchmark
-// per kernel. Each sub-benchmark threads its own arena through
-// Options.WithArena, so no sync.Pool miss can rebuild one mid-run and
-// allocation counts repeat exactly. The arena outlives the repeated runs
-// the testing package makes while it sizes b.N, so only the first one
-// pays the full warm-up. recorder, when set, makes each sub-benchmark's
-// recorder.
+// per kernel. Every Map takes its arena off the mapper's free list and
+// puts it back, so sequential calls keep reusing the same arena, and no
+// GC can empty the list. That arena is shared by every kernel, so how
+// far one kernel's count falls depends on which kernels grew the arena
+// before it (Convolution settled at 1503 in BenchmarkCoreMap and at 1502
+// in BenchmarkCoreMapObsOff, which ran after every kernel). The first
+// call in a process therefore warms the arena on every kernel, two
+// passes over all of them; from then on each kernel settles on the same
+// count in every benchmark. recorder, when set, makes each
+// sub-benchmark's recorder.
 func benchCoreMap(b *testing.B, recorder func() *obs.Recorder) {
+	warmKernelsOnce.Do(func() {
+		opt := core.DefaultOptions(core.FlowCAB)
+		for range 2 {
+			for _, k := range kernels.All() {
+				g := k.Build()
+				warmMap(b, mapWarmCap, func() error { _, err := core.Map(g, perfGrid(), opt); return err })
+			}
+		}
+	})
 	for _, k := range kernels.All() {
 		g := k.Build()
-		ar := core.NewArena()
 		b.Run(k.Name, func(b *testing.B) {
-			opt := core.DefaultOptions(core.FlowCAB).WithArena(ar)
+			opt := core.DefaultOptions(core.FlowCAB)
 			if recorder != nil {
 				opt.Obs = recorder()
 			}
 			b.ReportAllocs()
-			warmMap(b, func() error { _, err := core.Map(g, perfGrid(), opt); return err })
+			warmMap(b, mapWarmCap, func() error { _, err := core.Map(g, perfGrid(), opt); return err })
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Map(g, perfGrid(), opt); err != nil {
 					b.Fatal(err)
@@ -102,37 +129,14 @@ func benchCoreMap(b *testing.B, recorder func() *obs.Recorder) {
 	}
 }
 
-// BenchmarkCoreMapPooled is BenchmarkCoreMap/MatM without an explicit
-// arena: every Map borrows one from the mapper's sync.Pool, as plain
-// callers do. A GC can empty the pool between iterations, so its
-// allocation count is not exact; its delta against BenchmarkCoreMap/MatM
-// is what the pool costs.
-func BenchmarkCoreMapPooled(b *testing.B) {
-	k, err := kernels.ByName("MatM")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := k.Build()
-	opt := core.DefaultOptions(core.FlowCAB)
-	b.Run(k.Name, func(b *testing.B) {
-		b.ReportAllocs()
-		warmMap(b, func() error { _, err := core.Map(g, perfGrid(), opt); return err })
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Map(g, perfGrid(), opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkCoreMapNoMapping measures the failing path: NonSepFilter
 // under CAB on HET2 exhausts every block retry before reporting no
 // mapping, which makes it a third of each paper-cold benchmark pass. It
 // fails if the cell ever maps. Its retry attempts run side by side, on
-// the threaded arena and a child arena. With two workers the allocation
-// count of a call wanders by one to three objects around 212.8k, so
-// warmMap would rarely see ten equal calls in a row; one warm call is
-// used instead.
+// the Map's arena and a child arena. Every failing attempt returns its
+// beam to the arena, and the failure texts are built without fmt, whose
+// printer pool a GC empties; the count still settles only slowly (see
+// warmMap).
 func BenchmarkCoreMapNoMapping(b *testing.B) {
 	k, err := kernels.ByName("NonSepFilter")
 	if err != nil {
@@ -141,7 +145,7 @@ func BenchmarkCoreMapNoMapping(b *testing.B) {
 	g := k.Build()
 	grid := arch.MustGrid(arch.HET2)
 	b.Run(k.Name+"/HET2", func(b *testing.B) {
-		opt := core.DefaultOptions(core.FlowCAB).WithArena(core.NewArena())
+		opt := core.DefaultOptions(core.FlowCAB)
 		op := func() error {
 			if _, err := core.Map(g, grid, opt); err == nil {
 				return fmt.Errorf("%s maps under CAB on HET2; the benchmark measures the failing path", k.Name)
@@ -149,7 +153,7 @@ func BenchmarkCoreMapNoMapping(b *testing.B) {
 			return nil
 		}
 		b.ReportAllocs()
-		warm(b, op)
+		warmMap(b, noisyWarmCalls, op)
 		for i := 0; i < b.N; i++ {
 			if err := op(); err != nil {
 				b.Fatal(err)
@@ -171,7 +175,7 @@ func BenchmarkCoreMapRetry(b *testing.B) {
 	g := k.Build()
 	grid := arch.MustGrid(arch.HOM32)
 	b.Run(k.Name+"/HOM32", func(b *testing.B) {
-		opt := core.DefaultOptions(core.FlowCAB).WithArena(core.NewArena())
+		opt := core.DefaultOptions(core.FlowCAB)
 		op := func() error { _, err := core.Map(g, grid, opt); return err }
 		b.ReportAllocs()
 		warm(b, op)
@@ -196,7 +200,7 @@ func BenchmarkCoreMapPortfolio(b *testing.B) {
 			opt := core.DefaultOptions(core.FlowCAB)
 			popt := core.PortfolioOptions{NumSeeds: 4, Workers: 4}
 			b.ReportAllocs()
-			warm(b, func() error {
+			warmMap(b, noisyWarmCalls, func() error {
 				_, err := core.MapPortfolio(context.Background(), g, perfGrid(), opt, popt)
 				return err
 			})
@@ -352,7 +356,7 @@ func BenchmarkOracleCheck(b *testing.B) {
 		b.Run(k.Name, func(b *testing.B) {
 			var p oracle.Pipeline
 			b.ReportAllocs()
-			warm(b, func() error {
+			warmMap(b, mapWarmCap, func() error {
 				if r := p.Check(g, k.Init(), cell, 1); r.Outcome.Bug() {
 					return r.Err
 				}
@@ -435,7 +439,7 @@ func benchPortfolioPruning(b *testing.B, noIncumbent bool) {
 			opt := core.DefaultOptions(core.FlowCAB)
 			popt := core.PortfolioOptions{NumSeeds: 4, Workers: 4, NoIncumbent: noIncumbent}
 			b.ReportAllocs()
-			warm(b, func() error {
+			warmMap(b, noisyWarmCalls, func() error {
 				_, err := core.MapPortfolio(context.Background(), g, perfGrid(), opt, popt)
 				return err
 			})

@@ -82,9 +82,10 @@ tol_ns="${BENCH_TOLERANCE_PCT:-30}"
 tol_bytes="${BENCH_BYTES_TOLERANCE_PCT:-50}"
 tol_allocs="${BENCH_ALLOCS_TOLERANCE_PCT:-25}"
 # The obs-off gate: BenchmarkCoreMapObsOff must allocate exactly what the
-# same run's BenchmarkCoreMap did (a nil recorder is free). Both thread
-# their own arena per sub-benchmark and warm it until every call
-# allocates the same count, so the default 0% is exact at any -benchtime.
+# same run's BenchmarkCoreMap did (a nil recorder is free). Both warm
+# the mapper's arena, which lives on a free list no GC empties, until
+# every call allocates the same count, so the default 0% is exact at any
+# -benchtime.
 tol_obsoff="${BENCH_OBSOFF_ALLOCS_TOLERANCE_PCT:-0}"
 echo
 echo "== compare vs $baseline (tolerance ns +${tol_ns}%, B/op +${tol_bytes}%, allocs/op +${tol_allocs}%, obs-off allocs +${tol_obsoff}%)"
