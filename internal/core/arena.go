@@ -30,10 +30,26 @@ import (
 //     at most the peak number of arenas held at once (one per concurrent
 //     Map, exact search or portfolio worker), and keeps them for the life
 //     of the process.
-//   - Recycled memory is always fully overwritten before reuse
-//     (cloneInto / reset), so arena reuse cannot change mapping results:
-//     identical Options + seed produce byte-identical mappings (pinned by
-//     testdata/golden_mappings.txt).
+//   - Partials share buffers copy-on-write. A partial owns only its
+//     headers: the tile and location pointer arrays, the three register
+//     hazard arrays, its symbol-home map and scalars. Each tile schedule
+//     (tileState) and each node's location list (locBuf) is a buffer
+//     that every partial pointing at it shares; its refs field counts
+//     them. cloneInto copies the headers and takes one more reference to
+//     every buffer. tileW and locsW hand out a buffer for writing only at
+//     refs == 1; a shared one is first copied into a private buffer and
+//     the shared one loses a reference. So a write to one partial can
+//     never show in another, and every write goes through those two
+//     accessors.
+//   - putPartial drops one reference per buffer; a buffer reaching zero
+//     goes on the arena's free list, and only then is it handed out
+//     again. Buffers never leave the arena whose partials hold them, so
+//     the counts need no atomics. A recycled buffer is fully overwritten
+//     before any partial reads it (reset for a new block, copyFrom for a
+//     copy, a cleared location list), and a fresh partial's headers are
+//     fully rewritten (resetPartial, cloneInto), so reuse cannot change
+//     mapping results: identical Options + seed produce byte-identical
+//     mappings (pinned by testdata/golden_mappings.txt).
 //   - Plan chunks are reset at each bind step; committed partials copy
 //     everything they keep out of plan memory, so no chunk pointer
 //     survives a reset.
@@ -66,8 +82,14 @@ func (c *chunk[T]) reset() { c.buf = c.buf[:0] }
 
 // mapperArena owns every reusable buffer of one mapper goroutine.
 type mapperArena struct {
-	// free is the partial-mapping free list.
-	free []*partial
+	// free, tileFree and locFree are the free lists of partials and of
+	// the tile and location buffers partials share; tilesMade and
+	// locsMade count the buffers the arena ever made.
+	free      []*partial
+	tileFree  []*tileState
+	locFree   []*locBuf
+	tilesMade int
+	locsMade  int
 
 	// Map-level scratch (one Map call at a time).
 	used     []int
@@ -179,8 +201,9 @@ func (a *mapperArena) bindReset() {
 	a.recomps.reset()
 }
 
-// getPartial returns a recycled (or new) partial. The caller must fully
-// initialize it via resetPartial or cloneInto before use.
+// getPartial returns a recycled (or new) partial holding no buffers. The
+// caller must fully initialize it via resetPartial or cloneInto before
+// use.
 func (a *mapperArena) getPartial() *partial {
 	if n := len(a.free); n > 0 {
 		p := a.free[n-1]
@@ -188,15 +211,33 @@ func (a *mapperArena) getPartial() *partial {
 		a.free = a.free[:n-1]
 		return p
 	}
-	return &partial{}
+	return &partial{ar: a}
 }
 
-// putPartial returns a dead partial to the free list. The caller must
-// guarantee nothing references it anymore.
+// putPartial returns a dead partial to the free list and drops its
+// references to the buffers it shares. The caller must guarantee nothing
+// references it anymore.
 func (a *mapperArena) putPartial(p *partial) {
-	if p != nil {
-		a.free = append(a.free, p)
+	if p == nil {
+		return
 	}
+	for _, ts := range p.tiles {
+		ts.refs--
+		if ts.refs == 0 {
+			a.tileFree = append(a.tileFree, ts)
+		}
+	}
+	for _, b := range p.locs {
+		if b == nil {
+			continue
+		}
+		b.refs--
+		if b.refs == 0 {
+			a.locFree = append(a.locFree, b)
+		}
+	}
+	p.tiles, p.locs = p.tiles[:0], p.locs[:0]
+	a.free = append(a.free, p)
 }
 
 // putPartials returns every partial of a dead list to the free list.
@@ -204,6 +245,32 @@ func (a *mapperArena) putPartials(ps []*partial) {
 	for _, p := range ps {
 		a.putPartial(p)
 	}
+}
+
+// newTile returns a tile buffer with one reference and stale contents.
+func (a *mapperArena) newTile() *tileState {
+	n := len(a.tileFree)
+	if n == 0 {
+		a.tilesMade++
+		return &tileState{refs: 1}
+	}
+	ts := a.tileFree[n-1]
+	a.tileFree = a.tileFree[:n-1]
+	ts.refs = 1
+	return ts
+}
+
+// newLocs returns an empty location buffer with one reference.
+func (a *mapperArena) newLocs() *locBuf {
+	n := len(a.locFree)
+	if n == 0 {
+		a.locsMade++
+		return &locBuf{refs: 1}
+	}
+	b := a.locFree[n-1]
+	a.locFree = a.locFree[:n-1]
+	b.l, b.refs = b.l[:0], 1
+	return b
 }
 
 // intsBuf resizes buf to n, zero-filled.
@@ -219,24 +286,19 @@ func intsBuf(buf []int, n int) []int {
 }
 
 // resetPartial prepares a recycled partial as the empty initial state for
-// a block on nTiles tiles, nNodes nodes and rrf registers per tile.
+// a block on nTiles tiles, nNodes nodes and rrf registers per tile. Every
+// tile gets a private empty buffer; every node is unplaced.
 func (a *mapperArena) resetPartial(p *partial, nTiles, nNodes, rrf int) {
-	for cap(p.tiles) < nTiles {
-		p.tiles = append(p.tiles[:cap(p.tiles)], tileState{})
-	}
-	p.tiles = p.tiles[:nTiles]
-	for t := range p.tiles {
-		ts := &p.tiles[t]
-		slots, holds, consts := ts.Slots[:0], ts.Holds[:0], ts.Consts[:0]
-		*ts = tileState{Slots: slots, Holds: holds, Consts: consts, cacheHorizon: -1}
+	for range nTiles {
+		ts := a.newTile()
+		ts.reset()
+		p.tiles = append(p.tiles, ts)
 	}
 	if cap(p.locs) < nNodes {
-		p.locs = make([][]loc, nNodes)
+		p.locs = make([]*locBuf, nNodes)
 	}
 	p.locs = p.locs[:nNodes]
-	for i := range p.locs {
-		p.locs[i] = p.locs[i][:0]
-	}
+	clear(p.locs)
 	n := nTiles * rrf
 	if cap(p.regLastRead) < n {
 		p.regLastRead = make([]int16, n)
@@ -259,28 +321,18 @@ func (a *mapperArena) resetPartial(p *partial, nTiles, nNodes, rrf int) {
 	p.touch()
 }
 
-// cloneInto deep-copies src into the recycled dst, reusing every slice
-// capacity dst already owns. It replaces the allocating partial.clone on
-// the bind hot path.
+// cloneInto makes the recycled dst a copy of src that shares every tile
+// and location buffer with it: only the headers are copied.
 func (a *mapperArena) cloneInto(dst, src *partial) {
-	for cap(dst.tiles) < len(src.tiles) {
-		dst.tiles = append(dst.tiles[:cap(dst.tiles)], tileState{})
+	dst.tiles = append(dst.tiles[:0], src.tiles...)
+	for _, ts := range src.tiles {
+		ts.refs++
 	}
-	dst.tiles = dst.tiles[:len(src.tiles)]
-	for i := range src.tiles {
-		s, d := &src.tiles[i], &dst.tiles[i]
-		slots := append(d.Slots[:0], s.Slots...)
-		holds := append(d.Holds[:0], s.Holds...)
-		consts := append(d.Consts[:0], s.Consts...)
-		*d = *s
-		d.Slots, d.Holds, d.Consts = slots, holds, consts
-	}
-	if cap(dst.locs) < len(src.locs) {
-		dst.locs = make([][]loc, len(src.locs))
-	}
-	dst.locs = dst.locs[:len(src.locs)]
-	for i := range src.locs {
-		dst.locs[i] = append(dst.locs[i][:0], src.locs[i]...)
+	dst.locs = append(dst.locs[:0], src.locs...)
+	for _, b := range src.locs {
+		if b != nil {
+			b.refs++
+		}
 	}
 	dst.regLastRead = append(dst.regLastRead[:0], src.regLastRead...)
 	dst.regLastWrite = append(dst.regLastWrite[:0], src.regLastWrite...)

@@ -157,7 +157,7 @@ func (cx *bbCtx) argAvail(p *partial, a cdfg.NodeID) int {
 		return 0
 	}
 	best := math.MaxInt
-	for _, l := range p.locs[a] {
+	for _, l := range p.locsOf(a) {
 		v := l.Cycle + 1
 		if v < 0 {
 			v = 0
@@ -255,7 +255,7 @@ func (cx *bbCtx) planCandidate(p *partial, n cdfg.NodeID, t arch.TileID, cc int,
 		cand.plans = append(cand.plans, argPlan{Arg: a})
 		ap := &cand.plans[len(cand.plans)-1]
 		av := cx.block.Nodes[a]
-		if av.Op == cdfg.OpSym && len(p.locs[a]) == 0 {
+		if av.Op == cdfg.OpSym && !p.placed(a) {
 			// Unpinned symbol: pin its home on the consuming tile. A
 			// repeated operand reuses the pin from the earlier operand.
 			// A home is a long-lived commitment — every defining block
@@ -384,7 +384,8 @@ func (cx *bbCtx) affectedTiles(cand *candidate, op arch.TileID) []arch.TileID {
 	return tiles
 }
 
-// apply realizes the candidate on a recycled deep copy of the parent.
+// apply realizes the candidate on a recycled copy of the parent that
+// shares the parent's buffers until it writes them.
 func (cx *bbCtx) apply(cand *candidate, st *Stats) *partial {
 	p := cx.arena.getPartial()
 	cx.arena.cloneInto(p, cand.parent)
@@ -395,7 +396,7 @@ func (cx *bbCtx) apply(cand *candidate, st *Stats) *partial {
 	}
 	// Place the operation itself. (Stores and branches get the same
 	// sentinel location so placed() works, though nothing consumes them.)
-	ts := &p.tiles[cand.tile]
+	ts := p.tileW(cand.tile)
 	slot := ts.slotAt(cand.cycle)
 	*slot = Slot{Kind: SlotOp, Node: cand.node, Srcs: srcs, NSrc: len(cand.plans)}
 	ts.Ops++
@@ -412,7 +413,7 @@ func (cx *bbCtx) apply(cand *candidate, st *Stats) *partial {
 			reg = r
 		}
 	}
-	p.locs[cand.node] = append(p.locs[cand.node], loc{Tile: cand.tile, Cycle: cand.cycle, Reg: reg})
+	p.addLoc(cand.node, loc{Tile: cand.tile, Cycle: cand.cycle, Reg: reg})
 	p.cost += cand.cost
 	cx.releaseDeadRegs(p, nd)
 	p.touch()
@@ -439,11 +440,10 @@ func (cx *bbCtx) releaseDeadRegs(p *partial, nd *cdfg.Node) {
 		if !done {
 			continue
 		}
-		for i := range p.locs[a] {
-			l := &p.locs[a][i]
+		for i, l := range p.locsOf(a) {
 			if l.Reg != noReg {
 				p.freeReg(l.Tile, l.Reg)
-				l.Reg = noReg
+				p.locsW(a).l[i].Reg = noReg
 			}
 		}
 	}
@@ -474,7 +474,7 @@ func (cx *bbCtx) applyPlan(p *partial, ap *argPlan, st *Stats) isa.Src {
 				p.newHomes = map[string]SymLoc{}
 			}
 			p.newHomes[ap.Pin.Sym] = SymLoc{Tile: ap.Pin.Tile, Reg: uint8(r)}
-			p.locs[ap.Pin.Node] = append(p.locs[ap.Pin.Node], loc{Tile: ap.Pin.Tile, Cycle: symHomeCycle, Reg: r})
+			p.addLoc(ap.Pin.Node, loc{Tile: ap.Pin.Tile, Cycle: symHomeCycle, Reg: r})
 		}
 		src = isa.Reg(uint8(r))
 		for _, rd := range pl.Reads {
@@ -490,19 +490,17 @@ func (cx *bbCtx) applyPlan(p *partial, ap *argPlan, st *Stats) isa.Src {
 	// register operands (in moves and in the consumer source) resolve.
 	retroReg := noReg
 	if pl.Retro != nil {
-		ts := &p.tiles[pl.Retro.Tile]
 		retroReg = p.allocRegAt(cx.grid.RRFSize, pl.Retro.Tile, pl.Retro.Cycle, false)
 		if retroReg == noReg {
 			panic("core: retro plan accepted without a free register")
 		}
-		slot := ts.slotAt(pl.Retro.Cycle)
+		slot := p.tileW(pl.Retro.Tile).slotAt(pl.Retro.Cycle)
 		slot.WB = true
 		slot.WReg = uint8(retroReg)
 		// Update the matching location with its new register.
-		for i := range p.locs[ap.Arg] {
-			l := &p.locs[ap.Arg][i]
+		for i, l := range p.locsOf(ap.Arg) {
 			if l.Tile == pl.Retro.Tile && l.Cycle == pl.Retro.Cycle {
-				l.Reg = retroReg
+				p.locsW(ap.Arg).l[i].Reg = retroReg
 			}
 		}
 	}
@@ -517,18 +515,18 @@ func (cx *bbCtx) applyPlan(p *partial, ap *argPlan, st *Stats) isa.Src {
 	}
 	src = resolveReg(src)
 	for _, m := range pl.Moves {
-		ts := &p.tiles[m.Tile]
+		ts := p.tileW(m.Tile)
 		slot := ts.slotAt(m.Cycle)
 		*slot = Slot{Kind: SlotMove, Node: ap.Arg, Srcs: [isa.MaxSrcs]isa.Src{resolveReg(m.Src)}, NSrc: 1}
 		ts.Moves++
 		ts.dirty()
 		p.moves++
 		p.bump(m.Cycle)
-		p.locs[ap.Arg] = append(p.locs[ap.Arg], loc{Tile: m.Tile, Cycle: m.Cycle, Reg: noReg})
+		p.addLoc(ap.Arg, loc{Tile: m.Tile, Cycle: m.Cycle, Reg: noReg})
 	}
 	if pl.Recomp != nil {
 		rc := pl.Recomp
-		ts := &p.tiles[rc.Tile]
+		ts := p.tileW(rc.Tile)
 		slot := ts.slotAt(rc.Cycle)
 		*slot = Slot{Kind: SlotOp, Node: rc.Node, Srcs: rc.Srcs, NSrc: rc.NSrc, Dup: true}
 		ts.Ops++
@@ -538,10 +536,10 @@ func (cx *bbCtx) applyPlan(p *partial, ap *argPlan, st *Stats) isa.Src {
 			st.Recomputes++
 		}
 		p.bump(rc.Cycle)
-		p.locs[ap.Arg] = append(p.locs[ap.Arg], loc{Tile: rc.Tile, Cycle: rc.Cycle, Reg: noReg})
+		p.addLoc(ap.Arg, loc{Tile: rc.Tile, Cycle: rc.Cycle, Reg: noReg})
 	}
 	for _, h := range pl.Holds {
-		p.tiles[h.Tile].addHold(h.Prod, h.Last)
+		p.addHold(h.Tile, h.Prod, h.Last)
 	}
 	for _, rd := range pl.Reads {
 		reg := rd.Reg
@@ -551,7 +549,7 @@ func (cx *bbCtx) applyPlan(p *partial, ap *argPlan, st *Stats) isa.Src {
 		p.noteRead(cx.grid.RRFSize, rd.Tile, reg, rd.Cycle)
 	}
 	for _, c := range pl.Consts {
-		if !p.tiles[c.Tile].internConst(c.Val, cx.opt.MaxCRF) {
+		if !p.internConst(c.Tile, c.Val, cx.opt.MaxCRF) {
 			panic("core: const plan accepted without CRF capacity")
 		}
 	}
@@ -573,13 +571,12 @@ func (cx *bbCtx) diagnose(p *partial, n cdfg.NodeID) string {
 	b := text(nil).s("  earliest=").d(cx.earliestCycle(p, n)).s(" maxCycle=").d(p.maxCycle).s("\n")
 	for _, a := range cx.block.Nodes[n].Args {
 		b = b.s("  arg n").d(int(a)).s(" (").s(cx.block.Nodes[a].Op.String()).s("): locs")
-		for _, l := range p.locs[a] {
+		for _, l := range p.locsOf(a) {
 			b = b.s(" (t").d(int(l.Tile) + 1).s(",c").d(l.Cycle).s(",r").d(int(l.Reg)).s(")")
 		}
 		b = b.s("\n")
 	}
-	for t := range p.tiles {
-		ts := &p.tiles[t]
+	for t, ts := range p.tiles {
 		b = b.s("  t").d(t + 1).s(": ops=").d(ts.Ops).s(" moves=").d(ts.Moves).
 			s(" regs=").d(cx.grid.RRFSize - ts.freeRegs(cx.grid.RRFSize)).s("/").d(cx.grid.RRFSize).
 			s(" budget=").d(cx.budget[t]).s(" holds=[")

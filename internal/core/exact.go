@@ -599,8 +599,7 @@ func (s *exactSearch) fingerprint(bi, oi int, acc *exactAcc, p *partial) uint64 
 	h.i(oi)
 	h.i(p.maxCycle)
 	h.i(p.moves)
-	for t := range p.tiles {
-		ts := &p.tiles[t]
+	for t, ts := range p.tiles {
 		h.i(t)
 		h.u64(uint64(ts.RegMask))
 		h.u64(uint64(ts.EverUsed))
@@ -636,7 +635,7 @@ func (s *exactSearch) fingerprint(bi, oi int, acc *exactAcc, p *partial) uint64 
 		}
 	}
 	for n := range p.locs {
-		ls := p.locs[n]
+		ls := p.locsOf(cdfg.NodeID(n))
 		if len(ls) == 0 {
 			continue
 		}

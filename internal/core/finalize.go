@@ -39,7 +39,7 @@ func (cx *bbCtx) homeOf(p *partial, s string, def cdfg.NodeID) (SymLoc, error) {
 	// distance from the first location (or tile 0 for constants).
 	var prefer []arch.TileID
 	seen := map[arch.TileID]bool{}
-	for _, l := range p.locs[def] {
+	for _, l := range p.locsOf(def) {
 		if !seen[l.Tile] {
 			prefer = append(prefer, l.Tile)
 			seen[l.Tile] = true
@@ -110,7 +110,7 @@ func (cx *bbCtx) writebackSym(p *partial, s string, def cdfg.NodeID) error {
 			return nil
 		}
 	}
-	for _, l := range p.locs[def] {
+	for _, l := range p.locsOf(def) {
 		if l.Tile == home.Tile && l.Reg == hr && l.Cycle >= 0 {
 			p.setWriteCycle(rrf, home.Tile, hr, l.Cycle)
 			p.touch()
@@ -131,14 +131,14 @@ func (cx *bbCtx) writebackSym(p *partial, s string, def cdfg.NodeID) error {
 
 	// Try retrofitting the writeback onto a slot already producing the
 	// value on the home tile, provided it runs at or after the last read.
-	for _, l := range p.locs[def] {
+	for _, l := range p.locsOf(def) {
 		if l.Tile != home.Tile || l.Cycle < 0 || l.Cycle < earliest {
 			continue
 		}
-		slot := &p.tiles[home.Tile].Slots[l.Cycle]
-		if slot.Kind == SlotEmpty || slot.WB {
+		if slot := p.tiles[home.Tile].Slots[l.Cycle]; slot.Kind == SlotEmpty || slot.WB {
 			continue
 		}
+		slot := &p.tileW(home.Tile).Slots[l.Cycle]
 		slot.WB = true
 		slot.WReg = home.Reg
 		p.setWriteCycle(rrf, home.Tile, hr, l.Cycle)
@@ -169,7 +169,7 @@ func (cx *bbCtx) writebackSym(p *partial, s string, def cdfg.NodeID) error {
 			continue
 		}
 		src := cx.applyPlan(p, &ap, nil)
-		ts := &p.tiles[home.Tile]
+		ts := p.tileW(home.Tile)
 		slot := ts.slotAt(w)
 		*slot = Slot{
 			Kind: SlotMove,
@@ -183,7 +183,7 @@ func (cx *bbCtx) writebackSym(p *partial, s string, def cdfg.NodeID) error {
 		ts.dirty()
 		p.moves++
 		p.bump(w)
-		p.locs[def] = append(p.locs[def], loc{Tile: home.Tile, Cycle: w, Reg: hr})
+		p.addLoc(def, loc{Tile: home.Tile, Cycle: w, Reg: hr})
 		p.setWriteCycle(rrf, home.Tile, hr, w)
 		p.noteWrite(rrf, home.Tile, hr, w)
 		p.cost += costMove
@@ -191,7 +191,7 @@ func (cx *bbCtx) writebackSym(p *partial, s string, def cdfg.NodeID) error {
 		return nil
 	}
 	var locs []string
-	for _, l := range p.locs[def] {
+	for _, l := range p.locsOf(def) {
 		locs = append(locs, fmt.Sprintf("(t%d,c%d,r%d)", l.Tile+1, l.Cycle, l.Reg))
 	}
 	return fmt.Errorf("core: cannot write symbol %q back to tile %d reg %d in block %q (def n%d %s locs %v, lastRead %d, start %d, maxCycle %d)",

@@ -393,21 +393,22 @@ func (cx *bbCtx) initialPartial(consts [][]int32, usedRegs []uint16) *partial {
 	p := ar.getPartial()
 	ar.resetPartial(p, cx.grid.NumTiles(), len(cx.block.Nodes), cx.grid.RRFSize)
 	for t := range p.tiles {
-		ts := &p.tiles[t]
+		ts := p.tileW(arch.TileID(t))
 		ts.Consts = append(ts.Consts[:0], consts[t]...)
 		ts.EverUsed = usedRegs[t]
 		ts.GlobalUsed = usedRegs[t]
 	}
 	for _, h := range cx.symHomes {
-		p.tiles[h.Tile].RegMask |= 1 << h.Reg
-		p.tiles[h.Tile].EverUsed |= 1 << h.Reg
+		ts := p.tileW(h.Tile)
+		ts.RegMask |= 1 << h.Reg
+		ts.EverUsed |= 1 << h.Reg
 	}
 	for _, nd := range cx.block.Nodes {
 		if nd.Op != cdfg.OpSym {
 			continue
 		}
 		if h, ok := cx.symHomes[nd.Sym]; ok {
-			p.locs[nd.ID] = append(p.locs[nd.ID], loc{Tile: h.Tile, Cycle: symHomeCycle, Reg: int8(h.Reg)})
+			p.addLoc(nd.ID, loc{Tile: h.Tile, Cycle: symHomeCycle, Reg: int8(h.Reg)})
 		}
 	}
 	return p

@@ -261,7 +261,7 @@ func (cx *bbCtx) freshRegAvailable(p *partial, o *overlay, t arch.TileID) bool {
 // constOK reports whether tile t can reference immediate v, and whether it
 // is a new pool entry.
 func (cx *bbCtx) constOK(p *partial, o *overlay, t arch.TileID, v int32) (ok, isNew bool) {
-	ts := &p.tiles[t]
+	ts := p.tiles[t]
 	if ts.hasConst(v) {
 		return true, false
 	}
@@ -322,7 +322,7 @@ func (cx *bbCtx) planOperand(p *partial, o *overlay, v cdfg.NodeID, tc arch.Tile
 	bestCost := math.Inf(1)
 	found := false
 	var tmp routePlan
-	for li, l := range p.locs[v] {
+	for li, l := range p.locsOf(v) {
 		if cx.planFromLoc(p, o, l, li, tc, cc, blacklist, &tmp) && tmp.Cost < bestCost {
 			bestCost = tmp.Cost
 			*out = tmp

@@ -51,9 +51,29 @@ type tileState struct {
 	Consts []int32
 	// cacheHorizon/cacheWords memoize the last interior words() result
 	// (trailing=false); the memory filters ask for the same horizon over
-	// and over between mutations. cacheHorizon -1 means invalid.
+	// and over between mutations. cacheHorizon -1 means invalid. The
+	// cache is a pure function of the tile's contents, so words() may
+	// fill it in on a shared tile; only the owned copy ever invalidates.
 	cacheHorizon int32
 	cacheWords   int32
+	// refs counts the partials sharing this buffer (see arena.go).
+	refs int32
+}
+
+// copyFrom overwrites t with the contents of s, reusing t's slice
+// capacity. t becomes a private buffer of one partial.
+func (t *tileState) copyFrom(s *tileState) {
+	slots := append(t.Slots[:0], s.Slots...)
+	holds := append(t.Holds[:0], s.Holds...)
+	consts := append(t.Consts[:0], s.Consts...)
+	*t = *s
+	t.Slots, t.Holds, t.Consts = slots, holds, consts
+	t.refs = 1
+}
+
+// reset empties t for a new block, keeping its slice capacity.
+func (t *tileState) reset() {
+	*t = tileState{Slots: t.Slots[:0], Holds: t.Holds[:0], Consts: t.Consts[:0], cacheHorizon: -1, refs: t.refs}
 }
 
 // dirty invalidates the cached interior word count. It must be called on
@@ -238,13 +258,24 @@ func (t *tileState) wordsIfOccupied(c, horizon int) int {
 	return n + gaps
 }
 
+// locBuf is one node's location list: where the value is live. l[0] is
+// the production (or symbol home).
+type locBuf struct {
+	l []loc
+	// refs counts the partials sharing this buffer (see arena.go).
+	refs int32
+}
+
 // partial is one partial mapping of the block being mapped: a point of the
-// design space the beam search explores.
+// design space the beam search explores. Its tile schedules and location
+// lists are buffers shared copy-on-write with the partials it was cloned
+// from or into: read them freely, write them only through tileW and locsW.
 type partial struct {
-	tiles []tileState
-	// locs[n] lists where node n's value is live; empty means unplaced.
-	// locs[n][0] is the production (or symbol home).
-	locs [][]loc
+	// ar is the arena whose buffers the partial holds.
+	ar    *mapperArena
+	tiles []*tileState
+	// locs[n] lists where node n's value is live; nil means unplaced.
+	locs []*locBuf
 	// regLastRead[t*rrf+r] is the last cycle tile t's register r was read,
 	// used to order symbol writebacks after all reads and to recycle
 	// registers safely.
@@ -290,18 +321,81 @@ func (p *partial) setWriteCycle(rrf int, t arch.TileID, r int8, c int) {
 	p.regWriteCycle[int(t)*rrf+int(r)] = int16(c)
 }
 
-// placed reports whether node n has been bound.
-func (p *partial) placed(n cdfg.NodeID) bool { return len(p.locs[n]) > 0 }
+// tileW returns tile t's schedule for writing, first copying it into a
+// private buffer when another partial shares it.
+func (p *partial) tileW(t arch.TileID) *tileState {
+	ts := p.tiles[t]
+	if ts.refs == 1 {
+		return ts
+	}
+	c := p.ar.newTile()
+	c.copyFrom(ts)
+	ts.refs--
+	p.tiles[t] = c
+	return c
+}
 
-// production returns node n's primary location.
-func (p *partial) production(n cdfg.NodeID) loc { return p.locs[n][0] }
+// locsOf returns where node n's value is live; empty means unplaced.
+func (p *partial) locsOf(n cdfg.NodeID) []loc {
+	if b := p.locs[n]; b != nil {
+		return b.l
+	}
+	return nil
+}
+
+// locsW returns node n's location list for writing, first copying it
+// into a private buffer when another partial shares it (or taking an
+// empty one when n is unplaced).
+func (p *partial) locsW(n cdfg.NodeID) *locBuf {
+	b := p.locs[n]
+	if b != nil && b.refs == 1 {
+		return b
+	}
+	c := p.ar.newLocs()
+	if b != nil {
+		c.l = append(c.l, b.l...)
+		b.refs--
+	}
+	p.locs[n] = c
+	return c
+}
+
+// addLoc records a new place node n's value is live.
+func (p *partial) addLoc(n cdfg.NodeID, l loc) {
+	b := p.locsW(n)
+	b.l = append(b.l, l)
+}
+
+// addHold extends (or records) tile t's output hold for the value
+// produced at prod so it survives through read, leaving a shared tile
+// shared when its hold already covers read.
+func (p *partial) addHold(t arch.TileID, prod, read int) {
+	for _, h := range p.tiles[t].Holds {
+		if h.Prod == prod && read <= h.Last {
+			return
+		}
+	}
+	p.tileW(t).addHold(prod, read)
+}
+
+// internConst adds v to tile t's constant pool if capacity allows,
+// leaving a shared tile shared when v is already in the pool.
+func (p *partial) internConst(t arch.TileID, v int32, maxCRF int) bool {
+	if p.tiles[t].hasConst(v) {
+		return true
+	}
+	return p.tileW(t).internConst(v, maxCRF)
+}
+
+// placed reports whether node n has been bound.
+func (p *partial) placed(n cdfg.NodeID) bool { return len(p.locsOf(n)) > 0 }
 
 // allocRegAt claims a register of tile t for a value written at the given
 // cycle. When fresh is set, only never-touched registers qualify (symbol
 // homes readable from cycle 0); otherwise freed registers are recycled
 // when their last recorded read and write do not come after the new write.
 func (p *partial) allocRegAt(rrf int, t arch.TileID, cycle int, fresh bool) int8 {
-	ts := &p.tiles[t]
+	ts := p.tiles[t]
 	for r := 0; r < rrf; r++ {
 		bit := uint16(1) << r
 		if ts.RegMask&bit != 0 {
@@ -314,6 +408,7 @@ func (p *partial) allocRegAt(rrf int, t arch.TileID, cycle int, fresh bool) int8
 		} else if int(p.regLastRead[int(t)*rrf+r]) > cycle || int(p.regLastWrite[int(t)*rrf+r]) > cycle {
 			continue
 		}
+		ts = p.tileW(t)
 		ts.RegMask |= bit
 		ts.EverUsed |= bit
 		if !fresh {
@@ -329,10 +424,11 @@ func (p *partial) allocRegAt(rrf int, t arch.TileID, cycle int, fresh bool) int8
 // would clobber the symbol at runtime), with write-hazard ordering against
 // this block's dead temps handled by the writeback placement.
 func (p *partial) allocRegHome(rrf int, t arch.TileID) int8 {
-	ts := &p.tiles[t]
+	ts := p.tiles[t]
 	for r := 0; r < rrf; r++ {
 		bit := uint16(1) << r
 		if ts.RegMask&bit == 0 && ts.GlobalUsed&bit == 0 {
+			ts = p.tileW(t)
 			ts.RegMask |= bit
 			ts.EverUsed |= bit
 			return int8(r)
@@ -343,7 +439,7 @@ func (p *partial) allocRegHome(rrf int, t arch.TileID) int8 {
 
 // freeReg releases a register whose value has no remaining readers.
 func (p *partial) freeReg(t arch.TileID, r int8) {
-	p.tiles[t].RegMask &^= 1 << uint(r)
+	p.tileW(t).RegMask &^= 1 << uint(r)
 }
 
 // noteWrite records that tile t's register r is written at cycle c.
@@ -378,7 +474,7 @@ func (p *partial) bump(c int) {
 // far: committed instructions plus the chosen pnop estimate. The interior
 // (trailing=false) count is cached per horizon until the tile mutates.
 func (p *partial) words(t arch.TileID, horizon int, trailing bool) int {
-	ts := &p.tiles[t]
+	ts := p.tiles[t]
 	if trailing {
 		return ts.Ops + ts.Moves + ts.gapGroups(horizon, true)
 	}

@@ -137,7 +137,7 @@ func (s *candStream) bound(p *partial) {
 			switch {
 			case av.Op == cdfg.OpConst:
 				continue
-			case av.Op == cdfg.OpSym && len(p.locs[a]) == 0:
+			case av.Op == cdfg.OpSym && !p.placed(a):
 				b.args += cx.pinCost(tid)
 				continue
 			}
@@ -145,7 +145,7 @@ func (s *candStream) bound(p *partial) {
 			if cx.opt.Recompute && cx.recomputable(a) {
 				arrive, cost = 1, costRecompute
 			}
-			for _, l := range p.locs[a] {
+			for _, l := range p.locsOf(a) {
 				d := cx.grid.Distance(l.Tile, tid)
 				arrive = min(arrive, l.Cycle+max(1, d))
 				cost = min(cost, costMove*float64(max(0, d-1)))
@@ -161,10 +161,7 @@ func (s *candStream) bound(p *partial) {
 // one is there (true) or the heap is empty (false).
 func (s *candStream) ready() bool {
 	if s.dirty {
-		for i := len(s.heap)/2 - 1; i >= 0; i-- {
-			s.down(i)
-		}
-		s.dirty = false
+		s.heapify()
 	}
 	for len(s.heap) > 0 {
 		top := &s.heap[0]
@@ -179,9 +176,7 @@ func (s *candStream) ready() bool {
 			s.pop()
 			continue
 		}
-		top.key = top.parent.cost + c.cost
-		top.cand = int32(len(s.cands) - 1)
-		s.down(0)
+		s.rekeyTop(top.parent.cost+c.cost, int32(len(s.cands)-1))
 	}
 	return false
 }
@@ -197,34 +192,64 @@ func (s *candStream) next() *candidate {
 	return c
 }
 
-func (s *candStream) less(i, j int) bool {
-	a, b := &s.heap[i], &s.heap[j]
+// The heap is 4-ary: entry i's children are 4i+1..4i+4. Against a binary
+// heap it halves the depth a sift walks, for a few more compares per
+// level. (key, seq) is a strict total order (seq is unique), so the pop
+// order is the sorted order whatever the heap's shape.
+
+// before orders slots by key, then enumeration index.
+func (a *slotEntry) before(b *slotEntry) bool {
 	if a.key != b.key {
 		return a.key < b.key
 	}
 	return a.seq < b.seq
 }
 
-func (s *candStream) down(i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(s.heap) {
-			return
-		}
-		if c+1 < len(s.heap) && s.less(c+1, c) {
-			c++
-		}
-		if !s.less(c, i) {
-			return
-		}
-		s.heap[i], s.heap[c] = s.heap[c], s.heap[i]
-		i = c
+// heapify orders the whole heap after enumerate appended to it.
+func (s *candStream) heapify() {
+	for i := (len(s.heap)+2)/4 - 1; i >= 0; i-- {
+		s.down(i)
 	}
+	s.dirty = false
+}
+
+// down sifts entry i toward the leaves, moving the smaller children up
+// into the hole rather than swapping at every level.
+func (s *candStream) down(i int) {
+	h := s.heap
+	e := h[i]
+	for {
+		c := 4*i + 1
+		if c >= len(h) {
+			break
+		}
+		m := c
+		for j := c + 1; j < min(c+4, len(h)); j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(&e) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = e
+}
+
+// rekeyTop gives the top slot its exact key and candidate, keeping heap
+// order. The exact key is never below the bound it replaces.
+func (s *candStream) rekeyTop(key float64, cand int32) {
+	s.heap[0].key, s.heap[0].cand = key, cand
+	s.down(0)
 }
 
 func (s *candStream) pop() {
 	last := len(s.heap) - 1
 	s.heap[0] = s.heap[last]
 	s.heap = s.heap[:last]
-	s.down(0)
+	if last > 0 {
+		s.down(0)
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -59,14 +60,14 @@ func arrival(cx *bbCtx, p *partial, n cdfg.NodeID, t arch.TileID, cc int, just *
 	arrive := 0
 	for _, a := range cx.block.Nodes[n].Args {
 		av := cx.block.Nodes[a]
-		if av.Op == cdfg.OpConst || av.Op == cdfg.OpSym && len(p.locs[a]) == 0 {
+		if av.Op == cdfg.OpConst || av.Op == cdfg.OpSym && !p.placed(a) {
 			continue
 		}
 		first, dist := math.MaxInt, -1
 		if cx.opt.Recompute && cx.recomputable(a) {
 			first = 1
 		}
-		for _, l := range p.locs[a] {
+		for _, l := range p.locsOf(a) {
 			d := cx.grid.Distance(l.Tile, t)
 			if c := l.Cycle + max(1, d); c < first {
 				first, dist = c, d
@@ -218,4 +219,60 @@ func TestCandStreamMatchesEagerPlanning(t *testing.T) {
 	}
 	t.Logf("%d bind steps: %d slots, %d screened, %d planned, %d yielded; operands just in time at distance 0/1/2+: %v",
 		tl.steps, tl.slots, tl.screened, tl.planned, tl.yielded, tl.just)
+}
+
+// TestCandHeapOrder pins the candidate heap's pop order against
+// sort.SliceStable on the same entries: random keys drawn from a few
+// values, so most keys tie exactly and the enumeration index decides.
+// Half the trials start every slot at a lower bound and, the way ready
+// does, re-key a bound-keyed top in place to its exact key before it
+// may pop, or drop it as a failed plan.
+func TestCandHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := range 400 {
+		rekey := trial%2 == 1
+		n, distinct := rng.Intn(300), 1+rng.Intn(6)
+		var s candStream
+		exact := make([]float64, n)
+		drop := make([]bool, n)
+		var want []slotEntry
+		for i := range n {
+			bound := float64(rng.Intn(distinct)) / 4
+			exact[i] = bound
+			e := slotEntry{key: bound, seq: int32(i), cand: int32(i)}
+			if rekey {
+				exact[i] += float64(rng.Intn(3)) / 4
+				drop[i] = rng.Intn(5) == 0
+				e.cand = -1
+			}
+			s.heap = append(s.heap, e)
+			if !drop[i] {
+				want = append(want, slotEntry{key: exact[i], seq: int32(i)})
+			}
+		}
+		sort.SliceStable(want, func(a, b int) bool { return want[a].key < want[b].key })
+		s.heapify()
+		var got []slotEntry
+		for len(s.heap) > 0 {
+			top := s.heap[0]
+			switch {
+			case top.cand >= 0:
+				got = append(got, slotEntry{key: top.key, seq: top.seq})
+				s.pop()
+			case drop[top.seq]:
+				s.pop()
+			default:
+				s.rekeyTop(exact[top.seq], top.seq)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: popped %d entries, want %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (rekey %v): pop %d is (key %v, seq %d), sorted order has (key %v, seq %d)",
+					trial, rekey, i, got[i].key, got[i].seq, want[i].key, want[i].seq)
+			}
+		}
+	}
 }

@@ -25,7 +25,8 @@ import (
 //     exactly when it renders the same text.
 //
 // The checked-in corpus (testdata/fuzz) seeds the search with every
-// benchmark kernel and a spread of generated graphs.
+// benchmark kernel and a spread of generated graphs. The name predates
+// the plain-text key: it was written for a canonicalizer since removed.
 func FuzzCanonicalHash(f *testing.F) {
 	for _, k := range kernels.All() {
 		g := k.Build()

@@ -54,12 +54,13 @@ func warm(b *testing.B, op func() error) {
 // count of a portfolio row never settles exactly: its jobs land on the
 // worker arenas in a timing-dependent order and incumbent pruning aborts
 // a timing-dependent set of them. Nor does the failing Map of
-// BenchmarkCoreMapNoMapping: its hundreds of recycled partials keep
-// growing for hundreds of calls (NonSepFilter, CAB on HET2: 3471
-// allocations on the 40th call, 3400 on the 200th), and its retry worker
-// goroutine now and then costs the runtime a new goroutine descriptor.
-// Those rows warm for noisyWarmCalls calls, past the steep part of the
-// curve, so -benchtime=1x stays comparable to full runs.
+// BenchmarkCoreMapNoMapping, though it levels off: NonSepFilter, CAB on
+// HET2, allocates 3399 objects on the 40th call and 3392 on the 60th,
+// then moves between 3388 and 3393 from call to call through the 255th
+// (its retry worker goroutine now and then costs the runtime a new
+// goroutine descriptor). Those rows warm for noisyWarmCalls calls, past
+// the steep part of the curve, so -benchtime=1x stays comparable to full
+// runs.
 const (
 	mapSteadyCalls = 10
 	mapWarmCap     = 300
@@ -135,8 +136,8 @@ func benchCoreMap(b *testing.B, recorder func() *obs.Recorder) {
 // fails if the cell ever maps. Its retry attempts run side by side, on
 // the Map's arena and a child arena. Every failing attempt returns its
 // beam to the arena, and the failure texts are built without fmt, whose
-// printer pool a GC empties; the count still settles only slowly (see
-// warmMap).
+// printer pool a GC empties; the count levels off but never settles
+// exactly (see warmMap).
 func BenchmarkCoreMapNoMapping(b *testing.B) {
 	k, err := kernels.ByName("NonSepFilter")
 	if err != nil {

@@ -217,8 +217,8 @@ go test -race -timeout 45m $short ./...
 # worker arenas in a timing-dependent order and incumbent pruning aborts
 # a timing-dependent set of them (after warm-up, 20 NonSepFilter
 # portfolio calls read 8.4k-10.1k allocations and 1.06-2.02 MB), and
-# the failing NonSepFilter map keeps growing its recycled partials
-# slowly. The regression this guards against — losing arena
+# the failing NonSepFilter map moves by a few objects from call to call
+# once warm. The regression this guards against — losing arena
 # reuse (per-candidate plan, overlay and partial allocations) — is 4-6
 # orders of magnitude, far past any tolerance here.
 # The obs-off gate (BenchmarkCoreMapObsOff vs the same run's
