@@ -55,8 +55,9 @@ bench-compare:
 	./scripts/bench.sh -compare
 
 # Instrumentation artifacts: map and simulate FIR with -metrics/-events,
-# validate the counter JSONL and the span structure with cgrametrics,
-# print the cgratrace phase-attribution report, and leave
+# validate the counter JSONL with cgrametrics, validate the span
+# structure and print the phase-attribution report with cgratrace, and
+# leave
 # out/metrics.json (counters) + out/events.trace (Chrome trace_event
 # timeline, load in Perfetto or chrome://tracing) behind.
 metrics:
@@ -64,7 +65,6 @@ metrics:
 	$(GO) run ./cmd/cgrasim -kernel FIR -config HET1 -flow cab \
 		-metrics out/metrics.json -events out/events.trace
 	$(GO) run ./cmd/cgrametrics out/metrics.json
-	$(GO) run ./cmd/cgrametrics -events out/events.trace
 	$(GO) run ./cmd/cgratrace out/events.trace
 
 # Live telemetry demo: the full evaluation with /metrics, /healthz,

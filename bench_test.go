@@ -213,10 +213,7 @@ func BenchmarkAblationTraversal(b *testing.B) {
 	for _, tr := range []cdfg.TraversalKind{cdfg.TraverseForward, cdfg.TraverseWeighted} {
 		tr := tr
 		b.Run(tr.String(), func(b *testing.B) {
-			mapWith(b, "FFT", arch.HET1, func(o *core.Options) {
-				o.Traversal = tr
-				o.ForceTraversal = true
-			})
+			mapWith(b, "FFT", arch.HET1, func(o *core.Options) { o.Traversal = tr })
 		})
 	}
 }
@@ -288,39 +285,5 @@ func BenchmarkInterpFIR(b *testing.B) {
 		if _, err := cdfg.Interp(g, k.Init()); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblationEnergyAware toggles the energy-aware placement
-// extension and reports the fetch-energy proxy (Σ words·CM²) it targets.
-func BenchmarkAblationEnergyAware(b *testing.B) {
-	for _, on := range []bool{false, true} {
-		name := "off"
-		if on {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			k, _ := kernels.ByName("Convolution")
-			g := k.Build()
-			grid := arch.MustGrid(arch.HET2)
-			var proxy float64
-			n := 0
-			for i := 0; i < b.N; i++ {
-				opt := core.DefaultOptions(core.FlowCAB)
-				opt.EnergyAware = on
-				m, err := core.Map(g, grid, opt)
-				if err != nil {
-					continue
-				}
-				n++
-				for t, w := range m.TileWords() {
-					cm := float64(grid.Tile(arch.TileID(t)).CMWords)
-					proxy += float64(w) * cm * cm
-				}
-			}
-			if n > 0 {
-				b.ReportMetric(proxy/float64(n), "fetch-proxy")
-			}
-		})
 	}
 }

@@ -11,20 +11,19 @@
 //
 //	cgramap -kernel MatM -config HET1 -flow cab [-verify] [-listing] [-dot]
 //	cgramap -kernel MatM -config HET1 -seeds 8 [-parallel 4]
+//	cgramap -kernel DCFilter -flow basic -backend exact|race [-exact-budget N]
 //
 // -cpuprofile/-memprofile write runtime/pprof profiles of the mapping run
 // for inspecting the search hot path on a single kernel/config pair.
 package main
 
 import (
-	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/asm"
@@ -32,8 +31,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/mapcache"
+	"repro/internal/mapcli"
 	"repro/internal/obs"
-	"repro/internal/power"
 	"repro/internal/prof"
 	"repro/internal/static"
 	"repro/internal/trace"
@@ -42,20 +41,12 @@ import (
 
 // cliOptions collects the flag values so tests can drive run directly.
 type cliOptions struct {
-	kernel   string
-	config   string
-	flow     string
-	backend  string
-	listing  bool
-	dot      bool
-	verify   bool
-	analyze  bool
-	strip    bool
-	seed     int64
-	seeds    int
-	parallel int
-	cache    bool
-	cachedir string
+	mapcli.Flags
+	listing bool
+	dot     bool
+	verify  bool
+	analyze bool
+	strip   bool
 	// rec threads the -metrics/-events recorder into the mapper; nil (the
 	// zero value the tests use) disables instrumentation entirely.
 	rec *obs.Recorder
@@ -63,21 +54,12 @@ type cliOptions struct {
 
 func main() {
 	var o cliOptions
-	flag.StringVar(&o.kernel, "kernel", "FIR", "kernel name: "+strings.Join(kernels.Names(), ", "))
-	flag.StringVar(&o.config, "config", "HOM64", "CGRA configuration: HOM64, HOM32, HET1, HET2")
-	flag.StringVar(&o.flow, "flow", "cab", "mapping flow: basic, acmap, ecmap, cab")
-	flag.StringVar(&o.backend, "backend", "heuristic",
-		"mapping backend: "+strings.Join(core.BackendNames(), ", ")+", or race (all backends compete, best mapping wins)")
+	o.Register(flag.CommandLine)
 	flag.BoolVar(&o.listing, "listing", false, "print the per-tile context disassembly")
 	flag.BoolVar(&o.dot, "dot", false, "print the kernel CDFG in Graphviz DOT form and exit")
 	flag.BoolVar(&o.verify, "verify", false, "assemble and statically verify the mapping, reporting per-pass verdicts")
 	flag.BoolVar(&o.analyze, "analyze", false, "run the static bitstream analyzer and report reachability, dead context and energy bounds")
 	flag.BoolVar(&o.strip, "strip", false, "run dead-context elimination, report the words saved, and re-verify the stripped bitstream")
-	flag.Int64Var(&o.seed, "seed", 1, "stochastic pruning seed (first seed of a portfolio)")
-	flag.IntVar(&o.seeds, "seeds", 1, "portfolio width: seeds mapped concurrently, best mapping wins")
-	flag.IntVar(&o.parallel, "parallel", 0, "portfolio worker pool size (0 = one per CPU)")
-	flag.BoolVar(&o.cache, "cache", false, "reuse compiled mappings through the content-addressed mapping cache")
-	flag.StringVar(&o.cachedir, "cachedir", "", "on-disk mapping-cache directory (implies -cache; entries are re-verified before use)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	metrics := flag.String("metrics", "", "write instrumentation counters as JSONL to this file")
@@ -107,125 +89,43 @@ func main() {
 	}
 }
 
-// parseBackends resolves the -backend flag: a registered backend name
-// maps alone, "race" enters every registered backend into the portfolio.
-func parseBackends(s string) ([]core.Backend, error) {
-	switch strings.ToLower(s) {
-	case "":
-		return []core.Backend{core.DefaultBackend()}, nil
-	case "race":
-		return core.Backends(), nil
-	}
-	b, err := core.BackendByName(strings.ToLower(s))
-	if err != nil {
-		return nil, err
-	}
-	return []core.Backend{b}, nil
-}
-
-func parseFlow(s string) (core.Flow, error) {
-	switch strings.ToLower(s) {
-	case "basic":
-		return core.FlowBasic, nil
-	case "acmap":
-		return core.FlowACMAP, nil
-	case "ecmap":
-		return core.FlowECMAP, nil
-	case "cab", "full", "aware":
-		return core.FlowCAB, nil
-	}
-	return 0, fmt.Errorf("unknown flow %q", s)
-}
-
 func run(w io.Writer, o cliOptions) error {
-	k, err := kernels.ByName(o.kernel)
-	if err != nil {
-		return err
-	}
-	g := k.Build()
 	if o.dot {
-		fmt.Fprintln(w, cdfg.Dot(g))
+		k, err := kernels.ByName(o.Kernel)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, cdfg.Dot(k.Build()))
 		return nil
 	}
-	fl, err := parseFlow(o.flow)
+	job, err := o.Resolve(o.rec)
 	if err != nil {
 		return err
 	}
-	grid, err := arch.NewGrid(arch.ConfigName(strings.ToUpper(o.config)))
+	g, grid, fl := job.Graph, job.Grid, job.Opt.Flow
+	c, err := job.Compile()
 	if err != nil {
 		return err
 	}
-	backends, err := parseBackends(o.backend)
-	if err != nil {
-		return err
+	if res := c.Portfolio; res != nil {
+		fmt.Fprint(w, res.RenderReports())
+		fmt.Fprintf(w, "portfolio wall time %s\n", res.Wall.Round(1_000_000))
 	}
-	opt := core.DefaultOptions(fl)
-	opt.Seed = o.seed
-	opt.Obs = o.rec
-	runPortfolio := o.seeds > 1 || len(backends) > 1
-	var computed *core.Mapping // captured so a cache miss still gets the full report
-	compute := func() (mapcache.Computed, error) {
-		if runPortfolio {
-			res, err := core.MapPortfolio(context.Background(), g, grid, opt, core.PortfolioOptions{
-				NumSeeds:  o.seeds,
-				Workers:   o.parallel,
-				Backends:  backends,
-				Objective: power.PortfolioObjective(power.Default()),
-				// The objective's Primary is TotalWords, so incumbent-sharing
-				// pruning is winner-invariant here.
-				PrimaryIsWords: true,
-			})
-			if err != nil {
-				return mapcache.Computed{}, err
-			}
-			fmt.Fprint(w, res.RenderReports())
-			fmt.Fprintf(w, "portfolio wall time %s\n", res.Wall.Round(1_000_000))
-			computed = res.Mapping
-			return mapcache.Computed{Mapping: res.Mapping, Seed: res.Seed, Backend: res.Backend}, nil
-		}
-		m, err := backends[0].Map(context.Background(), g, grid, opt)
-		if err != nil {
-			return mapcache.Computed{}, err
-		}
-		computed = m
-		return mapcache.Computed{Mapping: m, Seed: opt.Seed, Backend: backends[0].Name()}, nil
-	}
-
-	var m *core.Mapping
+	m := c.Mapping
 	var prog *asm.Program
 	var meta mapcache.Meta
-	if o.cache || o.cachedir != "" {
-		backendNames := make([]string, len(backends))
-		for i, b := range backends {
-			backendNames[i] = b.Name()
-		}
-		req := mapcache.Request{Graph: g, Grid: grid, Opt: opt, Backends: backendNames}
-		if runPortfolio {
-			req.Seeds = (&core.PortfolioOptions{NumSeeds: o.seeds}).SeedList(o.seed)
-			req.Objective = "words+energy"
-		}
-		cres, err := mapcache.New(mapcache.Config{Dir: o.cachedir, Obs: o.rec}).GetOrStore(req, compute)
-		if err != nil {
-			return err
-		}
+	if cres := c.Cache; cres != nil {
 		fmt.Fprintf(w, "cache: %s\n", cres.Source)
 		fmt.Fprintf(w, "image sha256 %x\n", sha256.Sum256(cres.Image))
+		// A miss computed the mapping in-process; report it in full below.
+		// A hit has only the stored metadata.
 		prog, meta = cres.Program, cres.Meta
-		// A miss (or bypass) computed the mapping in-process; report it in
-		// full below. A hit has only the stored metadata.
-		m = computed
-	} else {
-		comp, err := compute()
-		if err != nil {
-			return err
-		}
-		m = comp.Mapping
 	}
 	if m == nil {
 		// Cache hit: the Mapping object is gone, but the stored metadata and
 		// the rebuilt (verified) program carry everything the report needs.
 		fmt.Fprintf(w, "mapped %s onto %s with %s from cache (originally %s, seed %d via %s)\n",
-			o.kernel, grid.Name, fl, meta.Stats.CompileTime.Round(1_000_000), meta.Seed, meta.Backend)
+			o.Kernel, grid.Name, fl, meta.Stats.CompileTime.Round(1_000_000), meta.Seed, meta.Backend)
 		fmt.Fprintf(w, "ops %d, moves %d, pnops %d, words %d\n", meta.Ops, meta.Moves, meta.Pnops, meta.Words)
 		caps := make([]int, grid.NumTiles())
 		for i := range caps {
@@ -234,7 +134,7 @@ func run(w io.Writer, o cliOptions) error {
 		fmt.Fprint(w, trace.Utilization("context-memory occupancy:", meta.TileWords, caps))
 		return finishProgram(w, o, g, grid, nil, prog)
 	}
-	fmt.Fprintf(w, "mapped %s onto %s with %s in %s\n", o.kernel, grid.Name, fl, m.Stats.CompileTime.Round(1_000_000))
+	fmt.Fprintf(w, "mapped %s onto %s with %s in %s\n", o.Kernel, grid.Name, fl, m.Stats.CompileTime.Round(1_000_000))
 	if ex := m.Stats.Exact; ex.NodeBudget > 0 {
 		status := fmt.Sprintf("budget %d exhausted", ex.NodeBudget)
 		if ex.Proven {

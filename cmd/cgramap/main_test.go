@@ -6,11 +6,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/mapcli"
 )
 
 func TestRunFIRSmoke(t *testing.T) {
 	var sb strings.Builder
-	o := cliOptions{kernel: "FIR", config: "HOM32", flow: "cab", seed: 1, seeds: 1}
+	o := cliOptions{Flags: mapcli.Flags{Kernel: "FIR", Config: "HOM32", Flow: "cab", Seed: 1, Seeds: 1}}
 	if err := run(&sb, o); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func TestRunFIRSmoke(t *testing.T) {
 
 func TestRunPortfolioSmoke(t *testing.T) {
 	var sb strings.Builder
-	o := cliOptions{kernel: "FIR", config: "HOM32", flow: "cab", seed: 1, seeds: 3, parallel: 2}
+	o := cliOptions{Flags: mapcli.Flags{Kernel: "FIR", Config: "HOM32", Flow: "cab", Seed: 1, Seeds: 3, Parallel: 2}}
 	if err := run(&sb, o); err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +48,14 @@ func TestRunPortfolioSmoke(t *testing.T) {
 
 func TestRunDotAndListing(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, cliOptions{kernel: "FIR", dot: true}); err != nil {
+	if err := run(&sb, cliOptions{Flags: mapcli.Flags{Kernel: "FIR"}, dot: true}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "digraph") {
 		t.Errorf("dot output:\n%s", sb.String())
 	}
 	sb.Reset()
-	o := cliOptions{kernel: "FIR", config: "HOM32", flow: "cab", seed: 1, listing: true}
+	o := cliOptions{Flags: mapcli.Flags{Kernel: "FIR", Config: "HOM32", Flow: "cab", Seed: 1}, listing: true}
 	if err := run(&sb, o); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestRunDotAndListing(t *testing.T) {
 
 func TestRunVerifySmoke(t *testing.T) {
 	var sb strings.Builder
-	o := cliOptions{kernel: "FIR", config: "HOM32", flow: "cab", seed: 1, verify: true}
+	o := cliOptions{Flags: mapcli.Flags{Kernel: "FIR", Config: "HOM32", Flow: "cab", Seed: 1}, verify: true}
 	if err := run(&sb, o); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestRunVerifySmoke(t *testing.T) {
 
 func TestRunAnalyzeStripSmoke(t *testing.T) {
 	var sb strings.Builder
-	o := cliOptions{kernel: "DCFilter", config: "HOM64", flow: "cab", seed: 1, analyze: true, strip: true}
+	o := cliOptions{Flags: mapcli.Flags{Kernel: "DCFilter", Config: "HOM64", Flow: "cab", Seed: 1}, analyze: true, strip: true}
 	if err := run(&sb, o); err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +112,9 @@ func TestRunAnalyzeStripSmoke(t *testing.T) {
 func TestRunRejectsBadInputs(t *testing.T) {
 	var sb strings.Builder
 	for _, o := range []cliOptions{
-		{kernel: "nope", config: "HOM64", flow: "cab"},
-		{kernel: "FIR", config: "HOM65", flow: "cab"},
-		{kernel: "FIR", config: "HOM64", flow: "quantum"},
+		{Flags: mapcli.Flags{Kernel: "nope", Config: "HOM64", Flow: "cab"}},
+		{Flags: mapcli.Flags{Kernel: "FIR", Config: "HOM65", Flow: "cab"}},
+		{Flags: mapcli.Flags{Kernel: "FIR", Config: "HOM64", Flow: "quantum"}},
 	} {
 		if err := run(&sb, o); err == nil {
 			t.Errorf("%+v should fail", o)

@@ -5,12 +5,10 @@
 // field — fails the run, which is what lets scripts/ci.sh use this as
 // the artifact gate. Valid files print as a two-column counter table.
 //
-// Three further modes serve the telemetry pipeline:
+// Two further modes serve the telemetry pipeline (event files are
+// validated by cgratrace, which rejects a malformed span structure on
+// load):
 //
-//   - -events validates event files (JSONL or Chrome-trace form)
-//     structurally: every span begin must have a matching end with the
-//     same id, durations must be non-negative, and timestamps monotone
-//     per wall-clock track (obs.BuildSpanForest's contract);
 //   - -scrape URL fetches a /metrics endpoint and validates the body as
 //     Prometheus text exposition, printing it on success;
 //   - -get URL fetches any URL and prints the body, failing on non-200 —
@@ -19,7 +17,6 @@
 // Usage:
 //
 //	go run ./cmd/cgrametrics out/metrics.json [more.json ...]
-//	go run ./cmd/cgrametrics -events out/events.trace ...
 //	go run ./cmd/cgrametrics -scrape http://127.0.0.1:9090/metrics
 //	go run ./cmd/cgrametrics -get http://127.0.0.1:9090/healthz
 package main
@@ -42,12 +39,10 @@ import (
 )
 
 func main() {
-	events := flag.Bool("events", false, "validate span structure of event files instead of metrics files")
 	scrapeURL := flag.String("scrape", "", "GET this URL and validate the body as Prometheus text exposition")
 	getURL := flag.String("get", "", "GET this URL and print the body (fails on non-200)")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: cgrametrics <metrics.json> ...")
-		fmt.Fprintln(os.Stderr, "       cgrametrics -events <events-file> ...")
 		fmt.Fprintln(os.Stderr, "       cgrametrics -scrape <url> | -get <url>")
 		flag.PrintDefaults()
 	}
@@ -61,8 +56,6 @@ func main() {
 	case flag.NArg() == 0:
 		flag.Usage()
 		os.Exit(2)
-	case *events:
-		err = runEvents(os.Stdout, flag.Args())
 	default:
 		err = run(os.Stdout, flag.Args())
 	}
@@ -86,32 +79,6 @@ func run(w io.Writer, paths []string) error {
 		}
 		title := fmt.Sprintf("%s: %d metrics", filepath.Base(path), len(ms))
 		if _, err := fmt.Fprint(w, trace.Metrics(title, rows)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runEvents validates each event file's span structure and prints a
-// one-line summary per file. The first violation aborts with an error
-// naming file and event.
-func runEvents(w io.Writer, paths []string) error {
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		events, err := obs.ReadEvents(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %v", path, err)
-		}
-		roots, err := obs.BuildSpanForest(events)
-		if err != nil {
-			return fmt.Errorf("%s: %v", path, err)
-		}
-		if _, err := fmt.Fprintf(w, "%s: %d events, %d root spans, span structure OK\n",
-			filepath.Base(path), len(events), len(roots)); err != nil {
 			return err
 		}
 	}

@@ -72,81 +72,6 @@ func TestRunMissingFile(t *testing.T) {
 	}
 }
 
-func TestRunEventsValidFile(t *testing.T) {
-	path := writeFile(t, "e.jsonl", strings.Join([]string{
-		`{"name":"core.map","ph":"B","ts":0,"pid":1,"tid":0,"id":1}`,
-		`{"name":"core.map","ph":"E","ts":10,"dur":10,"pid":1,"tid":0,"id":1}`,
-		`{"name":"block","cat":"sim","ph":"X","ts":0,"dur":4,"pid":2,"tid":0}`,
-		``,
-	}, "\n"))
-	var sb strings.Builder
-	if err := runEvents(&sb, []string{path}); err != nil {
-		t.Fatalf("runEvents: %v", err)
-	}
-	if !strings.Contains(sb.String(), "3 events, 2 root spans, span structure OK") {
-		t.Fatalf("summary line wrong:\n%s", sb.String())
-	}
-}
-
-// TestRunEventsRejectsMalformed pins the span-structure gate: unpaired
-// spans, negative durations and backwards timestamps all fail with
-// context.
-func TestRunEventsRejectsMalformed(t *testing.T) {
-	cases := []struct {
-		name, content, wantErr string
-	}{
-		{"begin without end",
-			`{"name":"a","ph":"B","ts":0,"pid":1,"tid":0,"id":1}` + "\n",
-			"no matching end"},
-		{"end without begin",
-			`{"name":"a","ph":"E","ts":1,"dur":1,"pid":1,"tid":0,"id":1}` + "\n",
-			"without a begin"},
-		{"id mismatch",
-			`{"name":"a","ph":"B","ts":0,"pid":1,"tid":0,"id":1}` + "\n" +
-				`{"name":"a","ph":"E","ts":1,"dur":1,"pid":1,"tid":0,"id":2}` + "\n",
-			"does not match open span"},
-		{"negative duration",
-			`{"name":"a","ph":"B","ts":0,"pid":1,"tid":0,"id":1}` + "\n" +
-				`{"name":"a","ph":"E","ts":1,"dur":-4,"pid":1,"tid":0,"id":1}` + "\n",
-			"negative duration"},
-		{"negative complete duration",
-			`{"name":"x","ph":"X","ts":0,"dur":-1,"pid":1,"tid":0}` + "\n",
-			"negative duration"},
-		{"backwards timestamps",
-			`{"name":"a","ph":"i","ts":9,"pid":1,"tid":0}` + "\n" +
-				`{"name":"b","ph":"i","ts":3,"pid":1,"tid":0}` + "\n",
-			"goes backwards"},
-		{"not an event", `{"name":"a","kind":"counter","value":1}` + "\n", "unknown field"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			path := writeFile(t, "e.jsonl", tc.content)
-			var sb strings.Builder
-			err := runEvents(&sb, []string{path})
-			if err == nil {
-				t.Fatalf("runEvents accepted %s file", tc.name)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("error %q misses %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// Sim-track timestamps restart per run; only wall-clock tracks are held
-// to monotone order.
-func TestRunEventsAllowsSimTimestampRestart(t *testing.T) {
-	path := writeFile(t, "e.jsonl", strings.Join([]string{
-		`{"name":"block","cat":"sim","ph":"X","ts":100,"dur":4,"pid":2,"tid":0}`,
-		`{"name":"block","cat":"sim","ph":"X","ts":0,"dur":4,"pid":2,"tid":0}`,
-		``,
-	}, "\n"))
-	var sb strings.Builder
-	if err := runEvents(&sb, []string{path}); err != nil {
-		t.Fatalf("sim cycle restart rejected: %v", err)
-	}
-}
-
 func TestValidatePrometheus(t *testing.T) {
 	good := []byte(strings.Join([]string{
 		"# TYPE core_map_calls counter",

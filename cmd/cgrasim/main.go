@@ -10,6 +10,7 @@
 // Usage:
 //
 //	cgrasim -kernel FFT -config HET1 -flow cab [-cpu] [-seeds 8] [-parallel 4] [-batch 64]
+//	cgrasim -kernel DCFilter -flow basic -backend exact|race [-exact-budget N]
 //
 // With -batch B > 1 the winner is additionally executed through the
 // batched struct-of-arrays engine with B identical input lanes; every
@@ -23,23 +24,18 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"reflect"
-	"strings"
 	"time"
 
-	"repro/internal/arch"
 	"repro/internal/asm"
 	"repro/internal/cdfg"
-	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/kernels"
-	"repro/internal/mapcache"
+	"repro/internal/mapcli"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -50,21 +46,13 @@ import (
 
 // cliOptions collects the flag values so tests can drive run directly.
 type cliOptions struct {
-	kernel   string
-	config   string
-	flow     string
-	backend  string
-	withCPU  bool
-	verify   bool
-	seed     int64
-	seeds    int
-	parallel int
+	mapcli.Flags
+	withCPU bool
+	verify  bool
 	// batch > 1 re-runs the kernel through the batched engine with that
 	// many identical input lanes after the verified run, cross-checks every
 	// lane against it, and reports per-input throughput.
-	batch    int
-	cache    bool
-	cachedir string
+	batch int
 	// rec threads the -metrics/-events recorder into the mapper and the
 	// simulator; nil (the zero value the tests use) disables it.
 	rec *obs.Recorder
@@ -72,19 +60,10 @@ type cliOptions struct {
 
 func main() {
 	var o cliOptions
-	flag.StringVar(&o.kernel, "kernel", "FIR", "kernel name: "+strings.Join(kernels.Names(), ", "))
-	flag.StringVar(&o.config, "config", "HOM64", "CGRA configuration: HOM64, HOM32, HET1, HET2")
-	flag.StringVar(&o.flow, "flow", "cab", "mapping flow: basic, acmap, ecmap, cab")
-	flag.StringVar(&o.backend, "backend", "heuristic",
-		"mapping backend: "+strings.Join(core.BackendNames(), ", ")+", or race (all backends compete, best mapping wins)")
+	o.Register(flag.CommandLine)
 	flag.BoolVar(&o.withCPU, "cpu", false, "also run the or1k CPU baseline")
 	flag.BoolVar(&o.verify, "verify", false, "statically verify mapping and bitstream before simulating")
-	flag.Int64Var(&o.seed, "seed", 1, "stochastic pruning seed (first seed of a portfolio)")
-	flag.IntVar(&o.seeds, "seeds", 1, "portfolio width: seeds mapped concurrently, best mapping wins")
-	flag.IntVar(&o.parallel, "parallel", 0, "portfolio worker pool size (0 = one per CPU)")
 	flag.IntVar(&o.batch, "batch", 1, "also run N identical input lanes through the batched engine and report per-input throughput")
-	flag.BoolVar(&o.cache, "cache", false, "reuse compiled mappings through the content-addressed mapping cache")
-	flag.StringVar(&o.cachedir, "cachedir", "", "on-disk mapping-cache directory (implies -cache; entries are re-verified before use)")
 	metrics := flag.String("metrics", "", "write instrumentation counters as JSONL to this file")
 	events := flag.String("events", "", "write a Chrome trace_event timeline to this file")
 	serve := flag.String("serve", "", "serve live telemetry (/metrics, /healthz, /events, /debug/pprof) on this address for the duration of the run (host:port; :0 picks a port, announced on stderr)")
@@ -131,112 +110,33 @@ func main() {
 	}
 }
 
-// parseBackends resolves the -backend flag: a registered backend name
-// maps alone, "race" enters every registered backend into the portfolio.
-func parseBackends(s string) ([]core.Backend, error) {
-	switch strings.ToLower(s) {
-	case "":
-		return []core.Backend{core.DefaultBackend()}, nil
-	case "race":
-		return core.Backends(), nil
-	}
-	b, err := core.BackendByName(strings.ToLower(s))
-	if err != nil {
-		return nil, err
-	}
-	return []core.Backend{b}, nil
-}
-
 func run(w io.Writer, o cliOptions) error {
-	k, err := kernels.ByName(o.kernel)
+	job, err := o.Resolve(o.rec)
 	if err != nil {
 		return err
 	}
-	var flow core.Flow
-	switch strings.ToLower(o.flow) {
-	case "basic":
-		flow = core.FlowBasic
-	case "acmap":
-		flow = core.FlowACMAP
-	case "ecmap":
-		flow = core.FlowECMAP
-	case "cab", "full", "aware":
-		flow = core.FlowCAB
-	default:
-		return fmt.Errorf("unknown flow %q", o.flow)
-	}
-	grid, err := arch.NewGrid(arch.ConfigName(strings.ToUpper(o.config)))
+	k, g, grid, flow := job.Kernel, job.Graph, job.Grid, job.Opt.Flow
+	c, err := job.Compile()
 	if err != nil {
 		return err
 	}
-	g := k.Build()
-	backends, err := parseBackends(o.backend)
-	if err != nil {
-		return err
+	if c.Portfolio != nil {
+		fmt.Fprint(w, c.Portfolio.RenderReports())
 	}
-	opt := core.DefaultOptions(flow)
-	opt.Seed = o.seed
-	opt.Obs = o.rec
-	runPortfolio := o.seeds > 1 || len(backends) > 1
-	var m *core.Mapping // captured so a cache miss still verifies at mapping level
-	compute := func() (mapcache.Computed, error) {
-		if runPortfolio {
-			res, err := core.MapPortfolio(context.Background(), g, grid, opt, core.PortfolioOptions{
-				NumSeeds:  o.seeds,
-				Workers:   o.parallel,
-				Backends:  backends,
-				Objective: power.PortfolioObjective(power.Default()),
-				// The objective's Primary is TotalWords, so incumbent-sharing
-				// pruning is winner-invariant here.
-				PrimaryIsWords: true,
-			})
-			if err != nil {
-				return mapcache.Computed{}, err
-			}
-			fmt.Fprint(w, res.RenderReports())
-			m = res.Mapping
-			return mapcache.Computed{Mapping: res.Mapping, Seed: res.Seed, Backend: res.Backend}, nil
-		}
-		sm, err := backends[0].Map(context.Background(), g, grid, opt)
-		if err != nil {
-			return mapcache.Computed{}, err
-		}
-		m = sm
-		return mapcache.Computed{Mapping: sm, Seed: opt.Seed, Backend: backends[0].Name()}, nil
-	}
-
+	m := c.Mapping // nil on a cache hit
 	var prog *asm.Program
-	compileTime := func() time.Duration { return m.Stats.CompileTime }
-	if o.cache || o.cachedir != "" {
-		backendNames := make([]string, len(backends))
-		for i, b := range backends {
-			backendNames[i] = b.Name()
-		}
-		req := mapcache.Request{Graph: g, Grid: grid, Opt: opt, Backends: backendNames}
-		if runPortfolio {
-			req.Seeds = (&core.PortfolioOptions{NumSeeds: o.seeds}).SeedList(o.seed)
-			req.Objective = "words+energy"
-		}
-		cres, err := mapcache.New(mapcache.Config{Dir: o.cachedir, Obs: o.rec}).GetOrStore(req, compute)
-		if err != nil {
-			return err
-		}
+	var compileTime time.Duration
+	if cres := c.Cache; cres != nil {
 		fmt.Fprintf(w, "cache: %s\n", cres.Source)
-		prog = cres.Program
-		meta := cres.Meta
-		compileTime = func() time.Duration { return meta.Stats.CompileTime }
+		prog, compileTime = cres.Program, cres.Meta.Stats.CompileTime
 	} else {
-		comp, err := compute()
-		if err != nil {
-			return err
-		}
-		m = comp.Mapping
 		if ok, t := m.FitsMemory(); !ok {
 			return fmt.Errorf("mapping overflows tile %d's context memory on %s", t+1, grid.Name)
 		}
 		if prog, err = asm.Assemble(m); err != nil {
 			return err
 		}
+		compileTime = m.Stats.CompileTime
 	}
 	if o.verify {
 		// On a cache hit m is nil and the mapping-level passes skip; the
@@ -265,9 +165,9 @@ func run(w io.Writer, o cliOptions) error {
 	}
 	params := power.Default()
 	e := params.CGRAEnergy(grid, res)
-	fmt.Fprintf(w, "%s on %s (%s): verified OK\n", o.kernel, grid.Name, flow)
+	fmt.Fprintf(w, "%s on %s (%s): verified OK\n", o.Kernel, grid.Name, flow)
 	fmt.Fprintf(w, "cycles %d (stalls %d), context words %d (config), compile %s\n",
-		res.Cycles, res.StallCycles, res.ConfigWords, compileTime().Round(1_000_000))
+		res.Cycles, res.StallCycles, res.ConfigWords, compileTime.Round(1_000_000))
 	fmt.Fprintf(w, "energy %.4f µJ (config %.4f, fetch %.4f, compute %.4f, memory %.4f, leak %.4f)\n",
 		e.Total(), e.Config, e.Fetch, e.Compute, e.Memory, e.Leak)
 	if o.batch > 1 {

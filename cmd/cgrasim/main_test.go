@@ -8,13 +8,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mapcli"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 func TestRunFIRSmoke(t *testing.T) {
 	var sb strings.Builder
-	o := cliOptions{kernel: "FIR", config: "HOM32", flow: "cab", seed: 1, seeds: 1}
+	o := cliOptions{Flags: mapcli.Flags{Kernel: "FIR", Config: "HOM32", Flow: "cab", Seed: 1, Seeds: 1}}
 	if err := run(&sb, o); err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestRunFIRSmoke(t *testing.T) {
 // verified result, and the throughput line lands in the output.
 func TestRunBatchSmoke(t *testing.T) {
 	var sb strings.Builder
-	o := cliOptions{kernel: "FIR", config: "HOM32", flow: "cab", seed: 1, seeds: 1, batch: 4}
+	o := cliOptions{Flags: mapcli.Flags{Kernel: "FIR", Config: "HOM32", Flow: "cab", Seed: 1, Seeds: 1}, batch: 4}
 	if err := run(&sb, o); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestRunBatchSmoke(t *testing.T) {
 
 func TestRunPortfolioWithCPUBaseline(t *testing.T) {
 	var sb strings.Builder
-	o := cliOptions{kernel: "FIR", config: "HOM32", flow: "cab", seed: 1, seeds: 3, parallel: 2, withCPU: true}
+	o := cliOptions{Flags: mapcli.Flags{Kernel: "FIR", Config: "HOM32", Flow: "cab", Seed: 1, Seeds: 3, Parallel: 2}, withCPU: true}
 	if err := run(&sb, o); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestRunPortfolioWithCPUBaseline(t *testing.T) {
 
 func TestRunVerifySmoke(t *testing.T) {
 	var sb strings.Builder
-	o := cliOptions{kernel: "FIR", config: "HOM32", flow: "cab", seed: 1, seeds: 1, verify: true}
+	o := cliOptions{Flags: mapcli.Flags{Kernel: "FIR", Config: "HOM32", Flow: "cab", Seed: 1, Seeds: 1}, verify: true}
 	if err := run(&sb, o); err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +107,9 @@ func TestDivergenceReportGolden(t *testing.T) {
 func TestRunRejectsBadInputs(t *testing.T) {
 	var sb strings.Builder
 	for _, o := range []cliOptions{
-		{kernel: "nope", config: "HOM64", flow: "cab"},
-		{kernel: "FIR", config: "HOM65", flow: "cab"},
-		{kernel: "FIR", config: "HOM64", flow: "quantum"},
+		{Flags: mapcli.Flags{Kernel: "nope", Config: "HOM64", Flow: "cab"}},
+		{Flags: mapcli.Flags{Kernel: "FIR", Config: "HOM65", Flow: "cab"}},
+		{Flags: mapcli.Flags{Kernel: "FIR", Config: "HOM64", Flow: "quantum"}},
 	} {
 		if err := run(&sb, o); err == nil {
 			t.Errorf("%+v should fail", o)
@@ -144,7 +145,7 @@ func TestMetricsEventsArtifacts(t *testing.T) {
 	metrics := filepath.Join(dir, "m.json")
 	events := filepath.Join(dir, "e.trace")
 	fr := obs.FileOutputs(metrics, events)
-	o := cliOptions{kernel: "FIR", config: "HOM32", flow: "cab", seed: 1, seeds: 1, rec: fr.Recorder}
+	o := cliOptions{Flags: mapcli.Flags{Kernel: "FIR", Config: "HOM32", Flow: "cab", Seed: 1, Seeds: 1}, rec: fr.Recorder}
 	var sb strings.Builder
 	if err := run(&sb, o); err != nil {
 		t.Fatalf("run: %v", err)

@@ -122,30 +122,72 @@ func TestSelfVsTotalAttribution(t *testing.T) {
 }
 
 // TestMalformedTraceRejected: structural violations must fail the load,
-// not skew the report.
+// not skew the report, with an error that names the violation.
 func TestMalformedTraceRejected(t *testing.T) {
-	cases := map[string]string{
-		"unmatched begin": `{"name":"a","ph":"B","ts":0,"pid":1,"tid":0,"id":1}` + "\n",
-		"unmatched end":   `{"name":"a","ph":"E","ts":5,"dur":5,"pid":1,"tid":0,"id":1}` + "\n",
-		"negative duration": `{"name":"a","ph":"B","ts":0,"pid":1,"tid":0,"id":1}` + "\n" +
-			`{"name":"a","ph":"E","ts":5,"dur":-5,"pid":1,"tid":0,"id":1}` + "\n",
-		"backwards timestamps": `{"name":"a","ph":"i","ts":10,"pid":1,"tid":0}` + "\n" +
-			`{"name":"b","ph":"i","ts":5,"pid":1,"tid":0}` + "\n",
-		"mismatched ids": `{"name":"a","ph":"B","ts":0,"pid":1,"tid":0,"id":1}` + "\n" +
-			`{"name":"a","ph":"E","ts":5,"dur":5,"pid":1,"tid":0,"id":9}` + "\n",
+	cases := map[string]struct{ content, wantErr string }{
+		"unmatched begin": {`{"name":"a","ph":"B","ts":0,"pid":1,"tid":0,"id":1}` + "\n", "no matching end"},
+		"unmatched end":   {`{"name":"a","ph":"E","ts":5,"dur":5,"pid":1,"tid":0,"id":1}` + "\n", "without a begin"},
+		"negative duration": {`{"name":"a","ph":"B","ts":0,"pid":1,"tid":0,"id":1}` + "\n" +
+			`{"name":"a","ph":"E","ts":5,"dur":-5,"pid":1,"tid":0,"id":1}` + "\n", "negative duration"},
+		"negative complete duration": {`{"name":"x","ph":"X","ts":0,"dur":-1,"pid":1,"tid":0}` + "\n", "negative duration"},
+		"backwards timestamps": {`{"name":"a","ph":"i","ts":10,"pid":1,"tid":0}` + "\n" +
+			`{"name":"b","ph":"i","ts":5,"pid":1,"tid":0}` + "\n", "goes backwards"},
+		"mismatched ids": {`{"name":"a","ph":"B","ts":0,"pid":1,"tid":0,"id":1}` + "\n" +
+			`{"name":"a","ph":"E","ts":5,"dur":5,"pid":1,"tid":0,"id":9}` + "\n", "does not match open span"},
+		"not an event": {`{"name":"a","kind":"counter","value":1}` + "\n", "unknown field"},
 	}
 	dir := t.TempDir()
-	for name, content := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".jsonl")
-			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := loadForest(path); err == nil {
+			_, err := loadForest(path)
+			if err == nil {
 				t.Fatalf("malformed trace (%s) loaded without error", name)
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("error %q misses %q", err, tc.wantErr)
 			}
 		})
 	}
+}
+
+// TestLoadForestValidTrace: a paired begin/end span and a complete sim
+// span load as two roots.
+func TestLoadForestValidTrace(t *testing.T) {
+	roots, err := loadForest(writeTrace(t,
+		`{"name":"core.map","ph":"B","ts":0,"pid":1,"tid":0,"id":1}`,
+		`{"name":"core.map","ph":"E","ts":10,"dur":10,"pid":1,"tid":0,"id":1}`,
+		`{"name":"block","cat":"sim","ph":"X","ts":0,"dur":4,"pid":2,"tid":0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(roots) != 2 {
+		t.Fatalf("got %d root spans, want 2", len(roots))
+	}
+}
+
+// TestLoadForestAllowsSimTimestampRestart: sim-track timestamps restart
+// per run; only wall-clock tracks are held to monotone order.
+func TestLoadForestAllowsSimTimestampRestart(t *testing.T) {
+	_, err := loadForest(writeTrace(t,
+		`{"name":"block","cat":"sim","ph":"X","ts":100,"dur":4,"pid":2,"tid":0}`,
+		`{"name":"block","cat":"sim","ph":"X","ts":0,"dur":4,"pid":2,"tid":0}`))
+	if err != nil {
+		t.Fatalf("sim cycle restart rejected: %v", err)
+	}
+}
+
+// writeTrace writes one JSONL event per line to a temporary file.
+func writeTrace(t *testing.T, lines ...string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestEndToEndRecorderTrace drives the real pipeline: record an actual

@@ -15,9 +15,8 @@ import (
 	"repro/internal/verify"
 )
 
-// conformanceBudget keeps the exact backend's search cheap and — being
-// explicit — independent of any CGRA_EXACT_NODE_BUDGET in the
-// environment, so determinism checks compare like with like.
+// conformanceBudget keeps the exact backend's search cheap, so the
+// determinism checks stay fast.
 const conformanceBudget = 2000
 
 func conformanceOptions(flow core.Flow) core.Options {

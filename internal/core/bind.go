@@ -305,13 +305,6 @@ func (cx *bbCtx) planCandidate(p *partial, n cdfg.NodeID, t arch.TileID, cc int,
 	if nd.Op.HasResult() && cx.wantsWriteback(n) && !cx.regAvailableAt(p, o, t, cc) {
 		cand.cost += 3.0
 	}
-	// Energy-aware placement: each instruction on a tile costs one
-	// context fetch per execution, quadratic in the tile's CM depth.
-	if cx.opt.EnergyAware {
-		for _, tt := range cx.affectedTiles(cand, t) {
-			cand.cost += cx.energyCost(tt)
-		}
-	}
 	cand.cost += cx.loadCost(p, t)
 	// Constraint-aware binding steers away from tiles whose context
 	// memory is filling up, before the hard pruning filters have to
@@ -339,12 +332,6 @@ func (cx *bbCtx) pinCost(t arch.TileID) float64 {
 		c += 1.5 * (1 - float64(b)/48)
 	}
 	return c
-}
-
-// energyCost is the energy-aware placement cost of one instruction on t.
-func (cx *bbCtx) energyCost(t arch.TileID) float64 {
-	cm := float64(cx.grid.Tile(t).CMWords)
-	return cx.opt.EnergyWeight * cm * cm / 4096
 }
 
 // loadCost is the mild load-balance pressure of tile t: hot tiles should
@@ -549,7 +536,7 @@ func (cx *bbCtx) applyPlan(p *partial, ap *argPlan, st *Stats) isa.Src {
 		p.noteRead(cx.grid.RRFSize, rd.Tile, reg, rd.Cycle)
 	}
 	for _, c := range pl.Consts {
-		if !p.internConst(c.Tile, c.Val, cx.opt.MaxCRF) {
+		if !p.internConst(c.Tile, c.Val, isa.MaxCRF) {
 			panic("core: const plan accepted without CRF capacity")
 		}
 	}

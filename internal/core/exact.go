@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/arch"
@@ -13,11 +11,10 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultExactNodeBudget bounds the exact backend's search when neither
-// Options.ExactNodeBudget nor the CGRA_EXACT_NODE_BUDGET environment knob
-// (used by the CI smoke) sets one. The unit is realized partial mappings
-// — the same work unit Stats.Partials counts for the heuristic — so equal
-// budgets mean comparable wall time across backends.
+// DefaultExactNodeBudget bounds the exact backend's search when
+// Options.ExactNodeBudget does not set one. The unit is realized partial
+// mappings — the same work unit Stats.Partials counts for the heuristic —
+// so equal budgets mean comparable wall time across backends.
 const DefaultExactNodeBudget = 200_000
 
 const intMax = int(^uint(0) >> 1)
@@ -48,16 +45,11 @@ func (ExactBackend) Capabilities() Capabilities {
 	return Capabilities{Exhaustive: true, SeedSensitive: true, Anytime: true}
 }
 
-// resolveExactBudget picks the node budget: explicit option, then the
-// CGRA_EXACT_NODE_BUDGET environment knob, then the default.
+// resolveExactBudget picks the node budget: the explicit option, else the
+// default.
 func resolveExactBudget(opt *Options) int {
 	if opt.ExactNodeBudget > 0 {
 		return opt.ExactNodeBudget
-	}
-	if env := os.Getenv("CGRA_EXACT_NODE_BUDGET"); env != "" {
-		if v, err := strconv.Atoi(env); err == nil && v > 0 {
-			return v
-		}
 	}
 	return DefaultExactNodeBudget
 }

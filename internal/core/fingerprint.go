@@ -8,26 +8,16 @@ import (
 // Fingerprint returns a deterministic rendering of every Options field that
 // can influence the mapping result, after the same normalization Map
 // applies (sanitize), so two option sets that the mapper cannot tell apart
-// fingerprint identically. Instrumentation (Obs) and the unexported
+// fingerprint identically. Instrumentation (Obs, ObsTID) and the unexported
 // execution plumbing (ctx, arena, incumbent) are excluded: they never
-// change the mapping bytes. ExactNodeBudget is resolved through the
-// CGRA_EXACT_NODE_BUDGET environment knob exactly as the exact backend
-// resolves it, so an env change cannot alias two different searches under
-// one key. ObsTID is excluded with Obs: it only labels trace tracks.
-//
-// Profile is the one field a flat fingerprint cannot key soundly: its
-// block weights are keyed by BBID, which an isomorphism-invariant graph
-// hash deliberately forgets. The fingerprint only records its presence;
-// internal/mapcache refuses to cache profiled runs outright.
+// change the mapping bytes. ExactNodeBudget is resolved exactly as the
+// exact backend resolves it, so 0 and DefaultExactNodeBudget share a key.
 func (o Options) Fingerprint() string {
 	o.sanitize()
 	var b strings.Builder
-	fmt.Fprintf(&b, "flow=%d;trav=%d;forcetrav=%t;beam=%d;det=%g;seed=%d;cand=%d",
-		o.Flow, o.Traversal, o.ForceTraversal, o.BeamWidth, o.DetFraction, o.Seed, o.CandidateCap)
-	fmt.Fprintf(&b, ";slack=%d;maxslack=%d;hold=%d;recompute=%t",
-		o.SlackWindow, o.MaxSlack, o.MaxHold, o.Recompute)
-	fmt.Fprintf(&b, ";energy=%t;eweight=%g;maxcrf=%d;exactbudget=%d",
-		o.EnergyAware, o.EnergyWeight, o.MaxCRF, resolveExactBudget(&o))
-	fmt.Fprintf(&b, ";profiled=%t", o.Profile != nil)
+	fmt.Fprintf(&b, "flow=%d;trav=%d;beam=%d;det=%g;seed=%d;cand=%d",
+		o.Flow, o.Traversal, o.BeamWidth, o.DetFraction, o.Seed, o.CandidateCap)
+	fmt.Fprintf(&b, ";slack=%d;maxslack=%d;hold=%d;recompute=%t;exactbudget=%d",
+		o.SlackWindow, o.MaxSlack, o.MaxHold, o.Recompute, resolveExactBudget(&o))
 	return b.String()
 }

@@ -226,7 +226,6 @@ func TestMapExtremeOptions(t *testing.T) {
 		{"no-recompute", func(o *Options) { o.Recompute = false }},
 		{"tiny-window", func(o *Options) { o.SlackWindow = 1; o.MaxSlack = 2 }},
 		{"tiny-candidates", func(o *Options) { o.CandidateCap = 2 }},
-		{"energy-aware", func(o *Options) { o.EnergyAware = true }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

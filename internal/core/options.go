@@ -58,13 +58,10 @@ type Options struct {
 	// Flow selects the mapping-flow variant.
 	Flow Flow
 
-	// Traversal overrides the CDFG traversal order. By default FlowBasic
-	// uses forward traversal and the memory-aware flows use weighted
-	// traversal, matching the paper; tests and the Fig 5 experiment set it
-	// explicitly.
+	// Traversal is the CDFG traversal order. DefaultOptions picks the
+	// paper's: forward for FlowBasic, weighted for the memory-aware flows;
+	// tests and the Fig 5 experiment set it explicitly.
 	Traversal cdfg.TraversalKind
-	// ForceTraversal makes Traversal take effect even for FlowBasic.
-	ForceTraversal bool
 
 	// BeamWidth bounds the number of partial mappings kept after the
 	// stochastic pruning step.
@@ -97,27 +94,9 @@ type Options struct {
 	// routing fails.
 	Recompute bool
 
-	// EnergyAware adds a placement cost proportional to the consuming
-	// tile's context-memory size, steering work toward tiles whose
-	// context fetches are cheap (an extension beyond the paper: the
-	// heterogeneous configurations make per-tile fetch energy differ by
-	// up to ~10×). Off by default; the evaluation uses the paper's flow.
-	EnergyAware bool
-	// EnergyWeight scales the energy-aware cost (default 0.4).
-	EnergyWeight float64
-
-	// Profile optionally weights basic blocks by dynamic execution counts
-	// when choosing among complete mappings (from cdfg.Trace.PerBlock).
-	Profile map[cdfg.BBID]int
-
-	// MaxCRF bounds the distinct constants a tile may reference (the
-	// constant register file size).
-	MaxCRF int
-
 	// ExactNodeBudget bounds the exact backend's branch-and-bound search,
 	// in realized partial mappings (the unit Stats.Partials counts). Zero
-	// falls back to the CGRA_EXACT_NODE_BUDGET environment knob, then to
-	// DefaultExactNodeBudget. The heuristic backend ignores it.
+	// means DefaultExactNodeBudget. The heuristic backend ignores it.
 	ExactNodeBudget int
 
 	// Obs, when non-nil, receives the mapper's instrumentation: registry
@@ -131,8 +110,8 @@ type Options struct {
 	// on. Concurrent Map calls sharing one recorder — portfolio seeds, the
 	// experiment runner's prefetch workers, oracle sweep workers — must use
 	// distinct tids so per-track timestamps stay monotone and span nesting
-	// reconstructs per worker (cgratrace, cgrametrics -events). Purely
-	// observational: excluded from Fingerprint, never influences the search.
+	// reconstructs per worker (cgratrace). Purely observational: excluded
+	// from Fingerprint, never influences the search.
 	ObsTID int
 
 	// ctx, when set (by MapPortfolio), lets Map abort between basic
@@ -188,7 +167,6 @@ func DefaultOptions(flow Flow) Options {
 		MaxSlack:     24,
 		MaxHold:      3,
 		Recompute:    true,
-		MaxCRF:       32,
 	}
 }
 
@@ -210,14 +188,5 @@ func (o *Options) sanitize() {
 	}
 	if o.MaxHold < 1 {
 		o.MaxHold = 1
-	}
-	if o.MaxCRF <= 0 {
-		o.MaxCRF = 32
-	}
-	if o.EnergyAware && o.EnergyWeight <= 0 {
-		o.EnergyWeight = 0.4
-	}
-	if !o.ForceTraversal && !o.Flow.memoryAware() {
-		o.Traversal = cdfg.TraverseForward
 	}
 }

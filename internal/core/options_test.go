@@ -54,19 +54,14 @@ func TestSanitize(t *testing.T) {
 	if o.DetFraction != 0.5 {
 		t.Errorf("DetFraction = %v", o.DetFraction)
 	}
-	if o.MaxHold < 1 || o.MaxSlack < o.SlackWindow || o.MaxCRF <= 0 {
+	if o.MaxHold < 1 || o.MaxSlack < o.SlackWindow {
 		t.Error("sanitize bounds")
 	}
-	// A forced traversal on the basic flow is respected; an unforced one
-	// is reset to forward.
+	// An explicit traversal is respected on every flow, the basic one
+	// included (the Fig 5 experiment and ModeWeighted rely on it).
 	o = Options{Flow: FlowBasic, Traversal: cdfg.TraverseWeighted}
 	o.sanitize()
-	if o.Traversal != cdfg.TraverseForward {
-		t.Error("unforced basic traversal should reset to forward")
-	}
-	o = Options{Flow: FlowBasic, Traversal: cdfg.TraverseWeighted, ForceTraversal: true}
-	o.sanitize()
 	if o.Traversal != cdfg.TraverseWeighted {
-		t.Error("forced traversal should stick")
+		t.Error("explicit basic traversal should stick")
 	}
 }

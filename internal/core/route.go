@@ -277,7 +277,7 @@ func (cx *bbCtx) constOK(p *partial, o *overlay, t arch.TileID, v int32) (ok, is
 			n++
 		}
 	}
-	return n < cx.opt.MaxCRF, true
+	return n < isa.MaxCRF, true
 }
 
 // retroClaimed reports whether a sibling plan of this candidate already

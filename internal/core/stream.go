@@ -45,12 +45,11 @@ type slotEntry struct {
 // d before l.Cycle+max(1, d). args lower-bounds the operands' summed plan
 // costs: (d-1)·costMove per routed operand (costRecompute if cheaper and
 // allowed), the exact pin cost per unpinned symbol, nothing per
-// constant. energy, load and soft are planCandidate's exact op-tile
-// terms.
+// constant. load and soft are planCandidate's exact op-tile terms.
 type tileBound struct {
-	arrive             int
-	args               float64
-	energy, load, soft float64
+	arrive     int
+	args       float64
+	load, soft float64
 }
 
 // reset starts a stream for binding node n.
@@ -112,7 +111,6 @@ func (s *candStream) enumerate(p *partial, lo, hi int, tail bool) {
 			if grow := cc + 1 - p.maxCycle; grow > 0 {
 				key += costCycle * float64(grow)
 			}
-			key += b.energy
 			key += b.load
 			key += b.soft
 			s.heap = append(s.heap, slotEntry{key: p.cost + key, seq: s.seq, cand: -1, tile: tid, cycle: cc, parent: p})
@@ -129,9 +127,6 @@ func (s *candStream) bound(p *partial) {
 	for t := 0; t < cx.grid.NumTiles(); t++ {
 		tid := arch.TileID(t)
 		b := tileBound{load: cx.loadCost(p, tid), soft: cx.softCost(p, tid)}
-		if cx.opt.EnergyAware {
-			b.energy = cx.energyCost(tid)
-		}
 		for _, a := range cx.block.Nodes[s.n].Args {
 			av := cx.block.Nodes[a]
 			switch {

@@ -46,10 +46,10 @@ type GapTable struct {
 }
 
 // RunGapTable maps every suite kernel under all four flows on the given
-// configuration with the exact backend at the given node budget (0 defers
-// to CGRA_EXACT_NODE_BUDGET, then the default) and tabulates the
-// heuristic-vs-exact context-word gap. Cells fan out on the runner's
-// worker pool; the table is deterministic at any parallelism.
+// configuration with the exact backend at the given node budget (0 means
+// core.DefaultExactNodeBudget) and tabulates the heuristic-vs-exact
+// context-word gap. Cells fan out on the runner's worker pool; the table
+// is deterministic at any parallelism.
 func (r *Runner) RunGapTable(config arch.ConfigName, budget int) (*GapTable, error) {
 	flows := []core.Flow{core.FlowBasic, core.FlowACMAP, core.FlowECMAP, core.FlowCAB}
 	names := kernels.Names()

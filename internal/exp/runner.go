@@ -69,7 +69,6 @@ type cellKey struct {
 	flow   core.Flow
 	config arch.ConfigName
 	trav   cdfg.TraversalKind
-	forced bool
 }
 
 // Runner evaluates and caches cells. It is safe for concurrent use: a
@@ -202,9 +201,8 @@ func (r *Runner) run(tid int, kernel string, flow core.Flow, config arch.ConfigN
 	opt.ObsTID = tid
 	if len(trav) > 0 {
 		opt.Traversal = trav[0]
-		opt.ForceTraversal = true
 	}
-	key := cellKey{kernel, flow, config, opt.Traversal, opt.ForceTraversal}
+	key := cellKey{kernel, flow, config, opt.Traversal}
 	return r.cells.get(key, func() *Cell {
 		// The exp.cell span carries the cell's identity, so offline analysis
 		// (cgratrace) can group every mapper and simulator span nested under

@@ -11,15 +11,11 @@ import (
 // re-runnable by seed) and must not branch on the wall clock. The
 // global math/rand functions and bare time.Now reads are flagged;
 // rand.New(rand.NewSource(seed)) and time.Now used purely for
-// time.Since durations (the CompileTime stat) are fine. Inside
-// internal/sim and internal/mapcache, os.Getenv is additionally
-// flagged — cycle counts must be a function of the bitstream and the
-// memory image, and cache keys must be a function of the request
-// content, never of the process environment. internal/core keeps its
-// environment exemption: the exact backend reads its node-budget
-// escape hatch from the environment on purpose (and the cache key
-// folds that knob in through Options.Fingerprint, where it is
-// resolved explicitly rather than read ambiently).
+// time.Since durations (the CompileTime stat) are fine. Environment
+// reads (the os package's Getenv and LookupEnv) are flagged too —
+// mappings must be a function of the graph, grid and core.Options, cycle
+// counts of the bitstream and the memory image, and cache keys of the
+// request content, never of the process environment.
 //
 // internal/telemetry is held to the same bar: the server sits on the
 // recorder's hot path (RingSink.Emit runs inside mapper workers), so
@@ -48,15 +44,12 @@ var seededRandCtors = map[string]bool{
 
 func checkDetrand(p *Package) []Finding {
 	where := "mapper"
-	inSim := strings.HasSuffix(p.Path, "internal/sim")
-	inCache := strings.HasSuffix(p.Path, "internal/mapcache")
-	inTelemetry := strings.HasSuffix(p.Path, "internal/telemetry")
 	switch {
-	case inSim:
+	case strings.HasSuffix(p.Path, "internal/sim"):
 		where = "simulator"
-	case inCache:
+	case strings.HasSuffix(p.Path, "internal/mapcache"):
 		where = "mapping cache"
-	case inTelemetry:
+	case strings.HasSuffix(p.Path, "internal/telemetry"):
 		where = "telemetry server"
 	}
 	var out []Finding
@@ -95,11 +88,7 @@ func checkDetrand(p *Package) []Finding {
 					})
 				}
 			case "os":
-				// Environment reads are banned in the simulator, the mapping
-				// cache (keys must be pure functions of the request) and the
-				// telemetry server (configuration flows through Config);
-				// core's exact backend deliberately honors an env knob.
-				if (inSim || inCache || inTelemetry) && (sel.Sel.Name == "Getenv" || sel.Sel.Name == "LookupEnv") {
+				if sel.Sel.Name == "Getenv" || sel.Sel.Name == "LookupEnv" {
 					out = append(out, Finding{
 						Pos:  p.Fset.Position(call.Pos()),
 						Rule: "detrand",

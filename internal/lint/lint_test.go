@@ -243,18 +243,23 @@ func Good(seed int64) (int, time.Duration) {
 	}
 }
 
-// TestDetrandCoreEnvExempt pins the asymmetry: os.Getenv stays legal in
-// internal/core (the exact backend's node-budget knob reads it on
-// purpose) even though the same call is flagged in internal/sim.
-func TestDetrandCoreEnvExempt(t *testing.T) {
+// TestDetrandCoreFlagsEnv pins that internal/core has no environment
+// exemption: every mapper setting is a core.Options field, so os.Getenv
+// and os.LookupEnv are flagged there exactly as in internal/sim.
+func TestDetrandCoreFlagsEnv(t *testing.T) {
 	fs := analyzeSrc(t, "repro/internal/core", `package core
 
 import "os"
 
-func Budget() string { return os.Getenv("CGRA_EXACT_NODE_BUDGET") }
+func Budget() string { return os.Getenv("EXACT_NODE_BUDGET") }
+
+func Salt() bool {
+	_, ok := os.LookupEnv("MAPPER_SALT")
+	return ok
+}
 `)
-	if got := rulesOf(fs); got["detrand"] != 0 {
-		t.Errorf("os.Getenv in internal/core must stay exempt:\n%v", fs)
+	if got := rulesOf(fs); got["detrand"] != 2 {
+		t.Errorf("os.Getenv and os.LookupEnv in internal/core must be flagged, got %d:\n%v", got["detrand"], fs)
 	}
 }
 

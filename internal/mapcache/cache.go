@@ -132,7 +132,7 @@ type Result struct {
 	Image   []byte
 	Meta    Meta
 	// Hit is true when the result came from the cache; Source is one of
-	// "compute", "memory", "disk", or "bypass" (uncacheable request).
+	// "compute", "memory" or "disk".
 	Hit    bool
 	Source string
 }
@@ -206,15 +206,9 @@ func (c *Cache) shardOf(sum [sha256.Size]byte) *shard {
 
 // GetOrStore returns the cached result for req, computing and storing it
 // via compute on a miss. Concurrent identical requests are coalesced: one
-// caller computes, the rest wait and share the stored entry. A request
-// with a profiled Opt cannot be keyed soundly; it bypasses both tiers and
-// computes directly.
+// caller computes, the rest wait and share the stored entry.
 func (c *Cache) GetOrStore(req Request, compute func() (Computed, error)) (Result, error) {
 	rec := c.cfg.Obs
-	if req.Opt.Profile != nil {
-		rec.Counter("mapcache.bypass").Inc()
-		return c.computeOnly(compute)
-	}
 	text, sum, err := graphDigest(req.Graph)
 	if err != nil {
 		return Result{}, err
@@ -293,19 +287,6 @@ func (c *Cache) lead(sh *shard, key string, req *Request, text []byte, compute f
 	}
 	rec.Counter("mapcache.miss").Inc()
 	return c.computeAndStore(sh, key, text, compute)
-}
-
-// computeOnly runs compute without touching either tier (bypass path).
-func (c *Cache) computeOnly(compute func() (Computed, error)) (Result, error) {
-	comp, err := compute()
-	if err != nil {
-		return Result{}, err
-	}
-	prog, meta, img, err := finishComputed(&comp)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Program: prog, Image: img, Meta: meta, Source: "bypass"}, nil
 }
 
 func (c *Cache) computeAndStore(sh *shard, key string, text []byte, compute func() (Computed, error)) (Result, error) {

@@ -196,37 +196,6 @@ func TestCacheKeySeparation(t *testing.T) {
 	}
 }
 
-// TestCacheProfiledBypass: a request carrying a runtime profile cannot be
-// keyed soundly and must bypass the cache entirely.
-func TestCacheProfiledBypass(t *testing.T) {
-	grid := arch.MustGrid(arch.HOM32)
-	g := kernelGraph(t, "FIR")
-	rec := obs.NewRecorder(obs.NewRegistry(), nil)
-	c := mapcache.New(mapcache.Config{Obs: rec})
-	opt := core.DefaultOptions(core.FlowCAB)
-	opt.Profile = map[cdfg.BBID]int{0: 1}
-	var calls atomic.Int64
-	req := mapcache.Request{Graph: g, Grid: grid, Opt: opt}
-	for i := 0; i < 2; i++ {
-		res, err := c.GetOrStore(req, mapCompute(t, g, grid, core.Options{}, &calls))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Hit || res.Source != "bypass" {
-			t.Fatalf("call %d: hit=%v source=%q, want bypass", i, res.Hit, res.Source)
-		}
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("compute ran %d times, want 2 (no caching)", calls.Load())
-	}
-	if got := rec.Counter("mapcache.bypass").Value(); got != 2 {
-		t.Fatalf("mapcache.bypass = %d, want 2", got)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("bypass stored %d entries", c.Len())
-	}
-}
-
 // TestCacheLRUEviction: capacity is enforced per shard with the oldest
 // entry evicted first.
 func TestCacheLRUEviction(t *testing.T) {

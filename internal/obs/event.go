@@ -46,10 +46,10 @@ type Event struct {
 	PID int     `json:"pid"`
 	TID int     `json:"tid"`
 	// ID links a span's begin and end events: the recorder stamps every
-	// span with a process-unique id, so offline analyzers (cgratrace,
-	// cgrametrics -events) pair PhaseBegin with PhaseEnd even when spans
-	// from concurrent tracks interleave in the stream. Zero on instant,
-	// complete and metadata events.
+	// span with a process-unique id, so offline analyzers (cgratrace)
+	// pair PhaseBegin with PhaseEnd even when spans from concurrent
+	// tracks interleave in the stream. Zero on instant, complete and
+	// metadata events.
 	ID int64 `json:"id,omitempty"`
 	// Args carries event-specific payload (kept small; values must be
 	// JSON-encodable).

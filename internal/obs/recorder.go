@@ -20,7 +20,7 @@ type Recorder struct {
 	start time.Time
 	// spanID hands every span a process-unique id linking its begin and
 	// end events, so concurrent tracks interleaved in one stream stay
-	// pairable offline (cgratrace, cgrametrics -events).
+	// pairable offline (cgratrace).
 	spanID atomic.Int64
 }
 

@@ -15,8 +15,8 @@ import (
 // testExactBudget bounds the exact backend in every test here: large
 // enough that the search improves on the heuristic now and then, small
 // enough that a sweep of generated graphs stays in CI's time budget, and
-// explicit so the sweep never silently depends on CGRA_EXACT_NODE_BUDGET
-// leaking in from the environment.
+// explicit so the sweep never silently depends on the exact backend's
+// default.
 const testExactBudget = 3000
 
 func TestBackendPairByNames(t *testing.T) {
@@ -41,8 +41,9 @@ func TestBackendPairByNames(t *testing.T) {
 // seeded sweep of generated CDFGs diffing the exact search against the
 // heuristic across all 5 modes × 4 CM configurations finds zero
 // disagreements — no illegal mapping from either backend and no cost
-// inversion. ORACLE_BACKEND_DIFF_N overrides the graph count (CI runs an
-// explicit bounded smoke); short mode and the race detector trim it.
+// inversion. ORACLE_BACKEND_DIFF_N overrides the graph count and
+// ORACLE_BACKEND_DIFF_BUDGET the exact node budget (CI runs an explicit
+// bounded smoke); short mode and the race detector trim the count.
 func TestBackendDiffSweepClean(t *testing.T) {
 	n := 25
 	if testing.Short() {
@@ -51,19 +52,8 @@ func TestBackendDiffSweepClean(t *testing.T) {
 	if raceEnabled {
 		n = 5
 	}
-	if env := os.Getenv("ORACLE_BACKEND_DIFF_N"); env != "" {
-		v, err := strconv.Atoi(env)
-		if err != nil || v < 1 {
-			t.Fatalf("bad ORACLE_BACKEND_DIFF_N %q", env)
-		}
-		n = v
-	}
-	p := &Pipeline{ExactNodeBudget: testExactBudget}
-	if os.Getenv("CGRA_EXACT_NODE_BUDGET") != "" {
-		// The CI smoke bounds the search through the env knob; zero here
-		// defers budget resolution to it.
-		p.ExactNodeBudget = 0
-	}
+	n = positiveEnv(t, "ORACLE_BACKEND_DIFF_N", n)
+	p := &Pipeline{ExactNodeBudget: positiveEnv(t, "ORACLE_BACKEND_DIFF_BUDGET", testExactBudget)}
 	rep := p.BackendSweep(DefaultBackendPair(), SweepOptions{N: n, Seed: 500})
 	t.Log("\n" + rep.String())
 	if rep.Checked != n*len(AllCells()) {
@@ -74,6 +64,21 @@ func TestBackendDiffSweepClean(t *testing.T) {
 			t.Errorf("graph %d (seed %d) %s: %s: %v", f.Index, f.Seed, b.Cell, b.Outcome, b.Err)
 		}
 	}
+}
+
+// positiveEnv reads a positive integer test override from the
+// environment variable name, returning def when it is unset.
+func positiveEnv(t *testing.T, name string, def int) int {
+	t.Helper()
+	env := os.Getenv(name)
+	if env == "" {
+		return def
+	}
+	v, err := strconv.Atoi(env)
+	if err != nil || v < 1 {
+		t.Fatalf("bad %s %q", name, env)
+	}
+	return v
 }
 
 // TestBackendSweepDeterministic pins that the report is a pure function

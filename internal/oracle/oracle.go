@@ -81,7 +81,6 @@ func (m Mode) Options() core.Options {
 	case ModeWeighted:
 		opt := core.DefaultOptions(core.FlowBasic)
 		opt.Traversal = cdfg.TraverseWeighted
-		opt.ForceTraversal = true
 		return opt
 	case ModeACMAP:
 		return core.DefaultOptions(core.FlowACMAP)
@@ -231,8 +230,8 @@ type Pipeline struct {
 	// these corruptions surface dynamically as Diverged.
 	Mutate func(*asm.Program)
 	// ExactNodeBudget bounds the exact backend's search in cross-backend
-	// checks (core.Options.ExactNodeBudget); zero defers to the backend's
-	// own resolution (CGRA_EXACT_NODE_BUDGET, then the default). Sweeps
+	// checks (core.Options.ExactNodeBudget); zero means
+	// core.DefaultExactNodeBudget. Sweeps
 	// set it so wall time scales with the graph count, not the default
 	// search budget.
 	ExactNodeBudget int

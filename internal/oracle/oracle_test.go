@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -75,13 +74,7 @@ func TestSweepClean(t *testing.T) {
 	if raceEnabled {
 		n = 25
 	}
-	if env := os.Getenv("ORACLE_SWEEP_N"); env != "" {
-		v, err := strconv.Atoi(env)
-		if err != nil || v < 1 {
-			t.Fatalf("bad ORACLE_SWEEP_N %q", env)
-		}
-		n = v
-	}
+	n = positiveEnv(t, "ORACLE_SWEEP_N", n)
 	var p Pipeline
 	// ORACLE_METRICS names a JSONL file the sweep's counters are written
 	// to; CI's oracle smoke step uses it to validate the metrics artifact.

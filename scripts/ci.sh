@@ -94,8 +94,8 @@ rm -rf "$cache_dir" "$cold_out" "$warm_out"
 # scrape it over HTTP while it lingers. The scrape must be well-formed
 # Prometheus text with at least one sample (cgrametrics -scrape
 # validates line by line) and /healthz must answer ok. The run's
-# -events artifact then goes through the span-structure gate
-# (cgrametrics -events) and the cgratrace analyzer, so the whole
+# -events artifact then goes through cgratrace, which rejects a
+# malformed span structure on load before it analyzes, so the whole
 # observability pipeline — recorder, ring, server, offline analysis —
 # is exercised against one live process.
 echo "== live telemetry smoke (cgrabench -serve, scrape + trace analysis)"
@@ -134,9 +134,8 @@ grep -c '^core_map' "$tele_dir/scrape.txt" | sed 's/^/  core_map samples: /'
 go run ./cmd/cgrametrics -get "http://$tele_addr/healthz" | sed 's/^/  healthz: /'
 kill "$tele_pid" 2>/dev/null || true
 tele_pid=""
-echo "== telemetry artifacts (cgrametrics -events + cgratrace)"
+echo "== telemetry artifacts (cgrametrics + cgratrace)"
 go run ./cmd/cgrametrics "$tele_dir/metrics.json" > /dev/null
-go run ./cmd/cgrametrics -events "$tele_dir/events.trace" | sed 's/^/  /'
 go run ./cmd/cgratrace "$tele_dir/events.trace" > "$tele_dir/report.txt"
 grep -q 'phase attribution' "$tele_dir/report.txt" || {
     echo "telemetry smoke: cgratrace report misses the attribution table" >&2
@@ -194,7 +193,7 @@ go run ./cmd/cgrametrics "$oracle_metrics"
 diff_n=6
 if [ -n "$short" ]; then diff_n=3; fi
 echo "== cross-backend diff smoke (ORACLE_BACKEND_DIFF_N=$diff_n)"
-ORACLE_BACKEND_DIFF_N=$diff_n CGRA_EXACT_NODE_BUDGET=1500 \
+ORACLE_BACKEND_DIFF_N=$diff_n ORACLE_BACKEND_DIFF_BUDGET=1500 \
     go test -run TestBackendDiffSweepClean ./internal/oracle
 
 echo "== go test $short ./..."
