@@ -10,7 +10,7 @@ import (
 	"repro/internal/kernels"
 )
 
-func assemble(t *testing.T, kernel string, flow core.Flow, cfg arch.ConfigName) *Program {
+func assemble(t testing.TB, kernel string, flow core.Flow, cfg arch.ConfigName) *Program {
 	t.Helper()
 	k, err := kernels.ByName(kernel)
 	if err != nil {

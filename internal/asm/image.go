@@ -118,6 +118,12 @@ func LoadImage(data []byte) (*Image, error) {
 	if tiles > 4096 || blocks > 1<<20 {
 		return nil, fmt.Errorf("asm: implausible image header (%d tiles, %d blocks)", tiles, blocks)
 	}
+	// Each block takes 8 bytes of tables and each tile at least a CRF
+	// length and one word count per block: a header promising more than
+	// the image holds is rejected before anything is sized by it.
+	if need := 8*uint64(blocks) + uint64(tiles)*(4+4*uint64(blocks)); need > uint64(r.Len()) {
+		return nil, fmt.Errorf("asm: image header (%d tiles, %d blocks) needs %d more bytes, %d remain", tiles, blocks, need, r.Len())
+	}
 	img := &Image{
 		BlockLens:   make([]int, blocks),
 		BranchTiles: make([]arch.TileID, blocks),
@@ -193,6 +199,11 @@ func ProgramFromImage(img *Image, g *cdfg.Graph, grid *arch.Grid) (*Program, err
 	}
 	if len(img.BlockLens) != len(g.Blocks) {
 		return nil, fmt.Errorf("asm: image has %d blocks, graph has %d", len(img.BlockLens), len(g.Blocks))
+	}
+	for b, bt := range img.BranchTiles {
+		if bt < -1 || int(bt) >= grid.NumTiles() { // -1: the block has no branch
+			return nil, fmt.Errorf("asm: image block %d branches on tile %d, grid has %d", b, bt, grid.NumTiles())
+		}
 	}
 	p := &Program{
 		Graph:       g,

@@ -1,9 +1,13 @@
 package asm
 
 import (
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/cdfg"
 	"repro/internal/core"
 	"repro/internal/kernels"
 )
@@ -104,4 +108,88 @@ func TestProgramFromImage(t *testing.T) {
 	if _, err := ProgramFromImage(img, other.Build(), grid); err == nil {
 		t.Error("block-count mismatch should fail")
 	}
+}
+
+// TestLoadImageRejectsOversizedHeader pins that a header promising
+// tables larger than the image is rejected before they are allocated:
+// a 16-byte image claiming 4096 tiles and 1M blocks.
+func TestLoadImageRejectsOversizedHeader(t *testing.T) {
+	data := append([]byte(imageMagic), 1, 0, 0, 0, 0, 16, 0, 0, 0, 0, 16, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadImage(data)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "remain") {
+		t.Fatalf("oversized header: err = %v", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<16 {
+		t.Fatalf("rejecting the header allocated %d bytes", n)
+	}
+}
+
+// imageFixture is FuzzLoadImage's reference: a real kernel's image and
+// the graph and grid it was assembled for.
+func imageFixture(t testing.TB) (data []byte, g *cdfg.Graph, grid *arch.Grid) {
+	p := assemble(t, "DCFilter", core.FlowBasic, arch.HOM64)
+	data, err := SaveImage(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, p.Graph, p.Grid
+}
+
+// FuzzLoadImage feeds arbitrary bytes through the mapping cache's disk
+// decode path, LoadImage then ProgramFromImage. Either step may refuse
+// the bytes with an error; neither may panic, and a program they accept
+// must have the graph's and grid's shape and survive a save/load round
+// trip unchanged. The checked-in corpus (testdata/fuzz/FuzzLoadImage)
+// holds the fixture's image, truncations of it, an oversized header
+// and a branch on a tile off the grid.
+func FuzzLoadImage(f *testing.F) {
+	data, g, grid := imageFixture(f)
+	f.Add(data)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		img, err := LoadImage(data)
+		if err != nil {
+			return
+		}
+		p, err := ProgramFromImage(img, g, grid)
+		if err != nil {
+			return
+		}
+		if len(p.Tiles) != grid.NumTiles() || len(p.BlockLens) != len(g.Blocks) || len(p.BranchTiles) != len(g.Blocks) {
+			t.Fatalf("accepted program has %d tiles, %d blocks", len(p.Tiles), len(p.BlockLens))
+		}
+		for b, bt := range p.BranchTiles {
+			if bt < -1 || int(bt) >= grid.NumTiles() {
+				t.Fatalf("accepted block %d branches on tile %d", b, bt)
+			}
+		}
+		for i := range p.Tiles {
+			tc := &p.Tiles[i]
+			words := 0
+			for _, seg := range tc.Segments {
+				words += len(seg.Instrs)
+			}
+			if len(tc.Segments) != len(g.Blocks) || words != len(tc.Binary) {
+				t.Fatalf("tile %d: %d segments of %d words, %d binary words", i+1, len(tc.Segments), words, len(tc.Binary))
+			}
+		}
+		again, err := SaveImage(p)
+		if err != nil {
+			t.Fatalf("accepted program does not save: %v", err)
+		}
+		img2, err := LoadImage(again)
+		if err != nil {
+			t.Fatalf("saved program does not load: %v", err)
+		}
+		for i := range img.Tiles {
+			a, b := img.Tiles[i].Segments, img2.Tiles[i].Segments
+			for s := range a {
+				if !slices.Equal(a[s], b[s]) {
+					t.Fatalf("tile %d block %d changed across a save/load round trip", i+1, s)
+				}
+			}
+		}
+	})
 }

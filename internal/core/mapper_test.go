@@ -225,6 +225,7 @@ func TestMapExtremeOptions(t *testing.T) {
 		{"hold1", func(o *Options) { o.MaxHold = 1 }},
 		{"no-recompute", func(o *Options) { o.Recompute = false }},
 		{"tiny-window", func(o *Options) { o.SlackWindow = 1; o.MaxSlack = 2 }},
+		{"wide-window", func(o *Options) { o.MaxSlack = 100 }},
 		{"tiny-candidates", func(o *Options) { o.CandidateCap = 2 }},
 	}
 	for _, c := range cases {

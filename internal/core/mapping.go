@@ -104,8 +104,9 @@ type Stats struct {
 	// Recomputes counts recompute transformations applied.
 	Recomputes int
 	// Planned counts the (partial, tile, cycle) slots the binder
-	// route-planned; Screened counts the slots it dropped unplanned
-	// because some operand cannot arrive there in time.
+	// route-planned. Screened counts the legal slots (free, on an
+	// allowed tile) the reach screen dropped unplanned because no route
+	// could deliver some operand there at that cycle.
 	Planned  int
 	Screened int
 	// MemoHits and MemoMisses are always zero. They counted lookups of a

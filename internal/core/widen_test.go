@@ -25,14 +25,14 @@ func widenedPasses(opt *Options) [][2]int {
 }
 
 // slotsOf runs the given enumeration passes over p in one fresh stream
-// and returns the slots it holds, in enumeration order.
-func slotsOf(cx *bbCtx, p *partial, n cdfg.NodeID, tail bool, passes ...[2]int) []slotEntry {
+// and returns the slots its runs hold, in enumeration order.
+func slotsOf(cx *bbCtx, p *partial, n cdfg.NodeID, tail bool, passes ...[2]int) []heldSlot {
 	cs := &cx.arena.stream
 	cs.reset(cx, n, &Stats{})
 	for _, r := range passes {
 		cs.enumerate(p, r[0], r[1], tail)
 	}
-	return append([]slotEntry(nil), cs.heap...)
+	return slotsHeld(cs)
 }
 
 // testBlockCtx builds the binder context of one block the way Map does
@@ -66,7 +66,7 @@ func testBlockCtx(g *cdfg.Graph, b *cdfg.BasicBlock, grid *arch.Grid, opt *Optio
 	return cx
 }
 
-func sameSlots(t *testing.T, what string, got, want []slotEntry) {
+func sameSlots(t *testing.T, what string, got, want []heldSlot) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d slots, one full pass gives %d", what, len(got), len(want))
@@ -80,8 +80,8 @@ func sameSlots(t *testing.T, what string, got, want []slotEntry) {
 
 // TestIncrementalWideningMatchesFullScan pins the invariant mapBlock's
 // slack-window widening relies on: splitting a window into passes that
-// each enumerate only new cycles yields exactly the slots, keys and
-// enumeration indices, in the same order, of one pass over the whole
+// each enumerate only new cycles yields exactly the slots and keys, in
+// the same enumeration order, of one pass over the whole
 // window — for the plain passes and for the tail passes past the
 // schedule's end. The partials are the ones a greedy walk reaches while
 // binding every block of every kernel.
