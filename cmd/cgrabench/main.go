@@ -8,7 +8,6 @@
 //	cgrabench -table 2    # Table II
 //	cgrabench -gap 5000   # heuristic-vs-exact optimality gap at that node budget
 //	cgrabench -parallel 4 # bound the evaluation worker pool
-//	cgrabench -batch 16   # simulate cells through the batched engine
 //
 // Cells fan out across a worker pool (default: one worker per CPU); the
 // rendered tables are byte-identical at any parallelism.
@@ -50,7 +49,6 @@ func main() {
 	table := flag.Int("table", 0, "regenerate one table (2); 0 = all")
 	gap := flag.Int("gap", 0, "render the heuristic-vs-exact optimality gap table at this exact node budget instead of the evaluation; 0 = off")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "evaluation worker pool size (1 = serial)")
-	batch := flag.Int("batch", 1, "simulate each cell with this many identical input lanes through the batched engine (1 = scalar verified run)")
 	cache := flag.Bool("cache", false, "reuse compiled mappings through the content-addressed mapping cache")
 	cachedir := flag.String("cachedir", "", "on-disk mapping-cache directory (implies -cache; entries are re-verified before use)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -93,7 +91,6 @@ func main() {
 	defer stopProf()
 	r := exp.NewRunner()
 	r.Workers = *parallel
-	r.Batch = *batch
 	r.Obs = fr.Recorder
 	if *cache || *cachedir != "" {
 		// The whole evaluation is a few hundred distinct cells; a large

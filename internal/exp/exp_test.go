@@ -59,26 +59,6 @@ func TestCellDeadContextStats(t *testing.T) {
 	}
 }
 
-// TestRunnerBatchMatchesScalar pins the Batch knob's contract: the same
-// cell evaluated through the batched engine carries exactly the scalar
-// run's metrics, so every figure and table is batch-width invariant.
-func TestRunnerBatchMatchesScalar(t *testing.T) {
-	scalar := NewRunner().Run("FIR", core.FlowCAB, arch.HOM32)
-	if !scalar.OK {
-		t.Fatalf("FIR cab failed: %s", scalar.Fail)
-	}
-	br := NewRunner()
-	br.Batch = 4
-	batched := br.Run("FIR", core.FlowCAB, arch.HOM32)
-	if !batched.OK {
-		t.Fatalf("FIR cab with Batch=4 failed: %s", batched.Fail)
-	}
-	if batched.Cycles != scalar.Cycles || batched.Stalls != scalar.Stalls ||
-		batched.Energy != scalar.Energy {
-		t.Errorf("batched cell diverges from scalar:\nbatched %+v\nscalar  %+v", batched, scalar)
-	}
-}
-
 func TestRunnerCPU(t *testing.T) {
 	r := NewRunner()
 	cc, err := r.CPU("DCFilter")

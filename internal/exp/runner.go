@@ -7,7 +7,6 @@ package exp
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"sync"
 	"time"
@@ -86,12 +85,6 @@ type Runner struct {
 	// experiment sweep. Cached cells do not re-record: the registry
 	// reflects the work actually executed.
 	Obs *obs.Recorder
-	// Batch, when > 1, simulates each cell through the batched engine
-	// with that many identical input lanes instead of one scalar
-	// verified run. Every lane must reproduce lane 0 exactly; lane 0
-	// feeds the cell's metrics, so the rendered tables are identical at
-	// any batch width.
-	Batch int
 	// Cache, when non-nil, routes every cell's mapping step through the
 	// content-addressed mapping cache: repeated evaluations (and, with a
 	// disk tier, repeated processes) reuse the compiled bitstream instead
@@ -305,7 +298,7 @@ func (r *Runner) evaluate(kernel string, flow core.Flow, config arch.ConfigName,
 		c.Fail = err.Error()
 		return c
 	}
-	res, mem, err := r.simulate(s, k)
+	res, _, mem, err := s.RunVerified(k.Init())
 	if err != nil {
 		c.Fail = err.Error()
 		return c
@@ -319,31 +312,6 @@ func (r *Runner) evaluate(kernel string, flow core.Flow, config arch.ConfigName,
 	c.Stalls = res.StallCycles
 	c.Energy = r.Params.CGRAEnergy(grid, res)
 	return c
-}
-
-// simulate executes the assembled kernel: the interpreter-verified
-// scalar run by default, or — when r.Batch > 1 — one batched engine
-// pass over Batch identical input lanes, verified per lane and
-// cross-checked so every lane reproduces lane 0 bit for bit.
-func (r *Runner) simulate(s *sim.Sim, k kernels.Kernel) (*sim.Result, cdfg.Memory, error) {
-	if r.Batch <= 1 {
-		res, _, mem, err := s.RunVerified(k.Init())
-		return res, mem, err
-	}
-	lanes := make([]cdfg.Memory, r.Batch)
-	for l := range lanes {
-		lanes[l] = k.Init()
-	}
-	results, _, mems, err := s.Engine().RunBatchVerified(lanes)
-	if err != nil {
-		return nil, nil, err
-	}
-	for l := 1; l < len(results); l++ {
-		if !reflect.DeepEqual(results[l], results[0]) || !reflect.DeepEqual(mems[l], mems[0]) {
-			return nil, nil, fmt.Errorf("batch lane %d diverges from lane 0 on identical input", l)
-		}
-	}
-	return results[0], mems[0], nil
 }
 
 // CPU evaluates (and caches) a kernel's baseline execution, verifying the

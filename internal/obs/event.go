@@ -214,7 +214,7 @@ func (s *BufferSink) WriteTrace(w io.Writer) error {
 // form the CLIs' -events flag writes ({"traceEvents": [...]}). Decoding
 // is strict — an unknown field or trailing garbage is an error naming
 // the offending line — so a corrupted or mis-routed artifact cannot pass
-// the cgrametrics events gate silently.
+// cgratrace's load check silently.
 func ReadEvents(r io.Reader) ([]Event, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

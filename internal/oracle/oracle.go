@@ -143,10 +143,10 @@ const (
 	// from the heuristic's mapping, so an inversion is unreachable short
 	// of a backend bug and counts as one.
 	Inverted
-	// BatchDiverged: the batched struct-of-arrays engine (sim.Engine)
-	// disagreed with the scalar interpreter on duplicated lanes of a run
-	// that verified clean — results, counters, and final memories must be
-	// bit-identical, so any difference is an engine bug.
+	// BatchDiverged: a multi-lane batch of the struct-of-arrays engine
+	// (sim.Engine) disagreed with the verified single-lane run on
+	// duplicated lanes of its input — results, counters, and final
+	// memories must be bit-identical, so any difference is an engine bug.
 	BatchDiverged
 	// StaticUnsound: the static analyzer's claims about a verifier-clean
 	// program contradicted its simulated behavior — an executed block
@@ -235,27 +235,16 @@ type Pipeline struct {
 	// set it so wall time scales with the graph count, not the default
 	// search budget.
 	ExactNodeBudget int
-	// BatchLanes sets the lane count of the batched-engine differential
-	// that runs after a clean verification: the scalar interpreter's
-	// result on the cell's input is compared bit-for-bit against every
-	// lane of a sim.Engine RunBatch over duplicated inputs. Zero means
-	// defaultBatchLanes; negative disables the batch check.
-	BatchLanes int
 	// MutateBatch, when non-nil, corrupts the batched engine's lane
-	// inputs after the scalar reference is taken — a deliberate
-	// engine-side fault, so the injected difference surfaces as
-	// BatchDiverged (the fault-injection tests prove the classification
-	// and shrinking work).
+	// inputs after the verified run — a deliberate engine-side fault, so
+	// the injected difference surfaces as BatchDiverged (the
+	// fault-injection tests prove the classification and shrinking work).
 	MutateBatch func(lanes []cdfg.Memory)
 	// MutateStripped, when non-nil, corrupts the dead-context-stripped
 	// program between the rewrite and its re-verification — a deliberate
 	// rewriter-side fault, so the injected difference surfaces as
 	// StaticUnsound.
 	MutateStripped func(*asm.Program)
-	// SkipStatic disables the static-analyzer cross-check that follows a
-	// clean batch differential. Sweeps leave it on; it exists for tests
-	// that need the pre-analyzer pipeline.
-	SkipStatic bool
 	// CacheDir, when non-empty, adds the mapping-cache differential to
 	// every check: the cell's compiled program is pushed through a
 	// two-tier cache rooted there (cold), then requested again through a
@@ -272,10 +261,10 @@ type Pipeline struct {
 	MutateCacheEntry func(dir string, g *cdfg.Graph, grid *arch.Grid) error
 }
 
-// defaultBatchLanes is the width of the batch differential every check
-// runs: two duplicated lanes exercise the batch dimension without
-// dominating the cell's cost.
-const defaultBatchLanes = 2
+// batchLanes is the width of the batch differential every check runs:
+// two duplicated lanes exercise the batch dimension without dominating
+// the cell's cost.
+const batchLanes = 2
 
 // Check maps the graph in the given cell, assembles and simulates it, and
 // compares the final data memory against the reference interpreter.
@@ -329,7 +318,7 @@ func (p *Pipeline) check(g *cdfg.Graph, mem cdfg.Memory, cell Cell, seed int64) 
 		r.Outcome, r.Err = Failed, fmt.Errorf("oracle: sim: %w", err)
 		return r
 	}
-	res, _, _, err := s.RunVerified(mem)
+	res, _, got, err := s.RunVerified(mem)
 	if res != nil {
 		r.Cycles = res.Cycles
 	}
@@ -342,11 +331,11 @@ func (p *Pipeline) check(g *cdfg.Graph, mem cdfg.Memory, cell Cell, seed int64) 
 		}
 		return r
 	}
-	if outcome, err := p.checkBatch(s, mem); err != nil {
+	if outcome, err := p.checkBatch(s, mem, res, got); err != nil {
 		r.Outcome, r.Err = outcome, err
 		return r
 	}
-	if outcome, err := p.checkStatic(prog, s, mem); err != nil {
+	if outcome, err := p.checkStatic(prog, mem, res, got); err != nil {
 		r.Outcome, r.Err = outcome, err
 		return r
 	}
@@ -397,25 +386,12 @@ func (p *Pipeline) checkCache(g *cdfg.Graph, cell Cell, seed int64, m *core.Mapp
 }
 
 // checkBatch is the batched-engine differential a clean verification is
-// followed by: the scalar interpreter's result on the cell's input must
-// be reproduced bit-for-bit — Result, activity counters, final memory —
-// by every lane of a RunBatch over duplicated inputs. Any difference is
-// BatchDiverged; a scalar failure after a clean verified run is Failed
-// (the two paths just executed the same program).
-func (p *Pipeline) checkBatch(s *sim.Sim, mem cdfg.Memory) (Outcome, error) {
-	lanes := p.BatchLanes
-	if lanes == 0 {
-		lanes = defaultBatchLanes
-	}
-	if lanes < 1 {
-		return Pass, nil
-	}
-	refMem := mem.Clone()
-	refRes, err := s.RunScalar(refMem)
-	if err != nil {
-		return Failed, fmt.Errorf("oracle: scalar reference run: %w", err)
-	}
-	bmems := make([]cdfg.Memory, lanes)
+// followed by: the verified single-lane run's result and final memory
+// on the cell's input must be reproduced bit-for-bit — Result, activity
+// counters, final memory — by every lane of a RunBatch over duplicated
+// inputs. Any difference is BatchDiverged.
+func (p *Pipeline) checkBatch(s *sim.Sim, mem cdfg.Memory, ref *sim.Result, refMem cdfg.Memory) (Outcome, error) {
+	bmems := make([]cdfg.Memory, batchLanes)
 	for l := range bmems {
 		bmems[l] = mem.Clone()
 	}
@@ -424,14 +400,14 @@ func (p *Pipeline) checkBatch(s *sim.Sim, mem cdfg.Memory) (Outcome, error) {
 	}
 	bres, err := s.Engine().RunBatch(bmems)
 	if err != nil {
-		return BatchDiverged, fmt.Errorf("oracle: batch engine failed where the scalar run passed: %w", err)
+		return BatchDiverged, fmt.Errorf("oracle: batch engine failed where the single-lane run passed: %w", err)
 	}
-	for l := 0; l < lanes; l++ {
-		if !reflect.DeepEqual(bres[l], refRes) {
-			return BatchDiverged, fmt.Errorf("oracle: batch lane %d/%d result diverged from the scalar interpreter", l, lanes)
+	for l := range bmems {
+		if !reflect.DeepEqual(bres[l], ref) {
+			return BatchDiverged, fmt.Errorf("oracle: batch lane %d/%d result diverged from the verified run", l, batchLanes)
 		}
 		if !reflect.DeepEqual(bmems[l], refMem) {
-			return BatchDiverged, fmt.Errorf("oracle: batch lane %d/%d final memory diverged from the scalar interpreter", l, lanes)
+			return BatchDiverged, fmt.Errorf("oracle: batch lane %d/%d final memory diverged from the verified run", l, batchLanes)
 		}
 	}
 	return Pass, nil
@@ -439,25 +415,17 @@ func (p *Pipeline) checkBatch(s *sim.Sim, mem cdfg.Memory) (Outcome, error) {
 
 // checkStatic is the static-analyzer cross-check a clean batch
 // differential is followed by: the analyzer's claims about the
-// verifier-clean program must hold on a scalar run (reachability,
+// verifier-clean program must hold on the verified run (reachability,
 // exact activity tables, cycle/stall bounds), and the dead-context-
 // stripped rewrite must re-verify clean and reproduce the run exactly
 // — same stalls, block trace and final memory, cycles shifted by
 // precisely the reported elision delta. Any contradiction is
 // StaticUnsound: the analyzer (or the rewriter) lied about this
 // program.
-func (p *Pipeline) checkStatic(prog *asm.Program, s *sim.Sim, mem cdfg.Memory) (Outcome, error) {
-	if p.SkipStatic {
-		return Pass, nil
-	}
+func (p *Pipeline) checkStatic(prog *asm.Program, mem cdfg.Memory, res *sim.Result, refMem cdfg.Memory) (Outcome, error) {
 	a, err := static.Analyze(prog, static.WithObs(p.Obs))
 	if err != nil {
 		return StaticUnsound, fmt.Errorf("oracle: static analysis rejected a verifier-clean program: %w", err)
-	}
-	refMem := mem.Clone()
-	res, err := s.RunScalar(refMem)
-	if err != nil {
-		return Failed, fmt.Errorf("oracle: scalar reference run: %w", err)
 	}
 	if err := a.CheckRun(res); err != nil {
 		return StaticUnsound, err
@@ -477,7 +445,7 @@ func (p *Pipeline) checkStatic(prog *asm.Program, s *sim.Sim, mem cdfg.Memory) (
 		return StaticUnsound, fmt.Errorf("oracle: sim of stripped program: %w", err)
 	}
 	gotMem := mem.Clone()
-	res2, err := s2.RunScalar(gotMem)
+	res2, err := s2.Run(gotMem)
 	if err != nil {
 		return StaticUnsound, fmt.Errorf("oracle: stripped program trapped where the original ran: %w", err)
 	}

@@ -72,18 +72,3 @@ func TestStaticFaultInjectionShrinks(t *testing.T) {
 		t.Fatalf("parsed reproducer is %s under the clean pipeline, want pass", got)
 	}
 }
-
-// TestSkipStaticKnob: SkipStatic disables the analyzer cross-check, so
-// the injected strip fault goes unnoticed and the check passes — the
-// knob tests of the pre-analyzer pipeline use.
-func TestSkipStaticKnob(t *testing.T) {
-	cell := Cell{Mode: ModeBasic, Config: AllCells()[0].Config}
-	clean := &Pipeline{}
-	faulty := &Pipeline{MutateStripped: corruptStores}
-	g, mem, seed := findStaticFaultSeed(t, clean, faulty, cell)
-
-	off := &Pipeline{MutateStripped: corruptStores, SkipStatic: true}
-	if got := off.Check(g, mem, cell, seed).Outcome; got != Pass {
-		t.Fatalf("check with SkipStatic is %s, want pass (static cross-check disabled)", got)
-	}
-}

@@ -15,7 +15,7 @@ import (
 
 // buildProgram maps and assembles a graph with the CAB flow on HOM64,
 // the cell every batch property test runs on.
-func buildProgram(t *testing.T, g *cdfg.Graph) *asm.Program {
+func buildProgram(t testing.TB, g *cdfg.Graph) *asm.Program {
 	t.Helper()
 	m, err := core.Map(g, arch.MustGrid(arch.HOM64), core.DefaultOptions(core.FlowCAB))
 	if err != nil {

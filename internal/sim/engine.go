@@ -1,21 +1,19 @@
-// Batched struct-of-arrays execution engine.
+// Batched struct-of-arrays execution engine: the simulator.
 //
-// The scalar interpreter in sim.go re-decodes each context word every
-// cycle: per-operand switch dispatch, per-tile counter increments, and a
-// map-backed interconnect model. The engine in this file lowers the
-// expanded per-cycle instruction grid once into flat cycle-major op
-// tables with fully resolved operand indices (the struct-of-arrays
-// "lowered" form below, published on the program memo next to the
-// decoded contexts), and then executes B independent input sets per
-// bitstream in one pass: the batch dimension is the innermost loop, so
-// decode, context fetch, stall analysis and branch resolution are
-// amortized across all lanes that follow the same control path.
+// The engine lowers the expanded per-cycle instruction grid once into
+// flat cycle-major op tables with fully resolved operand indices (the
+// struct-of-arrays "lowered" form below, published on the program memo
+// next to the decoded contexts), and then executes B independent input
+// sets per bitstream in one pass: the batch dimension is the innermost
+// loop, so decode, context fetch, stall analysis and branch resolution
+// are amortized across all lanes that follow the same control path.
 //
-// Equivalence with the scalar interpreter is a hard contract, not a
-// goal: results, cycle counts, per-tile activity counters, the obs
-// event stream, and error behavior must be bit-identical (see
-// batch_diff_test.go and FuzzBatchVsScalar). Two design decisions make
-// that tractable:
+// Its semantics are pinned against a tile-major reference interpreter
+// that lives in this package's tests (export_test.go): results, cycle
+// counts, per-tile activity counters, the obs event stream, and error
+// behavior must be bit-identical (see batch_diff_test.go,
+// fault_test.go and FuzzBatchVsScalar). Two design decisions make that
+// tractable:
 //
 //   - Activity counters are static per (block, tile): every TileCounters
 //     field except the run totals is a pure function of the context
@@ -23,19 +21,19 @@
 //     reconstructs a lane's counters as execCount × table at the end.
 //     The inner loop does no counter work at all.
 //
-//   - Error behavior is delegated to the scalar interpreter. Lowering
-//     marks every op the scalar path would reject (bad operand kinds,
-//     out-of-range registers, unknown opcodes) as a fault op, and
-//     memory accesses are bounds-checked per lane. A faulted lane is
-//     removed from its group at the block boundary and re-run from its
-//     initial memory by the scalar interpreter, which reproduces the
-//     exact partial result, counters, and error of a direct Run. Fault
-//     lanes are rare (a valid assembled program has none), so the
-//     fallback costs nothing on the hot path.
+//   - A lane stops where the reference interpreter stops. Every fault
+//     but an out-of-range data address is a property of the context
+//     words (bad operand kinds, out-of-range registers or neighbor
+//     directions, opcodes without ALU semantics), so lowering finds each
+//     block's first faulting op, ends the block's op tables at its cycle
+//     and counts the block's table only up to that op: every lane that
+//     enters the block stops there. Data addresses are bounds-checked
+//     per lane; a lane whose load or store leaves memory stops in that
+//     cycle's memory phase, and its counters for the block are counted
+//     up to that access by the same counting function (countBlock).
 package sim
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/arch"
@@ -45,15 +43,13 @@ import (
 	"repro/internal/obs"
 )
 
-// Lowered op kinds. Fault marks an op the scalar interpreter would
-// reject (or panic on); any lane executing one is re-run scalar.
+// Lowered op kinds.
 const (
 	lkALU uint8 = iota
 	lkMove
 	lkLoad
 	lkStore
 	lkBr
-	lkFault
 )
 
 // Lowered operand kinds: a constant value, a flat register-file index,
@@ -74,7 +70,9 @@ type lblock struct {
 
 	// cyc[c] .. cyc[c+1] index the ops issued in cycle c.
 	cyc []int32
-	// accs[c] counts the data-memory accesses issued in cycle c.
+	// accs[c] counts the data-memory accesses issued in cycle c. Its
+	// length is the number of cycles lowered: the block length, or the
+	// cycle of the block's fault.
 	accs []int16
 
 	kind []uint8
@@ -94,12 +92,18 @@ type lblock struct {
 	srcIdx  [isa.MaxSrcs][]int32
 	srcVal  [isa.MaxSrcs][]int32
 
-	// static is the per-tile activity of one execution of this block.
+	// static is the per-tile activity of one execution of this block, up
+	// to the fault when the block has one.
 	static []TileCounters
 	// maxAcc is the largest same-cycle access count; fast marks blocks
 	// that can never stall (≤ 1 access per cycle).
 	maxAcc int
 	fast   bool
+
+	// fault, when non-nil, is the error of the block's first faulting
+	// op, which issues in cycle len(accs): every lane entering the block
+	// stops there.
+	fault error
 
 	hasBranch bool
 	succs     []cdfg.BBID
@@ -116,8 +120,8 @@ type lowered struct {
 }
 
 // lower pre-decodes the expanded instruction grids into the
-// struct-of-arrays form. It never fails: anything the scalar
-// interpreter would reject at execution time becomes a fault op.
+// struct-of-arrays form. It never fails: a block whose context words
+// fault at execution time is lowered up to its first faulting op.
 func lower(p *asm.Program, expanded [][][]*isa.Instr) *lowered {
 	grid := p.Grid
 	n := grid.NumTiles()
@@ -128,16 +132,17 @@ func lower(p *asm.Program, expanded [][][]*isa.Instr) *lowered {
 		blocks: make([]lblock, len(p.Graph.Blocks)),
 	}
 	for bi, b := range p.Graph.Blocks {
-		blockLen := p.BlockLens[bi]
 		lb := &low.blocks[bi]
 		lb.bb = cdfg.BBID(bi)
 		lb.name = b.Name
-		lb.cycles = blockLen
+		lb.cycles = p.BlockLens[bi]
 		lb.hasBranch = b.HasBranch()
 		lb.succs = b.Succs
-		lb.cyc = make([]int32, blockLen+1)
-		lb.accs = make([]int16, blockLen)
-		for c := 0; c < blockLen; c++ {
+		stop := firstFault(lb, expanded[bi], grid)
+		lb.static = countBlock(expanded[bi], n, stop)
+		lb.cyc = make([]int32, stop.cycle+1)
+		lb.accs = make([]int16, stop.cycle)
+		for c := 0; c < stop.cycle; c++ {
 			lb.cyc[c] = int32(len(lb.kind))
 			nacc := 0
 			for t := 0; t < n; t++ {
@@ -145,7 +150,7 @@ func lower(p *asm.Program, expanded [][][]*isa.Instr) *lowered {
 				if in == nil {
 					continue
 				}
-				k := classifyOp(in, grid, rrf)
+				k := kindOf(in)
 				lb.kind = append(lb.kind, k)
 				lb.op = append(lb.op, in.Op)
 				lb.tile = append(lb.tile, int32(t))
@@ -187,90 +192,128 @@ func lower(p *asm.Program, expanded [][][]*isa.Instr) *lowered {
 				lb.maxAcc = nacc
 			}
 		}
-		lb.cyc[blockLen] = int32(len(lb.kind))
+		lb.cyc[stop.cycle] = int32(len(lb.kind))
 		lb.fast = lb.maxAcc <= 1
 		if lb.maxAcc > low.maxAcc {
 			low.maxAcc = lb.maxAcc
 		}
-		lb.static = staticCounters(expanded[bi], blockLen, n)
 	}
 	return low
 }
 
-// classifyOp maps an instruction to its lowered kind, checking every
-// condition under which the scalar interpreter would fail the op at
-// execution time. SrcNbr direction and writeback-register overflows
-// would panic the scalar path; they fault here so the fallback
-// reproduces that behavior instead of the engine corrupting state.
-func classifyOp(in *isa.Instr, grid *arch.Grid, rrf int) uint8 {
+// firstFault scans one block's expanded grid in execution order (cycle,
+// then tile) for the first op that faults, records its error on lb and
+// returns where an execution of the block stops: at that op, or at the
+// block's end.
+func firstFault(lb *lblock, grid [][]*isa.Instr, g *arch.Grid) stopPoint {
+	nbrs := len(g.Neighbors(0))
+	for c := 0; c < lb.cycles; c++ {
+		for t := range grid {
+			in := grid[t][c]
+			if in == nil {
+				continue
+			}
+			if srcs, class, err := opFault(in, nbrs, g.RRFSize); err != nil {
+				lb.fault = fmt.Errorf("sim: block %q cycle %d tile %d: %w", lb.name, c, t+1, err)
+				return stopPoint{cycle: c, tile: t, srcs: srcs, class: class}
+			}
+		}
+	}
+	return stopPoint{cycle: lb.cycles}
+}
+
+// kindOf maps an instruction to its lowered kind the way the reference
+// interpreter dispatches it: moves by word kind, the rest by opcode.
+func kindOf(in *isa.Instr) uint8 {
+	switch {
+	case in.Kind == isa.KMove:
+		return lkMove
+	case in.Op == cdfg.OpLoad:
+		return lkLoad
+	case in.Op == cdfg.OpStore:
+		return lkStore
+	case in.Op == cdfg.OpBr:
+		return lkBr
+	}
+	return lkALU
+}
+
+// opFault reports whether executing in faults whatever the data, in the
+// order the op executes: its operands are read one by one (a fault
+// there stops after srcs operands), then its op class is counted
+// (class) and its value computed and written back. A nil error means
+// the op is clean.
+func opFault(in *isa.Instr, nbrs, rrf int) (srcs int, class bool, err error) {
+	if in.NSrc < 0 || in.NSrc > isa.MaxSrcs {
+		return 0, false, fmt.Errorf("operand count %d out of range", in.NSrc)
+	}
 	for i := 0; i < in.NSrc; i++ {
 		switch src := in.Srcs[i]; src.Kind {
 		case isa.SrcConst, isa.SrcSelf:
 		case isa.SrcReg:
 			if int(src.Reg) >= rrf {
-				return lkFault
+				return i, false, fmt.Errorf("register r%d out of range", src.Reg)
 			}
 		case isa.SrcNbr:
-			if int(src.Dir) >= len(grid.Neighbors(0)) {
-				return lkFault
+			if int(src.Dir) >= nbrs {
+				return i, false, fmt.Errorf("neighbor direction %d out of range", src.Dir)
 			}
 		default:
-			return lkFault
+			return i, false, fmt.Errorf("operand %d unset", i)
 		}
 	}
-	var k uint8
-	switch {
-	case in.Kind == isa.KMove:
-		if in.NSrc < 1 {
-			return lkFault
-		}
-		k = lkMove
-	case in.Op == cdfg.OpLoad:
-		if in.NSrc < 1 {
-			return lkFault
-		}
-		k = lkLoad
-	case in.Op == cdfg.OpStore:
-		if in.NSrc < 2 {
-			return lkFault
-		}
-		k = lkStore
-	case in.Op == cdfg.OpBr:
-		if in.NSrc < 1 {
-			return lkFault
-		}
-		k = lkBr
-	default:
+	k := kindOf(in)
+	need := 1
+	if k == lkALU {
 		var zeros [isa.MaxSrcs]int32
-		na := in.Op.NumArgs()
-		if na > isa.MaxSrcs || in.NSrc < na {
-			return lkFault
+		if _, err := cdfg.EvalOp(in.Op, zeros[:]); err != nil {
+			return in.NSrc, true, err
 		}
-		if _, err := cdfg.EvalOp(in.Op, zeros[:na]); err != nil {
-			return lkFault
-		}
-		k = lkALU
+		need = in.Op.NumArgs()
+	} else if k == lkStore {
+		need = 2
 	}
-	if (k == lkALU || k == lkMove || k == lkLoad) && in.WB && int(in.WReg) >= rrf {
-		return lkFault
+	if in.NSrc < need {
+		return in.NSrc, true, fmt.Errorf("%d operands, %s needs %d", in.NSrc, in.Op, need)
 	}
-	return k
+	if in.WB && int(in.WReg) >= rrf && (k == lkALU || k == lkMove || k == lkLoad) {
+		return in.NSrc, true, fmt.Errorf("writeback register r%d out of range", in.WReg)
+	}
+	return 0, false, nil
 }
 
-// staticCounters replays the scalar interpreter's counting rules over
-// the expanded grid of one block: every TileCounters field is a pure
-// function of the context words, so one execution's activity is a
-// constant table.
-func staticCounters(grid [][]*isa.Instr, blockLen, n int) []TileCounters {
-	st := make([]TileCounters, n)
+// stopPoint is where one execution of a block ends. A complete
+// execution stops at cycle == the block length. A fault stops in cycle
+// cycle: in its issue phase at tile's op, after that op read srcs
+// operands and, when class is set, counted its op class; or, when mem
+// is set, in its memory phase, after every op of the cycle issued and
+// the accesses of the tiles before tile were served.
+type stopPoint struct {
+	cycle, tile, srcs int
+	class, mem        bool
+}
+
+// countBlock applies the simulator's counting rules to one block's
+// expanded grid for an execution that ends at st: a pnop word is
+// fetched once per idle stretch, each op or move once per cycle, an
+// operand read counts its register file, a memory access counts when
+// the memory phase serves it, and a writeback when its cycle commits.
+// Complete executions give the static per-block tables; a faulting one
+// gives the partial counters of a run that stops inside the block.
+func countBlock(grid [][]*isa.Instr, n int, st stopPoint) []TileCounters {
+	tcs := make([]TileCounters, n)
 	for t := 0; t < n; t++ {
-		tc := &st[t]
+		tc := &tcs[t]
 		prevIdle := false
-		for c := 0; c < blockLen; c++ {
+		for c := 0; c <= st.cycle && c < len(grid[t]); c++ {
+			last := c == st.cycle
+			if last && !st.mem && t > st.tile {
+				break
+			}
 			in := grid[t][c]
 			if in == nil {
 				if !prevIdle {
-					tc.Fetches++
+					tc.Fetches++ // the pnop word itself
 					tc.PnopFetches++
 				}
 				prevIdle = true
@@ -279,7 +322,12 @@ func staticCounters(grid [][]*isa.Instr, blockLen, n int) []TileCounters {
 			}
 			prevIdle = false
 			tc.Fetches++
-			for i := 0; i < in.NSrc; i++ {
+			faulting := last && !st.mem && t == st.tile
+			nsrc := in.NSrc
+			if faulting {
+				nsrc = st.srcs
+			}
+			for i := 0; i < nsrc; i++ {
 				switch in.Srcs[i].Kind {
 				case isa.SrcConst:
 					tc.CRFReads++
@@ -287,21 +335,29 @@ func staticCounters(grid [][]*isa.Instr, blockLen, n int) []TileCounters {
 					tc.RFReads++
 				}
 			}
+			if faulting && !st.class {
+				break
+			}
+			served := !last || st.mem && t < st.tile
 			hasOut := false
-			switch {
-			case in.Kind == isa.KMove:
+			switch kindOf(in) {
+			case lkMove:
 				tc.MoveCycles++
 				hasOut = true
-			case in.Op == cdfg.OpLoad:
+			case lkLoad:
 				tc.OpCycles++
 				tc.MemOps++
-				tc.MemReads++
+				if served {
+					tc.MemReads++
+				}
 				hasOut = true
-			case in.Op == cdfg.OpStore:
+			case lkStore:
 				tc.OpCycles++
 				tc.MemOps++
-				tc.MemWrites++
-			case in.Op == cdfg.OpBr:
+				if served {
+					tc.MemWrites++
+				}
+			case lkBr:
 				tc.OpCycles++
 				tc.BranchOps++
 			default:
@@ -309,12 +365,12 @@ func staticCounters(grid [][]*isa.Instr, blockLen, n int) []TileCounters {
 				tc.ALUOps++
 				hasOut = true
 			}
-			if hasOut && in.WB {
+			if hasOut && in.WB && !last {
 				tc.RFWrites++
 			}
 		}
 	}
-	return st
+	return tcs
 }
 
 // addScaled accumulates k executions' worth of src into dst.
@@ -362,6 +418,17 @@ type BatchError struct {
 	Errs []error
 }
 
+// batchError wraps per-lane errors in a *BatchError, or returns nil
+// when every lane completed.
+func batchError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return &BatchError{Errs: errs}
+		}
+	}
+	return nil
+}
+
 // Error summarizes the failed lanes around the first failure.
 func (e *BatchError) Error() string {
 	failed, first := 0, -1
@@ -387,10 +454,6 @@ func (e *BatchError) Unwrap() []error {
 	return errs
 }
 
-// errLaneFault is the internal marker for a lane the engine abandons to
-// the scalar fallback; it never escapes RunBatch.
-var errLaneFault = errors.New("sim: lane fault")
-
 // laneEvent is one buffered block-timeline event; lanes interleave in
 // the engine, so events are buffered per lane and flushed in order when
 // the lane finishes.
@@ -408,7 +471,6 @@ type batchRun struct {
 	B int
 
 	mems    []cdfg.Memory
-	clones  []cdfg.Memory
 	results []*Result
 	errs    []error
 
@@ -418,8 +480,9 @@ type batchRun struct {
 	stalls    []int64
 	execs     []int64 // [block*B+lane]
 	branch    []bool
-	fault     []error
-	fallback  []int32
+	// stopped marks lanes a fault finalized inside the current block;
+	// they ride along to the block's end without touching memory.
+	stopped []bool
 
 	s0, s1, s2    []int32   // per-operand-position constant scratch
 	maddr, mval   []int32   // [slot*B+lane] memory address/value scratch
@@ -443,20 +506,26 @@ type batchRun struct {
 // still returned, exactly as Run returns one next to its error). An
 // empty batch returns an empty result slice.
 func (e *Engine) RunBatch(mems []cdfg.Memory) ([]*Result, error) {
+	results, errs := e.run(mems)
+	return results, batchError(errs)
+}
+
+// run is RunBatch with the per-lane errors unwrapped.
+func (e *Engine) run(mems []cdfg.Memory) ([]*Result, []error) {
 	s := e.s
 	B := len(mems)
 	results := make([]*Result, B)
+	errs := make([]error, B)
 	if B == 0 {
-		return results, nil
+		return results, errs
 	}
 	low := s.low
 	n := low.numTiles
 	r := &batchRun{
 		s: s, B: B,
 		mems:    mems,
-		clones:  make([]cdfg.Memory, B),
 		results: results,
-		errs:    make([]error, B),
+		errs:    errs,
 		out:     make([]int32, n*B),
 		nout:    make([]int32, n*B),
 		rf:      make([]int32, n*low.rrf*B),
@@ -464,14 +533,11 @@ func (e *Engine) RunBatch(mems []cdfg.Memory) ([]*Result, error) {
 		stalls:  make([]int64, B),
 		execs:   make([]int64, len(low.blocks)*B),
 		branch:  make([]bool, B),
-		fault:   make([]error, B),
+		stopped: make([]bool, B),
 		s0:      make([]int32, B),
 		s1:      make([]int32, B),
 		s2:      make([]int32, B),
 		tracing: s.obs.Enabled(),
-	}
-	for l := range mems {
-		r.clones[l] = mems[l].Clone()
 	}
 	if low.maxAcc > 0 {
 		r.maddr = make([]int32, low.maxAcc*B)
@@ -487,30 +553,13 @@ func (e *Engine) RunBatch(mems []cdfg.Memory) ([]*Result, error) {
 		r.evStart = make([]int64, B)
 	}
 	r.run()
-	// Scalar fallback: re-run faulted lanes from their initial memory
-	// with the reference interpreter, which reproduces the exact partial
-	// result, event stream, and error of a direct Run.
-	for _, l := range r.fallback {
-		res, err := s.runScalar(r.clones[l], int(l))
-		copy(mems[l], r.clones[l])
-		results[l] = res
-		r.errs[l] = err
-	}
 	if s.obs.Enabled() {
 		s.obs.Counter("sim.engine.batches").Inc()
 		s.obs.Counter("sim.engine.lanes").Add(int64(B))
 		s.obs.Counter("sim.engine.block_execs").Add(r.totalHits)
 		s.obs.Counter("sim.engine.fastpath_block_execs").Add(r.fastHits)
-		if len(r.fallback) > 0 {
-			s.obs.Counter("sim.engine.fallback_lanes").Add(int64(len(r.fallback)))
-		}
 	}
-	for _, err := range r.errs {
-		if err != nil {
-			return results, &BatchError{Errs: r.errs}
-		}
-	}
-	return results, nil
+	return results, errs
 }
 
 // laneGroup is a set of lanes at the same basic block. Lanes that
@@ -543,8 +592,12 @@ func (r *batchRun) run() {
 			for _, l := range lns {
 				r.execs[int(bb)*r.B+int(l)]++
 			}
-			r.execBlock(lb, lns)
-			lns = r.dropFaulted(lns)
+			nl := int64(len(lns))
+			r.totalHits += nl
+			if lb.fast {
+				r.fastHits += nl
+			}
+			lns = r.execBlock(lb, lns)
 			if len(lns) == 0 {
 				break
 			}
@@ -588,8 +641,8 @@ func (r *batchRun) run() {
 	}
 }
 
-// gateMaxCycles applies the scalar interpreter's loop-top runaway check:
-// lanes over the limit finalize with the same error and partial result.
+// gateMaxCycles applies the runaway check at each block entry: lanes
+// over the limit finalize with the error and their partial result.
 func (r *batchRun) gateMaxCycles(lanes []int32) []int32 {
 	over := false
 	for _, l := range lanes {
@@ -605,30 +658,6 @@ func (r *batchRun) gateMaxCycles(lanes []int32) []int32 {
 	for _, l := range lanes {
 		if r.cycles[l] > MaxCycles {
 			r.finalizeLane(l, fmt.Errorf("sim: exceeded %d cycles in %q", MaxCycles, r.s.prog.Graph.Name))
-		} else {
-			keep = append(keep, l)
-		}
-	}
-	return keep
-}
-
-// dropFaulted removes faulted lanes from the group and queues them for
-// the scalar fallback.
-func (r *batchRun) dropFaulted(lanes []int32) []int32 {
-	faulted := false
-	for _, l := range lanes {
-		if r.fault[l] != nil {
-			faulted = true
-			break
-		}
-	}
-	if !faulted {
-		return lanes
-	}
-	keep := lanes[:0]
-	for _, l := range lanes {
-		if r.fault[l] != nil {
-			r.fallback = append(r.fallback, l)
 		} else {
 			keep = append(keep, l)
 		}
@@ -660,8 +689,9 @@ func (r *batchRun) gather(lb *lblock, si, oi int, lanes []int32, scratch []int32
 // execBlock runs one basic block for one lane group, cycle by cycle:
 // phase 1 issues ops (reads observe pre-cycle state), phase 2 services
 // memory (per-lane bank-conflict stalls, loads before stores), phase 3
-// commits output registers and writebacks.
-func (r *batchRun) execBlock(lb *lblock, lanes []int32) {
+// commits output registers and writebacks. It returns the lanes that
+// completed the block; the ones that stopped in it are finalized.
+func (r *batchRun) execBlock(lb *lblock, lanes []int32) []int32 {
 	B := r.B
 	if r.tracing {
 		for _, l := range lanes {
@@ -673,7 +703,7 @@ func (r *batchRun) execBlock(lb *lblock, lanes []int32) {
 			r.branch[l] = false
 		}
 	}
-	for c := 0; c < lb.cycles; c++ {
+	for c := range lb.accs {
 		lo, hi := int(lb.cyc[c]), int(lb.cyc[c+1])
 		for oi := lo; oi < hi; oi++ {
 			t := int(lb.tile[oi])
@@ -687,14 +717,7 @@ func (r *batchRun) execBlock(lb *lblock, lanes []int32) {
 				if lb.nsrc[oi] > 2 {
 					cv = r.gather(lb, 2, oi, lanes, r.s2)
 				}
-				dst := r.nout[t*B : t*B+B]
-				if !aluEval(lb.op[oi], lanes, dst, a, bv, cv) {
-					for _, l := range lanes {
-						if r.fault[l] == nil {
-							r.fault[l] = errLaneFault
-						}
-					}
-				}
+				aluEval(lb.op[oi], lanes, r.nout[t*B:t*B+B], a, bv, cv)
 			case lkMove:
 				a := r.gather(lb, 0, oi, lanes, r.s0)
 				dst := r.nout[t*B : t*B+B]
@@ -708,16 +731,10 @@ func (r *batchRun) execBlock(lb *lblock, lanes []int32) {
 				slot := int(lb.mslot[oi])
 				r.maddrV[slot] = r.gather(lb, 0, oi, lanes, r.maddr[slot*B:slot*B+B])
 				r.mvalV[slot] = r.gather(lb, 1, oi, lanes, r.mval[slot*B:slot*B+B])
-			case lkBr:
+			default: // lkBr
 				a := r.gather(lb, 0, oi, lanes, r.s0)
 				for _, l := range lanes {
 					r.branch[l] = a[l] != 0
-				}
-			default: // lkFault
-				for _, l := range lanes {
-					if r.fault[l] == nil {
-						r.fault[l] = errLaneFault
-					}
 				}
 			}
 		}
@@ -738,13 +755,14 @@ func (r *batchRun) execBlock(lb *lblock, lanes []int32) {
 				av := r.maddrV[int(lb.mslot[oi])]
 				dst := r.nout[t*B : t*B+B]
 				for _, l := range lanes {
-					if r.fault[l] != nil {
+					if r.stopped[l] {
 						continue
 					}
 					m := r.mems[l]
 					a := av[l]
 					if a < 0 || int(a) >= len(m) {
-						r.fault[l] = errLaneFault
+						_, err := m.Load(a)
+						r.stopInMemory(l, lb, c, t, t, err)
 						continue
 					}
 					dst[l] = m[a]
@@ -757,13 +775,14 @@ func (r *batchRun) execBlock(lb *lblock, lanes []int32) {
 				slot := int(lb.mslot[oi])
 				av, vv := r.maddrV[slot], r.mvalV[slot]
 				for _, l := range lanes {
-					if r.fault[l] != nil {
+					if r.stopped[l] {
 						continue
 					}
 					m := r.mems[l]
 					a := av[l]
 					if a < 0 || int(a) >= len(m) {
-						r.fault[l] = errLaneFault
+						err := m.Store(a, vv[l])
+						r.stopInMemory(l, lb, c, int(lb.tile[oi]), r.s.low.numTiles, err)
 						continue
 					}
 					m[a] = vv[l]
@@ -791,16 +810,28 @@ func (r *batchRun) execBlock(lb *lblock, lanes []int32) {
 			}
 		}
 	}
-	nl := int64(len(lanes))
-	r.totalHits += nl
-	if lb.fast {
-		r.fastHits += nl
+	if lb.fault != nil {
+		// Every lane still running reaches the block's faulting op in
+		// its issue phase: lb.static already counts up to it.
+		for _, l := range lanes {
+			if !r.stopped[l] {
+				r.cycles[l] += int64(len(lb.accs))
+				r.finalizeLane(l, lb.fault)
+			}
+		}
+		return lanes[:0]
 	}
+	keep := lanes[:0]
 	for _, l := range lanes {
+		if !r.stopped[l] {
+			keep = append(keep, l)
+		}
+	}
+	for _, l := range keep {
 		r.cycles[l] += int64(lb.cycles)
 	}
 	if r.tracing {
-		for _, l := range lanes {
+		for _, l := range keep {
 			if len(r.evBuf[l]) < blockEventCap {
 				r.evBuf[l] = append(r.evBuf[l], laneEvent{lb.name, r.evStart[l], r.cycles[l] - r.evStart[l]})
 			} else {
@@ -808,11 +839,29 @@ func (r *batchRun) execBlock(lb *lblock, lanes []int32) {
 			}
 		}
 	}
+	return keep
+}
+
+// stopInMemory finalizes lane l, whose access on tile t left memory in
+// the memory phase of cycle c: the cycle and its stalls count, and the
+// block's counters are counted up to the access (stopTile is the first
+// tile whose access the memory phase did not serve). The lane rides
+// along to the block's end without touching memory again.
+func (r *batchRun) stopInMemory(l int32, lb *lblock, c, t, stopTile int, err error) {
+	r.stopped[l] = true
+	r.cycles[l] += int64(c + 1)
+	res := r.finalizeLane(l, fmt.Errorf("sim: block %q cycle %d tile %d: %w", lb.name, c, t+1, err))
+	part := countBlock(r.s.expanded[lb.bb], len(res.Tiles), stopPoint{cycle: c, tile: stopTile, mem: true})
+	for i := range res.Tiles {
+		addScaled(&res.Tiles[i], &lb.static[i], -1)
+		res.Tiles[i].Add(part[i])
+	}
 }
 
 // laneStalls computes one lane's global stall cycles for a cycle with na
-// same-cycle accesses, replicating interconnect.Model.ServiceCycles with
-// a flat bank-count scratch instead of a map.
+// same-cycle accesses: the interconnect serves them in one cycle per
+// port group and serializes same-bank accesses (a flat bank-count
+// scratch, no map).
 func (r *batchRun) laneStalls(na, l int) int64 {
 	low := r.s.low
 	banks := int32(low.banks)
@@ -846,8 +895,8 @@ func (r *batchRun) laneStalls(na, l int) int64 {
 
 // finalizeLane builds a lane's Result from the static block tables,
 // flushes its buffered block timeline, and (on clean exit) publishes the
-// run counters — the same stream a scalar Run emits.
-func (r *batchRun) finalizeLane(l int32, runErr error) {
+// run counters.
+func (r *batchRun) finalizeLane(l int32, runErr error) *Result {
 	low, B := r.s.low, r.B
 	n := low.numTiles
 	res := &Result{
@@ -886,13 +935,13 @@ func (r *batchRun) finalizeLane(l int32, runErr error) {
 		}
 		r.s.recordRun(res, dropped)
 	}
+	return res
 }
 
 // aluEval applies one lowered ALU op across the group's lanes. The
-// cases mirror cdfg.EvalOp exactly; an unhandled opcode returns false
-// (the lowering already routes those to the fault path, this is a
-// backstop).
-func aluEval(op cdfg.Opcode, lanes []int32, dst, a, b, c []int32) bool {
+// cases mirror cdfg.EvalOp exactly, one per opcode it accepts (lowering
+// admits no other; TestALUEvalMatchesEvalOp pins the two together).
+func aluEval(op cdfg.Opcode, lanes []int32, dst, a, b, c []int32) {
 	switch op {
 	case cdfg.OpAdd:
 		for _, l := range lanes {
@@ -998,10 +1047,7 @@ func aluEval(op cdfg.Opcode, lanes []int32, dst, a, b, c []int32) bool {
 		for _, l := range lanes {
 			dst[l] = a[l]
 		}
-	default:
-		return false
 	}
-	return true
 }
 
 func b2i32(b bool) int32 {
@@ -1009,76 +1055,4 @@ func b2i32(b bool) int32 {
 		return 1
 	}
 	return 0
-}
-
-// RunBatchVerified is the batched form of RunVerified: every lane's
-// final memory is cross-checked against the CDFG reference interpreter
-// on its own copy of the initial memory. It returns per-lane results,
-// interpreter traces, and verified final memories; a lane that diverges
-// (or fails) has a nil memory and its *DivergenceError (or run error)
-// in the returned *BatchError, which parallels the lanes.
-func (e *Engine) RunBatchVerified(initials []cdfg.Memory) ([]*Result, []*cdfg.Trace, []cdfg.Memory, error) {
-	s := e.s
-	B := len(initials)
-	trs := make([]*cdfg.Trace, B)
-	mems := make([]cdfg.Memory, B)
-	refs := make([]cdfg.Memory, B)
-	errs := make([]error, B)
-	got := make([]cdfg.Memory, B)
-	for l := range initials {
-		refs[l] = initials[l].Clone()
-		got[l] = initials[l].Clone()
-	}
-	anyErr := false
-	for l := range refs {
-		tr, err := cdfg.Interp(s.prog.Graph, refs[l])
-		if err != nil {
-			errs[l] = fmt.Errorf("sim: reference interpretation: %w", err)
-			anyErr = true
-			continue
-		}
-		trs[l] = tr
-	}
-	results, runErr := e.RunBatch(got)
-	var be *BatchError
-	if runErr != nil && !errors.As(runErr, &be) {
-		return results, trs, mems, runErr
-	}
-	for l := 0; l < B; l++ {
-		if errs[l] != nil {
-			results[l] = nil // the scalar path never simulates after an interp failure
-			continue
-		}
-		if be != nil && be.Errs[l] != nil {
-			errs[l] = be.Errs[l]
-			anyErr = true
-			continue
-		}
-		var div *DivergenceError
-		for i := range refs[l] {
-			if refs[l][i] != got[l][i] {
-				if div == nil {
-					div = &DivergenceError{
-						Kernel: s.prog.Graph.Name,
-						Config: s.prog.Grid.Name,
-						Cycles: results[l].Cycles,
-					}
-				}
-				div.Total++
-				if len(div.Mismatches) < s.maxMismatches {
-					div.Mismatches = append(div.Mismatches, Mismatch{Addr: i, Ref: refs[l][i], Got: got[l][i]})
-				}
-			}
-		}
-		if div != nil {
-			errs[l] = div
-			anyErr = true
-			continue
-		}
-		mems[l] = got[l]
-	}
-	if anyErr {
-		return results, trs, mems, &BatchError{Errs: errs}
-	}
-	return results, trs, mems, nil
 }

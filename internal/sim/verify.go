@@ -54,18 +54,66 @@ func (e *DivergenceError) Error() string {
 // interpreter trace (useful as an execution profile), and the verified
 // final memory. Any divergence is a mapping or simulator bug and is
 // returned as a *DivergenceError recording up to the simulator's mismatch
-// cap (see WithMaxMismatches).
+// cap (see WithMaxMismatches). It is the batch-of-one form of
+// Engine.RunBatchVerified.
 func (s *Sim) RunVerified(initial cdfg.Memory) (*Result, *cdfg.Trace, cdfg.Memory, error) {
-	ref := initial.Clone()
-	tr, err := cdfg.Interp(s.prog.Graph, ref)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("sim: reference interpretation: %w", err)
+	results, trs, mems, errs := s.Engine().runVerified([]cdfg.Memory{initial})
+	return results[0], trs[0], mems[0], errs[0]
+}
+
+// RunBatchVerified is the batched form of RunVerified: every lane's
+// final memory is cross-checked against the CDFG reference interpreter
+// on its own copy of the initial memory. It returns per-lane results,
+// interpreter traces, and verified final memories; a lane that diverges
+// (or fails) has a nil memory and its *DivergenceError (or run error)
+// in the returned *BatchError, which parallels the lanes.
+func (e *Engine) RunBatchVerified(initials []cdfg.Memory) ([]*Result, []*cdfg.Trace, []cdfg.Memory, error) {
+	results, trs, mems, errs := e.runVerified(initials)
+	return results, trs, mems, batchError(errs)
+}
+
+// runVerified is RunBatchVerified with the per-lane errors unwrapped. A
+// lane whose reference interpretation fails is not simulated.
+func (e *Engine) runVerified(initials []cdfg.Memory) ([]*Result, []*cdfg.Trace, []cdfg.Memory, []error) {
+	s := e.s
+	B := len(initials)
+	results := make([]*Result, B)
+	trs := make([]*cdfg.Trace, B)
+	mems := make([]cdfg.Memory, B)
+	errs := make([]error, B)
+	refs := make([]cdfg.Memory, B)
+	var lanes []int
+	var got []cdfg.Memory
+	for l, initial := range initials {
+		ref := initial.Clone()
+		tr, err := cdfg.Interp(s.prog.Graph, ref)
+		if err != nil {
+			errs[l] = fmt.Errorf("sim: reference interpretation: %w", err)
+			continue
+		}
+		trs[l], refs[l] = tr, ref
+		lanes = append(lanes, l)
+		got = append(got, initial.Clone())
 	}
-	got := initial.Clone()
-	res, err := s.Run(got)
-	if err != nil {
-		return res, tr, nil, err
+	res, runErrs := e.run(got)
+	for i, l := range lanes {
+		results[l] = res[i]
+		if runErrs[i] != nil {
+			errs[l] = runErrs[i]
+			continue
+		}
+		if div := s.divergence(refs[l], got[i], res[i].Cycles); div != nil {
+			errs[l] = div
+			continue
+		}
+		mems[l] = got[i]
 	}
+	return results, trs, mems, errs
+}
+
+// divergence diffs a simulated final memory against the reference
+// interpreter's; nil when they agree.
+func (s *Sim) divergence(ref, got cdfg.Memory, cycles int64) *DivergenceError {
 	var div *DivergenceError
 	for i := range ref {
 		if ref[i] != got[i] {
@@ -73,7 +121,7 @@ func (s *Sim) RunVerified(initial cdfg.Memory) (*Result, *cdfg.Trace, cdfg.Memor
 				div = &DivergenceError{
 					Kernel: s.prog.Graph.Name,
 					Config: s.prog.Grid.Name,
-					Cycles: res.Cycles,
+					Cycles: cycles,
 				}
 			}
 			div.Total++
@@ -82,8 +130,5 @@ func (s *Sim) RunVerified(initial cdfg.Memory) (*Result, *cdfg.Trace, cdfg.Memor
 			}
 		}
 	}
-	if div != nil {
-		return res, tr, nil, div
-	}
-	return res, tr, got, nil
+	return div
 }

@@ -45,8 +45,8 @@ type Bounds struct {
 	numTiles    int
 }
 
-// buildBounds derives the per-block tables by replaying the scalar
-// interpreter's counting rules over the expanded grids.
+// buildBounds derives the per-block tables by replaying the
+// simulator's counting rules over the expanded grids.
 func buildBounds(cfg *CFG) *Bounds {
 	b := &Bounds{
 		PerBlock:    make([]BlockBounds, len(cfg.Blocks)),
@@ -83,8 +83,8 @@ func buildBounds(cfg *CFG) *Bounds {
 	return b
 }
 
-// blockCounters replays the scalar interpreter's counting rules over
-// one block's expanded grid: the per-execution activity constant table.
+// blockCounters replays the simulator's counting rules over one
+// block's expanded grid: the per-execution activity constant table.
 func blockCounters(bc *BlockCode, n int) []sim.TileCounters {
 	st := make([]sim.TileCounters, n)
 	for t := 0; t < n; t++ {

@@ -105,7 +105,7 @@ func FuzzStaticVsSim(f *testing.F) {
 			return
 		}
 		mem1 := mem.Clone()
-		res1, err := s.RunScalar(mem1)
+		res1, err := s.Run(mem1)
 		if err != nil {
 			return // runtime trap (deadline, lane fault): no claims to check
 		}
@@ -136,7 +136,7 @@ func FuzzStaticVsSim(f *testing.F) {
 			t.Fatalf("%s: sim stripped: %v", cell, err)
 		}
 		mem2 := mem.Clone()
-		res2, err := s2.RunScalar(mem2)
+		res2, err := s2.Run(mem2)
 		if err != nil {
 			t.Fatalf("%s: stripped run trapped: %v", cell, err)
 		}

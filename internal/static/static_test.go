@@ -62,24 +62,24 @@ func runBoth(t *testing.T, k kernels.Kernel, orig, stripped *asm.Program, rep *s
 	}
 
 	mem1, mem2 := k.Init(), k.Init()
-	res1, err := s1.RunScalar(mem1)
+	res1, err := s1.Run(mem1)
 	if err != nil {
-		t.Fatalf("scalar run original: %v", err)
+		t.Fatalf("run original: %v", err)
 	}
-	res2, err := s2.RunScalar(mem2)
+	res2, err := s2.Run(mem2)
 	if err != nil {
-		t.Fatalf("scalar run stripped: %v", err)
+		t.Fatalf("run stripped: %v", err)
 	}
 	delta := rep.CycleDelta(res1.BlockExecs)
 	if res2.Cycles != res1.Cycles-delta || res1.StallCycles != res2.StallCycles {
-		t.Fatalf("stripped scalar timing diverged: %d/%d cycles/stalls, original %d/%d (expected delta %d)",
+		t.Fatalf("stripped timing diverged: %d/%d cycles/stalls, original %d/%d (expected delta %d)",
 			res2.Cycles, res2.StallCycles, res1.Cycles, res1.StallCycles, delta)
 	}
 	if !reflect.DeepEqual(res1.BlockExecs, res2.BlockExecs) {
-		t.Fatalf("stripped scalar block trace diverged: %v vs %v", res2.BlockExecs, res1.BlockExecs)
+		t.Fatalf("stripped block trace diverged: %v vs %v", res2.BlockExecs, res1.BlockExecs)
 	}
 	if !reflect.DeepEqual(mem1, mem2) {
-		t.Fatal("stripped scalar final memory diverged from the original")
+		t.Fatal("stripped final memory diverged from the original")
 	}
 	if err := k.Check(mem2); err != nil {
 		t.Fatalf("stripped program fails the golden check: %v", err)

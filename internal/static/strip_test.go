@@ -69,11 +69,11 @@ func analyzeStrip(t *testing.T, prog *asm.Program, memWords int) (*asm.Program, 
 		mem1[i] = int32(i*7 - 3)
 		mem2[i] = mem1[i]
 	}
-	res1, err := s1.RunScalar(mem1)
+	res1, err := s1.Run(mem1)
 	if err != nil {
 		t.Fatalf("run original: %v", err)
 	}
-	res2, err := s2.RunScalar(mem2)
+	res2, err := s2.Run(mem2)
 	if err != nil {
 		t.Fatalf("run stripped: %v", err)
 	}

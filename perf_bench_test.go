@@ -256,30 +256,6 @@ func benchProgram(b *testing.B, k kernels.Kernel) *asm.Program {
 	return prog
 }
 
-// BenchmarkSimRunScalar pins the tile-major reference interpreter.
-// sim.Run is the batched engine at B=1 since the engine became the
-// production path, so this — not BenchmarkSimRun — is the honest scalar
-// baseline the engine's throughput is quoted against.
-func BenchmarkSimRunScalar(b *testing.B) {
-	for _, k := range kernels.All() {
-		k := k
-		prog := benchProgram(b, k)
-		b.Run(k.Name, func(b *testing.B) {
-			s, err := sim.New(prog)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			warm(b, func() error { _, err := s.RunScalar(k.Init()); return err })
-			for i := 0; i < b.N; i++ {
-				if _, err := s.RunScalar(k.Init()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSimRunBatch measures the batched engine's amortization: one
 // op is one RunBatch over B independent input lanes of a bitstream
 // pre-lowered once outside the loop, so ns/op ÷ B is the per-input
