@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -29,17 +31,22 @@ func TestRunFIRSmoke(t *testing.T) {
 
 // TestRunBatchSmoke drives the -batch knob: the batched engine re-runs
 // the kernel with identical lanes, every lane cross-checks against the
-// verified result, and the throughput line lands in the output.
+// verified result, and the throughput line lands in the output. At
+// -batch 64 and GOMAXPROCS 4 the engine splits the lanes into four
+// shards.
 func TestRunBatchSmoke(t *testing.T) {
-	var sb strings.Builder
-	o := cliOptions{Flags: mapcli.Flags{Kernel: "FIR", Config: "HOM32", Flow: "cab", Seed: 1, Seeds: 1}, batch: 4}
-	if err := run(&sb, o); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"verified OK", "batch B=4", "all lanes verified identical", "/input"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output misses %q:\n%s", want, out)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, batch := range []int{4, 64} {
+		var sb strings.Builder
+		o := cliOptions{Flags: mapcli.Flags{Kernel: "FIR", Config: "HOM32", Flow: "cab", Seed: 1, Seeds: 1}, batch: batch}
+		if err := run(&sb, o); err != nil {
+			t.Fatal(err)
+		}
+		out := sb.String()
+		for _, want := range []string{"verified OK", fmt.Sprintf("batch B=%d", batch), "all lanes verified identical", "/input"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("-batch %d: output misses %q:\n%s", batch, want, out)
+			}
 		}
 	}
 }

@@ -108,11 +108,11 @@ type mapperArena struct {
 	pending  []int
 	owed     []int8
 
-	// frontierOf's per-node earliest-cycle estimates, a stamped array
-	// standing in for the map the hot path used to allocate per child.
-	est     []int
-	estMark []uint32
-	estGen  uint32
+	// frontierHeads' unbound-node membership, a stamped array standing
+	// in for a per-step map, and its result.
+	mark    []uint32
+	markGen uint32
+	heads   []cdfg.NodeID
 
 	// overlay is the single in-flight candidate overlay (planCandidate
 	// never nests) and affTiles the affected-tile scratch list.
@@ -357,23 +357,19 @@ func (a *mapperArena) cloneInto(dst, src *partial) {
 	dst.touch()
 }
 
-// frontierBegin hands out the stamped estimate arrays frontierOf uses in
-// place of a per-call map. gen identifies valid entries.
-func (a *mapperArena) frontierBegin(n int) (est []int, mark []uint32, gen uint32) {
-	if cap(a.est) < n {
-		a.est = make([]int, n)
-		a.estMark = make([]uint32, n)
+// markBegin hands out the stamped membership array frontierHeads uses
+// in place of a per-call map. gen identifies valid entries.
+func (a *mapperArena) markBegin(n int) (mark []uint32, gen uint32) {
+	if cap(a.mark) < n {
+		a.mark = make([]uint32, n)
 	}
-	a.est = a.est[:n]
-	a.estMark = a.estMark[:n]
-	a.estGen++
-	if a.estGen == 0 { // wrapped: every stale mark looks current
-		for i := range a.estMark {
-			a.estMark[i] = 0
-		}
-		a.estGen = 1
+	a.mark = a.mark[:n]
+	a.markGen++
+	if a.markGen == 0 { // wrapped: every stale mark looks current
+		clear(a.mark)
+		a.markGen = 1
 	}
-	return a.est, a.estMark, a.estGen
+	return a.mark, a.markGen
 }
 
 // owedBuf returns the pendingWB scratch, zeroed. Only one pendingWB result

@@ -172,35 +172,50 @@ func (cx *bbCtx) argAvail(p *partial, a cdfg.NodeID) int {
 	return best
 }
 
-// frontier returns the cycle below which no future instruction other than
-// already-planned ones can start: the minimum earliest cycle over unbound
-// operations (estimated through unbound chains).
-func (cx *bbCtx) frontierOf(p *partial, unbound []cdfg.NodeID) int {
-	// est/mark are arena-owned stamped arrays indexed by node id; mark[n]
-	// == gen stands in for map membership without a per-call allocation.
-	est, mark, gen := cx.arena.frontierBegin(len(cx.block.Nodes))
-	front := math.MaxInt
-	for _, n := range unbound { // unbound is in topological order
-		e := 0
+// frontierHeads returns the heads of the unbound operations (unbound is
+// in topological order): those none of whose operands is itself
+// unbound. It depends on the bind step only, not on the partial, so one
+// call serves every child of the step. The result aliases arena scratch
+// and is valid until the next call.
+func (cx *bbCtx) frontierHeads(unbound []cdfg.NodeID) []cdfg.NodeID {
+	// mark is an arena-owned stamped array indexed by node id; mark[n] ==
+	// gen stands in for membership in unbound.
+	mark, gen := cx.arena.markBegin(len(cx.block.Nodes))
+	for _, n := range unbound {
+		mark[n] = gen
+	}
+	heads := cx.arena.heads[:0]
+	for _, n := range unbound {
+		head := true
 		for _, a := range cx.block.Nodes[n].Args {
-			var av int
 			if mark[a] == gen {
-				av = est[a] + 1
-			} else {
-				av = cx.argAvail(p, a)
-			}
-			if av > e {
-				e = av
+				head = false
+				break
 			}
 		}
-		est[n] = e
-		mark[n] = gen
-		if e < front {
-			front = e
+		if head {
+			heads = append(heads, n)
 		}
 	}
-	if front == math.MaxInt {
+	cx.arena.heads = heads
+	return heads
+}
+
+// frontierOf returns the cycle below which no future instruction other
+// than already-planned ones can start: the minimum earliest cycle over
+// the unbound operations, an unbound operand counting one cycle after
+// its own estimate. The minimum is always reached at a head (see
+// frontierHeads): a non-head's estimate exceeds that of one of its
+// unbound operands, so the scan over the heads alone is exact.
+func (cx *bbCtx) frontierOf(p *partial, heads []cdfg.NodeID) int {
+	if len(heads) == 0 {
 		return p.maxCycle
+	}
+	front := math.MaxInt
+	for _, n := range heads {
+		if e := cx.earliestCycle(p, n); e < front {
+			front = e
+		}
 	}
 	return front
 }
@@ -830,6 +845,10 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 		acPruned, ecPruned, realized := 0, 0, 0
 		var first *partial
 		unbound := order[oi+1:]
+		var heads []cdfg.NodeID
+		if cx.opt.Flow >= FlowECMAP {
+			heads = cx.frontierHeads(unbound)
+		}
 		var sampleViol []string
 		for len(children) < limit {
 			tPlan := time.Now()
@@ -856,7 +875,7 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 				// The paper runs the exact filter at each cycle boundary;
 				// checking every binding is equivalent but catches
 				// violating partials before they waste beam slots.
-				child.checkedTo = cx.frontierOf(child, unbound)
+				child.checkedTo = cx.frontierOf(child, heads)
 				if !cx.ecmapOKHeadroom(child, true, len(unbound) > 3) {
 					ecPruned++
 					if len(sampleViol) < 4 {

@@ -11,15 +11,18 @@ import (
 
 // paperRun maps the paper's 28 Fig 8 / Table II cells — every kernel
 // under basic/HOM64 and under cab/HOM32, HET1 and HET2 — once for the
-// search-work tests below.
+// search-work and paper-claim tests below. Its runner keeps the cells,
+// so Table II and Fig 10 built on it map nothing again.
 var paperRun struct {
 	once       sync.Once
+	r          *Runner
 	basic, cab []*Cell
 }
 
 func paperCells() (basic, cab []*Cell) {
 	paperRun.once.Do(func() {
 		r := NewRunner()
+		paperRun.r = r
 		var jobs []func(int)
 		for _, name := range kernels.Names() {
 			jobs = append(jobs, func(tid int) { r.run(tid, name, core.FlowBasic, arch.HOM64) })
@@ -87,4 +90,57 @@ func TestFig9CABSearchesMore(t *testing.T) {
 		t.Fatalf("mean partials per mapped cell: cab %.0f, basic %.0f; Fig 9 needs cab above basic", c, b)
 	}
 	t.Logf("mean partials per mapped cell: cab %.0f, basic %.0f (%.2fx)", c, b, c/b)
+}
+
+// TestTableIIEnergyOrdering pins Table II's claim for every kernel: the
+// CPU spends more energy than the basic mapping on HOM64, which spends
+// more than the context-aware mapping on HET1 and on HET2 (a missing
+// mapping drops out of the comparison).
+func TestTableIIEnergyOrdering(t *testing.T) {
+	paperCells()
+	tab, err := paperRun.r.RunTableII()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range tab.Kernels {
+		for _, c := range []struct {
+			name, than string
+			uj, over   float64 // the energy of name must stay below that of than
+		}{
+			{"basic/HOM64", "the CPU", tab.Basic[i], tab.CPU[i]},
+			{"cab/HET1", "basic/HOM64", tab.HET1[i], tab.Basic[i]},
+			{"cab/HET2", "basic/HOM64", tab.HET2[i], tab.Basic[i]},
+			{"cab/HET1", "the CPU", tab.HET1[i], tab.CPU[i]},
+			{"cab/HET2", "the CPU", tab.HET2[i], tab.CPU[i]},
+		} {
+			if c.uj > 0 && c.over > 0 && c.uj >= c.over {
+				t.Errorf("%s %s: %.4f µJ, not below %s's %.4f µJ", k, c.name, c.uj, c.than, c.over)
+			}
+		}
+	}
+}
+
+// TestFig10CGRABeatsCPU pins Fig 10's claim: every mapped cell runs in
+// fewer cycles than the or1k CPU.
+func TestFig10CGRABeatsCPU(t *testing.T) {
+	paperCells()
+	f, err := paperRun.r.RunFig10()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := 0
+	for i, k := range f.Kernels {
+		for col, s := range f.Speedup[i] {
+			if s == 0 {
+				continue
+			}
+			mapped++
+			if s <= 1 {
+				t.Errorf("%s column %d: speedup %.2fx over the CPU, want above 1", k, col, s)
+			}
+		}
+	}
+	if mapped == 0 {
+		t.Fatal("vacuous: no mapped Fig 10 cell")
+	}
 }

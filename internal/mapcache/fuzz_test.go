@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/mapcache"
+	"repro/internal/sim"
 )
 
 // FuzzCanonicalHash drives the graph key with arbitrary marshaled graphs
@@ -81,11 +82,11 @@ func FuzzCanonicalHash(f *testing.F) {
 }
 
 var updateCorpus = flag.Bool("update-corpus", false,
-	"regenerate testdata/fuzz/FuzzDiskEntry from the current disk envelope")
+	"regenerate testdata/fuzz/FuzzDiskEntry and FuzzDiskImage from the current disk envelope and image")
 
-// diskFixture is the one request FuzzDiskEntry and TestDiskEntryCorpus
-// feed disk entries to (FIR, HOM32, cab), with the entry a cold compile
-// writes for it.
+// diskFixture is the one request FuzzDiskEntry, FuzzDiskImage and
+// TestDiskEntryCorpus feed disk entries to (FIR, HOM32, cab), with the
+// entry a cold compile writes for it.
 type diskFixture struct {
 	req     mapcache.Request
 	compute func() (mapcache.Computed, error)
@@ -157,7 +158,7 @@ func (fx *diskFixture) serve(t *testing.T, data []byte) mapcache.Result {
 //
 // The checked-in corpus (testdata/fuzz) holds one real entry plus
 // truncated and bit-flipped copies of it; TestDiskEntryCorpus keeps it
-// current.
+// current and -update-corpus regenerates it.
 func FuzzDiskEntry(f *testing.F) {
 	fx := newDiskFixture(f)
 	f.Add(fx.entry)
@@ -167,6 +168,94 @@ func FuzzDiskEntry(f *testing.F) {
 			t.Fatalf("verbatim entry served by %s, want disk", res.Source)
 		}
 	})
+}
+
+// FuzzDiskImage reaches past the envelope digest FuzzDiskEntry's
+// mutations rarely survive: it writes the fixture's real entry, replaces
+// its bitstream image with the fuzzed bytes through RewriteEntry (which
+// re-seals the digest) and opens a fresh cache over the directory.
+// GetOrStore must not panic, and either recompute the cold compile's
+// image or serve from disk a program that computes FIR's output: one
+// that sim.RunVerified checks against the CDFG interpreter. The real
+// image must be a disk hit.
+//
+// The invariant does not hold yet: the trust gate runs the verifier on
+// the rebuilt program alone, and without a mapping the dataflow pass,
+// the one that proves the contexts compute the graph, is skipped. An
+// image with one flipped bit that turns an add into an and, or rebinds
+// an operand, is served from disk and computes wrong values (ROADMAP
+// item 6 gives a reproduction).
+//
+// The checked-in corpus (testdata/fuzz) holds the real image plus a
+// truncated copy and copies with one byte flipped in the header, the
+// block tables and the context words; regenerate it with
+// TestDiskEntryCorpus -update-corpus.
+func FuzzDiskImage(f *testing.F) {
+	fx := newDiskFixture(f)
+	k, err := kernels.ByName("FIR")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, image []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, fx.name)
+		if err := os.WriteFile(path, fx.entry, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := mapcache.RewriteEntry(path, func([]byte) []byte { return image }); err != nil {
+			t.Fatal(err)
+		}
+		res, err := mapcache.New(mapcache.Config{Dir: dir}).GetOrStore(fx.req, fx.compute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Source != "disk" {
+			if !bytes.Equal(res.Image, fx.cold.Image) {
+				t.Fatalf("%s result differs from the cold image", res.Source)
+			}
+			if bytes.Equal(image, fx.cold.Image) {
+				t.Fatalf("real image served by %s, want disk", res.Source)
+			}
+			return
+		}
+		s, err := sim.New(res.Program)
+		if err != nil {
+			t.Fatalf("program served from disk does not load: %v", err)
+		}
+		if _, _, _, err := s.RunVerified(k.Init()); err != nil {
+			t.Fatalf("program served from disk: %v", err)
+		}
+	})
+}
+
+// imageCorpus derives FuzzDiskImage's named corpus from a real image.
+func imageCorpus(image []byte) map[string][]byte {
+	flip := func(i int) []byte {
+		b := bytes.Clone(image)
+		b[i] ^= 1
+		return b
+	}
+	return map[string][]byte{
+		"real_image":     image,
+		"truncated_half": image[:len(image)/2],
+		"flip_header":    flip(8),               // the tile count
+		"flip_tables":    flip(16),              // block 0's length
+		"flip_words":     flip(len(image) - 12), // inside the last tile's context words
+	}
+}
+
+// writeCorpus writes a named corpus as go-fuzz []byte files into dir.
+func writeCorpus(t *testing.T, dir string, corpus map[string][]byte) {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range corpus {
+		file := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // diskCorpus derives FuzzDiskEntry's named corpus from a real entry.
@@ -203,12 +292,8 @@ func TestDiskEntryCorpus(t *testing.T) {
 	fx := newDiskFixture(t)
 	dir := filepath.Join("testdata", "fuzz", "FuzzDiskEntry")
 	if *updateCorpus {
-		for name, data := range diskCorpus(fx.entry) {
-			file := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-			if err := os.WriteFile(filepath.Join(dir, name), []byte(file), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+		writeCorpus(t, dir, diskCorpus(fx.entry))
+		writeCorpus(t, filepath.Join("testdata", "fuzz", "FuzzDiskImage"), imageCorpus(fx.cold.Image))
 	}
 	files, err := os.ReadDir(dir)
 	if err != nil {

@@ -7,6 +7,8 @@
 // sets per bitstream in one pass: the batch dimension is the innermost
 // loop, so decode, context fetch, stall analysis and branch resolution
 // are amortized across all lanes that follow the same control path.
+// A wide batch is split into contiguous lane shards that run side by
+// side, one per core (see run); the outputs do not depend on how many.
 //
 // Its semantics are pinned against a tile-major reference interpreter
 // that lives in this package's tests (export_test.go): results, cycle
@@ -35,6 +37,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/asm"
@@ -52,9 +56,10 @@ const (
 	lkBr
 )
 
-// Lowered operand kinds: a constant value, a flat register-file index,
-// or a tile whose output register is read (self and neighbor reads both
-// lower to lsOut — the torus is resolved at predecode time).
+// Lowered operand kinds: a constant (an index into lowered.consts), a
+// flat register-file index, or a tile whose output register is read
+// (self and neighbor reads both lower to lsOut — the torus is resolved
+// at predecode time).
 const (
 	lsConst uint8 = iota
 	lsReg
@@ -90,7 +95,6 @@ type lblock struct {
 
 	srcKind [isa.MaxSrcs][]uint8
 	srcIdx  [isa.MaxSrcs][]int32
-	srcVal  [isa.MaxSrcs][]int32
 
 	// static is the per-tile activity of one execution of this block, up
 	// to the fault when the block has one.
@@ -117,6 +121,11 @@ type lowered struct {
 	banks    int
 	maxAcc   int
 	blocks   []lblock
+	// consts holds every distinct constant operand value (unused operand
+	// positions lower to the constant 0); an lsConst operand's srcIdx
+	// indexes it. A batch run broadcasts it once into a [const][lane]
+	// table that gather hands out as views.
+	consts []int32
 }
 
 // lower pre-decodes the expanded instruction grids into the
@@ -130,6 +139,16 @@ func lower(p *asm.Program, expanded [][][]*isa.Instr) *lowered {
 		numTiles: n, rrf: rrf,
 		ports: grid.MemPorts, banks: grid.MemBanks,
 		blocks: make([]lblock, len(p.Graph.Blocks)),
+	}
+	constIdx := map[int32]int32{}
+	intern := func(v int32) int32 {
+		i, ok := constIdx[v]
+		if !ok {
+			i = int32(len(low.consts))
+			constIdx[v] = i
+			low.consts = append(low.consts, v)
+		}
+		return i
 	}
 	for bi, b := range p.Graph.Blocks {
 		lb := &low.blocks[bi]
@@ -176,9 +195,11 @@ func lower(p *asm.Program, expanded [][][]*isa.Instr) *lowered {
 							sk, si = lsOut, int32(grid.Neighbors(arch.TileID(t))[src.Dir])
 						}
 					}
+					if sk == lsConst {
+						si = intern(sv)
+					}
 					lb.srcKind[i] = append(lb.srcKind[i], sk)
 					lb.srcIdx[i] = append(lb.srcIdx[i], si)
-					lb.srcVal[i] = append(lb.srcVal[i], sv)
 				}
 				mslot := int32(-1)
 				if k == lkLoad || k == lkStore {
@@ -455,20 +476,22 @@ func (e *BatchError) Unwrap() []error {
 }
 
 // laneEvent is one buffered block-timeline event; lanes interleave in
-// the engine, so events are buffered per lane and flushed in order when
-// the lane finishes.
+// the engine, so events are buffered per lane and flushed in lane order
+// once every shard has finished.
 type laneEvent struct {
 	name  string
 	start int64
 	dur   int64
 }
 
-// batchRun is the mutable state of one RunBatch: all architectural
-// state is a flat array with the lane index innermost ([tile*B+lane],
-// [reg*B+lane]) so the per-op inner loops are contiguous.
+// batchRun is the mutable state of one shard of a RunBatch: all
+// architectural state is a flat array with the lane index innermost
+// ([tile*B+lane], [reg*B+lane]) so the per-op inner loops are
+// contiguous. Lane l of the shard is lane base+l of the batch.
 type batchRun struct {
-	s *Sim
-	B int
+	s    *Sim
+	B    int
+	base int
 
 	mems    []cdfg.Memory
 	results []*Result
@@ -476,6 +499,7 @@ type batchRun struct {
 
 	out, nout []int32 // [tile*B+lane] output registers (pre/post cycle)
 	rf        []int32 // [flatReg*B+lane] register files
+	cst       []int32 // [const*B+lane] lowered.consts broadcast to every lane
 	cycles    []int64
 	stalls    []int64
 	execs     []int64 // [block*B+lane]
@@ -484,9 +508,7 @@ type batchRun struct {
 	// they ride along to the block's end without touching memory.
 	stopped []bool
 
-	s0, s1, s2    []int32   // per-operand-position constant scratch
-	maddr, mval   []int32   // [slot*B+lane] memory address/value scratch
-	maddrV, mvalV [][]int32 // per-slot resolved views for the current cycle
+	maddrV, mvalV [][]int32 // per-slot address/value views for the current cycle
 	bankCnt       []int32
 	banksTouched  []int32
 
@@ -497,6 +519,14 @@ type batchRun struct {
 
 	fastHits, totalHits int64
 }
+
+// minShardLanes is the smallest shard worth a goroutine of its own. It
+// is read off BenchmarkSimRunBatch: a 16-lane batch costs 1.07–1.33× a
+// 64-lane batch's per-lane time, so shards of 16 or more lanes keep most
+// of the batch's amortization of decode, stall analysis and branch
+// resolution. Batches under two shards' worth (Run, RunVerified, the
+// oracle's two-lane batches) run on the caller.
+const minShardLanes = 16
 
 // RunBatch executes the program once per input memory (each modified in
 // place), returning one Result per lane in input order. Lanes are
@@ -510,7 +540,13 @@ func (e *Engine) RunBatch(mems []cdfg.Memory) ([]*Result, error) {
 	return results, batchError(errs)
 }
 
-// run is RunBatch with the per-lane errors unwrapped.
+// run is RunBatch with the per-lane errors unwrapped. It splits the B
+// lanes into W = min(GOMAXPROCS, B/minShardLanes) contiguous shards:
+// shard 0 runs on the caller, the others on goroutines, and each writes
+// only its own range of results and errors. The recorder sees nothing
+// until the shards have joined; then the lanes' block events and run
+// counters are published in lane order, so every output is the same
+// for every GOMAXPROCS.
 func (e *Engine) run(mems []cdfg.Memory) ([]*Result, []error) {
 	s := e.s
 	B := len(mems)
@@ -519,29 +555,67 @@ func (e *Engine) run(mems []cdfg.Memory) ([]*Result, []error) {
 	if B == 0 {
 		return results, errs
 	}
+	W := max(1, min(runtime.GOMAXPROCS(0), B/minShardLanes))
+	shards := make([]*batchRun, W)
+	for w := range shards {
+		lo, hi := w*B/W, (w+1)*B/W
+		shards[w] = s.newBatchRun(lo, mems[lo:hi], results[lo:hi], errs[lo:hi])
+	}
+	var wg sync.WaitGroup
+	for _, r := range shards[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.run()
+		}()
+	}
+	shards[0].run()
+	wg.Wait()
+	if s.obs.Enabled() {
+		var total, fast int64
+		for _, r := range shards {
+			r.publish()
+			total += r.totalHits
+			fast += r.fastHits
+		}
+		s.obs.Counter("sim.engine.batches").Inc()
+		s.obs.Counter("sim.engine.lanes").Add(int64(B))
+		s.obs.Counter("sim.engine.block_execs").Add(total)
+		s.obs.Counter("sim.engine.fastpath_block_execs").Add(fast)
+	}
+	return results, errs
+}
+
+// newBatchRun allocates the state of one shard: lanes base..base+len(mems)-1
+// of the batch, writing results and errs (the batch's slices over the
+// same range).
+func (s *Sim) newBatchRun(base int, mems []cdfg.Memory, results []*Result, errs []error) *batchRun {
 	low := s.low
 	n := low.numTiles
+	B := len(mems)
 	r := &batchRun{
-		s: s, B: B,
+		s: s, B: B, base: base,
 		mems:    mems,
 		results: results,
 		errs:    errs,
 		out:     make([]int32, n*B),
 		nout:    make([]int32, n*B),
 		rf:      make([]int32, n*low.rrf*B),
+		cst:     make([]int32, len(low.consts)*B),
 		cycles:  make([]int64, B),
 		stalls:  make([]int64, B),
 		execs:   make([]int64, len(low.blocks)*B),
 		branch:  make([]bool, B),
 		stopped: make([]bool, B),
-		s0:      make([]int32, B),
-		s1:      make([]int32, B),
-		s2:      make([]int32, B),
 		tracing: s.obs.Enabled(),
 	}
+	for k, v := range low.consts {
+		row := r.cst[k*B : k*B+B]
+		for l := range row {
+			row[l] = v
+		}
+	}
 	if low.maxAcc > 0 {
-		r.maddr = make([]int32, low.maxAcc*B)
-		r.mval = make([]int32, low.maxAcc*B)
 		r.maddrV = make([][]int32, low.maxAcc)
 		r.mvalV = make([][]int32, low.maxAcc)
 		r.bankCnt = make([]int32, low.banks)
@@ -552,14 +626,26 @@ func (e *Engine) run(mems []cdfg.Memory) ([]*Result, []error) {
 		r.evDropped = make([]int64, B)
 		r.evStart = make([]int64, B)
 	}
-	r.run()
-	if s.obs.Enabled() {
-		s.obs.Counter("sim.engine.batches").Inc()
-		s.obs.Counter("sim.engine.lanes").Add(int64(B))
-		s.obs.Counter("sim.engine.block_execs").Add(r.totalHits)
-		s.obs.Counter("sim.engine.fastpath_block_execs").Add(r.fastHits)
+	return r
+}
+
+// publish flushes a finished shard to the recorder in lane order: each
+// lane's buffered block timeline on the track of its batch lane index,
+// then, for a lane that completed, its run counters.
+func (r *batchRun) publish() {
+	rec := r.s.obs
+	for l, res := range r.results {
+		for _, ev := range r.evBuf[l] {
+			rec.EmitEvent(obs.Event{
+				Name: ev.name, Cat: "sim.block", Ph: obs.PhaseComplete,
+				TS: float64(ev.start), Dur: float64(ev.dur),
+				PID: obs.PIDSim, TID: r.base + l,
+			})
+		}
+		if r.errs[l] == nil {
+			r.s.recordRun(res, r.evDropped[l])
+		}
 	}
-	return results, errs
 }
 
 // laneGroup is a set of lanes at the same basic block. Lanes that
@@ -665,24 +751,19 @@ func (r *batchRun) gateMaxCycles(lanes []int32) []int32 {
 	return keep
 }
 
-// gather resolves one operand of one op for the whole group: constants
-// fill the scratch buffer, register and output-register operands return
-// a direct view into the flat state (stable until the commit phase).
-func (r *batchRun) gather(lb *lblock, si, oi int, lanes []int32, scratch []int32) []int32 {
+// gather resolves one operand of one op for the whole group as a view
+// into the flat state: the constant table, a register file, or an output
+// register (stable until the commit phase).
+func (r *batchRun) gather(lb *lblock, si, oi int) []int32 {
 	B := r.B
+	i := int(lb.srcIdx[si][oi])
 	switch lb.srcKind[si][oi] {
 	case lsOut:
-		i := int(lb.srcIdx[si][oi])
 		return r.out[i*B : i*B+B]
 	case lsReg:
-		i := int(lb.srcIdx[si][oi])
 		return r.rf[i*B : i*B+B]
 	default:
-		v := lb.srcVal[si][oi]
-		for _, l := range lanes {
-			scratch[l] = v
-		}
-		return scratch
+		return r.cst[i*B : i*B+B]
 	}
 }
 
@@ -709,30 +790,29 @@ func (r *batchRun) execBlock(lb *lblock, lanes []int32) []int32 {
 			t := int(lb.tile[oi])
 			switch lb.kind[oi] {
 			case lkALU:
-				a := r.gather(lb, 0, oi, lanes, r.s0)
+				a := r.gather(lb, 0, oi)
 				var bv, cv []int32
 				if lb.nsrc[oi] > 1 {
-					bv = r.gather(lb, 1, oi, lanes, r.s1)
+					bv = r.gather(lb, 1, oi)
 				}
 				if lb.nsrc[oi] > 2 {
-					cv = r.gather(lb, 2, oi, lanes, r.s2)
+					cv = r.gather(lb, 2, oi)
 				}
 				aluEval(lb.op[oi], lanes, r.nout[t*B:t*B+B], a, bv, cv)
 			case lkMove:
-				a := r.gather(lb, 0, oi, lanes, r.s0)
+				a := r.gather(lb, 0, oi)
 				dst := r.nout[t*B : t*B+B]
 				for _, l := range lanes {
 					dst[l] = a[l]
 				}
 			case lkLoad:
-				slot := int(lb.mslot[oi])
-				r.maddrV[slot] = r.gather(lb, 0, oi, lanes, r.maddr[slot*B:slot*B+B])
+				r.maddrV[lb.mslot[oi]] = r.gather(lb, 0, oi)
 			case lkStore:
-				slot := int(lb.mslot[oi])
-				r.maddrV[slot] = r.gather(lb, 0, oi, lanes, r.maddr[slot*B:slot*B+B])
-				r.mvalV[slot] = r.gather(lb, 1, oi, lanes, r.mval[slot*B:slot*B+B])
+				slot := lb.mslot[oi]
+				r.maddrV[slot] = r.gather(lb, 0, oi)
+				r.mvalV[slot] = r.gather(lb, 1, oi)
 			default: // lkBr
-				a := r.gather(lb, 0, oi, lanes, r.s0)
+				a := r.gather(lb, 0, oi)
 				for _, l := range lanes {
 					r.branch[l] = a[l] != 0
 				}
@@ -893,9 +973,9 @@ func (r *batchRun) laneStalls(na, l int) int64 {
 	return int64(need - 1)
 }
 
-// finalizeLane builds a lane's Result from the static block tables,
-// flushes its buffered block timeline, and (on clean exit) publishes the
-// run counters.
+// finalizeLane builds a lane's Result from the static block tables.
+// Its buffered block timeline and, on a clean exit, its run counters
+// reach the recorder when the batch publishes (see run).
 func (r *batchRun) finalizeLane(l int32, runErr error) *Result {
 	low, B := r.s.low, r.B
 	n := low.numTiles
@@ -919,22 +999,6 @@ func (r *batchRun) finalizeLane(l int32, runErr error) *Result {
 	}
 	r.results[l] = res
 	r.errs[l] = runErr
-	if r.tracing {
-		for _, ev := range r.evBuf[l] {
-			r.s.obs.EmitEvent(obs.Event{
-				Name: ev.name, Cat: "sim.block", Ph: obs.PhaseComplete,
-				TS: float64(ev.start), Dur: float64(ev.dur),
-				PID: obs.PIDSim, TID: int(l),
-			})
-		}
-	}
-	if runErr == nil {
-		var dropped int64
-		if r.tracing {
-			dropped = r.evDropped[l]
-		}
-		r.s.recordRun(res, dropped)
-	}
 	return res
 }
 
