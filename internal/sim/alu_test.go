@@ -20,20 +20,25 @@ func TestALUEvalMatchesEvalOp(t *testing.T) {
 			c = append(c, x^y)
 		}
 	}
-	lanes := make([]int32, len(a))
-	for l := range lanes {
-		lanes[l] = int32(l)
-	}
 	for op := cdfg.Opcode(0); op < 64; op++ {
 		if _, err := cdfg.EvalOp(op, make([]int32, 3)); err != nil {
 			continue
 		}
-		dst := make([]int32, len(a))
+		// The state rows dst, a, b, c, in two runs that skip lane gap.
+		n, gap := len(a), len(a)/3
+		st := append(append(append(make([]int32, n), a...), b...), c...)
+		dst := st[:n]
 		for l := range dst {
 			dst[l] = 0x5eed // what an opcode without a case leaves behind
 		}
-		aluEval(op, lanes, dst, a, b, c)
-		for l := range lanes {
+		aluEval(op, []laneRun{{0, gap}, {gap + 1, n}}, st, 0, n, 2*n, 3*n)
+		if dst[gap] != 0x5eed {
+			t.Fatalf("%s wrote lane %d, which no run holds", op, gap)
+		}
+		for l := range dst {
+			if l == gap {
+				continue
+			}
 			want, _ := cdfg.EvalOp(op, []int32{a[l], b[l], c[l]})
 			if dst[l] != want {
 				t.Fatalf("%s(%d, %d, %d): engine %d, EvalOp %d", op, a[l], b[l], c[l], dst[l], want)

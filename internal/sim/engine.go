@@ -7,6 +7,9 @@
 // sets per bitstream in one pass: the batch dimension is the innermost
 // loop, so decode, context fetch, stall analysis and branch resolution
 // are amortized across all lanes that follow the same control path.
+// Those lanes are held as runs of consecutive lanes, so the per-lane
+// loops of the ALU, moves, branches and memory are dense ranges over a
+// run's slice of a state row.
 // A wide batch is split into contiguous lane shards that run side by
 // side, one per core (see run); the outputs do not depend on how many.
 //
@@ -56,16 +59,6 @@ const (
 	lkBr
 )
 
-// Lowered operand kinds: a constant (an index into lowered.consts), a
-// flat register-file index, or a tile whose output register is read
-// (self and neighbor reads both lower to lsOut — the torus is resolved
-// at predecode time).
-const (
-	lsConst uint8 = iota
-	lsReg
-	lsOut
-)
-
 // lblock is one basic block in lowered form: cycle-major op tables plus
 // the static per-tile activity of one execution.
 type lblock struct {
@@ -73,28 +66,20 @@ type lblock struct {
 	name   string
 	cycles int
 
-	// cyc[c] .. cyc[c+1] index the ops issued in cycle c.
-	cyc []int32
-	// accs[c] counts the data-memory accesses issued in cycle c. Its
-	// length is the number of cycles lowered: the block length, or the
-	// cycle of the block's fault.
-	accs []int16
+	// cyc[c] groups the ops of cycle c (see cycOps); cyc[c+1].alu ends
+	// them. len(cyc)-1 is the number of cycles lowered: the block length,
+	// or the cycle of the block's fault.
+	cyc []cycOps
 
-	kind []uint8
-	op   []cdfg.Opcode
+	op   []cdfg.Opcode // a move lowers to OpMove
 	tile []int32
-	nsrc []uint8
-	// res marks ops that commit an output-register value (moves, ALU ops,
-	// loads); wb is the flat register-file index of a writeback, -1 if
-	// none.
-	res []bool
-	wb  []int32
-	// mslot is the op's slot among its cycle's memory accesses, -1 for
-	// non-memory ops.
-	mslot []int32
+	// wb is the state row of a writeback register, -1 if none.
+	wb []int32
 
-	srcKind [isa.MaxSrcs][]uint8
-	srcIdx  [isa.MaxSrcs][]int32
+	// src[i][op] is the state row operand i reads (see lowered.rows):
+	// neighbor reads are resolved through the torus at lowering time, and
+	// unused operand positions read the constant 0.
+	src [isa.MaxSrcs][]int32
 
 	// static is the per-tile activity of one execution of this block, up
 	// to the fault when the block has one.
@@ -105,13 +90,20 @@ type lblock struct {
 	fast   bool
 
 	// fault, when non-nil, is the error of the block's first faulting
-	// op, which issues in cycle len(accs): every lane entering the block
+	// op, which issues in cycle len(cyc)-1: every lane entering the block
 	// stops there.
 	fault error
 
 	hasBranch bool
 	succs     []cdfg.BBID
 }
+
+// cycOps indexes one cycle's ops, grouped: the ALU ops and moves from
+// alu, the loads from ld, the stores from st, then the branch from br.
+// Loads and stores each keep tile order, the order the memory phase
+// serves them, and an access's slot among the cycle's accesses is its
+// index minus ld. The ops with a result are alu..st.
+type cycOps struct{ alu, ld, st, br int32 }
 
 // lowered is the whole program in pre-decoded struct-of-arrays form.
 type lowered struct {
@@ -121,12 +113,20 @@ type lowered struct {
 	banks    int
 	maxAcc   int
 	blocks   []lblock
-	// consts holds every distinct constant operand value (unused operand
-	// positions lower to the constant 0); an lsConst operand's srcIdx
-	// indexes it. A batch run broadcasts it once into a [const][lane]
-	// table that gather hands out as views.
+	// consts holds every distinct constant operand value, one state row
+	// each from constRow on; a batch run broadcasts them to every lane once.
 	consts []int32
 }
+
+// A batch run keeps all architectural state in one flat array of rows,
+// each one int32 per lane: the register files (row tile*rrf+reg), the
+// output registers before the cycle (outRow+tile), the output registers
+// the cycle computes (noutRow+tile), and the constants (constRow+k). An
+// operand is a row number, whatever it reads.
+func (low *lowered) outRow() int   { return low.numTiles * low.rrf }
+func (low *lowered) noutRow() int  { return low.outRow() + low.numTiles }
+func (low *lowered) constRow() int { return low.noutRow() + low.numTiles }
+func (low *lowered) rows() int     { return low.constRow() + len(low.consts) }
 
 // lower pre-decodes the expanded instruction grids into the
 // struct-of-arrays form. It never fails: a block whose context words
@@ -142,14 +142,16 @@ func lower(p *asm.Program, expanded [][][]*isa.Instr) *lowered {
 	}
 	constIdx := map[int32]int32{}
 	intern := func(v int32) int32 {
-		i, ok := constIdx[v]
+		row, ok := constIdx[v]
 		if !ok {
-			i = int32(len(low.consts))
-			constIdx[v] = i
+			row = int32(low.constRow() + len(low.consts))
+			constIdx[v] = row
 			low.consts = append(low.consts, v)
 		}
-		return i
+		return row
 	}
+	outRow := low.outRow()
+	var groups [4][]int // one cycle's tiles by op group, each in tile order
 	for bi, b := range p.Graph.Blocks {
 		lb := &low.blocks[bi]
 		lb.bb = cdfg.BBID(bi)
@@ -159,67 +161,77 @@ func lower(p *asm.Program, expanded [][][]*isa.Instr) *lowered {
 		lb.succs = b.Succs
 		stop := firstFault(lb, expanded[bi], grid)
 		lb.static = countBlock(expanded[bi], n, stop)
-		lb.cyc = make([]int32, stop.cycle+1)
-		lb.accs = make([]int16, stop.cycle)
+		lb.cyc = make([]cycOps, stop.cycle+1)
 		for c := 0; c < stop.cycle; c++ {
-			lb.cyc[c] = int32(len(lb.kind))
-			nacc := 0
+			for g := range groups {
+				groups[g] = groups[g][:0]
+			}
 			for t := 0; t < n; t++ {
-				in := expanded[bi][t][c]
-				if in == nil {
-					continue
+				if in := expanded[bi][t][c]; in != nil {
+					g := opGroup(kindOf(in))
+					groups[g] = append(groups[g], t)
 				}
-				k := kindOf(in)
-				lb.kind = append(lb.kind, k)
-				lb.op = append(lb.op, in.Op)
-				lb.tile = append(lb.tile, int32(t))
-				lb.nsrc = append(lb.nsrc, uint8(in.NSrc))
-				hasOut := k == lkALU || k == lkMove || k == lkLoad
-				lb.res = append(lb.res, hasOut)
-				wb := int32(-1)
-				if hasOut && in.WB {
-					wb = int32(t*rrf + int(in.WReg))
-				}
-				lb.wb = append(lb.wb, wb)
-				for i := 0; i < isa.MaxSrcs; i++ {
-					sk, si, sv := lsConst, int32(0), int32(0)
-					if i < in.NSrc {
-						switch src := in.Srcs[i]; src.Kind {
-						case isa.SrcConst:
-							sv = src.Val
-						case isa.SrcReg:
-							sk, si = lsReg, int32(t*rrf+int(src.Reg))
-						case isa.SrcSelf:
-							sk, si = lsOut, int32(t)
-						case isa.SrcNbr:
-							sk, si = lsOut, int32(grid.Neighbors(arch.TileID(t))[src.Dir])
+			}
+			cy := &lb.cyc[c]
+			cy.alu = int32(len(lb.op))
+			cy.ld = cy.alu + int32(len(groups[0]))
+			cy.st = cy.ld + int32(len(groups[1]))
+			cy.br = cy.st + int32(len(groups[2]))
+			for g, tiles := range groups {
+				for _, t := range tiles {
+					in := expanded[bi][t][c]
+					op, wb := in.Op, int32(-1)
+					if kindOf(in) == lkMove {
+						op = cdfg.OpMove
+					}
+					if g < 2 && in.WB {
+						wb = int32(t*rrf + int(in.WReg))
+					}
+					lb.op = append(lb.op, op)
+					lb.tile = append(lb.tile, int32(t))
+					lb.wb = append(lb.wb, wb)
+					for i := 0; i < isa.MaxSrcs; i++ {
+						row, v := int32(-1), int32(0)
+						if i < in.NSrc {
+							switch src := in.Srcs[i]; src.Kind {
+							case isa.SrcConst:
+								v = src.Val
+							case isa.SrcReg:
+								row = int32(t*rrf + int(src.Reg))
+							case isa.SrcSelf:
+								row = int32(outRow + t)
+							case isa.SrcNbr:
+								row = int32(outRow + int(grid.Neighbors(arch.TileID(t))[src.Dir]))
+							}
 						}
+						if row < 0 {
+							row = intern(v)
+						}
+						lb.src[i] = append(lb.src[i], row)
 					}
-					if sk == lsConst {
-						si = intern(sv)
-					}
-					lb.srcKind[i] = append(lb.srcKind[i], sk)
-					lb.srcIdx[i] = append(lb.srcIdx[i], si)
 				}
-				mslot := int32(-1)
-				if k == lkLoad || k == lkStore {
-					mslot = int32(nacc)
-					nacc++
-				}
-				lb.mslot = append(lb.mslot, mslot)
 			}
-			lb.accs[c] = int16(nacc)
-			if nacc > lb.maxAcc {
-				lb.maxAcc = nacc
-			}
+			lb.maxAcc = max(lb.maxAcc, int(cy.br-cy.ld))
 		}
-		lb.cyc[stop.cycle] = int32(len(lb.kind))
+		lb.cyc[stop.cycle].alu = int32(len(lb.op))
 		lb.fast = lb.maxAcc <= 1
-		if lb.maxAcc > low.maxAcc {
-			low.maxAcc = lb.maxAcc
-		}
+		low.maxAcc = max(low.maxAcc, lb.maxAcc)
 	}
 	return low
+}
+
+// opGroup is the group of a lowered op kind within its cycle (see
+// lblock.cyc): ALU ops and moves, loads, stores, the branch.
+func opGroup(k uint8) int {
+	switch k {
+	case lkLoad:
+		return 1
+	case lkStore:
+		return 2
+	case lkBr:
+		return 3
+	}
+	return 0
 }
 
 // firstFault scans one block's expanded grid in execution order (cycle,
@@ -485,9 +497,9 @@ type laneEvent struct {
 }
 
 // batchRun is the mutable state of one shard of a RunBatch: all
-// architectural state is a flat array with the lane index innermost
-// ([tile*B+lane], [reg*B+lane]) so the per-op inner loops are
-// contiguous. Lane l of the shard is lane base+l of the batch.
+// architectural state is one flat array of rows with the lane index
+// innermost (st[row*B+lane]), so a run of consecutive lanes is a dense
+// range of every row. Lane l of the shard is lane base+l of the batch.
 type batchRun struct {
 	s    *Sim
 	B    int
@@ -497,20 +509,17 @@ type batchRun struct {
 	results []*Result
 	errs    []error
 
-	out, nout []int32 // [tile*B+lane] output registers (pre/post cycle)
-	rf        []int32 // [flatReg*B+lane] register files
-	cst       []int32 // [const*B+lane] lowered.consts broadcast to every lane
-	cycles    []int64
-	stalls    []int64
-	execs     []int64 // [block*B+lane]
-	branch    []bool
-	// stopped marks lanes a fault finalized inside the current block;
-	// they ride along to the block's end without touching memory.
-	stopped []bool
+	st     []int32 // [row*B+lane] state rows (see lowered.rows)
+	cycles []int64
+	stalls []int64
+	execs  []int64 // [block*B+lane]
+	branch []bool
+	// done marks finalized lanes. A lane that stops in a memory phase
+	// skips the cycle's remaining accesses and then leaves its group.
+	done []bool
 
-	maddrV, mvalV [][]int32 // per-slot address/value views for the current cycle
-	bankCnt       []int32
-	banksTouched  []int32
+	arow []int   // per-access address-row offsets of the current cycle
+	bank []int32 // one lane's banks of the current cycle's accesses
 
 	tracing   bool
 	evBuf     [][]laneEvent
@@ -521,11 +530,14 @@ type batchRun struct {
 }
 
 // minShardLanes is the smallest shard worth a goroutine of its own. It
-// is read off BenchmarkSimRunBatch: a 16-lane batch costs 1.07–1.33× a
-// 64-lane batch's per-lane time, so shards of 16 or more lanes keep most
-// of the batch's amortization of decode, stall analysis and branch
-// resolution. Batches under two shards' worth (Run, RunVerified, the
-// oracle's two-lane batches) run on the caller.
+// is read off BenchmarkSimRunBatch on one core: a 16-lane batch costs
+// 1.35–1.9× a 64-lane batch's per-lane time (median per kernel), so a
+// shard of 16 lanes keeps most of the batch's amortization. On two
+// vCPUs a 64-lane batch split into two shards takes 0.82–1.03× the time
+// of one shard (median per kernel: the large kernels gain, FIR, FFT and
+// DCFilter break even). Splits over more cores are unmeasured. Batches
+// under two shards' worth (Run, RunVerified, the oracle's two-lane
+// batches) run on the caller.
 const minShardLanes = 16
 
 // RunBatch executes the program once per input memory (each modified in
@@ -591,35 +603,29 @@ func (e *Engine) run(mems []cdfg.Memory) ([]*Result, []error) {
 // same range).
 func (s *Sim) newBatchRun(base int, mems []cdfg.Memory, results []*Result, errs []error) *batchRun {
 	low := s.low
-	n := low.numTiles
 	B := len(mems)
 	r := &batchRun{
 		s: s, B: B, base: base,
 		mems:    mems,
 		results: results,
 		errs:    errs,
-		out:     make([]int32, n*B),
-		nout:    make([]int32, n*B),
-		rf:      make([]int32, n*low.rrf*B),
-		cst:     make([]int32, len(low.consts)*B),
+		st:      make([]int32, low.rows()*B),
 		cycles:  make([]int64, B),
 		stalls:  make([]int64, B),
 		execs:   make([]int64, len(low.blocks)*B),
 		branch:  make([]bool, B),
-		stopped: make([]bool, B),
+		done:    make([]bool, B),
 		tracing: s.obs.Enabled(),
 	}
 	for k, v := range low.consts {
-		row := r.cst[k*B : k*B+B]
+		row := r.st[(low.constRow()+k)*B:][:B]
 		for l := range row {
 			row[l] = v
 		}
 	}
 	if low.maxAcc > 0 {
-		r.maddrV = make([][]int32, low.maxAcc)
-		r.mvalV = make([][]int32, low.maxAcc)
-		r.bankCnt = make([]int32, low.banks)
-		r.banksTouched = make([]int32, 0, low.maxAcc)
+		r.arow = make([]int, low.maxAcc)
+		r.bank = make([]int32, low.maxAcc)
 	}
 	if r.tracing {
 		r.evBuf = make([][]laneEvent, B)
@@ -648,244 +654,191 @@ func (r *batchRun) publish() {
 	}
 }
 
-// laneGroup is a set of lanes at the same basic block. Lanes that
-// diverge at a branch split into two groups; each group owns its lane
-// slice exclusively.
+// laneRun is the consecutive lanes lo..hi-1 of a shard.
+type laneRun struct{ lo, hi int }
+
+// laneGroup is a set of lanes at the same basic block, held as runs of
+// consecutive lanes in ascending order: a batch whose lanes agree is the
+// one run [0, B). Lanes that diverge at a branch split into two groups;
+// each group owns its runs exclusively, and groups never re-merge.
 type laneGroup struct {
-	bb    cdfg.BBID
-	lanes []int32
+	bb   cdfg.BBID
+	runs []laneRun
+}
+
+// uniform reports whether every lane of runs took its branch the same
+// way, and which way.
+func (r *batchRun) uniform(runs []laneRun) (taken, ok bool) {
+	taken = r.branch[runs[0].lo]
+	for _, rn := range runs {
+		for _, b := range r.branch[rn.lo:rn.hi] {
+			if b != taken {
+				return false, false
+			}
+		}
+	}
+	return taken, true
+}
+
+// splitRuns partitions the lanes of runs by mask into the runs of lanes
+// whose mask is set and the runs of those whose mask is clear, both in
+// lane order.
+func splitRuns(runs []laneRun, mask []bool) (set, unset []laneRun) {
+	for _, rn := range runs {
+		for lo := rn.lo; lo < rn.hi; {
+			v, hi := mask[lo], lo+1
+			for hi < rn.hi && mask[hi] == v {
+				hi++
+			}
+			if v {
+				set = append(set, laneRun{lo, hi})
+			} else {
+				unset = append(unset, laneRun{lo, hi})
+			}
+			lo = hi
+		}
+	}
+	return set, unset
 }
 
 // run executes all lanes to completion (or fault) with a group
 // worklist.
 func (r *batchRun) run() {
 	low := r.s.low
-	lanes := make([]int32, r.B)
-	for i := range lanes {
-		lanes[i] = int32(i)
-	}
-	stack := []laneGroup{{r.s.prog.Graph.Entry, lanes}}
+	B := r.B
+	stack := []laneGroup{{r.s.prog.Graph.Entry, []laneRun{{0, B}}}}
 	for len(stack) > 0 {
 		g := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		bb, lns := g.bb, g.lanes
-		for len(lns) > 0 {
-			lns = r.gateMaxCycles(lns)
-			if len(lns) == 0 {
+		bb, runs := g.bb, g.runs
+		for len(runs) > 0 {
+			runs = r.gateMaxCycles(runs)
+			if len(runs) == 0 {
 				break
 			}
 			lb := &low.blocks[bb]
-			for _, l := range lns {
-				r.execs[int(bb)*r.B+int(l)]++
+			execs := r.execs[int(bb)*B : int(bb)*B+B]
+			nl := 0
+			for _, rn := range runs {
+				ex := execs[rn.lo:rn.hi]
+				for i := range ex {
+					ex[i]++
+				}
+				nl += len(ex)
 			}
-			nl := int64(len(lns))
-			r.totalHits += nl
+			r.totalHits += int64(nl)
 			if lb.fast {
-				r.fastHits += nl
+				r.fastHits += int64(nl)
 			}
-			lns = r.execBlock(lb, lns)
-			if len(lns) == 0 {
+			runs = r.execBlock(lb, runs)
+			if len(runs) == 0 {
 				break
 			}
 			switch {
 			case lb.hasBranch:
-				taken := r.branch[lns[0]]
-				uniform := true
-				for _, l := range lns[1:] {
-					if r.branch[l] != taken {
-						uniform = false
-						break
-					}
-				}
-				if uniform {
+				if taken, ok := r.uniform(runs); ok {
+					bb = lb.succs[1]
 					if taken {
 						bb = lb.succs[0]
-					} else {
-						bb = lb.succs[1]
 					}
 					continue
 				}
-				var tk, nt []int32
-				for _, l := range lns {
-					if r.branch[l] {
-						tk = append(tk, l)
-					} else {
-						nt = append(nt, l)
-					}
-				}
+				tk, nt := splitRuns(runs, r.branch)
 				stack = append(stack, laneGroup{lb.succs[1], nt})
-				bb, lns = lb.succs[0], tk
+				bb, runs = lb.succs[0], tk
 			case len(lb.succs) == 1:
 				bb = lb.succs[0]
 			default:
-				for _, l := range lns {
-					r.finalizeLane(l, nil)
+				for _, rn := range runs {
+					for l := rn.lo; l < rn.hi; l++ {
+						r.finalizeLane(l, nil)
+					}
 				}
-				lns = nil
+				runs = nil
 			}
 		}
 	}
 }
 
 // gateMaxCycles applies the runaway check at each block entry: lanes
-// over the limit finalize with the error and their partial result.
-func (r *batchRun) gateMaxCycles(lanes []int32) []int32 {
+// over the limit finalize with the error and their partial result, and
+// leave the group.
+func (r *batchRun) gateMaxCycles(runs []laneRun) []laneRun {
 	over := false
-	for _, l := range lanes {
-		if r.cycles[l] > MaxCycles {
-			over = true
-			break
+	for _, rn := range runs {
+		for i, c := range r.cycles[rn.lo:rn.hi] {
+			if c > MaxCycles {
+				r.finalizeLane(rn.lo+i, fmt.Errorf("sim: exceeded %d cycles in %q", MaxCycles, r.s.prog.Graph.Name))
+				over = true
+			}
 		}
 	}
 	if !over {
-		return lanes
+		return runs
 	}
-	keep := lanes[:0]
-	for _, l := range lanes {
-		if r.cycles[l] > MaxCycles {
-			r.finalizeLane(l, fmt.Errorf("sim: exceeded %d cycles in %q", MaxCycles, r.s.prog.Graph.Name))
-		} else {
-			keep = append(keep, l)
-		}
-	}
+	_, keep := splitRuns(runs, r.done)
 	return keep
 }
 
-// gather resolves one operand of one op for the whole group as a view
-// into the flat state: the constant table, a register file, or an output
-// register (stable until the commit phase).
-func (r *batchRun) gather(lb *lblock, si, oi int) []int32 {
-	B := r.B
-	i := int(lb.srcIdx[si][oi])
-	switch lb.srcKind[si][oi] {
-	case lsOut:
-		return r.out[i*B : i*B+B]
-	case lsReg:
-		return r.rf[i*B : i*B+B]
-	default:
-		return r.cst[i*B : i*B+B]
-	}
-}
-
 // execBlock runs one basic block for one lane group, cycle by cycle:
-// phase 1 issues ops (reads observe pre-cycle state), phase 2 services
-// memory (per-lane bank-conflict stalls, loads before stores), phase 3
-// commits output registers and writebacks. It returns the lanes that
-// completed the block; the ones that stopped in it are finalized.
-func (r *batchRun) execBlock(lb *lblock, lanes []int32) []int32 {
-	B := r.B
+// phase 1 issues the ALU ops, moves and branch (reads observe pre-cycle
+// state), phase 2 services memory (per-lane bank-conflict stalls, loads
+// before stores), phase 3 commits output registers and writebacks. Each
+// phase walks its group of the cycle's ops (see lblock.cyc) and, for
+// each op, the group's runs, with one loop per run over the run's lanes
+// of each state row the op touches. It returns the runs of the lanes
+// that completed the block; the ones that stopped in it are finalized.
+func (r *batchRun) execBlock(lb *lblock, runs []laneRun) []laneRun {
+	B, st, src := r.B, r.st, &lb.src
+	nout, out := r.s.low.noutRow(), r.s.low.outRow()
 	if r.tracing {
-		for _, l := range lanes {
-			r.evStart[l] = r.cycles[l]
+		for _, rn := range runs {
+			for l := rn.lo; l < rn.hi; l++ {
+				r.evStart[l] = r.cycles[l]
+			}
 		}
 	}
 	if lb.hasBranch {
-		for _, l := range lanes {
-			r.branch[l] = false
+		for _, rn := range runs {
+			br := r.branch[rn.lo:rn.hi]
+			for i := range br {
+				br[i] = false
+			}
 		}
 	}
-	for c := range lb.accs {
-		lo, hi := int(lb.cyc[c]), int(lb.cyc[c+1])
-		for oi := lo; oi < hi; oi++ {
-			t := int(lb.tile[oi])
-			switch lb.kind[oi] {
-			case lkALU:
-				a := r.gather(lb, 0, oi)
-				var bv, cv []int32
-				if lb.nsrc[oi] > 1 {
-					bv = r.gather(lb, 1, oi)
-				}
-				if lb.nsrc[oi] > 2 {
-					cv = r.gather(lb, 2, oi)
-				}
-				aluEval(lb.op[oi], lanes, r.nout[t*B:t*B+B], a, bv, cv)
-			case lkMove:
-				a := r.gather(lb, 0, oi)
-				dst := r.nout[t*B : t*B+B]
-				for _, l := range lanes {
-					dst[l] = a[l]
-				}
-			case lkLoad:
-				r.maddrV[lb.mslot[oi]] = r.gather(lb, 0, oi)
-			case lkStore:
-				slot := lb.mslot[oi]
-				r.maddrV[slot] = r.gather(lb, 0, oi)
-				r.mvalV[slot] = r.gather(lb, 1, oi)
-			default: // lkBr
-				a := r.gather(lb, 0, oi)
-				for _, l := range lanes {
-					r.branch[l] = a[l] != 0
+	for c := 0; c+1 < len(lb.cyc); c++ {
+		cy := lb.cyc[c]
+		o0, ld, sto, br, o1 := int(cy.alu), int(cy.ld), int(cy.st), int(cy.br), int(lb.cyc[c+1].alu)
+		for oi := o0; oi < ld; oi++ {
+			d := (nout + int(lb.tile[oi])) * B
+			aluEval(lb.op[oi], runs, st, d, int(src[0][oi])*B, int(src[1][oi])*B, int(src[2][oi])*B)
+		}
+		for oi := br; oi < o1; oi++ {
+			a := int(src[0][oi]) * B
+			for _, rn := range runs {
+				taken := r.branch[rn.lo:rn.hi]
+				for i, v := range st[a+rn.lo : a+rn.hi][:len(taken)] {
+					taken[i] = v != 0
 				}
 			}
 		}
-		if na := int(lb.accs[c]); na > 0 {
+		if na := br - ld; na > 0 {
 			if na > 1 {
-				for _, l := range lanes {
-					if st := r.laneStalls(na, int(l)); st > 0 {
-						r.stalls[l] += st
-						r.cycles[l] += st
-					}
-				}
+				r.addStalls(lb, c, runs)
 			}
-			for oi := lo; oi < hi; oi++ {
-				if lb.kind[oi] != lkLoad {
-					continue
-				}
-				t := int(lb.tile[oi])
-				av := r.maddrV[int(lb.mslot[oi])]
-				dst := r.nout[t*B : t*B+B]
-				for _, l := range lanes {
-					if r.stopped[l] {
-						continue
-					}
-					m := r.mems[l]
-					a := av[l]
-					if a < 0 || int(a) >= len(m) {
-						_, err := m.Load(a)
-						r.stopInMemory(l, lb, c, t, t, err)
-						continue
-					}
-					dst[l] = m[a]
-				}
-			}
-			for oi := lo; oi < hi; oi++ {
-				if lb.kind[oi] != lkStore {
-					continue
-				}
-				slot := int(lb.mslot[oi])
-				av, vv := r.maddrV[slot], r.mvalV[slot]
-				for _, l := range lanes {
-					if r.stopped[l] {
-						continue
-					}
-					m := r.mems[l]
-					a := av[l]
-					if a < 0 || int(a) >= len(m) {
-						err := m.Store(a, vv[l])
-						r.stopInMemory(l, lb, c, int(lb.tile[oi]), r.s.low.numTiles, err)
-						continue
-					}
-					m[a] = vv[l]
+			if r.serveMemory(lb, c, runs) {
+				if _, runs = splitRuns(runs, r.done); len(runs) == 0 {
+					return nil
 				}
 			}
 		}
-		for oi := lo; oi < hi; oi++ {
-			if !lb.res[oi] {
-				continue
-			}
+		for oi := o0; oi < sto; oi++ {
 			t := int(lb.tile[oi])
-			nv := r.nout[t*B : t*B+B]
-			ov := r.out[t*B : t*B+B]
-			if w := lb.wb[oi]; w >= 0 {
-				rv := r.rf[int(w)*B : int(w)*B+B]
-				for _, l := range lanes {
-					v := nv[l]
-					ov[l] = v
-					rv[l] = v
-				}
-			} else {
-				for _, l := range lanes {
-					ov[l] = nv[l]
+			n, o, w := (nout+t)*B, (out+t)*B, int(lb.wb[oi])*B
+			for _, rn := range runs {
+				copyLanes(st, rn, o, n)
+				if w >= 0 {
+					copyLanes(st, rn, w, n)
 				}
 			}
 		}
@@ -893,42 +846,92 @@ func (r *batchRun) execBlock(lb *lblock, lanes []int32) []int32 {
 	if lb.fault != nil {
 		// Every lane still running reaches the block's faulting op in
 		// its issue phase: lb.static already counts up to it.
-		for _, l := range lanes {
-			if !r.stopped[l] {
-				r.cycles[l] += int64(len(lb.accs))
+		for _, rn := range runs {
+			for l := rn.lo; l < rn.hi; l++ {
+				r.cycles[l] += int64(len(lb.cyc) - 1)
 				r.finalizeLane(l, lb.fault)
 			}
 		}
-		return lanes[:0]
+		return nil
 	}
-	keep := lanes[:0]
-	for _, l := range lanes {
-		if !r.stopped[l] {
-			keep = append(keep, l)
+	for _, rn := range runs {
+		cy := r.cycles[rn.lo:rn.hi]
+		for i := range cy {
+			cy[i] += int64(lb.cycles)
 		}
 	}
-	for _, l := range keep {
-		r.cycles[l] += int64(lb.cycles)
-	}
 	if r.tracing {
-		for _, l := range keep {
-			if len(r.evBuf[l]) < blockEventCap {
-				r.evBuf[l] = append(r.evBuf[l], laneEvent{lb.name, r.evStart[l], r.cycles[l] - r.evStart[l]})
-			} else {
-				r.evDropped[l]++
+		for _, rn := range runs {
+			for l := rn.lo; l < rn.hi; l++ {
+				if len(r.evBuf[l]) < blockEventCap {
+					r.evBuf[l] = append(r.evBuf[l], laneEvent{lb.name, r.evStart[l], r.cycles[l] - r.evStart[l]})
+				} else {
+					r.evDropped[l]++
+				}
 			}
 		}
 	}
-	return keep
+	return runs
+}
+
+// serveMemory runs the memory phase of cycle c for the runs' lanes:
+// every load, then every store, in tile order. A lane whose address
+// leaves memory stops there and skips the cycle's remaining accesses.
+// It reports whether any lane stopped.
+func (r *batchRun) serveMemory(lb *lblock, c int, runs []laneRun) bool {
+	B, st := r.B, r.st
+	nout := r.s.low.noutRow()
+	stopped := false
+	cy := lb.cyc[c]
+	for oi := cy.ld; oi < cy.st; oi++ {
+		t := int(lb.tile[oi])
+		a, d := int(lb.src[0][oi])*B, (nout+t)*B
+		for _, rn := range runs {
+			as := st[a+rn.lo : a+rn.hi]
+			dst, ms, done := st[d+rn.lo : d+rn.hi][:len(as)], r.mems[rn.lo:rn.hi][:len(as)], r.done[rn.lo:rn.hi][:len(as)]
+			for i, addr := range as {
+				if done[i] {
+					continue
+				}
+				m := ms[i]
+				if addr < 0 || int(addr) >= len(m) {
+					_, err := m.Load(addr)
+					r.stopInMemory(rn.lo+i, lb, c, t, t, err)
+					stopped = true
+					continue
+				}
+				dst[i] = m[addr]
+			}
+		}
+	}
+	for oi := cy.st; oi < cy.br; oi++ {
+		a, v := int(lb.src[0][oi])*B, int(lb.src[1][oi])*B
+		for _, rn := range runs {
+			as := st[a+rn.lo : a+rn.hi]
+			vs, ms, done := st[v+rn.lo : v+rn.hi][:len(as)], r.mems[rn.lo:rn.hi][:len(as)], r.done[rn.lo:rn.hi][:len(as)]
+			for i, addr := range as {
+				if done[i] {
+					continue
+				}
+				m := ms[i]
+				if addr < 0 || int(addr) >= len(m) {
+					err := m.Store(addr, vs[i])
+					r.stopInMemory(rn.lo+i, lb, c, int(lb.tile[oi]), r.s.low.numTiles, err)
+					stopped = true
+					continue
+				}
+				m[addr] = vs[i]
+			}
+		}
+	}
+	return stopped
 }
 
 // stopInMemory finalizes lane l, whose access on tile t left memory in
 // the memory phase of cycle c: the cycle and its stalls count, and the
 // block's counters are counted up to the access (stopTile is the first
-// tile whose access the memory phase did not serve). The lane rides
-// along to the block's end without touching memory again.
-func (r *batchRun) stopInMemory(l int32, lb *lblock, c, t, stopTile int, err error) {
-	r.stopped[l] = true
+// tile whose access the memory phase did not serve).
+func (r *batchRun) stopInMemory(l int, lb *lblock, c, t, stopTile int, err error) {
 	r.cycles[l] += int64(c + 1)
 	res := r.finalizeLane(l, fmt.Errorf("sim: block %q cycle %d tile %d: %w", lb.name, c, t+1, err))
 	part := countBlock(r.s.expanded[lb.bb], len(res.Tiles), stopPoint{cycle: c, tile: stopTile, mem: true})
@@ -938,45 +941,59 @@ func (r *batchRun) stopInMemory(l int32, lb *lblock, c, t, stopTile int, err err
 	}
 }
 
-// laneStalls computes one lane's global stall cycles for a cycle with na
-// same-cycle accesses: the interconnect serves them in one cycle per
-// port group and serializes same-bank accesses (a flat bank-count
-// scratch, no map).
-func (r *batchRun) laneStalls(na, l int) int64 {
-	low := r.s.low
-	banks := int32(low.banks)
-	maxBank := int32(0)
-	touched := r.banksTouched[:0]
-	for j := 0; j < na; j++ {
-		a := r.maddrV[j][l]
-		b := a % banks
-		if b < 0 {
-			b += banks
-		}
-		cnt := r.bankCnt[b] + 1
-		r.bankCnt[b] = cnt
-		if cnt == 1 {
-			touched = append(touched, b)
-		}
-		if cnt > maxBank {
-			maxBank = cnt
+// addStalls adds the global stall cycles of cycle c, which issues na > 1
+// data-memory accesses, to every lane of the runs. The interconnect
+// serves the accesses in one cycle per port group and serializes
+// same-bank ones, so a lane stalls max(⌈na/ports⌉, its largest same-bank
+// count) − 1 cycles. Each lane computes the banks of its na accesses
+// once, then counts, for each bank, how many of its earlier accesses
+// share it: exact for any bank and port count, with no per-bank table
+// to fill and clear.
+func (r *batchRun) addStalls(lb *lblock, c int, runs []laneRun) {
+	low, st := r.s.low, r.st
+	cy := lb.cyc[c]
+	na := int(cy.br - cy.ld)
+	// rows[j] is the offset of access j's address row; bs holds one
+	// lane's banks.
+	rows, bs := r.arow[:na], r.bank[:na]
+	for j := range rows {
+		rows[j] = int(lb.src[0][int(cy.ld)+j]) * r.B
+	}
+	portNeed := int32((na + low.ports - 1) / low.ports)
+	for _, rn := range runs {
+		for l := rn.lo; l < rn.hi; l++ {
+			for j, row := range rows {
+				bs[j] = low.bank(st[row+l])
+			}
+			need := portNeed
+			for j := 1; j < len(bs); j++ {
+				bj, same := bs[j], int32(1)
+				for _, b := range bs[:j] {
+					same += b2i32(b == bj)
+				}
+				need = max(need, same)
+			}
+			r.stalls[l] += int64(need - 1)
+			r.cycles[l] += int64(need - 1)
 		}
 	}
-	for _, b := range touched {
-		r.bankCnt[b] = 0
-	}
-	r.banksTouched = touched[:0]
-	need := (na + low.ports - 1) / low.ports
-	if int(maxBank) > need {
-		need = int(maxBank)
-	}
-	return int64(need - 1)
 }
 
-// finalizeLane builds a lane's Result from the static block tables.
-// Its buffered block timeline and, on a clean exit, its run counters
-// reach the recorder when the batch publishes (see run).
-func (r *batchRun) finalizeLane(l int32, runErr error) *Result {
+// bank returns the memory bank of data address a, the non-negative
+// residue of a modulo the bank count (internal/interconnect's rule).
+func (low *lowered) bank(a int32) int32 {
+	b := a % int32(low.banks)
+	if b < 0 {
+		b += int32(low.banks)
+	}
+	return b
+}
+
+// finalizeLane builds a lane's Result from the static block tables and
+// marks the lane done. Its buffered block timeline and, on a clean
+// exit, its run counters reach the recorder when the batch publishes
+// (see run).
+func (r *batchRun) finalizeLane(l int, runErr error) *Result {
 	low, B := r.s.low, r.B
 	n := low.numTiles
 	res := &Result{
@@ -987,7 +1004,7 @@ func (r *batchRun) finalizeLane(l int32, runErr error) *Result {
 		StallCycles: r.stalls[l],
 	}
 	for bi := range low.blocks {
-		cnt := r.execs[bi*B+int(l)]
+		cnt := r.execs[bi*B+l]
 		if cnt == 0 {
 			continue
 		}
@@ -999,119 +1016,210 @@ func (r *batchRun) finalizeLane(l int32, runErr error) *Result {
 	}
 	r.results[l] = res
 	r.errs[l] = runErr
+	r.done[l] = true
 	return res
 }
 
-// aluEval applies one lowered ALU op across the group's lanes. The
-// cases mirror cdfg.EvalOp exactly, one per opcode it accepts (lowering
-// admits no other; TestALUEvalMatchesEvalOp pins the two together).
-func aluEval(op cdfg.Opcode, lanes []int32, dst, a, b, c []int32) {
+// aluEval applies one lowered ALU op to every run of lanes: it computes
+// state row d of st from rows a, b and c (row offsets into st), with one
+// dense loop per run. The loop over the runs sits inside, so the caller
+// makes one call per op whatever the runs: Go keeps no register across a
+// call, and a call per run would spill and reload the caller's loop
+// state each time. The cases mirror cdfg.EvalOp exactly, one per opcode
+// it accepts (lowering admits no other; TestALUEvalMatchesEvalOp pins
+// the two together).
+func aluEval(op cdfg.Opcode, runs []laneRun, st []int32, d, a, b, c int) {
 	switch op {
 	case cdfg.OpAdd:
-		for _, l := range lanes {
-			dst[l] = a[l] + b[l]
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = x[i] + y[i]
+			}
 		}
 	case cdfg.OpSub:
-		for _, l := range lanes {
-			dst[l] = a[l] - b[l]
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = x[i] - y[i]
+			}
 		}
 	case cdfg.OpMul:
-		for _, l := range lanes {
-			dst[l] = a[l] * b[l]
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = x[i] * y[i]
+			}
 		}
 	case cdfg.OpMulH:
-		for _, l := range lanes {
-			dst[l] = int32((int64(a[l]) * int64(b[l])) >> 32)
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = int32((int64(x[i]) * int64(y[i])) >> 32)
+			}
 		}
 	case cdfg.OpAnd:
-		for _, l := range lanes {
-			dst[l] = a[l] & b[l]
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = x[i] & y[i]
+			}
 		}
 	case cdfg.OpOr:
-		for _, l := range lanes {
-			dst[l] = a[l] | b[l]
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = x[i] | y[i]
+			}
 		}
 	case cdfg.OpXor:
-		for _, l := range lanes {
-			dst[l] = a[l] ^ b[l]
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = x[i] ^ y[i]
+			}
 		}
 	case cdfg.OpShl:
-		for _, l := range lanes {
-			dst[l] = a[l] << (uint32(b[l]) & 31)
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = x[i] << (uint32(y[i]) & 31)
+			}
 		}
 	case cdfg.OpShr:
-		for _, l := range lanes {
-			dst[l] = int32(uint32(a[l]) >> (uint32(b[l]) & 31))
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = int32(uint32(x[i]) >> (uint32(y[i]) & 31))
+			}
 		}
 	case cdfg.OpSra:
-		for _, l := range lanes {
-			dst[l] = a[l] >> (uint32(b[l]) & 31)
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = x[i] >> (uint32(y[i]) & 31)
+			}
 		}
 	case cdfg.OpLt:
-		for _, l := range lanes {
-			dst[l] = b2i32(a[l] < b[l])
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = b2i32(x[i] < y[i])
+			}
 		}
 	case cdfg.OpLe:
-		for _, l := range lanes {
-			dst[l] = b2i32(a[l] <= b[l])
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = b2i32(x[i] <= y[i])
+			}
 		}
 	case cdfg.OpEq:
-		for _, l := range lanes {
-			dst[l] = b2i32(a[l] == b[l])
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = b2i32(x[i] == y[i])
+			}
 		}
 	case cdfg.OpNe:
-		for _, l := range lanes {
-			dst[l] = b2i32(a[l] != b[l])
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = b2i32(x[i] != y[i])
+			}
 		}
 	case cdfg.OpGe:
-		for _, l := range lanes {
-			dst[l] = b2i32(a[l] >= b[l])
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = b2i32(x[i] >= y[i])
+			}
 		}
 	case cdfg.OpGt:
-		for _, l := range lanes {
-			dst[l] = b2i32(a[l] > b[l])
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = b2i32(x[i] > y[i])
+			}
 		}
 	case cdfg.OpMin:
-		for _, l := range lanes {
-			if a[l] < b[l] {
-				dst[l] = a[l]
-			} else {
-				dst[l] = b[l]
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = min(x[i], y[i])
 			}
 		}
 	case cdfg.OpMax:
-		for _, l := range lanes {
-			if a[l] > b[l] {
-				dst[l] = a[l]
-			} else {
-				dst[l] = b[l]
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			for i := range z {
+				z[i] = max(x[i], y[i])
 			}
 		}
 	case cdfg.OpAbs:
-		for _, l := range lanes {
-			if a[l] < 0 {
-				dst[l] = -a[l]
-			} else {
-				dst[l] = a[l]
+		for _, rn := range runs {
+			z, x := rows1(st, rn, d, a)
+			for i, v := range x {
+				if v < 0 {
+					v = -v
+				}
+				z[i] = v
 			}
 		}
 	case cdfg.OpNeg:
-		for _, l := range lanes {
-			dst[l] = -a[l]
+		for _, rn := range runs {
+			z, x := rows1(st, rn, d, a)
+			for i, v := range x {
+				z[i] = -v
+			}
 		}
 	case cdfg.OpSelect:
-		for _, l := range lanes {
-			if a[l] != 0 {
-				dst[l] = b[l]
-			} else {
-				dst[l] = c[l]
+		for _, rn := range runs {
+			z, x, y := rows2(st, rn, d, a, b)
+			w := st[c+rn.lo : c+rn.hi][:len(z)]
+			for i := range z {
+				if x[i] != 0 {
+					z[i] = y[i]
+				} else {
+					z[i] = w[i]
+				}
 			}
 		}
 	case cdfg.OpMove:
-		for _, l := range lanes {
-			dst[l] = a[l]
+		for _, rn := range runs {
+			z, x := rows1(st, rn, d, a)
+			for i, v := range x {
+				z[i] = v
+			}
 		}
 	}
+}
+
+// copyLanes copies run rn's lanes of state row src into row dst (row
+// offsets into st). A one-lane run, every run of a B=1 batch, is a
+// single store: a call into memmove per committed op costs a B=1 run
+// more than the copy itself. A longer run goes to copy, which beats a
+// per-lane loop from a few lanes on.
+func copyLanes(st []int32, rn laneRun, dst, src int) {
+	if rn.hi-rn.lo == 1 {
+		st[dst+rn.lo] = st[src+rn.lo]
+		return
+	}
+	copy(st[dst+rn.lo:dst+rn.hi], st[src+rn.lo:src+rn.hi])
+}
+
+// rows1 returns run rn's slices of state rows d and a (row offsets into
+// st), a cut to d's length so that a loop over either drops the bounds
+// checks on both.
+func rows1(st []int32, rn laneRun, d, a int) (z, x []int32) {
+	z = st[d+rn.lo : d+rn.hi]
+	return z, st[a+rn.lo : a+rn.hi][:len(z)]
+}
+
+// rows2 is rows1 with a second source row b.
+func rows2(st []int32, rn laneRun, d, a, b int) (z, x, y []int32) {
+	z, x = rows1(st, rn, d, a)
+	return z, x, st[b+rn.lo : b+rn.hi][:len(z)]
 }
 
 func b2i32(b bool) int32 {
