@@ -75,8 +75,8 @@ func FuzzBackendDiff(f *testing.F) {
 			idx += int64(len(cells))
 		}
 		cell := cells[idx]
-		p := oracle.Pipeline{ExactNodeBudget: fuzzExactBudget}
-		if r := p.CheckBackends(g, mem, pair, cell, modeIdx^cfgIdx); r.Outcome.Bug() {
+		p := oracle.Pipeline{Backends: pair, ExactNodeBudget: fuzzExactBudget}
+		if r := p.Check(g, mem, cell, modeIdx^cfgIdx); r.Outcome.Bug() {
 			gtext, _ := g.MarshalText()
 			t.Fatalf("%s: %s: %s: %v\n%s", pair, cell, r.Outcome, r.Err, gtext)
 		}

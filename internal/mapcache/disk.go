@@ -170,7 +170,7 @@ func EntryFiles(dir string) ([]string, error) {
 // RewriteEntry rewrites the bitstream image of the disk entry at path
 // through mutate, recomputing the envelope digest so the result is a
 // well-formed entry with a poisoned payload. This exists for fault
-// injection: the oracle's MutateCacheEntry test uses it to prove the
+// injection: the oracle's cache-entry fault tests use it to prove the
 // re-verify gate rejects a consistent-looking but wrong disk entry.
 func RewriteEntry(path string, mutate func(image []byte) []byte) error {
 	data, err := os.ReadFile(path)

@@ -3,12 +3,6 @@ package oracle
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"runtime"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/arch"
 	"repro/internal/asm"
@@ -17,13 +11,14 @@ import (
 	"repro/internal/verify"
 )
 
-// Cross-backend differential mode: instead of diffing one mapper against
-// the reference interpreter, diff two independent mapper implementations
-// against each other. Both must produce verifier-clean mappings, and the
-// exact backend — warm-started from the heuristic's result — must never
-// cost more context-memory words. The property is far stronger than
-// self-consistency: the two backends share only the binder primitives,
-// not the search, so a search bug in either surfaces as a disagreement.
+// Cross-backend differential mode (Pipeline.Backends): instead of diffing
+// one mapper against the reference interpreter, diff two independent
+// mapper implementations against each other. Both must produce
+// verifier-clean mappings, and the exact backend — warm-started from the
+// heuristic's result — must never cost more context-memory words. The
+// property is far stronger than self-consistency: the two backends share
+// only the binder primitives, not the search, so a search bug in either
+// surfaces as a disagreement.
 
 // BackendPair names the two backends a differential check runs: Ref is
 // the reference (whose result the subject must match or beat on cost) and
@@ -35,8 +30,8 @@ type BackendPair struct {
 
 // DefaultBackendPair diffs the exact branch-and-bound search against the
 // heuristic — the pairing the acceptance sweep and CI smoke run.
-func DefaultBackendPair() BackendPair {
-	return BackendPair{Ref: core.HeuristicBackend{}, Sub: core.ExactBackend{}}
+func DefaultBackendPair() *BackendPair {
+	return &BackendPair{Ref: core.HeuristicBackend{}, Sub: core.ExactBackend{}}
 }
 
 func (bp BackendPair) String() string {
@@ -45,31 +40,19 @@ func (bp BackendPair) String() string {
 
 // BackendPairByNames resolves a pair from backend names (the .repro
 // metadata form).
-func BackendPairByNames(ref, sub string) (BackendPair, error) {
+func BackendPairByNames(ref, sub string) (*BackendPair, error) {
 	r, err := core.BackendByName(ref)
 	if err != nil {
-		return BackendPair{}, err
+		return nil, err
 	}
 	s, err := core.BackendByName(sub)
 	if err != nil {
-		return BackendPair{}, err
+		return nil, err
 	}
-	return BackendPair{Ref: r, Sub: s}, nil
+	return &BackendPair{Ref: r, Sub: s}, nil
 }
 
-// BackendDiffResult is the outcome of diffing one graph in one cell.
-type BackendDiffResult struct {
-	Cell    Cell
-	Outcome Outcome
-	// Err carries the disagreement detail; nil for Pass.
-	Err error
-	// RefWords/SubWords are each backend's total context words, -1 when
-	// that backend found no mapping.
-	RefWords int
-	SubWords int
-}
-
-// CheckBackends maps the graph with both backends of the pair in the
+// checkBackends maps the graph with both backends of p.Backends in the
 // given cell and classifies the disagreement, if any:
 //
 //   - both fail to map: NoMapping (agreement on infeasibility).
@@ -81,18 +64,12 @@ type BackendDiffResult struct {
 //     naming the guilty backend.
 //   - both map but the subject costs more words: Inverted.
 //
-// The pipeline's MutateMapping hook, when set, corrupts the subject's
-// mapping before the legality checks — the fault-injection tests use it
-// to prove the differential actually catches planted backend bugs.
-func (p *Pipeline) CheckBackends(g *cdfg.Graph, mem cdfg.Memory, pair BackendPair, cell Cell, seed int64) BackendDiffResult {
-	r := p.checkBackends(g, pair, cell, seed)
-	_ = mem // held for FailFn symmetry: the diff itself never simulates
-	p.recordBackendCheck(r)
-	return r
-}
-
-func (p *Pipeline) checkBackends(g *cdfg.Graph, pair BackendPair, cell Cell, seed int64) BackendDiffResult {
-	r := BackendDiffResult{Cell: cell, RefWords: -1, SubWords: -1}
+// The mapping fault hook, when set, corrupts the subject's mapping before
+// the legality checks — the fault-injection tests use it to prove the
+// differential actually catches planted backend bugs.
+func (p *Pipeline) checkBackends(g *cdfg.Graph, cell Cell, seed int64) CellResult {
+	pair := p.Backends
+	r := CellResult{Cell: cell, RefWords: -1, SubWords: -1}
 	opt := cell.Mode.Options()
 	opt.Seed = seed
 	opt.Obs = p.Obs
@@ -119,8 +96,8 @@ func (p *Pipeline) checkBackends(g *cdfg.Graph, pair BackendPair, cell Cell, see
 			pair.Ref.Name(), cell, pair.Sub.Name(), subErr)
 		return r
 	}
-	if p.MutateMapping != nil && subM != nil {
-		p.MutateMapping(subM)
+	if p.fault.mapping != nil && subM != nil {
+		p.fault.mapping(subM)
 	}
 	// Per-mapping legality, mirroring the interpreter pipeline: memory
 	// fit, assembly, static verification. A memory-unaware mode is
@@ -170,195 +147,4 @@ func (p *Pipeline) checkBackends(g *cdfg.Graph, pair BackendPair, cell Cell, see
 	}
 	r.Outcome = Pass
 	return r
-}
-
-// recordBackendCheck publishes one cross-backend check to the recorder,
-// in its own counter namespace so the interpreter-differential counters
-// stay comparable across runs.
-func (p *Pipeline) recordBackendCheck(r BackendDiffResult) {
-	if !p.Obs.Enabled() {
-		return
-	}
-	p.Obs.Counter("oracle.backend_diff.checks").Inc()
-	p.Obs.Counter("oracle.backend_diff.outcome." + outcomeCounter(r.Outcome)).Inc()
-	if r.Outcome.Bug() {
-		p.Obs.Counter("oracle.backend_diff.bugs").Inc()
-	}
-}
-
-// CheckBackendsAll runs CheckBackends over the given cells (AllCells when
-// nil) and returns the per-cell results in order.
-func (p *Pipeline) CheckBackendsAll(g *cdfg.Graph, mem cdfg.Memory, pair BackendPair, cells []Cell, seed int64) []BackendDiffResult {
-	if cells == nil {
-		cells = AllCells()
-	}
-	out := make([]BackendDiffResult, len(cells))
-	for i, c := range cells {
-		out[i] = p.CheckBackends(g, mem, pair, c, seed)
-	}
-	return out
-}
-
-// BackendFailFn adapts one failing cross-backend cell into the shrinker's
-// FailFn: a candidate graph still fails while the pair still disagrees in
-// that cell.
-func (p *Pipeline) BackendFailFn(pair BackendPair, cell Cell, seed int64) FailFn {
-	return func(g *cdfg.Graph, mem cdfg.Memory) bool {
-		return p.CheckBackends(g, mem, pair, cell, seed).Outcome.Bug()
-	}
-}
-
-// BackendGraphResult collects one generated graph's cross-backend run.
-type BackendGraphResult struct {
-	Index int
-	Seed  int64
-	Graph *cdfg.Graph
-	Mem   cdfg.Memory
-	Cells []BackendDiffResult
-}
-
-// Bugs returns the cell results that indicate a backend disagreement.
-func (g *BackendGraphResult) Bugs() []BackendDiffResult {
-	var bugs []BackendDiffResult
-	for _, c := range g.Cells {
-		if c.Outcome.Bug() {
-			bugs = append(bugs, c)
-		}
-	}
-	return bugs
-}
-
-// BackendSweepReport aggregates a cross-backend sweep.
-type BackendSweepReport struct {
-	Pair    string
-	Graphs  int
-	ByCell  map[Cell]map[Outcome]int
-	Checked int
-	// Failures holds every graph with at least one disagreement, in
-	// generation order.
-	Failures []BackendGraphResult
-}
-
-// Counts sums outcomes over the whole matrix.
-func (r *BackendSweepReport) Counts() map[Outcome]int {
-	total := map[Outcome]int{}
-	for _, m := range r.ByCell {
-		for o, n := range m {
-			total[o] += n
-		}
-	}
-	return total
-}
-
-// String renders a per-cell outcome table.
-func (r *BackendSweepReport) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "oracle backend diff (%s): %d graphs × %d cells\n",
-		r.Pair, r.Graphs, len(r.ByCell))
-	cells := make([]Cell, 0, len(r.ByCell))
-	for c := range r.ByCell {
-		cells = append(cells, c)
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].Mode != cells[j].Mode {
-			return cells[i].Mode < cells[j].Mode
-		}
-		return cells[i].Config < cells[j].Config
-	})
-	for _, c := range cells {
-		m := r.ByCell[c]
-		fmt.Fprintf(&sb, "  %-14s pass %4d  no-mapping %3d  overflow %3d  inverted %3d  bugs %d\n",
-			c, m[Pass], m[NoMapping], m[Overflow], m[Inverted],
-			m[Diverged]+m[Failed]+m[Illegal]+m[Inverted])
-	}
-	return sb.String()
-}
-
-// BackendSweep generates opt.N random graphs and diffs the backend pair
-// on each across every cell of the matrix, fanning graphs out over a
-// worker pool. Like Sweep, the report is a pure function of the options:
-// workers only affect wall time.
-func (p *Pipeline) BackendSweep(pair BackendPair, opt SweepOptions) *BackendSweepReport {
-	if opt.N < 1 {
-		opt.N = 1
-	}
-	if opt.Gen.MaxBodyOps == 0 { // zero value: fall back to the defaults
-		opt.Gen = cdfg.DefaultGenConfig()
-	}
-	cells := opt.Cells
-	if cells == nil {
-		cells = AllCells()
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > opt.N {
-		workers = opt.N
-	}
-
-	sweepSpan := p.Obs.StartSpan("oracle.backend_sweep", "oracle", 0)
-	var done atomic.Int64
-
-	results := make([]BackendGraphResult, opt.N)
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Per-worker pipeline copy: mapper spans track the worker that
-			// ran them (see Pipeline.ObsTID).
-			wp := *p
-			wp.ObsTID = w
-			for i := range idx {
-				seed := opt.Seed + int64(i)
-				sp := p.Obs.StartSpan("oracle.backend_graph", "oracle", w)
-				g, mem := cdfg.Generate(rand.New(rand.NewSource(seed)), opt.Gen)
-				results[i] = BackendGraphResult{
-					Index: i,
-					Seed:  seed,
-					Graph: g,
-					Mem:   mem,
-					Cells: wp.CheckBackendsAll(g, mem, pair, cells, seed),
-				}
-				bugs := len(results[i].Bugs())
-				sp.End(map[string]any{"index": i, "seed": seed, "bugs": bugs})
-				if p.Obs.Enabled() {
-					p.Obs.Counter("oracle.backend_diff.graphs").Inc()
-					p.Obs.Emit("oracle.backend_sweep.progress", "oracle", w,
-						map[string]any{"done": done.Add(1), "total": opt.N})
-				}
-			}
-		}(w)
-	}
-	for i := 0; i < opt.N; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
-	rep := &BackendSweepReport{
-		Pair:   pair.String(),
-		Graphs: opt.N,
-		ByCell: map[Cell]map[Outcome]int{},
-	}
-	for _, c := range cells {
-		rep.ByCell[c] = map[Outcome]int{}
-	}
-	for i := range results {
-		gr := &results[i]
-		for _, c := range gr.Cells {
-			rep.ByCell[c.Cell][c.Outcome]++
-			rep.Checked++
-		}
-		if len(gr.Bugs()) > 0 {
-			rep.Failures = append(rep.Failures, *gr)
-		}
-	}
-	sweepSpan.End(map[string]any{
-		"graphs": opt.N, "cells": len(cells),
-		"checked": rep.Checked, "failures": len(rep.Failures),
-	})
-	return rep
 }

@@ -44,6 +44,7 @@ func TestBackendPairByNames(t *testing.T) {
 // inversion. ORACLE_BACKEND_DIFF_N overrides the graph count and
 // ORACLE_BACKEND_DIFF_BUDGET the exact node budget (CI runs an explicit
 // bounded smoke); short mode and the race detector trim the count.
+// ORACLE_METRICS and ORACLE_SERVE attach a recorder as in TestSweepClean.
 func TestBackendDiffSweepClean(t *testing.T) {
 	n := 25
 	if testing.Short() {
@@ -53,8 +54,12 @@ func TestBackendDiffSweepClean(t *testing.T) {
 		n = 5
 	}
 	n = positiveEnv(t, "ORACLE_BACKEND_DIFF_N", n)
-	p := &Pipeline{ExactNodeBudget: positiveEnv(t, "ORACLE_BACKEND_DIFF_BUDGET", testExactBudget)}
-	rep := p.BackendSweep(DefaultBackendPair(), SweepOptions{N: n, Seed: 500})
+	p := &Pipeline{
+		Backends:        DefaultBackendPair(),
+		ExactNodeBudget: positiveEnv(t, "ORACLE_BACKEND_DIFF_BUDGET", testExactBudget),
+	}
+	sweepRecorder(t, p)
+	rep := p.Sweep(SweepOptions{N: n, Seed: 500})
 	t.Log("\n" + rep.String())
 	if rep.Checked != n*len(AllCells()) {
 		t.Errorf("checked %d cells, want %d", rep.Checked, n*len(AllCells()))
@@ -85,11 +90,11 @@ func positiveEnv(t *testing.T, name string, def int) int {
 // of the options: worker count must not affect any count.
 func TestBackendSweepDeterministic(t *testing.T) {
 	opt := SweepOptions{N: 4, Seed: 900}
-	p := &Pipeline{ExactNodeBudget: testExactBudget}
-	var base *BackendSweepReport
+	p := &Pipeline{Backends: DefaultBackendPair(), ExactNodeBudget: testExactBudget}
+	var base *SweepReport
 	for _, workers := range []int{1, 4} {
 		opt.Workers = workers
-		rep := p.BackendSweep(DefaultBackendPair(), opt)
+		rep := p.Sweep(opt)
 		if base == nil {
 			base = rep
 			continue
@@ -103,13 +108,14 @@ func TestBackendSweepDeterministic(t *testing.T) {
 
 // TestBackendDiffCatchesPlantedFault proves the differential is a live
 // oracle: a fault planted in the subject's mapping must classify as
-// Illegal, shrink to a small reproducer via BackendFailFn, and round-trip
-// through the cross-backend .repro format with its backend pair intact.
+// Illegal, shrink to a small reproducer, and round-trip through the
+// .repro format with its backend pair intact.
 func TestBackendDiffCatchesPlantedFault(t *testing.T) {
 	cell := Cell{Mode: ModeBasic, Config: arch.ConfigNames()[0]}
 	pair := DefaultBackendPair()
-	clean := &Pipeline{ExactNodeBudget: testExactBudget}
-	faulty := &Pipeline{ExactNodeBudget: testExactBudget, MutateMapping: corruptWriteback}
+	clean := &Pipeline{Backends: pair, ExactNodeBudget: testExactBudget}
+	faulty := &Pipeline{Backends: pair, ExactNodeBudget: testExactBudget,
+		fault: faultHooks{mapping: corruptWriteback}}
 
 	gen := cdfg.DefaultGenConfig()
 	gen.MaxBodyOps = 5
@@ -118,10 +124,10 @@ func TestBackendDiffCatchesPlantedFault(t *testing.T) {
 	var seed int64
 	for s := int64(6000); s < 6050; s++ {
 		cg, cmem := cdfg.Generate(rand.New(rand.NewSource(s)), gen)
-		if clean.CheckBackends(cg, cmem, pair, cell, s).Outcome != Pass {
+		if clean.Check(cg, cmem, cell, s).Outcome != Pass {
 			continue
 		}
-		if faulty.CheckBackends(cg, cmem, pair, cell, s).Outcome == Illegal {
+		if faulty.Check(cg, cmem, cell, s).Outcome == Illegal {
 			g, mem, seed = cg, cmem, s
 			break
 		}
@@ -130,7 +136,7 @@ func TestBackendDiffCatchesPlantedFault(t *testing.T) {
 		t.Fatal("no seed in [6000,6050) exposes the writeback fault as Illegal")
 	}
 
-	res := faulty.CheckBackends(g, mem, pair, cell, seed)
+	res := faulty.Check(g, mem, cell, seed)
 	if !res.Outcome.Bug() {
 		t.Fatalf("planted fault must classify as a bug, got %s", res.Outcome)
 	}
@@ -138,29 +144,29 @@ func TestBackendDiffCatchesPlantedFault(t *testing.T) {
 		t.Fatalf("diagnosis should name the guilty backend, got %v", res.Err)
 	}
 
-	small := Shrink(g, mem, faulty.BackendFailFn(pair, cell, seed), 0)
+	fails := func(cg *cdfg.Graph, cmem cdfg.Memory) bool {
+		return faulty.Check(cg, cmem, cell, seed).Outcome.Bug()
+	}
+	small := Shrink(g, mem, fails, 0)
 	t.Logf("shrunk %d nodes -> %d nodes", g.NumNodes(), small.NumNodes())
-	shrunk := faulty.CheckBackends(small, mem, pair, cell, seed)
+	shrunk := faulty.Check(small, mem, cell, seed)
 	if !shrunk.Outcome.Bug() {
 		t.Fatal("shrunk graph no longer disagrees")
 	}
-	if got := clean.CheckBackends(small, mem, pair, cell, seed).Outcome; got.Bug() {
+	if got := clean.Check(small, mem, cell, seed).Outcome; got.Bug() {
 		t.Fatalf("shrunk graph is %s under the clean pipeline, want no bug", got)
 	}
 
-	data, err := FormatBackendRepro(small, mem, seed, pair, shrunk)
+	data, err := FormatRepro(small, mem, seed, pair, shrunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rg, rmem, meta, err := ParseReproMeta(data)
+	rg, rmem, rpair, err := ParseReproMeta(data)
 	if err != nil {
 		t.Fatalf("ParseReproMeta on formatted repro: %v\n%s", err, data)
 	}
-	if !meta.BackendDiff() || meta.RefBackend != pair.Ref.Name() || meta.SubBackend != pair.Sub.Name() {
-		t.Fatalf("round-tripped meta %+v lost the pair %s", meta, pair)
-	}
-	if rp, err := meta.Pair(); err != nil || rp.String() != pair.String() {
-		t.Fatalf("meta.Pair() = %v, %v", rp, err)
+	if rpair == nil || rpair.String() != pair.String() {
+		t.Fatalf("round-tripped pair %v, want %s", rpair, pair)
 	}
 	if rg.NumNodes() != small.NumNodes() || len(rmem) != len(mem) {
 		t.Fatalf("round-trip changed the reproducer: %d nodes/%d mem vs %d/%d",
@@ -179,8 +185,8 @@ func TestBackendDiffCatchesPlantedFault(t *testing.T) {
 // the heuristic as subject loses to the exact search whenever the search
 // strictly improves).
 func TestBackendDiffInvertedClassification(t *testing.T) {
-	reversed := BackendPair{Ref: DefaultBackendPair().Sub, Sub: DefaultBackendPair().Ref}
-	p := &Pipeline{ExactNodeBudget: testExactBudget}
+	reversed := &BackendPair{Ref: DefaultBackendPair().Sub, Sub: DefaultBackendPair().Ref}
+	p := &Pipeline{Backends: reversed, ExactNodeBudget: testExactBudget}
 	gen := cdfg.DefaultGenConfig()
 	// Seed 139 is a known strict improvement of the exact search on
 	// basic/HOM64 under testExactBudget; the window around it keeps the
@@ -188,7 +194,7 @@ func TestBackendDiffInvertedClassification(t *testing.T) {
 	for s := int64(135); s < 150; s++ {
 		g, mem := cdfg.Generate(rand.New(rand.NewSource(s)), gen)
 		for _, cfg := range arch.ConfigNames() {
-			r := p.CheckBackends(g, mem, reversed, Cell{Mode: ModeBasic, Config: cfg}, s)
+			r := p.Check(g, mem, Cell{Mode: ModeBasic, Config: cfg}, s)
 			if r.Outcome != Inverted {
 				continue
 			}

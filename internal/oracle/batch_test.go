@@ -47,7 +47,7 @@ func findBatchFaultSeed(t *testing.T, clean, faulty *Pipeline, cell Cell) (*cdfg
 func TestBatchFaultInjectionShrinks(t *testing.T) {
 	cell := Cell{Mode: ModeBasic, Config: AllCells()[0].Config}
 	clean := &Pipeline{}
-	faulty := &Pipeline{MutateBatch: corruptLaneInput}
+	faulty := &Pipeline{fault: faultHooks{batch: corruptLaneInput}}
 	g, mem, seed := findBatchFaultSeed(t, clean, faulty, cell)
 
 	res := faulty.Check(g, mem, cell, seed)
@@ -68,7 +68,7 @@ func TestBatchFaultInjectionShrinks(t *testing.T) {
 	}
 
 	final := faulty.Check(small, mem, cell, seed)
-	data, err := FormatRepro(small, mem, seed, final)
+	data, err := FormatRepro(small, mem, seed, nil, final)
 	if err != nil {
 		t.Fatalf("FormatRepro: %v", err)
 	}

@@ -52,7 +52,7 @@ func TestCachePoisonEntryRejected(t *testing.T) {
 	p := &Pipeline{
 		CacheDir: dir,
 		Obs:      rec,
-		MutateCacheEntry: func(dir string, g *cdfg.Graph, grid *arch.Grid) error {
+		fault: faultHooks{cacheEntry: func(dir string, g *cdfg.Graph, grid *arch.Grid) error {
 			files, err := mapcache.EntryFiles(dir)
 			if err != nil {
 				return err
@@ -73,7 +73,7 @@ func TestCachePoisonEntryRejected(t *testing.T) {
 				}
 			}
 			return nil
-		},
+		}},
 	}
 	cell := Cell{Mode: ModeCAB, Config: arch.HOM32}
 	gen := cdfg.DefaultGenConfig()
@@ -98,7 +98,7 @@ func TestCachePoisonEntryRejected(t *testing.T) {
 	}
 }
 
-// wrongImageFault returns a MutateCacheEntry that swaps every stored
+// wrongImageFault returns a cache-entry fault hook that swaps every stored
 // entry's bitstream for a legal program of the same graph compiled under
 // different tuning — a corruption that passes both the envelope checksum
 // and the structural verify gate, which is exactly the class of fault
@@ -163,7 +163,7 @@ func findCacheStaleSeed(t *testing.T, clean, faulty *Pipeline, cell Cell) (*cdfg
 func TestCacheStaleFaultInjectionShrinks(t *testing.T) {
 	cell := Cell{Mode: ModeBasic, Config: arch.HOM64}
 	clean := &Pipeline{CacheDir: t.TempDir()}
-	faulty := &Pipeline{CacheDir: t.TempDir(), MutateCacheEntry: wrongImageFault(t)}
+	faulty := &Pipeline{CacheDir: t.TempDir(), fault: faultHooks{cacheEntry: wrongImageFault(t)}}
 	g, mem, seed := findCacheStaleSeed(t, clean, faulty, cell)
 
 	faulty.CacheDir = t.TempDir()

@@ -8,16 +8,28 @@ import (
 
 // recordCheck publishes one cell check to the pipeline's recorder: a total
 // and one counter per outcome class (oracle.outcome.pass, .no_mapping,
-// .overflow, .diverged, .failed, .illegal).
+// .overflow, .diverged, …), under oracle.backend_diff.* in cross-backend
+// mode.
 func (p *Pipeline) recordCheck(r CellResult) {
 	if !p.Obs.Enabled() {
 		return
 	}
-	p.Obs.Counter("oracle.checks").Inc()
-	p.Obs.Counter("oracle.outcome." + outcomeCounter(r.Outcome)).Inc()
+	prefix := p.counterPrefix()
+	p.Obs.Counter(prefix + "checks").Inc()
+	p.Obs.Counter(prefix + "outcome." + outcomeCounter(r.Outcome)).Inc()
 	if r.Outcome.Bug() {
-		p.Obs.Counter("oracle.bugs").Inc()
+		p.Obs.Counter(prefix + "bugs").Inc()
 	}
+}
+
+// counterPrefix is the namespace of the pipeline's check counters. The
+// cross-backend differential counts in its own, so the interpreter
+// differential's counters stay comparable across runs.
+func (p *Pipeline) counterPrefix() string {
+	if p.Backends != nil {
+		return "oracle.backend_diff."
+	}
+	return "oracle."
 }
 
 // outcomeCounter turns an Outcome's display name into a counter suffix

@@ -8,47 +8,64 @@ import (
 	"repro/internal/obs"
 )
 
-// TestSweepObs checks the sweep's recorder wiring: outcome-class counters
-// mirror the report exactly, and the timeline carries the sweep span, one
-// graph span per generated graph and per-graph progress events.
+// TestSweepObs checks the sweep's recorder wiring in both pipeline modes:
+// outcome-class counters mirror the report exactly under the mode's
+// counter prefix, and the timeline carries the sweep span, one graph span
+// per generated graph and per-graph progress events.
 func TestSweepObs(t *testing.T) {
-	sink := obs.NewBufferSink(0)
-	p := Pipeline{Obs: obs.NewRecorder(obs.NewRegistry(), sink)}
-	const n = 4
-	rep := p.Sweep(SweepOptions{N: n, Seed: 99})
-
-	reg := p.Obs.Registry()
-	if got := reg.Counter("oracle.checks").Value(); got != int64(rep.Checked) {
-		t.Errorf("oracle.checks = %d, want %d", got, rep.Checked)
-	}
-	if got := reg.Counter("oracle.graphs").Value(); got != n {
-		t.Errorf("oracle.graphs = %d, want %d", got, n)
-	}
-	for o, want := range rep.Counts() {
-		if got := reg.Counter("oracle.outcome." + outcomeCounter(o)).Value(); got != int64(want) {
-			t.Errorf("oracle.outcome.%s = %d, want %d", outcomeCounter(o), got, want)
-		}
-	}
-
-	// Spans emit a begin and an end event; the end carries the args and
-	// the duration, so it is the one counted here.
-	var sweeps, graphs, progress int
-	for _, e := range sink.Events() {
-		switch {
-		case e.Name == "oracle.sweep" && e.Ph == obs.PhaseEnd:
-			sweeps++
-			if e.Args["checked"] != rep.Checked {
-				t.Errorf("sweep span args %+v do not carry checked=%d", e.Args, rep.Checked)
+	for _, tc := range []struct {
+		name     string
+		backends *BackendPair
+		prefix   string
+	}{
+		{"interpreter", nil, "oracle."},
+		{"backends", DefaultBackendPair(), "oracle.backend_diff."},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := obs.NewBufferSink(0)
+			p := Pipeline{
+				Obs:             obs.NewRecorder(obs.NewRegistry(), sink),
+				Backends:        tc.backends,
+				ExactNodeBudget: testExactBudget,
 			}
-		case e.Name == "oracle.graph" && e.Ph == obs.PhaseEnd:
-			graphs++
-		case e.Name == "oracle.sweep.progress":
-			progress++
-		}
-	}
-	if sweeps != 1 || graphs != n || progress != n {
-		t.Errorf("got %d sweep spans, %d graph spans, %d progress events; want 1, %d, %d",
-			sweeps, graphs, progress, n, n)
+			const n = 4
+			rep := p.Sweep(SweepOptions{N: n, Seed: 99})
+
+			reg := p.Obs.Registry()
+			if got := reg.Counter(tc.prefix + "checks").Value(); got != int64(rep.Checked) {
+				t.Errorf("%schecks = %d, want %d", tc.prefix, got, rep.Checked)
+			}
+			if got := reg.Counter(tc.prefix + "graphs").Value(); got != n {
+				t.Errorf("%sgraphs = %d, want %d", tc.prefix, got, n)
+			}
+			for o, want := range rep.Counts() {
+				name := tc.prefix + "outcome." + outcomeCounter(o)
+				if got := reg.Counter(name).Value(); got != int64(want) {
+					t.Errorf("%s = %d, want %d", name, got, want)
+				}
+			}
+
+			// Spans emit a begin and an end event; the end carries the args
+			// and the duration, so it is the one counted here.
+			var sweeps, graphs, progress int
+			for _, e := range sink.Events() {
+				switch {
+				case e.Name == "oracle.sweep" && e.Ph == obs.PhaseEnd:
+					sweeps++
+					if e.Args["checked"] != rep.Checked {
+						t.Errorf("sweep span args %+v do not carry checked=%d", e.Args, rep.Checked)
+					}
+				case e.Name == "oracle.graph" && e.Ph == obs.PhaseEnd:
+					graphs++
+				case e.Name == "oracle.sweep.progress":
+					progress++
+				}
+			}
+			if sweeps != 1 || graphs != n || progress != n {
+				t.Errorf("got %d sweep spans, %d graph spans, %d progress events; want 1, %d, %d",
+					sweeps, graphs, progress, n, n)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,18 @@
 // Package oracle is the property-based differential-testing layer of the
 // repository: a seeded random CDFG generator (internal/cdfg.Generate), a
-// differential pipeline that maps each graph under every mapping mode ×
-// context-memory configuration, simulates the result, and compares the
-// final data memory against the reference interpreter, and a greedy
-// shrinker that minimizes any failing graph to a small reproducer.
+// differential pipeline that checks each graph under every mapping mode ×
+// context-memory configuration, a sweep that fans seeded graphs over the
+// matrix, a greedy shrinker that minimizes any failing graph, and the
+// .repro format that keeps every minimized failure replaying in `go test`.
+//
+// Pipeline.Check has two modes. By default it maps, assembles and
+// simulates the graph and compares the final data memory against the
+// reference interpreter, then cross-checks the batched engine, the static
+// analyzer and (with a cache directory) the mapping cache. With
+// Pipeline.Backends set it instead diffs two mapper backends against each
+// other: both must produce verifier-clean mappings, and the subject must
+// never cost more context words than the reference. Sweep, the report,
+// Shrink, the reproducer format and the recorder counters serve both modes.
 //
 // The paper's claim rests on every mapping variant producing semantically
 // identical programs whose only difference is context-memory cost; the
@@ -204,11 +213,16 @@ type CellResult struct {
 	Err error
 	// Cycles is the simulated execution time of a run that completed.
 	Cycles int64
+	// RefWords/SubWords are each backend's total context words in a
+	// cross-backend check, -1 when that backend found no mapping; zero in
+	// an interpreter check.
+	RefWords int
+	SubWords int
 }
 
 // Pipeline runs the differential check. The zero value is the production
-// pipeline; MutateMapping and Mutate inject faults, which the shrinker
-// and fault-injection tests use to prove the oracle catches binding bugs.
+// mapper-vs-interpreter pipeline; Backends switches it to the
+// cross-backend differential.
 type Pipeline struct {
 	// Obs, when non-nil, receives the oracle's instrumentation: per-check
 	// outcome-class counters, sweep progress events and shrink-step events.
@@ -220,45 +234,53 @@ type Pipeline struct {
 	// sweep shows per-worker occupancy instead of one interleaved track.
 	// Purely observational: it never affects outcomes.
 	ObsTID int
-	// MutateMapping, when non-nil, corrupts the mapping between the
-	// memory-fit check and assembly — upstream of the static verifier, so
-	// structural faults it plants surface as Illegal.
-	MutateMapping func(*core.Mapping)
-	// Mutate, when non-nil, corrupts the assembled program between
-	// assembly and simulation. The static verifier runs before Mutate (it
-	// judges the genuine toolchain output, not the injected fault), so
-	// these corruptions surface dynamically as Diverged.
-	Mutate func(*asm.Program)
 	// ExactNodeBudget bounds the exact backend's search in cross-backend
 	// checks (core.Options.ExactNodeBudget); zero means
 	// core.DefaultExactNodeBudget. Sweeps
 	// set it so wall time scales with the graph count, not the default
 	// search budget.
 	ExactNodeBudget int
-	// MutateBatch, when non-nil, corrupts the batched engine's lane
-	// inputs after the verified run — a deliberate engine-side fault, so
-	// the injected difference surfaces as BatchDiverged (the
-	// fault-injection tests prove the classification and shrinking work).
-	MutateBatch func(lanes []cdfg.Memory)
-	// MutateStripped, when non-nil, corrupts the dead-context-stripped
-	// program between the rewrite and its re-verification — a deliberate
-	// rewriter-side fault, so the injected difference surfaces as
-	// StaticUnsound.
-	MutateStripped func(*asm.Program)
 	// CacheDir, when non-empty, adds the mapping-cache differential to
-	// every check: the cell's compiled program is pushed through a
-	// two-tier cache rooted there (cold), then requested again through a
-	// fresh cache over the same directory — forcing the disk tier, the
-	// tier an independent process would hit — and the two bitstreams must
-	// be byte-identical. Any difference is CacheStale.
+	// every interpreter check: the cell's compiled program is pushed
+	// through a two-tier cache rooted there (cold), then requested again
+	// through a fresh cache over the same directory — forcing the disk
+	// tier, the tier an independent process would hit — and the two
+	// bitstreams must be byte-identical. Any difference is CacheStale.
 	CacheDir string
-	// MutateCacheEntry, when non-nil, corrupts the on-disk cache entries
-	// between the cold and warm passes (typically via
-	// mapcache.RewriteEntry). A corruption the envelope checksum catches,
-	// or one the re-verify gate rejects, forces a recompute and still
-	// passes; a legal-but-wrong bitstream that slips through surfaces as
-	// CacheStale. The fault-injection tests prove both classifications.
-	MutateCacheEntry func(dir string, g *cdfg.Graph, grid *arch.Grid) error
+	// Backends, when non-nil, makes Check the cross-backend differential
+	// (checkBackends): the pair's two backends map each graph and must
+	// agree, and nothing is simulated. Its counters land under
+	// oracle.backend_diff.* and its reproducers carry a backends line.
+	Backends *BackendPair
+
+	// fault holds the fault-injection hooks the package's tests plant to
+	// prove each differential catches the bug class it exists for.
+	fault faultHooks
+}
+
+// faultHooks corrupt one stage's output so a test can prove the outcome
+// it must surface as. A nil hook is off.
+type faultHooks struct {
+	// mapping corrupts the mapping between the memory-fit check and
+	// assembly (the subject's mapping in a cross-backend check) —
+	// upstream of the static verifier, so structural faults surface as
+	// Illegal.
+	mapping func(*core.Mapping)
+	// program corrupts the assembled program after static verification
+	// and before simulation, so the fault surfaces dynamically as
+	// Diverged.
+	program func(*asm.Program)
+	// batch corrupts the batched engine's lane inputs after the verified
+	// run, so the difference surfaces as BatchDiverged.
+	batch func(lanes []cdfg.Memory)
+	// stripped corrupts the dead-context-stripped program before its
+	// re-verification, so the difference surfaces as StaticUnsound.
+	stripped func(*asm.Program)
+	// cacheEntry corrupts the on-disk cache entries between the cold and
+	// warm passes. A corruption the envelope checksum or the re-verify
+	// gate catches forces a recompute and still passes; a legal-but-wrong
+	// bitstream that slips through surfaces as CacheStale.
+	cacheEntry func(dir string, g *cdfg.Graph, grid *arch.Grid) error
 }
 
 // batchLanes is the width of the batch differential every check runs:
@@ -266,10 +288,17 @@ type Pipeline struct {
 // the cell's cost.
 const batchLanes = 2
 
-// Check maps the graph in the given cell, assembles and simulates it, and
-// compares the final data memory against the reference interpreter.
+// Check runs the pipeline's differential on one graph in one cell. By
+// default it maps the graph, assembles and simulates it, and compares the
+// final data memory against the reference interpreter; with Backends set
+// it diffs the two backends' mappings instead (checkBackends).
 func (p *Pipeline) Check(g *cdfg.Graph, mem cdfg.Memory, cell Cell, seed int64) CellResult {
-	r := p.check(g, mem, cell, seed)
+	var r CellResult
+	if p.Backends != nil {
+		r = p.checkBackends(g, cell, seed)
+	} else {
+		r = p.check(g, mem, cell, seed)
+	}
 	p.recordCheck(r)
 	return r
 }
@@ -295,8 +324,8 @@ func (p *Pipeline) check(g *cdfg.Graph, mem cdfg.Memory, cell Cell, seed int64) 
 		}
 		return r
 	}
-	if p.MutateMapping != nil {
-		p.MutateMapping(m)
+	if p.fault.mapping != nil {
+		p.fault.mapping(m)
 	}
 	prog, err := asm.Assemble(m)
 	if err != nil {
@@ -310,8 +339,8 @@ func (p *Pipeline) check(g *cdfg.Graph, mem cdfg.Memory, cell Cell, seed int64) 
 		r.Outcome, r.Err = Illegal, fmt.Errorf("oracle: static verification: %w", vres.Err())
 		return r
 	}
-	if p.Mutate != nil {
-		p.Mutate(prog)
+	if p.fault.program != nil {
+		p.fault.program(prog)
 	}
 	s, err := sim.New(prog, sim.WithObs(p.Obs))
 	if err != nil {
@@ -370,8 +399,8 @@ func (p *Pipeline) checkCache(g *cdfg.Graph, cell Cell, seed int64, m *core.Mapp
 	if err != nil {
 		return Failed, fmt.Errorf("oracle: cache cold pass: %w", err)
 	}
-	if p.MutateCacheEntry != nil {
-		if err := p.MutateCacheEntry(p.CacheDir, g, grid); err != nil {
+	if p.fault.cacheEntry != nil {
+		if err := p.fault.cacheEntry(p.CacheDir, g, grid); err != nil {
 			return Failed, fmt.Errorf("oracle: mutate cache entry: %w", err)
 		}
 	}
@@ -395,8 +424,8 @@ func (p *Pipeline) checkBatch(s *sim.Sim, mem cdfg.Memory, ref *sim.Result, refM
 	for l := range bmems {
 		bmems[l] = mem.Clone()
 	}
-	if p.MutateBatch != nil {
-		p.MutateBatch(bmems)
+	if p.fault.batch != nil {
+		p.fault.batch(bmems)
 	}
 	bres, err := s.Engine().RunBatch(bmems)
 	if err != nil {
@@ -434,8 +463,8 @@ func (p *Pipeline) checkStatic(prog *asm.Program, mem cdfg.Memory, res *sim.Resu
 	if err != nil {
 		return StaticUnsound, fmt.Errorf("oracle: strip: %w", err)
 	}
-	if p.MutateStripped != nil {
-		p.MutateStripped(stripped)
+	if p.fault.stripped != nil {
+		p.fault.stripped(stripped)
 	}
 	if vres := verify.CheckProgram(stripped); !vres.OK() {
 		return StaticUnsound, fmt.Errorf("oracle: stripped program fails re-verification: %w", vres.Err())

@@ -53,10 +53,19 @@ func TestOutcomeClassification(t *testing.T) {
 	}{
 		{Pass, false}, {NoMapping, false}, {Overflow, false},
 		{Diverged, true}, {Failed, true}, {Illegal, true}, {Inverted, true},
-		{BatchDiverged, true}, {StaticUnsound, true},
+		{BatchDiverged, true}, {StaticUnsound, true}, {CacheStale, true},
 	} {
 		if tc.o.Bug() != tc.bug {
 			t.Errorf("%s.Bug() = %v, want %v", tc.o, tc.o.Bug(), tc.bug)
+		}
+	}
+	// The report's bugs column counts every bug outcome: a one-count
+	// report renders "bugs 1" exactly when the outcome is a bug.
+	cell := AllCells()[0]
+	for o := Pass; o <= CacheStale; o++ {
+		rep := SweepReport{Graphs: 1, Checked: 1, ByCell: map[Cell]map[Outcome]int{cell: {o: 1}}}
+		if got := strings.Contains(rep.String(), "bugs 1"); got != o.Bug() {
+			t.Errorf("%s: report renders bugs 1 = %v, want %v:\n%s", o, got, o.Bug(), rep.String())
 		}
 	}
 }
@@ -76,34 +85,8 @@ func TestSweepClean(t *testing.T) {
 	}
 	n = positiveEnv(t, "ORACLE_SWEEP_N", n)
 	var p Pipeline
-	// ORACLE_METRICS names a JSONL file the sweep's counters are written
-	// to; CI's oracle smoke step uses it to validate the metrics artifact.
-	// ORACLE_SERVE additionally exposes the sweep live on that address
-	// (telemetry server: /metrics, /healthz, /events) while it runs, so a
-	// long sweep is observable from outside the test process.
-	var fr *obs.FileRecorder
-	metricsPath := os.Getenv("ORACLE_METRICS")
-	if addr := os.Getenv("ORACLE_SERVE"); addr != "" {
-		var srv *telemetry.Server
-		var err error
-		fr, srv, err = telemetry.ServeArtifacts(addr, metricsPath, "")
-		if err != nil {
-			t.Fatalf("ORACLE_SERVE: %v", err)
-		}
-		defer srv.Close()
-		srv.SetReady(true)
-		t.Logf("telemetry: serving on http://%s", srv.Addr())
-		p.Obs = fr.Recorder
-	} else if metricsPath != "" {
-		fr = obs.FileOutputs(metricsPath, "")
-		p.Obs = fr.Recorder
-	}
+	sweepRecorder(t, &p)
 	rep := p.Sweep(SweepOptions{N: n, Seed: 424200})
-	if fr != nil {
-		if err := fr.Flush(); err != nil {
-			t.Fatalf("flushing ORACLE_METRICS: %v", err)
-		}
-	}
 	t.Logf("\n%s", rep)
 	for _, f := range rep.Failures {
 		for _, bug := range f.Bugs() {
@@ -118,6 +101,42 @@ func TestSweepClean(t *testing.T) {
 	if rep.Checked != n*len(AllCells()) {
 		t.Fatalf("checked %d cells, want %d", rep.Checked, n*len(AllCells()))
 	}
+}
+
+// sweepRecorder attaches the recorder the CI oracle smoke steps ask for
+// through the environment. ORACLE_METRICS names a JSONL file the sweep's
+// counters are flushed to when the test ends; CI validates that artifact
+// with cgrametrics. ORACLE_SERVE additionally exposes the sweep live on
+// that address (telemetry server: /metrics, /healthz, /events) while it
+// runs, so a long sweep is observable from outside the test process.
+// With neither set, p is left without a recorder.
+func sweepRecorder(t *testing.T, p *Pipeline) {
+	t.Helper()
+	var fr *obs.FileRecorder
+	metricsPath := os.Getenv("ORACLE_METRICS")
+	if addr := os.Getenv("ORACLE_SERVE"); addr != "" {
+		var srv *telemetry.Server
+		var err error
+		fr, srv, err = telemetry.ServeArtifacts(addr, metricsPath, "")
+		if err != nil {
+			t.Fatalf("ORACLE_SERVE: %v", err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		srv.SetReady(true)
+		t.Logf("telemetry: serving on http://%s", srv.Addr())
+	} else if metricsPath != "" {
+		fr = obs.FileOutputs(metricsPath, "")
+	} else {
+		return
+	}
+	p.Obs = fr.Recorder
+	// Cleanups run last-in first-out: the flush lands before the server
+	// closes.
+	t.Cleanup(func() {
+		if err := fr.Flush(); err != nil {
+			t.Errorf("flushing ORACLE_METRICS: %v", err)
+		}
+	})
 }
 
 // TestSweepHarderShapes drives the generator knobs into the corners the
@@ -181,7 +200,7 @@ func corruptStores(p *asm.Program) {
 func TestFaultInjectionShrinks(t *testing.T) {
 	cell := Cell{Mode: ModeBasic, Config: arch.ConfigNames()[0]}
 	clean := &Pipeline{}
-	faulty := &Pipeline{Mutate: corruptStores}
+	faulty := &Pipeline{fault: faultHooks{program: corruptStores}}
 
 	gen := cdfg.DefaultGenConfig()
 	gen.MaxBodyOps = 5
@@ -228,7 +247,7 @@ func TestFaultInjectionShrinks(t *testing.T) {
 
 	// The reproducer must survive its own file format and still diverge.
 	final := faulty.Check(small, mem, cell, seed)
-	data, err := FormatRepro(small, mem, seed, final)
+	data, err := FormatRepro(small, mem, seed, nil, final)
 	if err != nil {
 		t.Fatalf("FormatRepro: %v", err)
 	}
@@ -247,7 +266,7 @@ func TestFaultInjectionShrinks(t *testing.T) {
 
 	if os.Getenv("ORACLE_WRITE_REPRO") != "" {
 		path, err := WriteRepro(filepath.Join("testdata", "repro"), "store-binding-fault",
-			small, mem, seed, final)
+			small, mem, seed, nil, final)
 		if err != nil {
 			t.Fatalf("WriteRepro: %v", err)
 		}
@@ -280,7 +299,7 @@ func corruptWriteback(m *core.Mapping) {
 func TestIllegalClassification(t *testing.T) {
 	cell := Cell{Mode: ModeBasic, Config: arch.ConfigNames()[0]}
 	clean := &Pipeline{}
-	faulty := &Pipeline{MutateMapping: corruptWriteback}
+	faulty := &Pipeline{fault: faultHooks{mapping: corruptWriteback}}
 
 	gen := cdfg.DefaultGenConfig()
 	gen.MaxBodyOps = 5
@@ -324,9 +343,8 @@ func TestIllegalClassification(t *testing.T) {
 
 // TestReproReplay replays every checked-in reproducer on every cell:
 // graphs that once exposed a bug keep guarding the mapper in plain
-// `go test`. A reproducer whose metadata names a backend pair replays
-// through the cross-backend differential instead of the interpreter
-// pipeline — that is the bug it recorded.
+// `go test`. A reproducer that names a backend pair replays through a
+// cross-backend pipeline over that pair — that is the bug it recorded.
 func TestReproReplay(t *testing.T) {
 	paths, err := ReproPaths(filepath.Join("testdata", "repro"))
 	if err != nil {
@@ -335,29 +353,16 @@ func TestReproReplay(t *testing.T) {
 	if len(paths) == 0 {
 		t.Fatal("no reproducers under testdata/repro")
 	}
-	var p Pipeline
 	for _, path := range paths {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
-			g, mem, meta, err := LoadReproMeta(path)
+			g, mem, pair, err := LoadReproMeta(path)
 			if err != nil {
 				t.Fatalf("LoadReproMeta: %v", err)
 			}
-			if meta.BackendDiff() {
-				pair, err := meta.Pair()
-				if err != nil {
-					t.Fatalf("backend pair: %v", err)
-				}
-				// The replay guards the disagreement, not search depth: a
-				// bounded exact search keeps the whole-matrix replay fast.
-				bp := Pipeline{ExactNodeBudget: 3000}
-				for _, r := range bp.CheckBackendsAll(g, mem, pair, nil, 1) {
-					if r.Outcome.Bug() {
-						t.Errorf("%s: %s: %v", r.Cell, r.Outcome, r.Err)
-					}
-				}
-				return
-			}
+			// The replay guards the disagreement, not search depth: a
+			// bounded exact search keeps the whole-matrix replay fast.
+			p := Pipeline{Backends: pair, ExactNodeBudget: 3000}
 			for _, r := range p.CheckAll(g, mem, nil, 1) {
 				if r.Outcome.Bug() {
 					t.Errorf("%s: %s: %v", r.Cell, r.Outcome, r.Err)

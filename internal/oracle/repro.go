@@ -24,33 +24,19 @@ import (
 // "mem <len>" line, "memval <addr> <val>" lines for the nonzero words,
 // then the cdfg text form.
 
-// ReproMeta carries a reproducer's machine-readable directives beyond the
-// graph and memory. The zero value describes a classic
-// mapper-vs-interpreter reproducer.
-type ReproMeta struct {
-	// RefBackend/SubBackend name the backend pair of a cross-backend
-	// reproducer (the "backends" directive); both empty otherwise.
-	// TestReproReplay uses them to route the replay through CheckBackends
-	// instead of the interpreter pipeline.
-	RefBackend string
-	SubBackend string
-}
-
-// BackendDiff reports whether the reproducer records a cross-backend
-// disagreement.
-func (m ReproMeta) BackendDiff() bool { return m.RefBackend != "" }
-
-// Pair resolves the recorded backend pair.
-func (m ReproMeta) Pair() (BackendPair, error) {
-	return BackendPairByNames(m.RefBackend, m.SubBackend)
-}
-
-// FormatRepro renders a reproducer file. The failure parameter carries
-// the divergence diagnostics into the header; it may be zero-valued for
-// hand-written cases.
-func FormatRepro(g *cdfg.Graph, mem cdfg.Memory, seed int64, failure CellResult) ([]byte, error) {
+// FormatRepro renders a reproducer file. pair is the backend pair of a
+// cross-backend failure (Pipeline.Backends), recorded as a "backends"
+// directive so the replay runs the same differential; nil for a
+// mapper-vs-interpreter failure. The failure parameter carries the
+// diagnostics into the header; it may be zero-valued for hand-written
+// cases.
+func FormatRepro(g *cdfg.Graph, mem cdfg.Memory, seed int64, pair *BackendPair, failure CellResult) ([]byte, error) {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "# oracle reproducer: %s (seed %d)\n", g.Name, seed)
+	if pair != nil {
+		fmt.Fprintf(&sb, "# oracle reproducer: %s (seed %d, %s)\n", g.Name, seed, pair)
+	} else {
+		fmt.Fprintf(&sb, "# oracle reproducer: %s (seed %d)\n", g.Name, seed)
+	}
 	if failure.Outcome.Bug() {
 		fmt.Fprintf(&sb, "# cell %s outcome %s\n", failure.Cell, failure.Outcome)
 		var div *sim.DivergenceError
@@ -67,6 +53,13 @@ func FormatRepro(g *cdfg.Graph, mem cdfg.Memory, seed int64, failure CellResult)
 		} else if failure.Err != nil {
 			fmt.Fprintf(&sb, "# error: %v\n", failure.Err)
 		}
+		if pair != nil {
+			fmt.Fprintf(&sb, "# words: %s %d, %s %d\n",
+				pair.Ref.Name(), failure.RefWords, pair.Sub.Name(), failure.SubWords)
+		}
+	}
+	if pair != nil {
+		fmt.Fprintf(&sb, "backends %s %s\n", pair.Ref.Name(), pair.Sub.Name())
 	}
 	fmt.Fprintf(&sb, "mem %d\n", len(mem))
 	for i, v := range mem {
@@ -88,10 +81,12 @@ func ParseRepro(data []byte) (*cdfg.Graph, cdfg.Memory, error) {
 	return g, mem, err
 }
 
-// ParseReproMeta parses a reproducer including its metadata directives.
-func ParseReproMeta(data []byte) (*cdfg.Graph, cdfg.Memory, ReproMeta, error) {
+// ParseReproMeta parses a reproducer including its backend pair: nil for a
+// mapper-vs-interpreter reproducer, the resolved pair when the file has a
+// "backends" directive.
+func ParseReproMeta(data []byte) (*cdfg.Graph, cdfg.Memory, *BackendPair, error) {
 	var mem cdfg.Memory
-	var meta ReproMeta
+	var pair *BackendPair
 	var graphText bytes.Buffer
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -101,104 +96,55 @@ func ParseReproMeta(data []byte) (*cdfg.Graph, cdfg.Memory, ReproMeta, error) {
 		switch {
 		case len(f) > 0 && f[0] == "mem":
 			if len(f) != 2 {
-				return nil, nil, meta, fmt.Errorf("oracle: mem wants a length")
+				return nil, nil, nil, fmt.Errorf("oracle: mem wants a length")
 			}
 			n, err := strconv.Atoi(f[1])
 			if err != nil || n < 0 || n > 1<<20 {
-				return nil, nil, meta, fmt.Errorf("oracle: bad mem length %q", f[1])
+				return nil, nil, nil, fmt.Errorf("oracle: bad mem length %q", f[1])
 			}
 			mem = make(cdfg.Memory, n)
 		case len(f) > 0 && f[0] == "memval":
 			if len(f) != 3 {
-				return nil, nil, meta, fmt.Errorf("oracle: memval wants an address and a value")
+				return nil, nil, nil, fmt.Errorf("oracle: memval wants an address and a value")
 			}
 			a, err1 := strconv.Atoi(f[1])
 			v, err2 := strconv.ParseInt(f[2], 10, 32)
 			if err1 != nil || err2 != nil || a < 0 || a >= len(mem) {
-				return nil, nil, meta, fmt.Errorf("oracle: bad memval %q", line)
+				return nil, nil, nil, fmt.Errorf("oracle: bad memval %q", line)
 			}
 			mem[a] = int32(v)
 		case len(f) > 0 && f[0] == "backends":
 			if len(f) != 3 {
-				return nil, nil, meta, fmt.Errorf("oracle: backends wants a reference and a subject name")
+				return nil, nil, nil, fmt.Errorf("oracle: backends wants a reference and a subject name")
 			}
 			// Resolve eagerly so a typo fails at parse time, not when the
 			// replay silently checks the wrong pair.
-			if _, err := BackendPairByNames(f[1], f[2]); err != nil {
-				return nil, nil, meta, fmt.Errorf("oracle: bad backends directive %q: %w", line, err)
+			var err error
+			if pair, err = BackendPairByNames(f[1], f[2]); err != nil {
+				return nil, nil, nil, fmt.Errorf("oracle: bad backends directive %q: %w", line, err)
 			}
-			meta.RefBackend, meta.SubBackend = f[1], f[2]
 		default:
 			graphText.WriteString(line)
 			graphText.WriteString("\n")
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, meta, err
+		return nil, nil, nil, err
 	}
 	if mem == nil {
-		return nil, nil, meta, fmt.Errorf("oracle: reproducer has no mem directive")
+		return nil, nil, nil, fmt.Errorf("oracle: reproducer has no mem directive")
 	}
 	g, err := cdfg.UnmarshalText(graphText.Bytes())
 	if err != nil {
-		return nil, nil, meta, err
+		return nil, nil, nil, err
 	}
-	return g, mem, meta, nil
-}
-
-// FormatBackendRepro renders a cross-backend reproducer: like FormatRepro
-// but with the backend pair recorded as a "backends" directive, so the
-// replay routes through CheckBackends. The failure parameter may be
-// zero-valued for hand-written cases.
-func FormatBackendRepro(g *cdfg.Graph, mem cdfg.Memory, seed int64, pair BackendPair, failure BackendDiffResult) ([]byte, error) {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "# oracle cross-backend reproducer: %s (seed %d, %s)\n", g.Name, seed, pair)
-	if failure.Outcome.Bug() {
-		fmt.Fprintf(&sb, "# cell %s outcome %s\n", failure.Cell, failure.Outcome)
-		if failure.RefWords >= 0 || failure.SubWords >= 0 {
-			fmt.Fprintf(&sb, "# words: %s %d, %s %d\n",
-				pair.Ref.Name(), failure.RefWords, pair.Sub.Name(), failure.SubWords)
-		}
-		if failure.Err != nil {
-			fmt.Fprintf(&sb, "# error: %v\n", failure.Err)
-		}
-	}
-	fmt.Fprintf(&sb, "backends %s %s\n", pair.Ref.Name(), pair.Sub.Name())
-	fmt.Fprintf(&sb, "mem %d\n", len(mem))
-	for i, v := range mem {
-		if v != 0 {
-			fmt.Fprintf(&sb, "memval %d %d\n", i, v)
-		}
-	}
-	gtxt, err := g.MarshalText()
-	if err != nil {
-		return nil, err
-	}
-	sb.Write(gtxt)
-	return []byte(sb.String()), nil
-}
-
-// WriteBackendRepro writes a cross-backend reproducer file into dir
-// (created if needed) and returns its path.
-func WriteBackendRepro(dir, name string, g *cdfg.Graph, mem cdfg.Memory, seed int64, pair BackendPair, failure BackendDiffResult) (string, error) {
-	data, err := FormatBackendRepro(g, mem, seed, pair, failure)
-	if err != nil {
-		return "", err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, name+".repro")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
+	return g, mem, pair, nil
 }
 
 // WriteRepro writes a reproducer file into dir (created if needed) and
 // returns its path.
-func WriteRepro(dir, name string, g *cdfg.Graph, mem cdfg.Memory, seed int64, failure CellResult) (string, error) {
-	data, err := FormatRepro(g, mem, seed, failure)
+func WriteRepro(dir, name string, g *cdfg.Graph, mem cdfg.Memory, seed int64, pair *BackendPair, failure CellResult) (string, error) {
+	data, err := FormatRepro(g, mem, seed, pair, failure)
 	if err != nil {
 		return "", err
 	}
@@ -212,20 +158,11 @@ func WriteRepro(dir, name string, g *cdfg.Graph, mem cdfg.Memory, seed int64, fa
 	return path, nil
 }
 
-// LoadRepro reads and parses a reproducer file.
-func LoadRepro(path string) (*cdfg.Graph, cdfg.Memory, error) {
+// LoadReproMeta reads and parses a reproducer file with its backend pair.
+func LoadReproMeta(path string) (*cdfg.Graph, cdfg.Memory, *BackendPair, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
-	}
-	return ParseRepro(data)
-}
-
-// LoadReproMeta reads and parses a reproducer file with its metadata.
-func LoadReproMeta(path string) (*cdfg.Graph, cdfg.Memory, ReproMeta, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, ReproMeta{}, err
+		return nil, nil, nil, err
 	}
 	return ParseReproMeta(data)
 }

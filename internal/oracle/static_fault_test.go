@@ -36,7 +36,7 @@ func findStaticFaultSeed(t *testing.T, clean, faulty *Pipeline, cell Cell) (*cdf
 func TestStaticFaultInjectionShrinks(t *testing.T) {
 	cell := Cell{Mode: ModeBasic, Config: AllCells()[0].Config}
 	clean := &Pipeline{}
-	faulty := &Pipeline{MutateStripped: corruptStores}
+	faulty := &Pipeline{fault: faultHooks{stripped: corruptStores}}
 	g, mem, seed := findStaticFaultSeed(t, clean, faulty, cell)
 
 	res := faulty.Check(g, mem, cell, seed)
@@ -57,7 +57,7 @@ func TestStaticFaultInjectionShrinks(t *testing.T) {
 	}
 
 	final := faulty.Check(small, mem, cell, seed)
-	data, err := FormatRepro(small, mem, seed, final)
+	data, err := FormatRepro(small, mem, seed, nil, final)
 	if err != nil {
 		t.Fatalf("FormatRepro: %v", err)
 	}

@@ -51,6 +51,9 @@ func (g *GraphResult) Bugs() []CellResult {
 
 // SweepReport aggregates a differential sweep.
 type SweepReport struct {
+	// Pair names the backend pair of a cross-backend sweep; empty for an
+	// interpreter sweep.
+	Pair    string
 	Graphs  int
 	ByCell  map[Cell]map[Outcome]int
 	Checked int
@@ -73,7 +76,11 @@ func (r *SweepReport) Counts() map[Outcome]int {
 // String renders a per-cell outcome table.
 func (r *SweepReport) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "oracle sweep: %d graphs × %d cells\n", r.Graphs, len(r.ByCell))
+	mode := ""
+	if r.Pair != "" {
+		mode = " (" + r.Pair + ")"
+	}
+	fmt.Fprintf(&sb, "oracle sweep%s: %d graphs × %d cells\n", mode, r.Graphs, len(r.ByCell))
 	cells := make([]Cell, 0, len(r.ByCell))
 	for c := range r.ByCell {
 		cells = append(cells, c)
@@ -86,16 +93,22 @@ func (r *SweepReport) String() string {
 	})
 	for _, c := range cells {
 		m := r.ByCell[c]
+		bugs := 0
+		for o, n := range m {
+			if o.Bug() {
+				bugs += n
+			}
+		}
 		fmt.Fprintf(&sb, "  %-14s pass %4d  no-mapping %3d  overflow %3d  bugs %d\n",
-			c, m[Pass], m[NoMapping], m[Overflow],
-			m[Diverged]+m[Failed]+m[Illegal]+m[Inverted]+m[BatchDiverged]+m[StaticUnsound])
+			c, m[Pass], m[NoMapping], m[Overflow], bugs)
 	}
 	return sb.String()
 }
 
 // Sweep generates opt.N random graphs and checks each against every cell
-// of the matrix, fanning graphs out over a worker pool. The report is a
-// pure function of the options: workers only affect wall time.
+// of the matrix in the pipeline's mode, fanning graphs out over a worker
+// pool. The report is a pure function of the options: workers only affect
+// wall time.
 func (p *Pipeline) Sweep(opt SweepOptions) *SweepReport {
 	if opt.N < 1 {
 		opt.N = 1
@@ -146,7 +159,7 @@ func (p *Pipeline) Sweep(opt SweepOptions) *SweepReport {
 				bugs := len(results[i].Bugs())
 				sp.End(map[string]any{"index": i, "seed": seed, "bugs": bugs})
 				if p.Obs.Enabled() {
-					p.Obs.Counter("oracle.graphs").Inc()
+					p.Obs.Counter(p.counterPrefix() + "graphs").Inc()
 					p.Obs.Emit("oracle.sweep.progress", "oracle", w,
 						map[string]any{"done": done.Add(1), "total": opt.N})
 				}
@@ -160,6 +173,9 @@ func (p *Pipeline) Sweep(opt SweepOptions) *SweepReport {
 	wg.Wait()
 
 	rep := &SweepReport{Graphs: opt.N, ByCell: map[Cell]map[Outcome]int{}}
+	if p.Backends != nil {
+		rep.Pair = p.Backends.String()
+	}
 	for _, c := range cells {
 		rep.ByCell[c] = map[Outcome]int{}
 	}

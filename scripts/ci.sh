@@ -178,7 +178,8 @@ go test -short -run TestGoldenMappingChecksums .
 sweep_n=25
 if [ -n "$short" ]; then sweep_n=10; fi
 oracle_metrics="$(mktemp)"
-trap 'rm -f "$oracle_metrics"' EXIT
+backend_metrics="$(mktemp)"
+trap 'rm -f "$oracle_metrics" "$backend_metrics"' EXIT
 echo "== oracle sweep (ORACLE_SWEEP_N=$sweep_n, ORACLE_METRICS on)"
 ORACLE_SWEEP_N=$sweep_n ORACLE_METRICS="$oracle_metrics" \
     go test -run TestSweepClean ./internal/oracle
@@ -189,12 +190,15 @@ go run ./cmd/cgrametrics "$oracle_metrics"
 # against the heuristic on a few generated graphs across every mode × CM
 # config. Any disagreement (illegal mapping from either side, or a cost
 # inversion) fails fast. The node budget keeps the exact search cheap;
-# the full suite's TestBackendDiffSweepClean runs the wider sweep.
+# the full suite's TestBackendDiffSweepClean runs the wider sweep. Its
+# oracle.backend_diff.* counters are validated like the sweep's above.
 diff_n=6
 if [ -n "$short" ]; then diff_n=3; fi
-echo "== cross-backend diff smoke (ORACLE_BACKEND_DIFF_N=$diff_n)"
-ORACLE_BACKEND_DIFF_N=$diff_n ORACLE_BACKEND_DIFF_BUDGET=1500 \
+echo "== cross-backend diff smoke (ORACLE_BACKEND_DIFF_N=$diff_n, ORACLE_METRICS on)"
+ORACLE_BACKEND_DIFF_N=$diff_n ORACLE_BACKEND_DIFF_BUDGET=1500 ORACLE_METRICS="$backend_metrics" \
     go test -run TestBackendDiffSweepClean ./internal/oracle
+echo "== cross-backend diff metrics (cgrametrics)"
+go run ./cmd/cgrametrics "$backend_metrics"
 
 echo "== go test $short ./..."
 go test $short ./...
