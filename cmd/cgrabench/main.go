@@ -26,106 +26,60 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/mapcache"
-	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
 func main() {
+	var tf telemetry.Flags
+	tf.Register(flag.CommandLine)
+	tf.RegisterServe(flag.CommandLine)
 	fig := flag.Int("fig", 0, "regenerate one figure (2, 5, 6, 7, 8, 9, 10, 11); 0 = all")
 	table := flag.Int("table", 0, "regenerate one table (2); 0 = all")
 	gap := flag.Int("gap", 0, "render the heuristic-vs-exact optimality gap table at this exact node budget instead of the evaluation; 0 = off")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "evaluation worker pool size (1 = serial)")
 	cache := flag.Bool("cache", false, "reuse compiled mappings through the content-addressed mapping cache")
 	cachedir := flag.String("cachedir", "", "on-disk mapping-cache directory (implies -cache; entries are re-verified before use)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	metrics := flag.String("metrics", "", "write instrumentation counters as JSONL to this file")
-	events := flag.String("events", "", "write a Chrome trace_event timeline to this file")
-	serve := flag.String("serve", "", "serve live telemetry (/metrics, /healthz, /events, /debug/pprof) on this address for the duration of the run (host:port; :0 picks a port, announced on stderr)")
-	linger := flag.Duration("linger", 0, "with -serve, keep the telemetry server up this long after the run so scrapers catch the final state")
 	flag.Parse()
 
-	fr := obs.FileOutputs(*metrics, *events)
-	var tsrv *telemetry.Server
-	if *serve != "" {
-		var serr error
-		// The closure probes the final fr: ServeArtifacts reassigns it to
-		// the recorder that feeds both the files and the live ring.
-		fr, tsrv, serr = telemetry.ServeArtifacts(*serve, *metrics, *events, telemetry.Check{
-			Name: "recorder",
-			Probe: func() error {
-				if !fr.Recorder.Enabled() {
-					return errors.New("recorder disabled")
+	rec, err := tf.Start(os.Stderr)
+	if err == nil {
+		// The deferred call only matters on a panic: Finish is idempotent.
+		defer tf.Finish(nil)
+		r := exp.NewRunner()
+		r.Workers = *parallel
+		r.Obs = rec
+		if *cache || *cachedir != "" {
+			// The whole evaluation is a few hundred distinct cells; a large
+			// capacity keeps every one resident for the duration of the run.
+			r.Cache = mapcache.New(mapcache.Config{Capacity: 1024, Dir: *cachedir, Obs: rec})
+		}
+		err = run(os.Stdout, r, *fig, *table, *gap)
+		if err == nil && rec.Enabled() {
+			fmt.Fprint(os.Stdout, r.InstrumentationSummary())
+			if reg := rec.Registry(); reg != nil {
+				rows := make([]trace.MetricRow, 0, 64)
+				for _, m := range reg.Snapshot() {
+					rows = append(rows, trace.MetricRow{Name: m.Name, Value: m.Display()})
 				}
-				return nil
-			},
-		})
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "cgrabench:", serr)
-			os.Exit(1)
-		}
-		defer tsrv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving on http://%s\n", tsrv.Addr())
-	}
-	stopProf, err := prof.Start(*cpuprofile, *memprofile, fr.Recorder)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cgrabench:", err)
-		os.Exit(1)
-	}
-	// The deferred call is the panic safety net; the explicit call below
-	// collects the stop error (stop is idempotent).
-	defer stopProf()
-	r := exp.NewRunner()
-	r.Workers = *parallel
-	r.Obs = fr.Recorder
-	if *cache || *cachedir != "" {
-		// The whole evaluation is a few hundred distinct cells; a large
-		// capacity keeps every one resident for the duration of the run.
-		r.Cache = mapcache.New(mapcache.Config{Capacity: 1024, Dir: *cachedir, Obs: fr.Recorder})
-	}
-	if tsrv != nil {
-		tsrv.SetReady(true)
-	}
-	err = run(os.Stdout, r, *fig, *table, *gap)
-	if err == nil && fr.Recorder.Enabled() {
-		fmt.Fprint(os.Stdout, r.InstrumentationSummary())
-		if reg := fr.Registry(); reg != nil {
-			rows := make([]trace.MetricRow, 0, 64)
-			for _, m := range reg.Snapshot() {
-				rows = append(rows, trace.MetricRow{Name: m.Name, Value: m.Display()})
+				fmt.Fprint(os.Stdout, trace.Metrics("instrumentation counters", rows))
 			}
-			fmt.Fprint(os.Stdout, trace.Metrics("instrumentation counters", rows))
 		}
-	}
-	if perr := stopProf(); perr != nil && err == nil {
-		err = perr
-	}
-	if ferr := fr.Flush(); ferr != nil && err == nil {
-		err = ferr
+		err = tf.Finish(err)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cgrabench:", err)
 		os.Exit(1)
-	}
-	if tsrv != nil && *linger > 0 {
-		// Hold the endpoints open after a clean run so an external scraper
-		// polling the stderr announcement always reaches the final state.
-		fmt.Fprintf(os.Stderr, "telemetry: lingering %s before exit\n", *linger)
-		time.Sleep(*linger)
 	}
 }
 

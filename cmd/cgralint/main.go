@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"repro/internal/lint"
-	"repro/internal/obs"
 )
 
 func main() {
@@ -37,18 +36,12 @@ func main() {
 		flag.PrintDefaults()
 	}
 	asJSON := flag.Bool("json", false, "print findings as JSON instead of one line per finding")
-	metrics := flag.String("metrics", "", "write instrumentation counters as JSONL to this file")
-	events := flag.String("events", "", "write a Chrome trace_event timeline to this file")
 	flag.Parse()
 	dir := "."
 	if flag.NArg() > 0 {
 		dir = flag.Arg(0)
 	}
-	fr := obs.FileOutputs(*metrics, *events)
-	n, err := run(os.Stdout, dir, *asJSON, fr.Recorder)
-	if ferr := fr.Flush(); ferr != nil && err == nil {
-		err = ferr
-	}
+	n, err := run(os.Stdout, dir, *asJSON)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cgralint:", err)
 		os.Exit(2)
@@ -74,9 +67,8 @@ type jsonReport struct {
 }
 
 // run analyzes the module containing dir and prints findings; it
-// returns the finding count. A live recorder gets one analyze span,
-// a total finding counter and one counter per offending rule.
-func run(w io.Writer, dir string, asJSON bool, rec *obs.Recorder) (int, error) {
+// returns the finding count.
+func run(w io.Writer, dir string, asJSON bool) (int, error) {
 	dir = strings.TrimSuffix(dir, "...")
 	if dir == "" {
 		dir = "."
@@ -85,16 +77,10 @@ func run(w io.Writer, dir string, asJSON bool, rec *obs.Recorder) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	sp := rec.StartSpan("lint.analyze", "lint", 0)
 	findings, err := lint.Analyze(root, nil)
-	sp.End(map[string]any{"findings": len(findings), "ok": err == nil})
 	if err != nil {
 		return 0, err
 	}
-	for _, f := range findings {
-		rec.Counter("lint.rule." + f.Rule).Inc()
-	}
-	rec.Counter("lint.findings").Add(int64(len(findings)))
 	if asJSON {
 		rep := jsonReport{Findings: make([]jsonFinding, 0, len(findings)), Count: len(findings)}
 		for _, f := range findings {

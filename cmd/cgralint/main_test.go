@@ -12,7 +12,7 @@ import (
 // findings, exit-clean.
 func TestRunOnThisModule(t *testing.T) {
 	var sb strings.Builder
-	n, err := run(&sb, "./...", false, nil)
+	n, err := run(&sb, "./...", false)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -44,7 +44,7 @@ func main() {
 }
 `)
 	var sb strings.Builder
-	n, err := run(&sb, dir, false, nil)
+	n, err := run(&sb, dir, false)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -59,7 +59,7 @@ func main() {
 	// The same module through -json: a parseable document with the same
 	// finding, and a count CI can gate on without scraping text.
 	sb.Reset()
-	n, err = run(&sb, dir, true, nil)
+	n, err = run(&sb, dir, true)
 	if err != nil {
 		t.Fatalf("run -json: %v", err)
 	}

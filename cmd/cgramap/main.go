@@ -14,7 +14,8 @@
 //	cgramap -kernel DCFilter -flow basic -backend exact|race [-exact-budget N]
 //
 // -cpuprofile/-memprofile write runtime/pprof profiles of the mapping run
-// for inspecting the search hot path on a single kernel/config pair.
+// for inspecting the search hot path on a single kernel/config pair;
+// -metrics/-events write its counters and span timeline.
 package main
 
 import (
@@ -28,13 +29,11 @@ import (
 	"repro/internal/arch"
 	"repro/internal/asm"
 	"repro/internal/cdfg"
-	"repro/internal/core"
 	"repro/internal/kernels"
-	"repro/internal/mapcache"
 	"repro/internal/mapcli"
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/static"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/verify"
 )
@@ -54,34 +53,22 @@ type cliOptions struct {
 
 func main() {
 	var o cliOptions
+	var tf telemetry.Flags
 	o.Register(flag.CommandLine)
+	tf.Register(flag.CommandLine)
 	flag.BoolVar(&o.listing, "listing", false, "print the per-tile context disassembly")
 	flag.BoolVar(&o.dot, "dot", false, "print the kernel CDFG in Graphviz DOT form and exit")
 	flag.BoolVar(&o.verify, "verify", false, "assemble and statically verify the mapping, reporting per-pass verdicts")
 	flag.BoolVar(&o.analyze, "analyze", false, "run the static bitstream analyzer and report reachability, dead context and energy bounds")
 	flag.BoolVar(&o.strip, "strip", false, "run dead-context elimination, report the words saved, and re-verify the stripped bitstream")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	metrics := flag.String("metrics", "", "write instrumentation counters as JSONL to this file")
-	events := flag.String("events", "", "write a Chrome trace_event timeline to this file")
 	flag.Parse()
 
-	fr := obs.FileOutputs(*metrics, *events)
-	o.rec = fr.Recorder
-	stopProf, err := prof.Start(*cpuprofile, *memprofile, fr.Recorder)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cgramap:", err)
-		os.Exit(1)
-	}
-	// The deferred call is the panic safety net; the explicit call below
-	// collects the stop error (stop is idempotent).
-	defer stopProf()
-	err = run(os.Stdout, o)
-	if perr := stopProf(); perr != nil && err == nil {
-		err = perr
-	}
-	if ferr := fr.Flush(); ferr != nil && err == nil {
-		err = ferr
+	rec, err := tf.Start(os.Stderr)
+	if err == nil {
+		// The deferred call only matters on a panic: Finish is idempotent.
+		defer tf.Finish(nil)
+		o.rec = rec
+		err = tf.Finish(run(os.Stdout, o))
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cgramap:", err)
@@ -111,31 +98,19 @@ func run(w io.Writer, o cliOptions) error {
 		fmt.Fprint(w, res.RenderReports())
 		fmt.Fprintf(w, "portfolio wall time %s\n", res.Wall.Round(1_000_000))
 	}
-	m := c.Mapping
-	var prog *asm.Program
-	var meta mapcache.Meta
-	if cres := c.Cache; cres != nil {
-		fmt.Fprintf(w, "cache: %s\n", cres.Source)
-		fmt.Fprintf(w, "image sha256 %x\n", sha256.Sum256(cres.Image))
-		// A miss computed the mapping in-process; report it in full below.
-		// A hit has only the stored metadata.
-		prog, meta = cres.Program, cres.Meta
+	if o.UseCache() {
+		fmt.Fprintf(w, "cache: %s\n", c.Source)
+		fmt.Fprintf(w, "image sha256 %x\n", sha256.Sum256(c.Image))
 	}
-	if m == nil {
-		// Cache hit: the Mapping object is gone, but the stored metadata and
-		// the rebuilt (verified) program carry everything the report needs.
+	meta, prog := c.Meta, c.Program
+	if c.Hit {
 		fmt.Fprintf(w, "mapped %s onto %s with %s from cache (originally %s, seed %d via %s)\n",
 			o.Kernel, grid.Name, fl, meta.Stats.CompileTime.Round(1_000_000), meta.Seed, meta.Backend)
-		fmt.Fprintf(w, "ops %d, moves %d, pnops %d, words %d\n", meta.Ops, meta.Moves, meta.Pnops, meta.Words)
-		caps := make([]int, grid.NumTiles())
-		for i := range caps {
-			caps[i] = grid.Tile(arch.TileID(i)).CMWords
-		}
-		fmt.Fprint(w, trace.Utilization("context-memory occupancy:", meta.TileWords, caps))
-		return finishProgram(w, o, g, grid, nil, prog)
+	} else {
+		fmt.Fprintf(w, "mapped %s onto %s with %s in %s\n", o.Kernel, grid.Name, fl, meta.Stats.CompileTime.Round(1_000_000))
 	}
-	fmt.Fprintf(w, "mapped %s onto %s with %s in %s\n", o.Kernel, grid.Name, fl, m.Stats.CompileTime.Round(1_000_000))
-	if ex := m.Stats.Exact; ex.NodeBudget > 0 {
+	st := meta.Stats
+	if ex := st.Exact; ex.NodeBudget > 0 {
 		status := fmt.Sprintf("budget %d exhausted", ex.NodeBudget)
 		if ex.Proven {
 			status = "proven optimal"
@@ -144,49 +119,34 @@ func run(w io.Writer, o cliOptions) error {
 			ex.WarmWords, ex.BestWords, status, ex.Expanded, ex.BoundPruned, ex.ConflictPruned)
 	}
 	fmt.Fprintf(w, "ops %d, moves %d, pnops %d; partials explored %d (ACMAP pruned %d, ECMAP pruned %d, stochastic %d)\n",
-		m.TotalOps(), m.TotalMoves(), m.TotalPnops(),
-		m.Stats.Partials, m.Stats.PrunedACMAP, m.Stats.PrunedECMAP, m.Stats.PrunedStochastic)
+		meta.Ops, meta.Moves, meta.Pnops, st.Partials, st.PrunedACMAP, st.PrunedECMAP, st.PrunedStochastic)
 	caps := make([]int, grid.NumTiles())
 	for i := range caps {
 		caps[i] = grid.Tile(arch.TileID(i)).CMWords
 	}
-	fmt.Fprint(w, trace.Utilization("context-memory occupancy:", m.TileWords(), caps))
-	if ok, t := m.FitsMemory(); !ok {
+	fmt.Fprint(w, trace.Utilization("context-memory occupancy:", meta.TileWords, caps))
+	if ok, t := prog.FitsMemory(); !ok {
 		fmt.Fprintf(w, "WARNING: tile %d overflows its context memory — this mapping cannot run on %s\n", t+1, grid.Name)
 	}
-	syms := make([]string, 0, len(m.SymHomes))
-	for s := range m.SymHomes {
-		syms = append(syms, s)
-	}
-	sort.Strings(syms)
-	for _, s := range syms {
-		h := m.SymHomes[s]
-		fmt.Fprintf(w, "symbol %-8s -> tile %d r%d\n", s, h.Tile+1, h.Reg)
-	}
-	return finishProgram(w, o, g, grid, m, prog)
-}
-
-// finishProgram runs the post-mapping stages shared by the fresh-map and
-// cache-hit paths: listing, static verification, analysis and dead-context
-// stripping. prog may be nil (fresh map without a cache), in which case it
-// is assembled on demand; m may be nil (cache hit), in which case the
-// verifier's Needs gating skips the mapping-level passes and checks the
-// rebuilt bitstream alone.
-func finishProgram(w io.Writer, o cliOptions, g *cdfg.Graph, grid *arch.Grid, m *core.Mapping, prog *asm.Program) error {
-	if prog == nil {
-		if !(o.listing || o.verify || o.analyze || o.strip) {
-			return nil
+	// A cache hit carries no Mapping, so no symbol homes; the verifier's
+	// Needs gating likewise skips the mapping-level passes and checks the
+	// rebuilt bitstream alone.
+	if m := c.Mapping; m != nil {
+		syms := make([]string, 0, len(m.SymHomes))
+		for s := range m.SymHomes {
+			syms = append(syms, s)
 		}
-		var err error
-		if prog, err = asm.Assemble(m); err != nil {
-			return err
+		sort.Strings(syms)
+		for _, s := range syms {
+			h := m.SymHomes[s]
+			fmt.Fprintf(w, "symbol %-8s -> tile %d r%d\n", s, h.Tile+1, h.Reg)
 		}
 	}
 	if o.listing {
 		fmt.Fprint(w, asm.Listing(prog))
 	}
 	if o.verify {
-		vres := verify.Run(&verify.Context{Graph: g, Grid: grid, Mapping: m, Program: prog})
+		vres := verify.Run(&verify.Context{Graph: g, Grid: grid, Mapping: c.Mapping, Program: prog})
 		fmt.Fprintf(w, "static verification (%d passes):\n%s", len(vres.Ran), vres.Report())
 		if err := vres.Err(); err != nil {
 			return err

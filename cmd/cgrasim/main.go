@@ -17,10 +17,8 @@
 // lane is cross-checked against the verified run and the per-input
 // throughput is reported.
 //
-// -serve ADDR exposes live telemetry (/metrics, /healthz, /readyz,
-// /events, /debug/pprof) while the run executes; the bound address is
-// announced on stderr and -linger keeps the server up after the run
-// for late scrapers.
+// -metrics/-events write the run's counters and span timeline;
+// -cpuprofile/-memprofile write runtime/pprof profiles of it.
 package main
 
 import (
@@ -32,7 +30,6 @@ import (
 	"reflect"
 	"time"
 
-	"repro/internal/asm"
 	"repro/internal/cdfg"
 	"repro/internal/cpu"
 	"repro/internal/mapcli"
@@ -60,53 +57,24 @@ type cliOptions struct {
 
 func main() {
 	var o cliOptions
+	var tf telemetry.Flags
 	o.Register(flag.CommandLine)
+	tf.Register(flag.CommandLine)
 	flag.BoolVar(&o.withCPU, "cpu", false, "also run the or1k CPU baseline")
 	flag.BoolVar(&o.verify, "verify", false, "statically verify mapping and bitstream before simulating")
 	flag.IntVar(&o.batch, "batch", 1, "also run N identical input lanes through the batched engine and report per-input throughput")
-	metrics := flag.String("metrics", "", "write instrumentation counters as JSONL to this file")
-	events := flag.String("events", "", "write a Chrome trace_event timeline to this file")
-	serve := flag.String("serve", "", "serve live telemetry (/metrics, /healthz, /events, /debug/pprof) on this address for the duration of the run (host:port; :0 picks a port, announced on stderr)")
-	linger := flag.Duration("linger", 0, "with -serve, keep the telemetry server up this long after the run so scrapers catch the final state")
 	flag.Parse()
 
-	fr := obs.FileOutputs(*metrics, *events)
-	var tsrv *telemetry.Server
-	if *serve != "" {
-		var serr error
-		// The closure probes the final fr: ServeArtifacts reassigns it to
-		// the recorder that feeds both the files and the live ring.
-		fr, tsrv, serr = telemetry.ServeArtifacts(*serve, *metrics, *events, telemetry.Check{
-			Name: "recorder",
-			Probe: func() error {
-				if !fr.Recorder.Enabled() {
-					return errors.New("recorder disabled")
-				}
-				return nil
-			},
-		})
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "cgrasim:", serr)
-			os.Exit(1)
-		}
-		defer tsrv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving on http://%s\n", tsrv.Addr())
-		tsrv.SetReady(true)
-	}
-	o.rec = fr.Recorder
-	err := run(os.Stdout, o)
-	if ferr := fr.Flush(); ferr != nil && err == nil {
-		err = ferr
+	rec, err := tf.Start(os.Stderr)
+	if err == nil {
+		// The deferred call only matters on a panic: Finish is idempotent.
+		defer tf.Finish(nil)
+		o.rec = rec
+		err = tf.Finish(run(os.Stdout, o))
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cgrasim:", err)
 		os.Exit(1)
-	}
-	if tsrv != nil && *linger > 0 {
-		// Hold the endpoints open after a clean run so an external scraper
-		// polling the stderr announcement always reaches the final state.
-		fmt.Fprintf(os.Stderr, "telemetry: lingering %s before exit\n", *linger)
-		time.Sleep(*linger)
 	}
 }
 
@@ -123,32 +91,23 @@ func run(w io.Writer, o cliOptions) error {
 	if c.Portfolio != nil {
 		fmt.Fprint(w, c.Portfolio.RenderReports())
 	}
-	m := c.Mapping // nil on a cache hit
-	var prog *asm.Program
-	var compileTime time.Duration
-	if cres := c.Cache; cres != nil {
-		fmt.Fprintf(w, "cache: %s\n", cres.Source)
-		prog, compileTime = cres.Program, cres.Meta.Stats.CompileTime
-	} else {
-		if ok, t := m.FitsMemory(); !ok {
-			return fmt.Errorf("mapping overflows tile %d's context memory on %s", t+1, grid.Name)
-		}
-		if prog, err = asm.Assemble(m); err != nil {
-			return err
-		}
-		compileTime = m.Stats.CompileTime
+	if o.UseCache() {
+		fmt.Fprintf(w, "cache: %s\n", c.Source)
+	}
+	if ok, t := c.Program.FitsMemory(); !ok {
+		return fmt.Errorf("mapping overflows tile %d's context memory on %s", t+1, grid.Name)
 	}
 	if o.verify {
-		// On a cache hit m is nil and the mapping-level passes skip; the
-		// bitstream passes still run (the cache itself re-verified any disk
-		// entry before serving it).
-		vres := verify.Run(&verify.Context{Graph: g, Grid: grid, Mapping: m, Program: prog})
+		// On a cache hit Mapping is nil and the mapping-level passes skip;
+		// the bitstream passes still run (the cache itself re-verified any
+		// disk entry before serving it).
+		vres := verify.Run(&verify.Context{Graph: g, Grid: grid, Mapping: c.Mapping, Program: c.Program})
 		fmt.Fprintf(w, "static verification (%d passes):\n%s", len(vres.Ran), vres.Report())
 		if err := vres.Err(); err != nil {
 			return err
 		}
 	}
-	s, err := sim.New(prog, sim.WithObs(o.rec))
+	s, err := sim.New(c.Program, sim.WithObs(o.rec))
 	if err != nil {
 		return err
 	}
@@ -167,7 +126,7 @@ func run(w io.Writer, o cliOptions) error {
 	e := params.CGRAEnergy(grid, res)
 	fmt.Fprintf(w, "%s on %s (%s): verified OK\n", o.Kernel, grid.Name, flow)
 	fmt.Fprintf(w, "cycles %d (stalls %d), context words %d (config), compile %s\n",
-		res.Cycles, res.StallCycles, res.ConfigWords, compileTime.Round(1_000_000))
+		res.Cycles, res.StallCycles, res.ConfigWords, c.Meta.Stats.CompileTime.Round(1_000_000))
 	fmt.Fprintf(w, "energy %.4f µJ (config %.4f, fetch %.4f, compute %.4f, memory %.4f, leak %.4f)\n",
 		e.Total(), e.Config, e.Fetch, e.Compute, e.Memory, e.Leak)
 	if o.batch > 1 {

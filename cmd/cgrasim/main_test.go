@@ -111,6 +111,24 @@ func TestDivergenceReportGolden(t *testing.T) {
 	}
 }
 
+// TestRunRefusesOverflowWithCache: the basic flow ignores context-memory
+// capacity, and MatM's basic mapping overflows tile 1 on HOM32. Going
+// through the mapping cache must not let that mapping run: the refusal
+// is the same with and without -cache.
+func TestRunRefusesOverflowWithCache(t *testing.T) {
+	for _, cache := range []bool{false, true} {
+		var sb strings.Builder
+		o := cliOptions{Flags: mapcli.Flags{Kernel: "MatM", Config: "HOM32", Flow: "basic", Seed: 1, Seeds: 1, Cache: cache}}
+		err := run(&sb, o)
+		if err == nil || !strings.Contains(err.Error(), "overflows tile 1's context memory") {
+			t.Errorf("-cache=%v: err = %v, want the tile 1 overflow refusal\n%s", cache, err, sb.String())
+		}
+		if strings.Contains(sb.String(), "verified OK") {
+			t.Errorf("-cache=%v: an overflowing mapping was simulated:\n%s", cache, sb.String())
+		}
+	}
+}
+
 func TestRunRejectsBadInputs(t *testing.T) {
 	var sb strings.Builder
 	for _, o := range []cliOptions{

@@ -76,13 +76,6 @@ type PortfolioOptions struct {
 	Workers int
 	// Objective scores successful mappings; nil means WordsObjective.
 	Objective Objective
-	// Stop, when non-nil, is consulted after every successful mapping;
-	// returning true cancels the remaining seeds early ("good enough",
-	// e.g. a known lower bound was hit). Early cancellation trades the
-	// GOMAXPROCS-independence of the winner for wall time: seeds still in
-	// flight are abandoned, so only runs without Stop (or whose Stop
-	// never fires) are schedule-independent.
-	Stop func(*Mapping, Score) bool
 	// Backends are the mapper backends to race; nil means the heuristic
 	// alone (the historical portfolio). Seed-sensitive backends get one
 	// job per seed; Exhaustive backends (the exact search) get a single
@@ -239,14 +232,13 @@ func (r *PortfolioResult) RenderReports() string {
 // PortfolioOptions.Backends the seeds additionally race other backends —
 // typically the exact branch-and-bound search, which joins as a single
 // job and whose budget/ctx handling makes it a safe anytime participant
-// under the same Stop predicate and cancellation.
+// under the same cancellation.
 //
 // The winner is deterministic for a given job set: ties on the objective
 // break toward the lowest seed (then the earlier-listed backend), and the
 // selection scans the completed results in job order after all workers
 // finish, so neither GOMAXPROCS nor goroutine completion order can change
-// the outcome (unless PortfolioOptions.Stop cancels the run early — see
-// its doc).
+// the outcome (unless ctx cancels the run early).
 //
 // When the objective's Primary is the total word count (the default, or a
 // custom objective declared via PortfolioOptions.PrimaryIsWords), workers
@@ -268,8 +260,6 @@ func MapPortfolio(ctx context.Context, g *cdfg.Graph, grid *arch.Grid, opt Optio
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	work := popt.jobs(opt.Seed)
 	objective := popt.Objective
@@ -299,7 +289,6 @@ func MapPortfolio(ctx context.Context, g *cdfg.Graph, grid *arch.Grid, opt Optio
 	mappings := make([]*Mapping, len(work))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	var stopMu sync.Mutex // serializes Stop, which may not be reentrant
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -374,14 +363,6 @@ func MapPortfolio(ctx context.Context, g *cdfg.Graph, grid *arch.Grid, opt Optio
 					inc.publish(m.TotalWords(), job.seed, i)
 				}
 				opt.Obs.Counter("core.portfolio.seeds_ok").Inc()
-				if popt.Stop != nil {
-					stopMu.Lock()
-					stop := popt.Stop(m, rep.Score)
-					stopMu.Unlock()
-					if stop {
-						cancel()
-					}
-				}
 			}
 		}()
 	}

@@ -113,36 +113,6 @@ func TestPortfolioPreCancelled(t *testing.T) {
 	}
 }
 
-func TestPortfolioStopCancelsRemainingSeeds(t *testing.T) {
-	k, err := kernels.ByName("FIR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := core.DefaultOptions(core.FlowCAB)
-	// One worker makes the schedule deterministic: seed 1 completes first,
-	// Stop fires, and seeds 2..5 must be skipped without running.
-	res, err := core.MapPortfolio(context.Background(), k.Build(), arch.MustGrid(arch.HOM32), opt,
-		core.PortfolioOptions{
-			NumSeeds: 5,
-			Workers:  1,
-			Stop:     func(*core.Mapping, core.Score) bool { return true },
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Seed != 1 {
-		t.Errorf("winner seed %d, want 1", res.Seed)
-	}
-	for _, rep := range res.Reports[1:] {
-		if rep.OK {
-			t.Errorf("seed %d ran after Stop cancelled the portfolio", rep.Seed)
-		}
-		if !strings.Contains(rep.Err, context.Canceled.Error()) {
-			t.Errorf("seed %d: err %q, want cancellation", rep.Seed, rep.Err)
-		}
-	}
-}
-
 // TestPortfolioTieBreaks drives the objective tie-break table: a constant
 // objective must fall through to the lowest seed, a Secondary-only
 // objective must order by Secondary, and an explicit unordered seed list

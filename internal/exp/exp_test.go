@@ -220,36 +220,6 @@ func TestFig11AreasOrdering(t *testing.T) {
 	}
 }
 
-func TestLatencyFigSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("maps kernels")
-	}
-	r := NewRunner()
-	f, err := r.RunLatencyFig(core.FlowCAB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Kernels) != 7 || len(f.Configs) != 4 {
-		t.Fatalf("shape: %d kernels, %d configs", len(f.Kernels), len(f.Configs))
-	}
-	// Every kernel must map on at least one configuration under CAB.
-	for i, row := range f.Norm {
-		any := false
-		for _, v := range row {
-			if v > 0 {
-				any = true
-			}
-		}
-		if !any {
-			t.Errorf("%s mapped nowhere under CAB", f.Kernels[i])
-		}
-	}
-	out := f.Render()
-	if !strings.Contains(out, "Fig 8") {
-		t.Errorf("render title:\n%s", out)
-	}
-}
-
 func TestRunTraversalForcedOrders(t *testing.T) {
 	r := NewRunner()
 	fwd := r.RunTraversal("DCFilter", core.FlowBasic, arch.HOM64, cdfg.TraverseForward)

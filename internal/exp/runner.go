@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/asm"
 	"repro/internal/cdfg"
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -85,11 +84,12 @@ type Runner struct {
 	// experiment sweep. Cached cells do not re-record: the registry
 	// reflects the work actually executed.
 	Obs *obs.Recorder
-	// Cache, when non-nil, routes every cell's mapping step through the
+	// Cache, when non-nil, keeps every cell's compiled mapping in the
 	// content-addressed mapping cache: repeated evaluations (and, with a
 	// disk tier, repeated processes) reuse the compiled bitstream instead
 	// of re-running the search. Simulation, golden checks and dead-context
 	// analysis still run per cell, so cached cells render identically.
+	// A nil Cache maps every cell fresh through the same GetOrStore call.
 	Cache *mapcache.Cache
 
 	cells memo[cellKey, *Cell]
@@ -218,36 +218,20 @@ func (r *Runner) evaluate(kernel string, flow core.Flow, config arch.ConfigName,
 	g := k.Build()
 	grid := arch.MustGrid(config)
 	opt.Obs = r.Obs
-	var prog *asm.Program
-	var meta mapcache.Meta
-	var assemble func() (*asm.Program, error)
-	if r.Cache != nil {
-		cres, err := r.Cache.GetOrStore(
-			mapcache.Request{Graph: g, Grid: grid, Opt: opt},
-			func() (mapcache.Computed, error) {
-				m, err := core.Map(g, grid, opt)
-				if err != nil {
-					return mapcache.Computed{}, err
-				}
-				return mapcache.Computed{Mapping: m, Seed: opt.Seed, Backend: core.DefaultBackend().Name()}, nil
-			})
-		if err != nil {
-			c.Fail = err.Error()
-			return c
-		}
-		prog, meta = cres.Program, cres.Meta
-	} else {
-		m, err := core.Map(g, grid, opt)
-		if err != nil {
-			c.Fail = err.Error()
-			return c
-		}
-		meta = mapcache.Meta{
-			Stats: m.Stats, TileWords: m.TileWords(),
-			Ops: m.TotalOps(), Moves: m.TotalMoves(), Pnops: m.TotalPnops(),
-		}
-		assemble = func() (*asm.Program, error) { return asm.Assemble(m) }
+	cres, err := r.Cache.GetOrStore(
+		mapcache.Request{Graph: g, Grid: grid, Opt: opt},
+		func() (mapcache.Computed, error) {
+			m, err := core.Map(g, grid, opt)
+			if err != nil {
+				return mapcache.Computed{}, err
+			}
+			return mapcache.Computed{Mapping: m, Seed: opt.Seed, Backend: core.DefaultBackend().Name()}, nil
+		})
+	if err != nil {
+		c.Fail = err.Error()
+		return c
 	}
+	prog, meta := cres.Program, cres.Meta
 	c.CompileTime = meta.Stats.CompileTime
 	c.MapStats = meta.Stats
 	c.TileWords = meta.TileWords
@@ -261,21 +245,10 @@ func (r *Runner) evaluate(kernel string, flow core.Flow, config arch.ConfigName,
 
 	// The basic flow ignores memory constraints; a mapping that overflows
 	// the configuration cannot run on it (this is why the paper runs
-	// basic mappings on HOM64 only). The check works off the per-tile word
-	// counts so cache hits — which carry no Mapping — are screened the
-	// same way as fresh maps.
-	for i, words := range c.TileWords {
-		if words > grid.Tile(arch.TileID(i)).CMWords {
-			c.Fail = fmt.Sprintf("mapping overflows context memory of tile %d", i+1)
-			return c
-		}
-	}
-	if prog == nil {
-		var err error
-		if prog, err = assemble(); err != nil {
-			c.Fail = err.Error()
-			return c
-		}
+	// basic mappings on HOM64 only).
+	if ok, t := prog.FitsMemory(); !ok {
+		c.Fail = fmt.Sprintf("mapping overflows context memory of tile %d", t+1)
+		return c
 	}
 	// Dead-context elimination statistics: how many of the mapping's
 	// context words the static analyzer proves removable. The rewrite is

@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -143,4 +146,38 @@ func TestFig10CGRABeatsCPU(t *testing.T) {
 	if mapped == 0 {
 		t.Fatal("vacuous: no mapped Fig 10 cell")
 	}
+}
+
+// TestLatencyFigSmoke pins Figs 6–8 on the paper runner (the CAB cells
+// are already mapped): every kernel maps somewhere under each flow, and
+// each added constraint awareness leaves strictly fewer cells without a
+// mapping, ACMAP > ECMAP > CAB (7, 5 and 1 of the 28 cells).
+func TestLatencyFigSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("maps kernels")
+	}
+	paperCells()
+	var failures []int
+	for i, flow := range []core.Flow{core.FlowACMAP, core.FlowECMAP, core.FlowCAB} {
+		f, err := paperRun.r.RunLatencyFig(flow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if title := fmt.Sprintf("Fig %d", 6+i); !strings.Contains(f.Render(), title) {
+			t.Errorf("%s renders without its title %q", flow, title)
+		}
+		if len(f.Kernels) != 7 || len(f.Configs) != 4 {
+			t.Fatalf("%s shape: %d kernels, %d configs", flow, len(f.Kernels), len(f.Configs))
+		}
+		for i, row := range f.Norm {
+			if slices.Max(row) == 0 {
+				t.Errorf("%s mapped nowhere under %s", f.Kernels[i], flow)
+			}
+		}
+		failures = append(failures, f.Failures())
+	}
+	if !(failures[0] > failures[1] && failures[1] > failures[2]) {
+		t.Errorf("cells without a mapping: ACMAP %d, ECMAP %d, CAB %d; want strictly falling", failures[0], failures[1], failures[2])
+	}
+	t.Logf("cells without a mapping: ACMAP %d, ECMAP %d, CAB %d", failures[0], failures[1], failures[2])
 }

@@ -206,8 +206,19 @@ func (c *Cache) shardOf(sum [sha256.Size]byte) *shard {
 
 // GetOrStore returns the cached result for req, computing and storing it
 // via compute on a miss. Concurrent identical requests are coalesced: one
-// caller computes, the rest wait and share the stored entry.
+// caller computes, the rest wait and share the stored entry. On a nil
+// Cache it computes, assembles and returns the same Result a miss does
+// (Source "compute") and stores nothing, so callers get their program
+// one way whether or not caching is on.
 func (c *Cache) GetOrStore(req Request, compute func() (Computed, error)) (Result, error) {
+	if c == nil {
+		comp, err := compute()
+		if err != nil {
+			return Result{}, err
+		}
+		prog, meta, img, err := finishComputed(&comp)
+		return Result{Program: prog, Image: img, Meta: meta, Source: "compute"}, err
+	}
 	rec := c.cfg.Obs
 	text, sum, err := graphDigest(req.Graph)
 	if err != nil {
@@ -301,7 +312,10 @@ func (c *Cache) computeAndStore(sh *shard, key string, text []byte, compute func
 	e := &entry{key: key, graphText: text, image: img, meta: meta}
 	c.insert(sh, e)
 	c.cfg.Obs.Counter("mapcache.store").Inc()
-	if c.cfg.Dir != "" {
+	// An overflowing program is kept in memory (its caller decides what
+	// to do with it) but never written to disk: the disk tier's verify
+	// gate would reject it (CM001) on every later read.
+	if fits, _ := prog.FitsMemory(); fits && c.cfg.Dir != "" {
 		if err := c.storeDisk(e); err != nil {
 			c.cfg.Obs.Counter("mapcache.disk_write_err").Inc()
 		} else {

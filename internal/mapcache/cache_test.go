@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -454,5 +455,82 @@ func TestCacheDiskWrongKey(t *testing.T) {
 	}
 	if got := rec.Counter("mapcache.disk_reject").Value(); got != 1 {
 		t.Fatalf("mapcache.disk_reject = %d, want 1", got)
+	}
+}
+
+// TestNilCacheComputes: GetOrStore on a nil Cache computes and assembles
+// the same Result a cold miss does, and stores nothing.
+func TestNilCacheComputes(t *testing.T) {
+	grid := arch.MustGrid(arch.HOM32)
+	g := kernelGraph(t, "FIR")
+	opt := core.DefaultOptions(core.FlowCAB)
+	req := mapcache.Request{Graph: g, Grid: grid, Opt: opt}
+	var calls atomic.Int64
+	var nilCache *mapcache.Cache
+	got, err := nilCache.GetOrStore(req, mapCompute(t, g, grid, opt, &calls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := mapcache.New(mapcache.Config{}).GetOrStore(req, mapCompute(t, g, grid, opt, &calls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("compute ran %d times, want once per call", calls.Load())
+	}
+	if got.Hit || got.Source != "compute" || got.Program == nil {
+		t.Fatalf("nil cache reported hit=%v source=%q program=%v", got.Hit, got.Source, got.Program != nil)
+	}
+	if !bytes.Equal(got.Image, cold.Image) {
+		t.Fatal("nil-cache image differs from a cold miss")
+	}
+	// Wall-clock fields differ from run to run.
+	got.Meta.Stats.CompileTime, cold.Meta.Stats.CompileTime = 0, 0
+	got.Meta.Stats.Phases, cold.Meta.Stats.Phases = core.PhaseTimes{}, core.PhaseTimes{}
+	if !reflect.DeepEqual(got.Meta, cold.Meta) {
+		t.Fatalf("nil-cache meta %+v, cold miss %+v", got.Meta, cold.Meta)
+	}
+}
+
+// TestCacheDiskSkipsOverflow: a mapping that overflows a tile's context
+// memory (the basic flow ignores capacity) is served from memory but
+// never written to disk, where the verify gate (CM001) would reject it
+// on every later read; a second process maps it again without a reject.
+func TestCacheDiskSkipsOverflow(t *testing.T) {
+	grid := arch.MustGrid(arch.HOM32)
+	g := kernelGraph(t, "MatM")
+	dir := t.TempDir()
+	opt := core.DefaultOptions(core.FlowBasic)
+	req := mapcache.Request{Graph: g, Grid: grid, Opt: opt}
+	var calls atomic.Int64
+	for run := 1; run <= 2; run++ {
+		rec := obs.NewRecorder(obs.NewRegistry(), nil)
+		c := mapcache.New(mapcache.Config{Dir: dir, Obs: rec})
+		res, err := c.GetOrStore(req, mapCompute(t, g, grid, opt, &calls))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fits, _ := res.Program.FitsMemory(); fits {
+			t.Fatal("MatM basic on HOM32 fits; the test needs an overflowing mapping")
+		}
+		if res.Source != "compute" || c.Len() != 1 {
+			t.Fatalf("run %d: source %q, %d memory entries; want compute, 1", run, res.Source, c.Len())
+		}
+		for _, name := range []string{"mapcache.store", "mapcache.miss"} {
+			if got := rec.Counter(name).Value(); got != 1 {
+				t.Errorf("run %d: %s = %d, want 1", run, name, got)
+			}
+		}
+		for _, name := range []string{"mapcache.disk_store", "mapcache.disk_reject", "mapcache.disk_write_err"} {
+			if got := rec.Counter(name).Value(); got != 0 {
+				t.Errorf("run %d: %s = %d, want 0", run, name, got)
+			}
+		}
+		if files, err := mapcache.EntryFiles(dir); err != nil || len(files) != 0 {
+			t.Fatalf("run %d: EntryFiles = %v, %v; want none", run, files, err)
+		}
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("compute ran %d times, want once per process", calls.Load())
 	}
 }

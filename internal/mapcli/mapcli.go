@@ -119,24 +119,28 @@ func (f Flags) Resolve(rec *obs.Recorder) (*Job, error) {
 	return &Job{Flags: f, Kernel: k, Graph: k.Build(), Grid: grid, Opt: opt, Backends: backends}, nil
 }
 
+// UseCache reports whether -cache or -cachedir is set.
+func (f Flags) UseCache() bool { return f.Cache || f.CacheDir != "" }
+
 // portfolio reports whether the job maps a portfolio rather than once.
 func (j *Job) portfolio() bool { return j.Flags.Seeds > 1 || len(j.Backends) > 1 }
 
 // Compiled is the outcome of Job.Compile.
 type Compiled struct {
+	// Result is the assembled program with its image and metadata;
+	// Source says whether it was computed or served from the cache.
+	mapcache.Result
 	// Mapping is the mapping computed in this process; nil when the cache
 	// served it.
 	Mapping *core.Mapping
 	// Portfolio is the portfolio run in this process, if one ran.
 	Portfolio *core.PortfolioResult
-	// Cache is the mapping cache's answer when -cache or -cachedir is set.
-	Cache *mapcache.Result
 }
 
 // Compile maps the job — once, or as a portfolio over the seed list and
-// backends — and, with -cache or -cachedir, does so through the mapping
-// cache. The portfolio's objective is fewest context words, ties broken
-// by estimated energy, then the lowest seed.
+// backends — and assembles the winner, through the mapping cache when
+// -cache or -cachedir is set. The portfolio's objective is fewest
+// context words, ties broken by estimated energy, then the lowest seed.
 func (j *Job) Compile() (Compiled, error) {
 	var c Compiled
 	compute := func() (mapcache.Computed, error) {
@@ -163,10 +167,6 @@ func (j *Job) Compile() (Compiled, error) {
 		c.Mapping = m
 		return mapcache.Computed{Mapping: m, Seed: j.Opt.Seed, Backend: j.Backends[0].Name()}, nil
 	}
-	if !j.Flags.Cache && j.Flags.CacheDir == "" {
-		_, err := compute()
-		return c, err
-	}
 	names := make([]string, len(j.Backends))
 	for i, b := range j.Backends {
 		names[i] = b.Name()
@@ -176,10 +176,11 @@ func (j *Job) Compile() (Compiled, error) {
 		req.Seeds = (&core.PortfolioOptions{NumSeeds: j.Flags.Seeds}).SeedList(j.Flags.Seed)
 		req.Objective = "words+energy"
 	}
-	res, err := mapcache.New(mapcache.Config{Dir: j.Flags.CacheDir, Obs: j.Opt.Obs}).GetOrStore(req, compute)
-	if err != nil {
-		return c, err
+	var cache *mapcache.Cache
+	if j.Flags.UseCache() {
+		cache = mapcache.New(mapcache.Config{Dir: j.Flags.CacheDir, Obs: j.Opt.Obs})
 	}
-	c.Cache = &res
-	return c, nil
+	var err error
+	c.Result, err = cache.GetOrStore(req, compute)
+	return c, err
 }

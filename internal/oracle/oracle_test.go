@@ -14,7 +14,6 @@ import (
 	"repro/internal/cdfg"
 	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -107,33 +106,20 @@ func TestSweepClean(t *testing.T) {
 // through the environment. ORACLE_METRICS names a JSONL file the sweep's
 // counters are flushed to when the test ends; CI validates that artifact
 // with cgrametrics. ORACLE_SERVE additionally exposes the sweep live on
-// that address (telemetry server: /metrics, /healthz, /events) while it
-// runs, so a long sweep is observable from outside the test process.
+// that address (telemetry server: /metrics, /healthz, /events, announced
+// on stderr) while it runs, so a long sweep is observable from outside
+// the test process.
 // With neither set, p is left without a recorder.
 func sweepRecorder(t *testing.T, p *Pipeline) {
 	t.Helper()
-	var fr *obs.FileRecorder
-	metricsPath := os.Getenv("ORACLE_METRICS")
-	if addr := os.Getenv("ORACLE_SERVE"); addr != "" {
-		var srv *telemetry.Server
-		var err error
-		fr, srv, err = telemetry.ServeArtifacts(addr, metricsPath, "")
-		if err != nil {
-			t.Fatalf("ORACLE_SERVE: %v", err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		srv.SetReady(true)
-		t.Logf("telemetry: serving on http://%s", srv.Addr())
-	} else if metricsPath != "" {
-		fr = obs.FileOutputs(metricsPath, "")
-	} else {
-		return
+	tf := telemetry.Flags{Metrics: os.Getenv("ORACLE_METRICS"), Serve: os.Getenv("ORACLE_SERVE")}
+	rec, err := tf.Start(os.Stderr)
+	if err != nil {
+		t.Fatalf("ORACLE_METRICS/ORACLE_SERVE: %v", err)
 	}
-	p.Obs = fr.Recorder
-	// Cleanups run last-in first-out: the flush lands before the server
-	// closes.
+	p.Obs = rec
 	t.Cleanup(func() {
-		if err := fr.Flush(); err != nil {
+		if err := tf.Finish(nil); err != nil {
 			t.Errorf("flushing ORACLE_METRICS: %v", err)
 		}
 	})

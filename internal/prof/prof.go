@@ -1,7 +1,8 @@
 // Package prof wires the standard runtime/pprof file profiles into the
-// CLIs (cgramap, cgrabench) so mapper and evaluation hot paths can be
-// profiled in situ: the alloc-gated perf harness points at exactly the
-// code paths these binaries exercise.
+// CLIs (through telemetry.Flags' -cpuprofile/-memprofile) so mapper,
+// simulator and evaluation hot paths can be profiled in situ: the
+// alloc-gated perf harness points at exactly the code paths these
+// binaries exercise.
 package prof
 
 import (

@@ -391,80 +391,140 @@ func TestRingWrapAndUnsubscribe(t *testing.T) {
 	}
 }
 
-// TestServeArtifacts checks the shared CLI wiring: one call yields a
-// recorder feeding the file artifacts and the live endpoints at once,
-// and the caller still owns flush and shutdown.
-func TestServeArtifacts(t *testing.T) {
-	dir := t.TempDir()
-	metricsPath := filepath.Join(dir, "metrics.json")
-	eventsPath := filepath.Join(dir, "events.trace")
-	fr, srv, err := ServeArtifacts("127.0.0.1:0", metricsPath, eventsPath)
+// startFlags starts f, failing the test on error, and returns the run's
+// recorder and the server's base URL scraped from the announcement line.
+func startFlags(t *testing.T, f *Flags, out *bytes.Buffer) (*obs.Recorder, string) {
+	t.Helper()
+	rec, err := f.Start(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	srv.SetReady(true)
+	t.Cleanup(func() { _ = f.Finish(nil) })
+	line, _, _ := strings.Cut(out.String(), "\n")
+	addr, ok := strings.CutPrefix(line, "telemetry: serving on ")
+	if !ok {
+		t.Fatalf("no serving announcement on the writer: %q", out.String())
+	}
+	return rec, addr
+}
 
-	fr.Counter("demo.calls").Inc()
-	sp := fr.StartSpan("demo.phase", "demo", 0)
+// TestServeArtifacts checks the shared CLI wiring: one Start yields a
+// recorder feeding the file artifacts and the live endpoints at once,
+// and Finish writes the artifacts and profiles, lingers and shuts the
+// server down.
+func TestServeArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	f := Flags{
+		Metrics:    filepath.Join(dir, "metrics.json"),
+		Events:     filepath.Join(dir, "events.trace"),
+		CPUProfile: filepath.Join(dir, "cpu.pprof"),
+		MemProfile: filepath.Join(dir, "mem.pprof"),
+		Serve:      "127.0.0.1:0",
+		Linger:     time.Millisecond,
+	}
+	var out bytes.Buffer
+	rec, url := startFlags(t, &f, &out)
+
+	rec.Counter("demo.calls").Inc()
+	sp := rec.StartSpan("demo.phase", "demo", 0)
 	sp.End(nil)
 
 	// The same instrumentation is visible live...
-	page := scrape(t, srv.URL("/metrics"))
+	page := scrape(t, url+"/metrics")
 	if !strings.Contains(page, "demo_calls 1") {
 		t.Fatalf("live /metrics misses the counter:\n%s", page)
 	}
-	if !strings.Contains(scrape(t, srv.URL("/events")), "demo.phase") {
+	if !strings.Contains(scrape(t, url+"/events"), "demo.phase") {
 		t.Fatalf("live /events misses the span")
 	}
-	if !strings.Contains(scrape(t, srv.URL("/readyz")), "ok") {
-		t.Fatal("readyz not ok after SetReady")
+	if got := scrape(t, url+"/readyz"); got != "ok\n" {
+		t.Fatalf("readyz after Start = %q, want ok", got)
 	}
 
-	// ...and lands in the file artifacts on Flush.
-	if err := fr.Flush(); err != nil {
+	// ...and lands in the file artifacts on Finish.
+	if err := f.Finish(nil); err != nil {
 		t.Fatal(err)
 	}
-	m, err := os.ReadFile(metricsPath)
-	if err != nil {
-		t.Fatal(err)
+	for _, a := range [][2]string{{f.Metrics, "demo.calls"}, {f.Events, "demo.phase"}} {
+		data, err := os.ReadFile(a[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), a[1]) {
+			t.Fatalf("%s misses %s:\n%s", a[0], a[1], data)
+		}
 	}
-	if !strings.Contains(string(m), "demo.calls") {
-		t.Fatalf("metrics artifact misses the counter:\n%s", m)
+	for _, p := range []string{f.CPUProfile, f.MemProfile} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s not written: %v", p, err)
+		}
 	}
-	ev, err := os.ReadFile(eventsPath)
-	if err != nil {
-		t.Fatal(err)
+	if !strings.Contains(out.String(), "telemetry: lingering 1ms before exit\n") {
+		t.Errorf("clean Finish did not announce its linger:\n%s", out.String())
 	}
-	if !strings.Contains(string(ev), "demo.phase") {
-		t.Fatalf("events artifact misses the span:\n%s", ev)
+	if _, err := http.Get(url + "/healthz"); err == nil {
+		t.Error("server still answers after Finish")
+	}
+	// Finish is idempotent: a second call only hands back the run error.
+	runErr := errors.New("run failed")
+	if err := f.Finish(runErr); err != runErr {
+		t.Errorf("second Finish = %v, want the run error", err)
 	}
 }
 
 // TestServeArtifactsPathless: with no file paths the recorder must still
-// be live (registry + ring) so -serve works without -metrics/-events.
+// be live (registry + ring) so -serve works without -metrics/-events, its
+// flush is a no-op, and a failed run neither lingers nor loses its error.
+// With no flag at all the recorder is nil and Start/Finish are no-ops.
 func TestServeArtifactsPathless(t *testing.T) {
-	fr, srv, err := ServeArtifacts("127.0.0.1:0", "", "")
-	if err != nil {
-		t.Fatal(err)
+	f := Flags{Serve: "127.0.0.1:0"}
+	var out bytes.Buffer
+	rec, url := startFlags(t, &f, &out)
+	if !rec.Enabled() {
+		t.Fatal("pathless -serve recorder is disabled")
 	}
-	defer srv.Close()
-	if !fr.Recorder.Enabled() {
-		t.Fatal("pathless ServeArtifacts recorder is disabled")
-	}
-	fr.Counter("demo.calls").Inc()
-	if !strings.Contains(scrape(t, srv.URL("/metrics")), "demo_calls 1") {
+	rec.Counter("demo.calls").Inc()
+	if !strings.Contains(scrape(t, url+"/metrics"), "demo_calls 1") {
 		t.Fatal("pathless server does not expose the registry")
 	}
-	if err := fr.Flush(); err != nil {
+	if err := f.Finish(nil); err != nil {
 		t.Fatalf("pathless Flush must be a no-op, got %v", err)
+	}
+
+	f = Flags{Serve: "127.0.0.1:0", Linger: time.Hour}
+	out.Reset()
+	startFlags(t, &f, &out)
+	runErr := errors.New("run failed")
+	if err := f.Finish(runErr); err != runErr {
+		t.Fatalf("Finish = %v, want the run error", err)
+	}
+	if strings.Contains(out.String(), "lingering") {
+		t.Errorf("a failed run lingered:\n%s", out.String())
+	}
+
+	var off Flags
+	out.Reset()
+	if rec, err := off.Start(&out); err != nil || rec != nil {
+		t.Fatalf("flagless Start = %v, %v; want a nil recorder", rec, err)
+	}
+	if err := off.Finish(nil); err != nil || out.Len() != 0 {
+		t.Fatalf("flagless Finish = %v, wrote %q", err, out.String())
 	}
 }
 
-// TestServeArtifactsBadAddr: an unusable listen address surfaces as an
-// error instead of a dead server.
+// TestServeArtifactsBadAddr: an unusable listen address or profile path
+// surfaces as a Start error instead of a dead server.
 func TestServeArtifactsBadAddr(t *testing.T) {
-	if _, _, err := ServeArtifacts("127.0.0.1:-1", "", ""); err == nil {
-		t.Fatal("ServeArtifacts accepted an invalid address")
+	var out bytes.Buffer
+	f := Flags{Serve: "127.0.0.1:-1"}
+	if _, err := f.Start(&out); err == nil {
+		t.Fatal("Start accepted an invalid address")
+	}
+	f = Flags{Serve: "127.0.0.1:0", CPUProfile: filepath.Join(t.TempDir(), "missing", "cpu.pprof")}
+	if _, err := f.Start(&out); err == nil {
+		t.Fatal("Start accepted an unwritable profile path")
+	}
+	if err := f.Finish(nil); err != nil {
+		t.Fatalf("Finish after a failed Start = %v", err)
 	}
 }
