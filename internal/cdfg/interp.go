@@ -50,80 +50,182 @@ const InterpLimit = 10_000_000
 // semantics and returns an execution trace. The memory is modified in
 // place. Interp is the ground truth the CGRA simulator and the CPU model
 // are validated against.
+//
+// Each call lowers the graph once (see lowerGraph) and then runs the
+// lowered form, which allocates nothing per executed block or node: the
+// trace's counts are derived from the per-block execution counts when the
+// run returns.
 func Interp(g *Graph, mem Memory) (*Trace, error) {
-	if err := Verify(g); err != nil {
+	st, err := verify(g)
+	if err != nil {
 		return nil, err
 	}
-	tr := &Trace{PerBlock: map[BBID]int{}, PerOp: map[Opcode]int{}}
-	syms := map[string]int32{}
+	p := lowerGraph(g, st)
+	vals := make([]int32, p.width)
+	syms := make([]int32, len(st.names))
+	defined := make(bitset, words(len(st.names)))
+	runs := make([]int, len(p.blocks))
 	cur := g.Entry
-	vals := []int32{}
+	var args [3]int32
 	for steps := 0; ; steps++ {
 		if steps >= InterpLimit {
-			return tr, fmt.Errorf("cdfg: interpretation of %q exceeded %d blocks", g.Name, InterpLimit)
+			return p.trace(runs, cur, -1), fmt.Errorf("cdfg: interpretation of %q exceeded %d blocks", g.Name, InterpLimit)
 		}
-		b := g.Blocks[cur]
-		tr.Blocks++
-		tr.PerBlock[b.ID]++
-		if cap(vals) < len(b.Nodes) {
-			vals = make([]int32, len(b.Nodes))
-		}
-		vals = vals[:len(b.Nodes)]
+		b := &p.blocks[cur]
+		runs[cur]++
 		var branchTaken bool
-		for _, n := range b.Nodes {
-			tr.Nodes++
-			tr.PerOp[n.Op]++
-			switch n.Op {
+		for i := range b.ops {
+			o := &b.ops[i]
+			switch o.op {
 			case OpConst:
-				vals[n.ID] = n.Val
+				vals[i] = o.in[0]
 			case OpSym:
-				v, ok := syms[n.Sym]
-				if !ok {
-					return tr, fmt.Errorf("cdfg: block %q reads undefined symbol %q", b.Name, n.Sym)
+				slot := o.in[0]
+				if !defined.has(slot) {
+					return p.trace(runs, cur, i), fmt.Errorf("cdfg: block %q reads undefined symbol %q", g.Blocks[cur].Name, st.names[slot])
 				}
-				vals[n.ID] = v
+				vals[i] = syms[slot]
 			case OpLoad:
-				v, err := mem.Load(vals[n.Args[0]])
+				v, err := mem.Load(vals[o.in[0]])
 				if err != nil {
-					return tr, fmt.Errorf("block %q n%d: %w", b.Name, n.ID, err)
+					return p.trace(runs, cur, i), fmt.Errorf("block %q n%d: %w", g.Blocks[cur].Name, i, err)
 				}
-				vals[n.ID] = v
-				tr.Loads++
+				vals[i] = v
 			case OpStore:
-				if err := mem.Store(vals[n.Args[0]], vals[n.Args[1]]); err != nil {
-					return tr, fmt.Errorf("block %q n%d: %w", b.Name, n.ID, err)
+				if err := mem.Store(vals[o.in[0]], vals[o.in[1]]); err != nil {
+					return p.trace(runs, cur, i), fmt.Errorf("block %q n%d: %w", g.Blocks[cur].Name, i, err)
 				}
-				tr.Stores++
 			case OpBr:
-				branchTaken = vals[n.Args[0]] != 0
-				tr.Branches++
+				branchTaken = vals[o.in[0]] != 0
 			default:
-				args := make([]int32, len(n.Args))
-				for i, a := range n.Args {
-					args[i] = vals[a]
-				}
-				v, err := EvalOp(n.Op, args)
+				args[0], args[1], args[2] = vals[o.in[0]], vals[o.in[1]], vals[o.in[2]]
+				v, err := EvalOp(o.op, args[:o.nargs])
 				if err != nil {
-					return tr, fmt.Errorf("block %q n%d: %w", b.Name, n.ID, err)
+					return p.trace(runs, cur, i), fmt.Errorf("block %q n%d: %w", g.Blocks[cur].Name, i, err)
 				}
-				vals[n.ID] = v
-				tr.Ops++
+				vals[i] = v
 			}
 		}
-		for s, id := range b.LiveOut {
-			syms[s] = vals[id]
+		for _, lo := range b.live {
+			syms[lo.slot] = vals[lo.node]
+			defined.set(lo.slot)
 		}
 		switch {
-		case b.HasBranch():
+		case b.branch:
 			if branchTaken {
-				cur = b.Succs[0]
+				cur = b.succs[0]
 			} else {
-				cur = b.Succs[1]
+				cur = b.succs[1]
 			}
-		case len(b.Succs) == 1:
-			cur = b.Succs[0]
+		case b.jump:
+			cur = b.succs[0]
 		default:
-			return tr, nil
+			return p.trace(runs, cur, -1), nil
 		}
 	}
+}
+
+// lowered is a graph compiled for Interp: symbols interned to dense slots
+// and each block a flat op list with operands resolved to value-buffer
+// indices.
+type lowered struct {
+	blocks []loweredBlock
+	width  int // the largest block's node count: the value buffer's size
+}
+
+type loweredBlock struct {
+	ops    []loweredOp
+	live   []liveOut // the block's live-outs as (slot, node) pairs
+	succs  [2]BBID
+	branch bool // ends in a conditional branch on succs
+	jump   bool // falls through to succs[0]; neither means halt
+}
+
+// loweredOp is one node. Its operands index the block's value buffer
+// (unused ones are 0, always a valid index); OpConst keeps its value in
+// in[0] and OpSym its symbol's slot.
+type loweredOp struct {
+	op    Opcode
+	nargs uint8
+	in    [3]int32
+}
+
+// lowerGraph compiles a verified graph with the symbol slots st assigned.
+func lowerGraph(g *Graph, st *symtab) *lowered {
+	p := &lowered{blocks: make([]loweredBlock, len(g.Blocks))}
+	ops := make([]loweredOp, g.NumNodes())
+	for bi, b := range g.Blocks {
+		lb := &p.blocks[bi]
+		lb.ops, ops = ops[:len(b.Nodes):len(b.Nodes)], ops[len(b.Nodes):]
+		p.width = max(p.width, len(b.Nodes))
+		reads := st.blocks[bi].reads
+		for i, n := range b.Nodes {
+			o := &lb.ops[i]
+			o.op, o.nargs = n.Op, uint8(len(n.Args))
+			switch n.Op {
+			case OpConst:
+				o.in[0] = n.Val
+			case OpSym:
+				o.in[0], reads = reads[0], reads[1:]
+			default:
+				for k, a := range n.Args {
+					o.in[k] = int32(a)
+				}
+			}
+		}
+		lb.live = st.blocks[bi].live
+		copy(lb.succs[:], b.Succs)
+		lb.branch = b.HasBranch()
+		lb.jump = !lb.branch && len(b.Succs) == 1
+	}
+	return p
+}
+
+// trace builds the Trace of a run from its per-block execution counts.
+// When node fault of block at stopped the run, that execution counts the
+// nodes before the fault in full and the faulting node only as evaluated.
+func (p *lowered) trace(runs []int, at BBID, fault int) *Trace {
+	tr := &Trace{PerBlock: map[BBID]int{}, PerOp: map[Opcode]int{}}
+	var perOp [numOpcodes]int
+	for bi, k := range runs {
+		if k == 0 {
+			continue
+		}
+		tr.Blocks += k
+		tr.PerBlock[BBID(bi)] = k
+		ops := p.blocks[bi].ops
+		if fault >= 0 && BBID(bi) == at {
+			for _, o := range ops[:fault] {
+				perOp[o.op]++
+			}
+			k--
+		}
+		for _, o := range ops {
+			perOp[o.op] += k
+		}
+	}
+	for op, k := range perOp {
+		tr.Nodes += k
+		switch Opcode(op) {
+		case OpConst, OpSym:
+		case OpLoad:
+			tr.Loads = k
+		case OpStore:
+			tr.Stores = k
+		case OpBr:
+			tr.Branches = k
+		default:
+			tr.Ops += k
+		}
+	}
+	if fault >= 0 {
+		perOp[p.blocks[at].ops[fault].op]++
+		tr.Nodes++
+	}
+	for op, k := range perOp {
+		if k > 0 {
+			tr.PerOp[Opcode(op)] = k
+		}
+	}
+	return tr
 }

@@ -91,6 +91,18 @@ func (g *Graph) MarshalText() ([]byte, error) {
 // UnmarshalText parses the format produced by MarshalText and verifies
 // the result, so a successful parse always yields a mapper-ready graph.
 func UnmarshalText(data []byte) (*Graph, error) {
+	g, err := parseText(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := Verify(g); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// parseText parses the text form without verifying the graph.
+func parseText(data []byte) (*Graph, error) {
 	g := &Graph{Entry: None}
 	var cur *BasicBlock
 	sc := bufio.NewScanner(bytes.NewReader(data))
@@ -223,9 +235,6 @@ func UnmarshalText(data []byte) (*Graph, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("cdfg: %w", err)
-	}
-	if err := Verify(g); err != nil {
-		return nil, err
 	}
 	return g, nil
 }

@@ -2,7 +2,8 @@ package cdfg
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Verify checks the structural invariants of a graph:
@@ -16,6 +17,24 @@ import (
 //   - every symbol read is defined on every path from the entry (a symbol
 //     written on some but not all incoming paths is rejected).
 func Verify(g *Graph) error {
+	_, err := verify(g)
+	return err
+}
+
+// verify is Verify returning the symbol slots it assigned, which Interp
+// lowers the graph with.
+func verify(g *Graph) (*symtab, error) {
+	if err := verifyStructure(g); err != nil {
+		return nil, err
+	}
+	st := internSymbols(g)
+	if err := verifySymbolDefs(g, st); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+func verifyStructure(g *Graph) error {
 	if len(g.Blocks) == 0 {
 		return fmt.Errorf("graph %q has no blocks", g.Name)
 	}
@@ -35,7 +54,7 @@ func Verify(g *Graph) error {
 			return fmt.Errorf("block %q: %w", b.Name, err)
 		}
 	}
-	return verifySymbolDefs(g)
+	return nil
 }
 
 func verifyBlock(g *Graph, b *BasicBlock) error {
@@ -99,46 +118,124 @@ func verifyBlock(g *Graph, b *BasicBlock) error {
 	return nil
 }
 
-// verifySymbolDefs performs a forward may-not-be-defined dataflow analysis:
-// a symbol read in block b must be defined on every path reaching b.
-func verifySymbolDefs(g *Graph) error {
-	all := g.Symbols()
-	idx := map[string]int{}
-	for i, s := range all {
-		idx[s] = i
+// symtab interns a graph's symbol names to dense slots, in order of first
+// appearance: each block's sym reads in node order, then its live-outs by
+// name.
+type symtab struct {
+	names  []string
+	blocks []symBlock
+}
+
+type symBlock struct {
+	reads []int32   // the slot of each OpSym node, in node order
+	live  []liveOut // the live-outs, sorted by symbol name
+}
+
+// liveOut publishes node's value under the symbol in slot.
+type liveOut struct{ slot, node int32 }
+
+func internSymbols(g *Graph) *symtab {
+	st := &symtab{blocks: make([]symBlock, len(g.Blocks))}
+	slot := map[string]int32{}
+	intern := func(s string) int32 {
+		k, ok := slot[s]
+		if !ok {
+			k = int32(len(st.names))
+			slot[s] = k
+			st.names = append(st.names, s)
+		}
+		return k
 	}
+	nreads, nlive, widest := 0, 0, 0
+	for _, b := range g.Blocks {
+		for _, n := range b.Nodes {
+			if n.Op == OpSym {
+				nreads++
+			}
+		}
+		nlive += len(b.LiveOut)
+		widest = max(widest, len(b.LiveOut))
+	}
+	// Every symbol a valid graph reads is some block's live-out, so nlive
+	// bounds its symbol count.
+	st.names = make([]string, 0, nlive)
+	reads := make([]int32, 0, nreads)
+	live := make([]liveOut, 0, nlive)
+	names := make([]string, 0, widest)
+	for bi, b := range g.Blocks {
+		r0, l0 := len(reads), len(live)
+		for _, n := range b.Nodes {
+			if n.Op == OpSym {
+				reads = append(reads, intern(n.Sym))
+			}
+		}
+		names = names[:0]
+		for s := range b.LiveOut {
+			names = append(names, s)
+		}
+		slices.Sort(names)
+		for _, s := range names {
+			live = append(live, liveOut{intern(s), int32(b.LiveOut[s])})
+		}
+		st.blocks[bi] = symBlock{reads: reads[r0:], live: live[l0:]}
+	}
+	return st
+}
+
+// bitset is a set of symbol slots.
+type bitset []uint64
+
+func words(n int) int { return (n + 63) / 64 }
+
+func (s bitset) has(i int32) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+func (s bitset) set(i int32)      { s[i>>6] |= 1 << (i & 63) }
+
+// verifySymbolDefs performs a forward may-not-be-defined dataflow analysis:
+// a symbol read in block b must be defined on every path reaching b. The
+// sets are bitsets over st's slots.
+func verifySymbolDefs(g *Graph, st *symtab) error {
+	w := words(len(st.names))
+	nb := len(g.Blocks)
+	buf := make(bitset, 3*nb*w+w)
 	// defined[b] = set of symbols guaranteed defined at entry of b.
 	// Meet is intersection over predecessors; entry starts empty.
-	defined := make([]map[int]bool, len(g.Blocks))
-	reached := make([]bool, len(g.Blocks))
+	row := func(base, b int) bitset { return buf[(base*nb+b)*w : (base*nb+b+1)*w] }
+	const defined, reads, writes = 0, 1, 2
+	out := buf[3*nb*w:]
+	for bi := range g.Blocks {
+		for _, k := range st.blocks[bi].reads {
+			row(reads, bi).set(k)
+		}
+		for _, lo := range st.blocks[bi].live {
+			row(writes, bi).set(lo.slot)
+		}
+	}
+	reached := make([]bool, nb)
 	reached[g.Entry] = true
-	defined[g.Entry] = map[int]bool{}
 
 	change := true
 	for change {
 		change = false
-		for _, b := range g.Blocks {
-			if !reached[b.ID] {
+		for bi, b := range g.Blocks {
+			if !reached[bi] {
 				continue
 			}
-			out := map[int]bool{}
-			for s := range defined[b.ID] {
-				out[s] = true
-			}
-			for s := range b.LiveOut {
-				out[idx[s]] = true
+			def, wr := row(defined, bi), row(writes, bi)
+			for i := range out {
+				out[i] = def[i] | wr[i]
 			}
 			for _, succ := range b.Succs {
+				sd := row(defined, int(succ))
 				if !reached[succ] {
 					reached[succ] = true
-					defined[succ] = copySet(out)
+					copy(sd, out)
 					change = true
 					continue
 				}
 				// Intersect.
-				for s := range defined[succ] {
-					if !out[s] {
-						delete(defined[succ], s)
+				for i := range sd {
+					if x := sd[i] & out[i]; x != sd[i] {
+						sd[i] = x
 						change = true
 					}
 				}
@@ -146,28 +243,21 @@ func verifySymbolDefs(g *Graph) error {
 		}
 	}
 
-	for _, b := range g.Blocks {
-		if !reached[b.ID] {
+	for bi, b := range g.Blocks {
+		if !reached[bi] {
 			continue // unreachable blocks are allowed but never checked at runtime
 		}
 		var missing []string
-		for _, s := range b.SymReads() {
-			if !defined[b.ID][idx[s]] {
-				missing = append(missing, s)
+		def, rd := row(defined, bi), row(reads, bi)
+		for i := range rd {
+			for m := rd[i] &^ def[i]; m != 0; m &= m - 1 {
+				missing = append(missing, st.names[i*64+bits.TrailingZeros64(m)])
 			}
 		}
 		if len(missing) > 0 {
-			sort.Strings(missing)
+			slices.Sort(missing)
 			return fmt.Errorf("block %q reads possibly-undefined symbols %v", b.Name, missing)
 		}
 	}
 	return nil
-}
-
-func copySet(s map[int]bool) map[int]bool {
-	c := make(map[int]bool, len(s))
-	for k := range s {
-		c[k] = true
-	}
-	return c
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/arch"
@@ -102,7 +103,6 @@ type mapperArena struct {
 	// Block-level scratch.
 	stream   candStream
 	children []*partial
-	weights  []float64
 	order    []cdfg.NodeID
 	ready    []cdfg.NodeID
 	pending  []int
@@ -129,13 +129,19 @@ type mapperArena struct {
 	retros  chunk[wbRetro]
 	recomps chunk[recompStep]
 
-	// pathCache memoizes the canonical torus routes per (from, to) pair.
-	// It depends only on the grid topology, so it survives across Map
-	// calls and is invalidated when the arena sees a different grid shape.
+	// pathCache memoizes the canonical torus routes per (from, to) pair
+	// and dist the torus hop distances. Both depend only on the grid
+	// topology, so they survive across Map calls and are rebuilt when the
+	// arena sees a different grid shape (see topology).
 	pathCache [][][]arch.TileID
+	dist      []int32
 	pathRows  int
 	pathCols  int
 	hopsBuf   []arch.TileID
+
+	// rank[n] holds stochasticPrune's rank weights exp(-i/n) for i in
+	// [0, n), followed by their in-order sum.
+	rank [][]float64
 
 	// attempts is Map's per-block attempt table and sub the child arenas
 	// of its retry workers (see mapAttempts).
@@ -402,11 +408,7 @@ func (a *mapperArena) overlayReset() *overlay {
 // exclude a, include b. The cache survives across blocks and Map calls:
 // the routing search asks for the same pairs thousands of times.
 func (a *mapperArena) paths(cx *bbCtx, from, to arch.TileID) [][]arch.TileID {
-	n := cx.grid.NumTiles()
-	if a.pathCache == nil || a.pathRows != cx.grid.Rows || a.pathCols != cx.grid.Cols {
-		a.pathCache = make([][][]arch.TileID, n*n)
-		a.pathRows, a.pathCols = cx.grid.Rows, cx.grid.Cols
-	}
+	n := a.topology(cx.grid)
 	key := int(from)*n + int(to)
 	if ps := a.pathCache[key]; ps != nil {
 		return ps
@@ -414,4 +416,49 @@ func (a *mapperArena) paths(cx *bbCtx, from, to arch.TileID) [][]arch.TileID {
 	ps := cx.computePaths(from, to)
 	a.pathCache[key] = ps
 	return ps
+}
+
+// distance is g.Distance(from, to) read from the arena's table.
+func (a *mapperArena) distance(g *arch.Grid, from, to arch.TileID) int {
+	n := a.topology(g)
+	return int(a.dist[int(from)*n+int(to)])
+}
+
+// topology rebuilds the per-grid-shape tables when g's shape differs from
+// the one they hold, and returns g's tile count.
+func (a *mapperArena) topology(g *arch.Grid) int {
+	n := g.NumTiles()
+	if a.pathCache != nil && a.pathRows == g.Rows && a.pathCols == g.Cols {
+		return n
+	}
+	a.pathCache = make([][][]arch.TileID, n*n)
+	a.dist = make([]int32, n*n)
+	for from := range n {
+		for to := range n {
+			a.dist[from*n+to] = int32(g.Distance(arch.TileID(from), arch.TileID(to)))
+		}
+	}
+	a.pathRows, a.pathCols = g.Rows, g.Cols
+	return n
+}
+
+// rankWeights returns exp(-i/n) for i in [0, n) and their in-order sum,
+// computed once per n: stochasticPrune draws from the same few sizes at
+// every bind step.
+func (a *mapperArena) rankWeights(n int) ([]float64, float64) {
+	if len(a.rank) <= n {
+		a.rank = append(a.rank, make([][]float64, n+1-len(a.rank))...)
+	}
+	w := a.rank[n]
+	if w == nil {
+		w = make([]float64, n+1)
+		total := 0.0
+		for i := range n {
+			w[i] = math.Exp(-float64(i) / float64(n))
+			total += w[i]
+		}
+		w[n] = total
+		a.rank[n] = w
+	}
+	return w[:n], w[n]
 }

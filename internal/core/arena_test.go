@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 
@@ -135,4 +136,52 @@ func TestArenaBufferAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBuffers(t, "exact DCFilter/HOM64", ar)
+}
+
+// TestArenaTablesMatchComputed checks the arena's memoized tables against
+// the forms they replace, bit for bit: the torus distance table against
+// Grid.Distance on every tile pair (across a change of grid shape and
+// back), and stochasticPrune's rank weights and their in-order sum
+// against math.Exp.
+func TestArenaTablesMatchComputed(t *testing.T) {
+	ar := new(mapperArena)
+	strip := &arch.Grid{Name: "2x8", Rows: 2, Cols: 8}
+	for id := range 16 {
+		strip.Tiles = append(strip.Tiles, arch.Tile{ID: arch.TileID(id), Row: id / 8, Col: id % 8})
+	}
+	for _, g := range []*arch.Grid{arch.MustGrid(arch.HOM64), strip, arch.MustGrid(arch.HET2)} {
+		for a := range g.NumTiles() {
+			for b := range g.NumTiles() {
+				from, to := arch.TileID(a), arch.TileID(b)
+				if got, want := ar.distance(g, from, to), g.Distance(from, to); got != want {
+					t.Fatalf("%s: distance(%d, %d) = %d, Grid.Distance %d", g.Name, a, b, got, want)
+				}
+			}
+		}
+	}
+	// Descending sizes, as one prune's draws ask for them, then ascending.
+	var sizes []int
+	for n := 200; n >= 1; n-- {
+		sizes = append(sizes, n)
+	}
+	for n := 1; n <= 400; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		w, total := ar.rankWeights(n)
+		if len(w) != n {
+			t.Fatalf("n=%d: %d weights", n, len(w))
+		}
+		sum := 0.0
+		for i := range n {
+			want := math.Exp(-float64(i) / float64(n))
+			if math.Float64bits(w[i]) != math.Float64bits(want) {
+				t.Fatalf("n=%d: weight %d = %v, math.Exp %v", n, i, w[i], want)
+			}
+			sum += want
+		}
+		if math.Float64bits(total) != math.Float64bits(sum) {
+			t.Fatalf("n=%d: total %v, in-order sum %v", n, total, sum)
+		}
+	}
 }

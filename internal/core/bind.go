@@ -751,14 +751,7 @@ func stochasticPrune(parts []*partial, beam int, detFrac float64, rng *rand.Rand
 	for need > 0 && len(rest) > 0 {
 		// Rank-weighted threshold: earlier (cheaper) partials are
 		// exponentially more likely to survive.
-		w := ar.weights[:0]
-		total := 0.0
-		for i := range rest {
-			wi := math.Exp(-float64(i) / float64(len(rest)))
-			w = append(w, wi)
-			total += wi
-		}
-		ar.weights = w
+		w, total := ar.rankWeights(len(rest))
 		x := rng.Float64() * total
 		pick := 0
 		for i := range w {

@@ -268,7 +268,7 @@ func (s *candStream) reach(p *partial, a cdfg.NodeID, caps []bool, t arch.TileID
 		// Output-register routes serve through l.Cycle+hold plus the hops
 		// (the location's due cycle, see argsBound); an early chain
 		// serves nothing once its first slot is past the window.
-		held := l.Cycle >= 0 && l.Cycle+hold+cx.grid.Distance(l.Tile, t) > from
+		held := l.Cycle >= 0 && l.Cycle+hold+cx.arena.distance(cx.grid, l.Tile, t) > from
 		if !held && !regs {
 			continue
 		}
@@ -357,7 +357,7 @@ func (s *candStream) argsBound(p *partial, t arch.TileID, cc int) (float64, int)
 			cost = costRecompute
 		}
 		for _, l := range p.locsOf(a) {
-			d := cx.grid.Distance(l.Tile, t)
+			d := cx.arena.distance(cx.grid, l.Tile, t)
 			if due := l.Cycle + max(1, d) - 1 + cx.opt.MaxHold; cc <= due {
 				cost = min(cost, costMove*float64(max(0, d-1)))
 				until = min(until, due)

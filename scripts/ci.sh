@@ -200,6 +200,14 @@ ORACLE_BACKEND_DIFF_N=$diff_n ORACLE_BACKEND_DIFF_BUDGET=1500 ORACLE_METRICS="$b
 echo "== cross-backend diff metrics (cgrametrics)"
 go run ./cmd/cgrametrics "$backend_metrics"
 
+# Bounded interpreter fuzz smoke: FuzzInterp mutates CDFG text plus
+# memory words and checks the parser never panics, the verifier's error
+# text matches the map-based reference verifier, and every graph that
+# verifies interprets exactly like the map-based reference interpreter
+# (final memory, error text, every trace field).
+echo "== interpreter fuzz smoke (FuzzInterp, 10s)"
+go test -run '^$' -fuzz '^FuzzInterp$' -fuzztime 10s ./internal/cdfg
+
 echo "== go test $short ./..."
 go test $short ./...
 
