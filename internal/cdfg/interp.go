@@ -55,7 +55,12 @@ const InterpLimit = 10_000_000
 // lowered form, which allocates nothing per executed block or node: the
 // trace's counts are derived from the per-block execution counts when the
 // run returns.
-func Interp(g *Graph, mem Memory) (*Trace, error) {
+func Interp(g *Graph, mem Memory) (*Trace, error) { return InterpBudget(g, mem, InterpLimit) }
+
+// InterpBudget is Interp with a limit of blocks basic-block executions
+// in place of InterpLimit: a caller that runs many untrusted graphs (a
+// fuzz target) bounds the time each one spins.
+func InterpBudget(g *Graph, mem Memory, blocks int) (*Trace, error) {
 	st, err := verify(g)
 	if err != nil {
 		return nil, err
@@ -68,8 +73,8 @@ func Interp(g *Graph, mem Memory) (*Trace, error) {
 	cur := g.Entry
 	var args [3]int32
 	for steps := 0; ; steps++ {
-		if steps >= InterpLimit {
-			return p.trace(runs, cur, -1), fmt.Errorf("cdfg: interpretation of %q exceeded %d blocks", g.Name, InterpLimit)
+		if steps >= blocks {
+			return p.trace(runs, cur, -1), fmt.Errorf("cdfg: interpretation of %q exceeded %d blocks", g.Name, blocks)
 		}
 		b := &p.blocks[cur]
 		runs[cur]++

@@ -214,6 +214,42 @@ func memoryBytes(mem cdfg.Memory) []byte {
 	return b
 }
 
+// fuzzInterpBudget bounds the basic blocks one fuzz input interprets: a
+// graph that spins to InterpLimit would hold the fuzzer for seconds per
+// input.
+const fuzzInterpBudget = 100_000
+
+// TestInterpBudget checks that InterpBudget stops a spinning graph at its
+// budget, with Interp's error text and trace shape, and runs a graph
+// that ends within the budget exactly like Interp.
+func TestInterpBudget(t *testing.T) {
+	b := cdfg.NewBuilder("spin")
+	b.Block("entry").Jump("entry")
+	tr, err := cdfg.InterpBudget(b.Graph(), nil, 1000)
+	if want := `cdfg: interpretation of "spin" exceeded 1000 blocks`; errText(err) != want {
+		t.Fatalf("error %q, want %q", errText(err), want)
+	}
+	if tr.Blocks != 1000 {
+		t.Fatalf("stopped after %d blocks, want 1000", tr.Blocks)
+	}
+	g := countLoop(50)
+	want, got := make(cdfg.Memory, 50), make(cdfg.Memory, 50)
+	wantTr, err := cdfg.Interp(g, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotTr, err := cdfg.InterpBudget(g, got, wantTr.Blocks)
+	if err != nil {
+		t.Fatalf("budget of exactly the blocks run: %v", err)
+	}
+	if !reflect.DeepEqual(gotTr, wantTr) || !reflect.DeepEqual(got, want) {
+		t.Fatal("InterpBudget within its budget differs from Interp")
+	}
+	if _, err := cdfg.InterpBudget(g, make(cdfg.Memory, 50), wantTr.Blocks-1); err == nil {
+		t.Fatal("a budget one block short did not stop the run")
+	}
+}
+
 // FuzzInterp fuzzes the CDFG text parser, the verifier and the
 // interpreter with graph text plus memory words. Parsing must never
 // panic, Verify must agree with the reference verifier's error text, and
@@ -238,7 +274,7 @@ func FuzzInterp(f *testing.F) {
 		add(c.g, c.mem)
 	}
 
-	limit := fmt.Sprintf("exceeded %d blocks", cdfg.InterpLimit)
+	limit := fmt.Sprintf("exceeded %d blocks", fuzzInterpBudget)
 	f.Fuzz(func(t *testing.T, data, words []byte) {
 		if len(data) > 1<<16 || len(words) > 1<<12 {
 			return
@@ -265,12 +301,12 @@ func FuzzInterp(f *testing.F) {
 			return
 		}
 		mem := fuzzMemory(words)
-		if _, err := cdfg.Interp(g, mem.Clone()); err != nil && strings.HasSuffix(err.Error(), limit) {
+		if _, err := cdfg.InterpBudget(g, mem.Clone(), fuzzInterpBudget); err != nil && strings.HasSuffix(err.Error(), limit) {
 			want := fmt.Sprintf("cdfg: interpretation of %q %s", g.Name, limit)
 			if err.Error() != want {
 				t.Fatalf("error %q, want %q", err, want)
 			}
-			return // the reference would take seconds to reach the limit
+			return // the reference would take seconds to reach InterpLimit
 		}
 		checkAgainstReference(t, "fuzz input", g, mem)
 	})

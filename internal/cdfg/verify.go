@@ -83,14 +83,21 @@ func verifyBlock(g *Graph, b *BasicBlock) error {
 			return fmt.Errorf("n%d: sym node without a name", n.ID)
 		}
 	}
-	// Sorted keys keep the first-reported violation deterministic.
-	for _, s := range b.LiveOutSyms() {
-		id := b.LiveOut[s]
-		if id < 0 || int(id) >= len(b.Nodes) {
-			return fmt.Errorf("live-out %q: node n%d out of range", s, id)
-		}
-		if !b.Nodes[id].Op.HasResult() {
-			return fmt.Errorf("live-out %q: node n%d produces no value", s, id)
+	// The live-outs are checked in map order; only a violation pays for
+	// the sorted walk that keeps the first-reported one deterministic.
+	bad := false
+	for _, id := range b.LiveOut {
+		bad = bad || id < 0 || int(id) >= len(b.Nodes) || !b.Nodes[id].Op.HasResult()
+	}
+	if bad {
+		for _, s := range b.LiveOutSyms() {
+			id := b.LiveOut[s]
+			if id < 0 || int(id) >= len(b.Nodes) {
+				return fmt.Errorf("live-out %q: node n%d out of range", s, id)
+			}
+			if !b.Nodes[id].Op.HasResult() {
+				return fmt.Errorf("live-out %q: node n%d produces no value", s, id)
+			}
 		}
 	}
 	for _, s := range b.Succs {

@@ -153,3 +153,36 @@ func TestVerifyUnreachableBlockAllowed(t *testing.T) {
 		t.Fatalf("unreachable blocks should be allowed: %v", err)
 	}
 }
+
+// TestVerifyFirstLiveOutViolation gives one block several live-outs,
+// two of them violating, and requires every Verify to report the
+// violation of the alphabetically first symbol, whatever the map's
+// iteration order.
+func TestVerifyFirstLiveOutViolation(t *testing.T) {
+	g := good()
+	l := g.Blocks[1]
+	store := NodeID(-1)
+	for _, n := range l.Nodes {
+		if n.Op == OpStore {
+			store = n.ID
+		}
+	}
+	l.LiveOut["zz"] = NodeID(len(l.Nodes) + 5) // out of range
+	l.LiveOut["m"] = store                     // produces no value
+	for _, s := range []string{"a", "b", "y"} {
+		l.LiveOut[s] = l.LiveOut["i"] // valid
+	}
+	const want = `block "loop": live-out "m": node n`
+	first := ""
+	for i := 0; i < 50; i++ {
+		err := Verify(g)
+		if err == nil || !strings.HasPrefix(err.Error(), want) || !strings.HasSuffix(err.Error(), "produces no value") {
+			t.Fatalf("Verify error %v, want %q...produces no value", err, want)
+		}
+		if first == "" {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("Verify error changed between calls: %q, then %q", first, err)
+		}
+	}
+}

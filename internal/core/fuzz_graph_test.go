@@ -10,6 +10,11 @@ import (
 	"repro/internal/oracle"
 )
 
+// fuzzInterpBudget bounds the basic blocks one fuzz input interprets
+// before it is mapped: a graph that runs longer is skipped, so no input
+// holds the fuzzer for the seconds InterpLimit allows.
+const fuzzInterpBudget = 100_000
+
 // FuzzGraphEndToEnd fuzzes the pipeline with the graph itself as the
 // input, via the cdfg text form — unlike FuzzEndToEnd, whose inputs are
 // generator seeds, this target can replay arbitrary graph shapes, so its
@@ -61,8 +66,8 @@ func FuzzGraphEndToEnd(f *testing.F) {
 			return // keep the mapper's search bounded per input
 		}
 		mem := make(cdfg.Memory, 64)
-		if _, err := cdfg.Interp(g, mem.Clone()); err != nil {
-			return // graph traps (OOB access, timeout); no reference to compare
+		if _, err := cdfg.InterpBudget(g, mem.Clone(), fuzzInterpBudget); err != nil {
+			return // graph traps (OOB access, budget hit); no reference to compare
 		}
 		idx := (modeIdx*4 + cfgIdx) % int64(len(cells))
 		if idx < 0 {

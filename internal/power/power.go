@@ -186,18 +186,24 @@ func (p Params) activityEnergy(g *arch.Grid, cycles int64, tiles []sim.TileCount
 	// One-time configuration initializes the physical context memories.
 	e.Config = p.ConfigWord * float64(g.TotalCM()) * pJtoUJ
 	var leakPerCycle float64
+	// FetchEnergy and CMLeak (math.Pow) depend on the CM size alone,
+	// and tiles of one size sit side by side in every configuration, so
+	// they are evaluated again only where the size changes.
+	words, fetch, leak := -1, 0.0, 0.0
 	for i := range g.Tiles {
 		t := &g.Tiles[i]
 		tc := &tiles[i]
-		fe := p.FetchEnergy(t.CMWords)
-		e.Fetch += fe * float64(tc.Fetches) * pJtoUJ
+		if t.CMWords != words {
+			words, fetch, leak = t.CMWords, p.FetchEnergy(t.CMWords), p.CMLeak(t.CMWords)
+		}
+		e.Fetch += fetch * float64(tc.Fetches) * pJtoUJ
 		e.Compute += (p.ALUEnergy*float64(tc.OpCycles) +
 			p.MoveEnergy*float64(tc.MoveCycles) +
 			p.RFRead*float64(tc.RFReads) +
 			p.RFWrite*float64(tc.RFWrites) +
 			p.CRFRead*float64(tc.CRFReads)) * pJtoUJ
 		e.Memory += p.MemAccess * float64(tc.MemReads+tc.MemWrites) * pJtoUJ
-		leakPerCycle += p.CMLeak(t.CMWords) + p.LeakTile
+		leakPerCycle += leak + p.LeakTile
 	}
 	leakPerCycle += p.LeakGlobal
 	e.Leak = leakPerCycle * float64(cycles) * pJtoUJ

@@ -19,10 +19,10 @@ import (
 // every input graph that maps is executed by the scalar interpreter
 // lane by lane and by the engine in one RunBatch, and any difference —
 // in results, per-tile counters, final memories, or error behavior —
-// fails the run. The seeds reuse the oracle's generation path plus
-// every minimized oracle reproducer (the checked-in corpus under
-// testdata/fuzz keeps known-interesting shapes replaying in plain
-// `go test`). Run
+// fails the run. The seeds reuse the oracle's generation path, the
+// gather graph whose lanes disagree on addresses, and every minimized
+// oracle reproducer (the checked-in corpus under testdata/fuzz keeps
+// known-interesting shapes replaying in plain `go test`). Run
 //
 //	go test -fuzz=FuzzBatchVsScalar ./internal/sim
 //
@@ -39,6 +39,7 @@ func FuzzBatchVsScalar(f *testing.F) {
 		g, _ := cdfg.Generate(rand.New(rand.NewSource(s)), cdfg.DefaultGenConfig())
 		addGraph(g, s, s+1, s+2)
 	}
+	addGraph(gatherGraph(), 4, 0, 6) // addresses that differ across lanes
 	repros, err := filepath.Glob(filepath.Join("..", "oracle", "testdata", "repro", "*.repro"))
 	if err != nil {
 		f.Fatal(err)

@@ -13,6 +13,14 @@
 // A wide batch is split into contiguous lane shards that run side by
 // side, one per core (see run); the outputs do not depend on how many.
 //
+// Once per cycle with data-memory accesses, each run is checked for
+// lane-uniform addresses: when every address row holds one value across
+// the run's lanes and lies inside the shard's shortest memory, the
+// bank-conflict stall is computed once for the run and each load or
+// store reads or writes that word of every lane's memory with no
+// per-lane bounds check. Any other run takes the per-lane path, which
+// bounds-checks, stops and counts stalls lane by lane.
+//
 // Its semantics are pinned against a tile-major reference interpreter
 // that lives in this package's tests (export_test.go): results, cycle
 // counts, per-tile activity counters, the obs event stream, and error
@@ -509,6 +517,10 @@ type batchRun struct {
 	results []*Result
 	errs    []error
 
+	// minMem is the shortest lane memory: a lane-uniform address below
+	// it is in bounds for every lane.
+	minMem int
+
 	st     []int32 // [row*B+lane] state rows (see lowered.rows)
 	cycles []int64
 	stalls []int64
@@ -604,11 +616,16 @@ func (e *Engine) run(mems []cdfg.Memory) ([]*Result, []error) {
 func (s *Sim) newBatchRun(base int, mems []cdfg.Memory, results []*Result, errs []error) *batchRun {
 	low := s.low
 	B := len(mems)
+	minMem := len(mems[0])
+	for _, m := range mems[1:] {
+		minMem = min(minMem, len(m))
+	}
 	r := &batchRun{
 		s: s, B: B, base: base,
 		mems:    mems,
 		results: results,
 		errs:    errs,
+		minMem:  minMem,
 		st:      make([]int32, low.rows()*B),
 		cycles:  make([]int64, B),
 		stalls:  make([]int64, B),
@@ -782,12 +799,13 @@ func (r *batchRun) gateMaxCycles(runs []laneRun) []laneRun {
 
 // execBlock runs one basic block for one lane group, cycle by cycle:
 // phase 1 issues the ALU ops, moves and branch (reads observe pre-cycle
-// state), phase 2 services memory (per-lane bank-conflict stalls, loads
-// before stores), phase 3 commits output registers and writebacks. Each
-// phase walks its group of the cycle's ops (see lblock.cyc) and, for
-// each op, the group's runs, with one loop per run over the run's lanes
-// of each state row the op touches. It returns the runs of the lanes
-// that completed the block; the ones that stopped in it are finalized.
+// state), phase 2 services memory (bank-conflict stalls, loads before
+// stores; see memoryPhase), phase 3 commits output registers and
+// writebacks. Each phase walks its group of the cycle's ops (see
+// lblock.cyc) and, for each op, the group's runs, with one loop per run
+// over the run's lanes of each state row the op touches. It returns the
+// runs of the lanes that completed the block; the ones that stopped in
+// it are finalized.
 func (r *batchRun) execBlock(lb *lblock, runs []laneRun) []laneRun {
 	B, st, src := r.B, r.st, &lb.src
 	nout, out := r.s.low.noutRow(), r.s.low.outRow()
@@ -822,14 +840,9 @@ func (r *batchRun) execBlock(lb *lblock, runs []laneRun) []laneRun {
 				}
 			}
 		}
-		if na := br - ld; na > 0 {
-			if na > 1 {
-				r.addStalls(lb, c, runs)
-			}
-			if r.serveMemory(lb, c, runs) {
-				if _, runs = splitRuns(runs, r.done); len(runs) == 0 {
-					return nil
-				}
+		if br > ld && r.memoryPhase(lb, c, runs) {
+			if _, runs = splitRuns(runs, r.done); len(runs) == 0 {
+				return nil
 			}
 		}
 		for oi := o0; oi < sto; oi++ {
@@ -874,54 +887,117 @@ func (r *batchRun) execBlock(lb *lblock, runs []laneRun) []laneRun {
 	return runs
 }
 
-// serveMemory runs the memory phase of cycle c for the runs' lanes:
+// memoryPhase runs the memory phase of cycle c for the runs' lanes and
+// reports whether any lane stopped. It resolves the cycle's address
+// rows once, then checks each run for lane-uniform addresses: such a
+// run stalls and is served as a whole (serveRun), any other run lane by
+// lane (serveLanes).
+func (r *batchRun) memoryPhase(lb *lblock, c int, runs []laneRun) bool {
+	cy := lb.cyc[c]
+	rows := r.arow[:cy.br-cy.ld]
+	for j := range rows {
+		rows[j] = int(lb.src[0][int(cy.ld)+j]) * r.B
+	}
+	stopped := false
+	for _, rn := range runs {
+		uniform := r.uniformAddrs(rows, rn)
+		if len(rows) > 1 {
+			r.addStalls(rows, rn, uniform)
+		}
+		if uniform {
+			r.serveRun(lb, c, rn, rows)
+		} else {
+			stopped = r.serveLanes(lb, c, rn) || stopped
+		}
+	}
+	return stopped
+}
+
+// uniformAddrs reports whether every address row of the cycle holds one
+// value across run rn's lanes, inside the shortest lane memory.
+func (r *batchRun) uniformAddrs(rows []int, rn laneRun) bool {
+	for _, row := range rows {
+		as := r.st[row+rn.lo : row+rn.hi]
+		a := as[0]
+		if a < 0 || int(a) >= r.minMem {
+			return false
+		}
+		for _, v := range as[1:] {
+			if v != a {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// serveRun serves the memory phase of cycle c for run rn, whose lanes
+// all issue the same in-bounds addresses (rows are the cycle's address
+// rows, loads before stores): each load reads its word of every lane's
+// memory into its tile's output row, then each store writes its value
+// row to its word of every lane's memory, in tile order.
+func (r *batchRun) serveRun(lb *lblock, c int, rn laneRun, rows []int) {
+	B, st := r.B, r.st
+	nout := r.s.low.noutRow()
+	ld, sto := int(lb.cyc[c].ld), int(lb.cyc[c].st)
+	ms := r.mems[rn.lo:rn.hi]
+	for j, row := range rows {
+		oi, a := ld+j, st[row+rn.lo]
+		if oi < sto {
+			dst := st[(nout+int(lb.tile[oi]))*B+rn.lo:][:len(ms)]
+			for i, m := range ms {
+				dst[i] = m[a]
+			}
+		} else {
+			vs := st[int(lb.src[1][oi])*B+rn.lo:][:len(ms)]
+			for i, m := range ms {
+				m[a] = vs[i]
+			}
+		}
+	}
+}
+
+// serveLanes runs the memory phase of cycle c for run rn lane by lane:
 // every load, then every store, in tile order. A lane whose address
-// leaves memory stops there and skips the cycle's remaining accesses.
-// It reports whether any lane stopped.
-func (r *batchRun) serveMemory(lb *lblock, c int, runs []laneRun) bool {
+// leaves its memory stops there and skips the cycle's remaining
+// accesses. It reports whether any lane stopped.
+func (r *batchRun) serveLanes(lb *lblock, c int, rn laneRun) bool {
 	B, st := r.B, r.st
 	nout := r.s.low.noutRow()
 	stopped := false
 	cy := lb.cyc[c]
+	ms, done := r.mems[rn.lo:rn.hi], r.done[rn.lo:rn.hi]
 	for oi := cy.ld; oi < cy.st; oi++ {
 		t := int(lb.tile[oi])
 		a, d := int(lb.src[0][oi])*B, (nout+t)*B
-		for _, rn := range runs {
-			as := st[a+rn.lo : a+rn.hi]
-			dst, ms, done := st[d+rn.lo : d+rn.hi][:len(as)], r.mems[rn.lo:rn.hi][:len(as)], r.done[rn.lo:rn.hi][:len(as)]
-			for i, addr := range as {
-				if done[i] {
-					continue
-				}
-				m := ms[i]
-				if addr < 0 || int(addr) >= len(m) {
-					_, err := m.Load(addr)
-					r.stopInMemory(rn.lo+i, lb, c, t, t, err)
-					stopped = true
-					continue
-				}
-				dst[i] = m[addr]
+		as, dst := st[a+rn.lo : a+rn.hi][:len(ms)], st[d+rn.lo : d+rn.hi][:len(ms)]
+		for i, addr := range as {
+			if done[i] {
+				continue
 			}
+			if addr < 0 || int(addr) >= len(ms[i]) {
+				_, err := ms[i].Load(addr)
+				r.stopInMemory(rn.lo+i, lb, c, t, t, err)
+				stopped = true
+				continue
+			}
+			dst[i] = ms[i][addr]
 		}
 	}
 	for oi := cy.st; oi < cy.br; oi++ {
 		a, v := int(lb.src[0][oi])*B, int(lb.src[1][oi])*B
-		for _, rn := range runs {
-			as := st[a+rn.lo : a+rn.hi]
-			vs, ms, done := st[v+rn.lo : v+rn.hi][:len(as)], r.mems[rn.lo:rn.hi][:len(as)], r.done[rn.lo:rn.hi][:len(as)]
-			for i, addr := range as {
-				if done[i] {
-					continue
-				}
-				m := ms[i]
-				if addr < 0 || int(addr) >= len(m) {
-					err := m.Store(addr, vs[i])
-					r.stopInMemory(rn.lo+i, lb, c, int(lb.tile[oi]), r.s.low.numTiles, err)
-					stopped = true
-					continue
-				}
-				m[addr] = vs[i]
+		as, vs := st[a+rn.lo : a+rn.hi][:len(ms)], st[v+rn.lo : v+rn.hi][:len(ms)]
+		for i, addr := range as {
+			if done[i] {
+				continue
 			}
+			if addr < 0 || int(addr) >= len(ms[i]) {
+				err := ms[i].Store(addr, vs[i])
+				r.stopInMemory(rn.lo+i, lb, c, int(lb.tile[oi]), r.s.low.numTiles, err)
+				stopped = true
+				continue
+			}
+			ms[i][addr] = vs[i]
 		}
 	}
 	return stopped
@@ -941,42 +1017,44 @@ func (r *batchRun) stopInMemory(l int, lb *lblock, c, t, stopTile int, err error
 	}
 }
 
-// addStalls adds the global stall cycles of cycle c, which issues na > 1
-// data-memory accesses, to every lane of the runs. The interconnect
-// serves the accesses in one cycle per port group and serializes
-// same-bank ones, so a lane stalls max(⌈na/ports⌉, its largest same-bank
-// count) − 1 cycles. Each lane computes the banks of its na accesses
-// once, then counts, for each bank, how many of its earlier accesses
-// share it: exact for any bank and port count, with no per-bank table
-// to fill and clear.
-func (r *batchRun) addStalls(lb *lblock, c int, runs []laneRun) {
-	low, st := r.s.low, r.st
-	cy := lb.cyc[c]
-	na := int(cy.br - cy.ld)
-	// rows[j] is the offset of access j's address row; bs holds one
-	// lane's banks.
-	rows, bs := r.arow[:na], r.bank[:na]
-	for j := range rows {
-		rows[j] = int(lb.src[0][int(cy.ld)+j]) * r.B
-	}
-	portNeed := int32((na + low.ports - 1) / low.ports)
-	for _, rn := range runs {
-		for l := rn.lo; l < rn.hi; l++ {
-			for j, row := range rows {
-				bs[j] = low.bank(st[row+l])
-			}
-			need := portNeed
-			for j := 1; j < len(bs); j++ {
-				bj, same := bs[j], int32(1)
-				for _, b := range bs[:j] {
-					same += b2i32(b == bj)
-				}
-				need = max(need, same)
-			}
-			r.stalls[l] += int64(need - 1)
-			r.cycles[l] += int64(need - 1)
+// addStalls adds the global stall cycles of the cycle, whose na > 1
+// accesses read their addresses from rows, to every lane of run rn. A
+// lane's count is laneStall's; when the run is uniform, lane rn.lo's
+// count holds for every lane and is computed once.
+func (r *batchRun) addStalls(rows []int, rn laneRun, uniform bool) {
+	var stall int64
+	for l := rn.lo; l < rn.hi; l++ {
+		if l == rn.lo || !uniform {
+			stall = r.laneStall(rows, l)
 		}
+		r.stalls[l] += stall
+		r.cycles[l] += stall
 	}
+}
+
+// laneStall returns lane l's stall cycles for a cycle of na > 1
+// data-memory accesses whose addresses are in rows. The interconnect
+// serves the accesses in one cycle per port group and serializes
+// same-bank ones, so a lane stalls max(⌈na/ports⌉, its largest
+// same-bank count) − 1 cycles. It computes the banks of the na accesses
+// once, then counts, for each bank, how many earlier accesses share it:
+// exact for any bank and port count, with no per-bank table to fill and
+// clear.
+func (r *batchRun) laneStall(rows []int, l int) int64 {
+	low, st := r.s.low, r.st
+	bs := r.bank[:len(rows)]
+	for j, row := range rows {
+		bs[j] = low.bank(st[row+l])
+	}
+	need := int32((len(rows) + low.ports - 1) / low.ports)
+	for j := 1; j < len(bs); j++ {
+		bj, same := bs[j], int32(1)
+		for _, b := range bs[:j] {
+			same += b2i32(b == bj)
+		}
+		need = max(need, same)
+	}
+	return int64(need - 1)
 }
 
 // bank returns the memory bank of data address a, the non-negative

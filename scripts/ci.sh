@@ -208,6 +208,12 @@ go run ./cmd/cgrametrics "$backend_metrics"
 echo "== interpreter fuzz smoke (FuzzInterp, 10s)"
 go test -run '^$' -fuzz '^FuzzInterp$' -fuzztime 10s ./internal/cdfg
 
+# Bounded engine fuzz smoke: FuzzBatchVsScalar maps mutated graphs and
+# runs each through the batched engine and, lane by lane, through the
+# reference interpreter (results, counters, memories, errors).
+echo "== batched-engine fuzz smoke (FuzzBatchVsScalar, 10s)"
+go test -run '^$' -fuzz '^FuzzBatchVsScalar$' -fuzztime 10s ./internal/sim
+
 echo "== go test $short ./..."
 go test $short ./...
 
