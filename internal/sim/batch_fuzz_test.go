@@ -20,7 +20,8 @@ import (
 // lane by lane and by the engine in one RunBatch, and any difference —
 // in results, per-tile counters, final memories, or error behavior —
 // fails the run. The seeds reuse the oracle's generation path, the
-// gather graph whose lanes disagree on addresses, and every minimized
+// gather graph whose lanes disagree on addresses, the uniformity graphs
+// (uniform_test.go), and every minimized
 // oracle reproducer (the checked-in corpus under testdata/fuzz keeps
 // known-interesting shapes replaying in plain `go test`). Run
 //
@@ -40,6 +41,11 @@ func FuzzBatchVsScalar(f *testing.F) {
 		addGraph(g, s, s+1, s+2)
 	}
 	addGraph(gatherGraph(), 4, 0, 6) // addresses that differ across lanes
+	// Rows broadcast on a CFG edge, a loop reaching its fixpoint on the
+	// second iteration, and groups that split holding uniform scalars.
+	addGraph(edgeGraph(), 4, 0, 7)
+	addGraph(fixpointGraph(), 4, 1, 5)
+	addGraph(splitGraph(), 4, 2, 7)
 	repros, err := filepath.Glob(filepath.Join("..", "oracle", "testdata", "repro", "*.repro"))
 	if err != nil {
 		f.Fatal(err)

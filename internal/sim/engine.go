@@ -13,13 +13,18 @@
 // A wide batch is split into contiguous lane shards that run side by
 // side, one per core (see run); the outputs do not depend on how many.
 //
-// Once per cycle with data-memory accesses, each run is checked for
-// lane-uniform addresses: when every address row holds one value across
-// the run's lanes and lies inside the shard's shortest memory, the
-// bank-conflict stall is computed once for the run and each load or
-// store reads or writes that word of every lane's memory with no
-// per-lane bounds check. Any other run takes the per-lane path, which
-// bounds-checks, stops and counts stalls lane by lane.
+// Lowering also runs a uniformity analysis (uniform.go) that marks every
+// state row a lane group may hold with one value across its lanes: a row
+// is uniform unless it may hold a value derived from a loaded word. Each
+// lane group carries one scalar per uniform row. A uniform op is
+// evaluated once per group, a uniform branch needs no per-lane decision,
+// and a cycle whose addresses are all uniform counts its bank stall once
+// and, inside the shard's shortest memory, serves each lane's memory with
+// no per-lane bounds check. A varying op keeps the per-run loops, with
+// its uniform operands broadcast into their rows first; rows that turn
+// varying across a CFG edge are broadcast on that edge. A one-lane batch
+// (Run, RunVerified) holds only uniform values: its group's scalars are
+// its state rows, and every op, loads included, runs as a scalar.
 //
 // Its semantics are pinned against a tile-major reference interpreter
 // that lives in this package's tests (export_test.go): results, cycle
@@ -48,7 +53,9 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/arch"
@@ -83,6 +90,9 @@ type lblock struct {
 	tile []int32
 	// wb is the state row of a writeback register, -1 if none.
 	wb []int32
+	// kind holds each op's uniformity bits (kUni, kVal, kFill; see
+	// uniform.go).
+	kind []uint8
 
 	// src[i][op] is the state row operand i reads (see lowered.rows):
 	// neighbor reads are resolved through the torus at lowering time, and
@@ -104,14 +114,24 @@ type lblock struct {
 
 	hasBranch bool
 	succs     []cdfg.BBID
+	// brUni marks a block whose branch decision is uniform: its last
+	// branch op reads a uniform row, or it has none (not taken).
+	brUni bool
+	// edge[e] lists the rows uniform at the block's exit but varying at
+	// the entry of succs[e]: a group taking that edge broadcasts them.
+	edge [2][]int32
 }
 
 // cycOps indexes one cycle's ops, grouped: the ALU ops and moves from
 // alu, the loads from ld, the stores from st, then the branch from br.
 // Loads and stores each keep tile order, the order the memory phase
 // serves them, and an access's slot among the cycle's accesses is its
-// index minus ld. The ops with a result are alu..st.
-type cycOps struct{ alu, ld, st, br int32 }
+// index minus ld. The ops with a result are alu..st. uaddr marks a
+// cycle whose accesses all have uniform addresses.
+type cycOps struct {
+	alu, ld, st, br int32
+	uaddr           bool
+}
 
 // lowered is the whole program in pre-decoded struct-of-arrays form.
 type lowered struct {
@@ -148,7 +168,7 @@ func lower(p *asm.Program, expanded [][][]*isa.Instr) *lowered {
 		ports: grid.MemPorts, banks: grid.MemBanks,
 		blocks: make([]lblock, len(p.Graph.Blocks)),
 	}
-	constIdx := map[int32]int32{}
+	constIdx := make(map[int32]int32, 32)
 	intern := func(v int32) int32 {
 		row, ok := constIdx[v]
 		if !ok {
@@ -159,6 +179,7 @@ func lower(p *asm.Program, expanded [][][]*isa.Instr) *lowered {
 		return row
 	}
 	outRow := low.outRow()
+	zero := intern(0)   // unused operand positions read it
 	var groups [4][]int // one cycle's tiles by op group, each in tile order
 	for bi, b := range p.Graph.Blocks {
 		lb := &low.blocks[bi]
@@ -170,6 +191,22 @@ func lower(p *asm.Program, expanded [][][]*isa.Instr) *lowered {
 		stop := firstFault(lb, expanded[bi], grid)
 		lb.static = countBlock(expanded[bi], n, stop)
 		lb.cyc = make([]cycOps, stop.cycle+1)
+		// The op tables are sized up front, in one array for the rows:
+		// growing them cost sim.New about what the uniformity analysis
+		// adds.
+		nops := 0
+		for _, cycles := range expanded[bi] {
+			for _, in := range cycles[:stop.cycle] {
+				nops += int(b2i32(in != nil))
+			}
+		}
+		lb.op = make([]cdfg.Opcode, 0, nops)
+		lb.kind = make([]uint8, nops)
+		rows := make([]int32, (2+isa.MaxSrcs)*nops)
+		lb.tile, lb.wb = rows[:0:nops], rows[nops:nops:2*nops]
+		for i := range lb.src {
+			lb.src[i] = rows[(2+i)*nops : (2+i)*nops : (3+i)*nops]
+		}
 		for c := 0; c < stop.cycle; c++ {
 			for g := range groups {
 				groups[g] = groups[g][:0]
@@ -199,11 +236,11 @@ func lower(p *asm.Program, expanded [][][]*isa.Instr) *lowered {
 					lb.tile = append(lb.tile, int32(t))
 					lb.wb = append(lb.wb, wb)
 					for i := 0; i < isa.MaxSrcs; i++ {
-						row, v := int32(-1), int32(0)
+						row := zero
 						if i < in.NSrc {
 							switch src := in.Srcs[i]; src.Kind {
 							case isa.SrcConst:
-								v = src.Val
+								row = intern(src.Val)
 							case isa.SrcReg:
 								row = int32(t*rrf + int(src.Reg))
 							case isa.SrcSelf:
@@ -211,9 +248,6 @@ func lower(p *asm.Program, expanded [][][]*isa.Instr) *lowered {
 							case isa.SrcNbr:
 								row = int32(outRow + int(grid.Neighbors(arch.TileID(t))[src.Dir]))
 							}
-						}
-						if row < 0 {
-							row = intern(v)
 						}
 						lb.src[i] = append(lb.src[i], row)
 					}
@@ -225,6 +259,7 @@ func lower(p *asm.Program, expanded [][][]*isa.Instr) *lowered {
 		lb.fast = lb.maxAcc <= 1
 		low.maxAcc = max(low.maxAcc, lb.maxAcc)
 	}
+	low.uniformity(p.Graph.Entry)
 	return low
 }
 
@@ -517,21 +552,35 @@ type batchRun struct {
 	results []*Result
 	errs    []error
 
-	// minMem is the shortest lane memory: a lane-uniform address below
-	// it is in bounds for every lane.
+	// minMem is the shortest lane memory: a uniform address below it is
+	// in bounds for every lane.
 	minMem int
 
-	st     []int32 // [row*B+lane] state rows (see lowered.rows)
+	st []int32 // [row*B+lane] state rows (see lowered.rows)
+	// cycles and stalls are each lane's own cycles and stall cycles, on
+	// top of its group's (see laneGroup): the stalls of cycles whose
+	// addresses vary, and the cycles of a memory-phase stop.
 	cycles []int64
 	stalls []int64
 	execs  []int64 // [block*B+lane]
 	branch []bool
+	// taken is the current block's decision when it is uniform.
+	taken bool
 	// done marks finalized lanes. A lane that stops in a memory phase
 	// skips the cycle's remaining accesses and then leaves its group.
 	done []bool
 
-	arow []int   // per-access address-row offsets of the current cycle
+	addr []int32 // the current cycle's uniform addresses
 	bank []int32 // one lane's banks of the current cycle's accesses
+
+	// res and tiles hold the lanes' Results and their Tiles, each lane's
+	// own part of one allocation (a Tiles slice has no spare capacity).
+	res   []Result
+	tiles []TileCounters
+	// last is the last lane finalized by counting its block executions,
+	// -1 when there is none whose Tiles hold the counted values: a lane
+	// with the same executions copies them.
+	last int
 
 	tracing   bool
 	evBuf     [][]laneEvent
@@ -626,22 +675,36 @@ func (s *Sim) newBatchRun(base int, mems []cdfg.Memory, results []*Result, errs 
 		results: results,
 		errs:    errs,
 		minMem:  minMem,
-		st:      make([]int32, low.rows()*B),
 		cycles:  make([]int64, B),
 		stalls:  make([]int64, B),
 		execs:   make([]int64, len(low.blocks)*B),
 		branch:  make([]bool, B),
 		done:    make([]bool, B),
+		res:     make([]Result, B),
+		tiles:   make([]TileCounters, B*low.numTiles),
+		last:    -1,
 		tracing: s.obs.Enabled(),
 	}
+	// The entry group's scalars follow the state rows in one array. A
+	// one-lane shard's rows are its scalars, since a row's one lane is the
+	// value every lane of the group holds: it runs every op as uniform,
+	// and what a per-lane path writes (a load's result) is its scalar.
+	rows := low.rows()
+	if B == 1 {
+		r.st = make([]int32, rows)
+	} else {
+		r.st = make([]int32, rows*(B+1))
+	}
+	sc := r.st[len(r.st)-rows:]
 	for k, v := range low.consts {
-		row := r.st[(low.constRow()+k)*B:][:B]
-		for l := range row {
-			row[l] = v
+		row := low.constRow() + k
+		sc[row] = v
+		for l := range B {
+			r.st[row*B+l] = v
 		}
 	}
 	if low.maxAcc > 0 {
-		r.arow = make([]int, low.maxAcc)
+		r.addr = make([]int32, low.maxAcc)
 		r.bank = make([]int32, low.maxAcc)
 	}
 	if r.tracing {
@@ -677,15 +740,24 @@ type laneRun struct{ lo, hi int }
 // laneGroup is a set of lanes at the same basic block, held as runs of
 // consecutive lanes in ascending order: a batch whose lanes agree is the
 // one run [0, B). Lanes that diverge at a branch split into two groups;
-// each group owns its runs exclusively, and groups never re-merge.
+// each group owns its runs exclusively, and groups never re-merge, so the
+// lanes of a group share their whole control history.
 type laneGroup struct {
 	bb   cdfg.BBID
 	runs []laneRun
+	// sc holds, by row, the group's value of each row uniform at the
+	// current point (see uniform.go); the entries of varying rows are
+	// stale. A one-lane shard's sc is its state rows.
+	sc []int32
+	// cycles and stalls are the cycles and stall cycles every lane of the
+	// group has run; a lane's totals add its own (batchRun.cycles and
+	// stalls), which skew bounds from above.
+	cycles, stalls, skew int64
 }
 
-// uniform reports whether every lane of runs took its branch the same
+// agreed reports whether every lane of runs took its branch the same
 // way, and which way.
-func (r *batchRun) uniform(runs []laneRun) (taken, ok bool) {
+func (r *batchRun) agreed(runs []laneRun) (taken, ok bool) {
 	taken = r.branch[runs[0].lo]
 	for _, rn := range runs {
 		for _, b := range r.branch[rn.lo:rn.hi] {
@@ -723,20 +795,22 @@ func splitRuns(runs []laneRun, mask []bool) (set, unset []laneRun) {
 func (r *batchRun) run() {
 	low := r.s.low
 	B := r.B
-	stack := []laneGroup{{r.s.prog.Graph.Entry, []laneRun{{0, B}}}}
+	stack := []laneGroup{{
+		bb:   r.s.prog.Graph.Entry,
+		runs: []laneRun{{0, B}},
+		sc:   r.st[len(r.st)-low.rows():],
+	}}
 	for len(stack) > 0 {
 		g := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		bb, runs := g.bb, g.runs
-		for len(runs) > 0 {
-			runs = r.gateMaxCycles(runs)
-			if len(runs) == 0 {
+		for len(g.runs) > 0 {
+			if r.gateMaxCycles(&g); len(g.runs) == 0 {
 				break
 			}
-			lb := &low.blocks[bb]
-			execs := r.execs[int(bb)*B : int(bb)*B+B]
+			lb := &low.blocks[g.bb]
+			execs := r.execs[int(g.bb)*B : int(g.bb)*B+B]
 			nl := 0
-			for _, rn := range runs {
+			for _, rn := range g.runs {
 				ex := execs[rn.lo:rn.hi]
 				for i := range ex {
 					ex[i]++
@@ -747,32 +821,66 @@ func (r *batchRun) run() {
 			if lb.fast {
 				r.fastHits += int64(nl)
 			}
-			runs = r.execBlock(lb, runs)
-			if len(runs) == 0 {
+			if r.execBlock(lb, &g); len(g.runs) == 0 {
 				break
 			}
 			switch {
 			case lb.hasBranch:
-				if taken, ok := r.uniform(runs); ok {
-					bb = lb.succs[1]
-					if taken {
-						bb = lb.succs[0]
-					}
+				taken, ok := r.taken, true
+				if B > 1 && !lb.brUni {
+					taken, ok = r.agreed(g.runs)
+				}
+				if ok {
+					r.enter(&g, lb, int(1-b2i32(taken)))
 					continue
 				}
-				tk, nt := splitRuns(runs, r.branch)
-				stack = append(stack, laneGroup{lb.succs[1], nt})
-				bb, runs = lb.succs[0], tk
+				tk, nt := splitRuns(g.runs, r.branch)
+				ng := g
+				ng.runs, ng.sc = nt, slices.Clone(g.sc)
+				r.enter(&ng, lb, 1)
+				stack = append(stack, ng)
+				g.runs = tk
+				r.enter(&g, lb, 0)
 			case len(lb.succs) == 1:
-				bb = lb.succs[0]
+				r.enter(&g, lb, 0)
 			default:
-				for _, rn := range runs {
+				for _, rn := range g.runs {
 					for l := rn.lo; l < rn.hi; l++ {
-						r.finalizeLane(l, nil)
+						r.finalizeLane(l, &g, nil)
 					}
 				}
-				runs = nil
+				g.runs = nil
 			}
+		}
+	}
+}
+
+// enter moves group g along edge e of block lb, to lb.succs[e],
+// broadcasting the rows that turn varying there.
+func (r *batchRun) enter(g *laneGroup, lb *lblock, e int) {
+	g.bb = lb.succs[e]
+	for _, row := range lb.edge[e] {
+		r.fill(g, row)
+	}
+}
+
+// fill broadcasts group g's scalar of row into the row's lanes.
+func (r *batchRun) fill(g *laneGroup, row int32) {
+	v, o := g.sc[row], int(row)*r.B
+	for _, rn := range g.runs {
+		lanes := r.st[o+rn.lo : o+rn.hi]
+		for i := range lanes {
+			lanes[i] = v
+		}
+	}
+}
+
+// fillOperands broadcasts the uniform operand rows of op oi (its kFill
+// bits) into their lanes, for an evaluation lane by lane.
+func (r *batchRun) fillOperands(g *laneGroup, lb *lblock, oi int) {
+	for i, k := 0, lb.kind[oi]/kFill; k != 0; i, k = i+1, k>>1 {
+		if k&1 != 0 {
+			r.fill(g, lb.src[i][oi])
 		}
 	}
 }
@@ -780,78 +888,92 @@ func (r *batchRun) run() {
 // gateMaxCycles applies the runaway check at each block entry: lanes
 // over the limit finalize with the error and their partial result, and
 // leave the group.
-func (r *batchRun) gateMaxCycles(runs []laneRun) []laneRun {
+func (r *batchRun) gateMaxCycles(g *laneGroup) {
+	if g.cycles+g.skew <= MaxCycles {
+		return
+	}
 	over := false
-	for _, rn := range runs {
-		for i, c := range r.cycles[rn.lo:rn.hi] {
-			if c > MaxCycles {
-				r.finalizeLane(rn.lo+i, fmt.Errorf("sim: exceeded %d cycles in %q", MaxCycles, r.s.prog.Graph.Name))
+	for _, rn := range g.runs {
+		for l := rn.lo; l < rn.hi; l++ {
+			if g.cycles+r.cycles[l] > MaxCycles {
+				r.finalizeLane(l, g, fmt.Errorf("sim: exceeded %d cycles in %q", MaxCycles, r.s.prog.Graph.Name))
 				over = true
 			}
 		}
 	}
-	if !over {
-		return runs
+	if over {
+		_, g.runs = splitRuns(g.runs, r.done)
 	}
-	_, keep := splitRuns(runs, r.done)
-	return keep
 }
 
-// execBlock runs one basic block for one lane group, cycle by cycle:
+// execBlock runs one basic block for lane group g, cycle by cycle:
 // phase 1 issues the ALU ops, moves and branch (reads observe pre-cycle
 // state), phase 2 services memory (bank-conflict stalls, loads before
 // stores; see memoryPhase), phase 3 commits output registers and
-// writebacks. Each phase walks its group of the cycle's ops (see
-// lblock.cyc) and, for each op, the group's runs, with one loop per run
-// over the run's lanes of each state row the op touches. It returns the
-// runs of the lanes that completed the block; the ones that stopped in
-// it are finalized.
-func (r *batchRun) execBlock(lb *lblock, runs []laneRun) []laneRun {
-	B, st, src := r.B, r.st, &lb.src
+// writebacks. A uniform op reads and writes the group's scalars once; a
+// varying op walks, for each of the group's runs, the run's lanes of
+// each state row it touches. In a one-lane shard every op is uniform.
+// It leaves in g.runs the lanes that completed the block; the ones that
+// stopped in it are finalized.
+func (r *batchRun) execBlock(lb *lblock, g *laneGroup) {
+	B, st, sc, src := r.B, r.st, g.sc, &lb.src
 	nout, out := r.s.low.noutRow(), r.s.low.outRow()
 	if r.tracing {
-		for _, rn := range runs {
+		for _, rn := range g.runs {
 			for l := rn.lo; l < rn.hi; l++ {
-				r.evStart[l] = r.cycles[l]
+				r.evStart[l] = g.cycles + r.cycles[l]
 			}
 		}
 	}
-	if lb.hasBranch {
-		for _, rn := range runs {
-			br := r.branch[rn.lo:rn.hi]
-			for i := range br {
-				br[i] = false
-			}
-		}
-	}
+	one := B == 1
+	r.taken = false
 	for c := 0; c+1 < len(lb.cyc); c++ {
 		cy := lb.cyc[c]
 		o0, ld, sto, br, o1 := int(cy.alu), int(cy.ld), int(cy.st), int(cy.br), int(lb.cyc[c+1].alu)
 		for oi := o0; oi < ld; oi++ {
+			if one || lb.kind[oi]&kUni != 0 {
+				sc[nout+int(lb.tile[oi])] = aluScalar(lb.op[oi], sc[src[0][oi]], sc[src[1][oi]], sc[src[2][oi]])
+				continue
+			}
+			r.fillOperands(g, lb, oi)
 			d := (nout + int(lb.tile[oi])) * B
-			aluEval(lb.op[oi], runs, st, d, int(src[0][oi])*B, int(src[1][oi])*B, int(src[2][oi])*B)
+			aluEval(lb.op[oi], g.runs, st, d, int(src[0][oi])*B, int(src[1][oi])*B, int(src[2][oi])*B)
 		}
 		for oi := br; oi < o1; oi++ {
-			a := int(src[0][oi]) * B
-			for _, rn := range runs {
+			a := int(src[0][oi])
+			if one || lb.kind[oi]&kUni != 0 {
+				r.taken = sc[a] != 0
+				continue
+			}
+			for _, rn := range g.runs {
 				taken := r.branch[rn.lo:rn.hi]
-				for i, v := range st[a+rn.lo : a+rn.hi][:len(taken)] {
+				for i, v := range st[a*B+rn.lo : a*B+rn.hi][:len(taken)] {
 					taken[i] = v != 0
 				}
 			}
 		}
-		if br > ld && r.memoryPhase(lb, c, runs) {
-			if _, runs = splitRuns(runs, r.done); len(runs) == 0 {
-				return nil
+		if br > ld && r.memoryPhase(lb, c, g) {
+			if _, g.runs = splitRuns(g.runs, r.done); len(g.runs) == 0 {
+				return
 			}
 		}
+		// A load's result varies unless the shard has one lane, whatever
+		// its address.
 		for oi := o0; oi < sto; oi++ {
 			t := int(lb.tile[oi])
+			if one || oi < ld && lb.kind[oi]&kUni != 0 {
+				v := sc[nout+t]
+				sc[out+t] = v
+				if w := lb.wb[oi]; w >= 0 {
+					sc[w] = v
+				}
+				continue
+			}
 			n, o, w := (nout+t)*B, (out+t)*B, int(lb.wb[oi])*B
-			for _, rn := range runs {
-				copyLanes(st, rn, o, n)
+			for _, rn := range g.runs {
+				copy(st[o+rn.lo:o+rn.hi], st[n+rn.lo:n+rn.hi])
 				if w >= 0 {
-					copyLanes(st, rn, w, n)
+					copy(st[w+rn.lo:w+rn.hi], st[n+rn.lo:n+rn.hi])
 				}
 			}
 		}
@@ -859,99 +981,111 @@ func (r *batchRun) execBlock(lb *lblock, runs []laneRun) []laneRun {
 	if lb.fault != nil {
 		// Every lane still running reaches the block's faulting op in
 		// its issue phase: lb.static already counts up to it.
-		for _, rn := range runs {
+		g.cycles += int64(len(lb.cyc) - 1)
+		for _, rn := range g.runs {
 			for l := rn.lo; l < rn.hi; l++ {
-				r.cycles[l] += int64(len(lb.cyc) - 1)
-				r.finalizeLane(l, lb.fault)
+				r.finalizeLane(l, g, lb.fault)
 			}
 		}
-		return nil
+		g.runs = nil
+		return
 	}
-	for _, rn := range runs {
-		cy := r.cycles[rn.lo:rn.hi]
-		for i := range cy {
-			cy[i] += int64(lb.cycles)
-		}
-	}
+	g.cycles += int64(lb.cycles)
 	if r.tracing {
-		for _, rn := range runs {
+		for _, rn := range g.runs {
 			for l := rn.lo; l < rn.hi; l++ {
 				if len(r.evBuf[l]) < blockEventCap {
-					r.evBuf[l] = append(r.evBuf[l], laneEvent{lb.name, r.evStart[l], r.cycles[l] - r.evStart[l]})
+					end := g.cycles + r.cycles[l]
+					r.evBuf[l] = append(r.evBuf[l], laneEvent{lb.name, r.evStart[l], end - r.evStart[l]})
 				} else {
 					r.evDropped[l]++
 				}
 			}
 		}
 	}
-	return runs
 }
 
-// memoryPhase runs the memory phase of cycle c for the runs' lanes and
-// reports whether any lane stopped. It resolves the cycle's address
-// rows once, then checks each run for lane-uniform addresses: such a
-// run stalls and is served as a whole (serveRun), any other run lane by
-// lane (serveLanes).
-func (r *batchRun) memoryPhase(lb *lblock, c int, runs []laneRun) bool {
+// memoryPhase runs the memory phase of cycle c for group g and reports
+// whether any lane stopped. When the cycle's addresses are uniform (in a
+// one-lane shard, always), their bank stall counts once for the group,
+// and if they lie inside the shard's shortest memory serveUniform serves
+// every lane with no per-lane bounds check. Otherwise each lane counts
+// its own stall, and serveLanes serves the lanes one by one, stopping
+// a lane whose address leaves its memory.
+func (r *batchRun) memoryPhase(lb *lblock, c int, g *laneGroup) bool {
+	low := r.s.low
 	cy := lb.cyc[c]
-	rows := r.arow[:cy.br-cy.ld]
-	for j := range rows {
-		rows[j] = int(lb.src[0][int(cy.ld)+j]) * r.B
+	ld, na := int(cy.ld), int(cy.br-cy.ld)
+	uaddr := r.B == 1 || cy.uaddr
+	if uaddr {
+		as, in := r.addr[:na], true
+		for j := range as {
+			a := g.sc[lb.src[0][ld+j]]
+			as[j], in = a, in && a >= 0 && int(a) < r.minMem
+		}
+		if na > 1 {
+			bs := r.bank[:na]
+			for j, a := range as {
+				bs[j] = low.bank(a)
+			}
+			stall := low.stall(bs)
+			g.stalls += stall
+			g.cycles += stall
+		}
+		if in {
+			r.serveUniform(lb, c, g, as)
+			return false
+		}
+	}
+	for oi := ld; oi < int(cy.br); oi++ {
+		r.fillOperands(g, lb, oi)
+	}
+	if !uaddr && na > 1 {
+		r.laneStalls(lb, c, g)
 	}
 	stopped := false
-	for _, rn := range runs {
-		uniform := r.uniformAddrs(rows, rn)
-		if len(rows) > 1 {
-			r.addStalls(rows, rn, uniform)
-		}
-		if uniform {
-			r.serveRun(lb, c, rn, rows)
-		} else {
-			stopped = r.serveLanes(lb, c, rn) || stopped
-		}
+	for _, rn := range g.runs {
+		stopped = r.serveLanes(lb, c, g, rn) || stopped
 	}
 	return stopped
 }
 
-// uniformAddrs reports whether every address row of the cycle holds one
-// value across run rn's lanes, inside the shortest lane memory.
-func (r *batchRun) uniformAddrs(rows []int, rn laneRun) bool {
-	for _, row := range rows {
-		as := r.st[row+rn.lo : row+rn.hi]
-		a := as[0]
-		if a < 0 || int(a) >= r.minMem {
-			return false
-		}
-		for _, v := range as[1:] {
-			if v != a {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// serveRun serves the memory phase of cycle c for run rn, whose lanes
-// all issue the same in-bounds addresses (rows are the cycle's address
-// rows, loads before stores): each load reads its word of every lane's
-// memory into its tile's output row, then each store writes its value
-// row to its word of every lane's memory, in tile order.
-func (r *batchRun) serveRun(lb *lblock, c int, rn laneRun, rows []int) {
+// serveUniform serves the memory phase of cycle c for group g, whose
+// accesses have the in-bounds uniform addresses as, loads before stores:
+// each load reads its word of every lane's memory into its tile's output
+// row, then each store writes its value to its word of every lane's
+// memory, in tile order.
+func (r *batchRun) serveUniform(lb *lblock, c int, g *laneGroup, as []int32) {
 	B, st := r.B, r.st
 	nout := r.s.low.noutRow()
 	ld, sto := int(lb.cyc[c].ld), int(lb.cyc[c].st)
-	ms := r.mems[rn.lo:rn.hi]
-	for j, row := range rows {
-		oi, a := ld+j, st[row+rn.lo]
-		if oi < sto {
-			dst := st[(nout+int(lb.tile[oi]))*B+rn.lo:][:len(ms)]
-			for i, m := range ms {
-				dst[i] = m[a]
+	for j, a := range as {
+		oi := ld + j
+		switch {
+		case oi < sto:
+			d := (nout + int(lb.tile[oi])) * B
+			for _, rn := range g.runs {
+				ms := r.mems[rn.lo:rn.hi]
+				dst := st[d+rn.lo:][:len(ms)]
+				for i, m := range ms {
+					dst[i] = m[a]
+				}
 			}
-		} else {
-			vs := st[int(lb.src[1][oi])*B+rn.lo:][:len(ms)]
-			for i, m := range ms {
-				m[a] = vs[i]
+		case lb.kind[oi]&kVal != 0:
+			v := g.sc[lb.src[1][oi]]
+			for _, rn := range g.runs {
+				for _, m := range r.mems[rn.lo:rn.hi] {
+					m[a] = v
+				}
+			}
+		default:
+			v := int(lb.src[1][oi]) * B
+			for _, rn := range g.runs {
+				ms := r.mems[rn.lo:rn.hi]
+				vs := st[v+rn.lo:][:len(ms)]
+				for i, m := range ms {
+					m[a] = vs[i]
+				}
 			}
 		}
 	}
@@ -961,7 +1095,7 @@ func (r *batchRun) serveRun(lb *lblock, c int, rn laneRun, rows []int) {
 // every load, then every store, in tile order. A lane whose address
 // leaves its memory stops there and skips the cycle's remaining
 // accesses. It reports whether any lane stopped.
-func (r *batchRun) serveLanes(lb *lblock, c int, rn laneRun) bool {
+func (r *batchRun) serveLanes(lb *lblock, c int, g *laneGroup, rn laneRun) bool {
 	B, st := r.B, r.st
 	nout := r.s.low.noutRow()
 	stopped := false
@@ -977,7 +1111,7 @@ func (r *batchRun) serveLanes(lb *lblock, c int, rn laneRun) bool {
 			}
 			if addr < 0 || int(addr) >= len(ms[i]) {
 				_, err := ms[i].Load(addr)
-				r.stopInMemory(rn.lo+i, lb, c, t, t, err)
+				r.stopInMemory(rn.lo+i, g, lb, c, t, t, err)
 				stopped = true
 				continue
 			}
@@ -993,7 +1127,7 @@ func (r *batchRun) serveLanes(lb *lblock, c int, rn laneRun) bool {
 			}
 			if addr < 0 || int(addr) >= len(ms[i]) {
 				err := ms[i].Store(addr, vs[i])
-				r.stopInMemory(rn.lo+i, lb, c, int(lb.tile[oi]), r.s.low.numTiles, err)
+				r.stopInMemory(rn.lo+i, g, lb, c, int(lb.tile[oi]), r.s.low.numTiles, err)
 				stopped = true
 				continue
 			}
@@ -1003,13 +1137,16 @@ func (r *batchRun) serveLanes(lb *lblock, c int, rn laneRun) bool {
 	return stopped
 }
 
-// stopInMemory finalizes lane l, whose access on tile t left memory in
-// the memory phase of cycle c: the cycle and its stalls count, and the
-// block's counters are counted up to the access (stopTile is the first
-// tile whose access the memory phase did not serve).
-func (r *batchRun) stopInMemory(l int, lb *lblock, c, t, stopTile int, err error) {
+// stopInMemory finalizes lane l of group g, whose access on tile t left
+// memory in the memory phase of cycle c: the cycle and its stalls count,
+// and the block's counters are counted up to the access (stopTile is the
+// first tile whose access the memory phase did not serve).
+func (r *batchRun) stopInMemory(l int, g *laneGroup, lb *lblock, c, t, stopTile int, err error) {
 	r.cycles[l] += int64(c + 1)
-	res := r.finalizeLane(l, fmt.Errorf("sim: block %q cycle %d tile %d: %w", lb.name, c, t+1, err))
+	res := r.finalizeLane(l, g, fmt.Errorf("sim: block %q cycle %d tile %d: %w", lb.name, c, t+1, err))
+	if r.last == l {
+		r.last = -1 // its Tiles are about to lose the counted values
+	}
 	part := countBlock(r.s.expanded[lb.bb], len(res.Tiles), stopPoint{cycle: c, tile: stopTile, mem: true})
 	for i := range res.Tiles {
 		addScaled(&res.Tiles[i], &lb.static[i], -1)
@@ -1017,36 +1154,37 @@ func (r *batchRun) stopInMemory(l int, lb *lblock, c, t, stopTile int, err error
 	}
 }
 
-// addStalls adds the global stall cycles of the cycle, whose na > 1
-// accesses read their addresses from rows, to every lane of run rn. A
-// lane's count is laneStall's; when the run is uniform, lane rn.lo's
-// count holds for every lane and is computed once.
-func (r *batchRun) addStalls(rows []int, rn laneRun, uniform bool) {
-	var stall int64
-	for l := rn.lo; l < rn.hi; l++ {
-		if l == rn.lo || !uniform {
-			stall = r.laneStall(rows, l)
+// laneStalls adds each lane's stall cycles for cycle c, whose na > 1
+// accesses have varying addresses, to the lane's own counts.
+func (r *batchRun) laneStalls(lb *lblock, c int, g *laneGroup) {
+	low, B, st := r.s.low, r.B, r.st
+	cy := lb.cyc[c]
+	rows := lb.src[0][cy.ld:cy.br]
+	bs := r.bank[:len(rows)]
+	var most int64
+	for _, rn := range g.runs {
+		for l := rn.lo; l < rn.hi; l++ {
+			for j, row := range rows {
+				bs[j] = low.bank(st[int(row)*B+l])
+			}
+			stall := low.stall(bs)
+			r.stalls[l] += stall
+			r.cycles[l] += stall
+			most = max(most, stall)
 		}
-		r.stalls[l] += stall
-		r.cycles[l] += stall
 	}
+	g.skew += most
 }
 
-// laneStall returns lane l's stall cycles for a cycle of na > 1
-// data-memory accesses whose addresses are in rows. The interconnect
-// serves the accesses in one cycle per port group and serializes
-// same-bank ones, so a lane stalls max(⌈na/ports⌉, its largest
-// same-bank count) − 1 cycles. It computes the banks of the na accesses
-// once, then counts, for each bank, how many earlier accesses share it:
+// stall returns the stall cycles of a cycle whose na > 1 data-memory
+// accesses go to banks bs. The interconnect serves the accesses in one
+// cycle per port group and serializes same-bank ones, so the array
+// stalls max(⌈na/ports⌉, the largest same-bank count) − 1 cycles. It
+// counts, for each access, how many earlier accesses share its bank:
 // exact for any bank and port count, with no per-bank table to fill and
 // clear.
-func (r *batchRun) laneStall(rows []int, l int) int64 {
-	low, st := r.s.low, r.st
-	bs := r.bank[:len(rows)]
-	for j, row := range rows {
-		bs[j] = low.bank(st[row+l])
-	}
-	need := int32((len(rows) + low.ports - 1) / low.ports)
+func (low *lowered) stall(bs []int32) int64 {
+	need := int32((len(bs) + low.ports - 1) / low.ports)
 	for j := 1; j < len(bs); j++ {
 		bj, same := bs[j], int32(1)
 		for _, b := range bs[:j] {
@@ -1067,35 +1205,57 @@ func (low *lowered) bank(a int32) int32 {
 	return b
 }
 
-// finalizeLane builds a lane's Result from the static block tables and
-// marks the lane done. Its buffered block timeline and, on a clean
-// exit, its run counters reach the recorder when the batch publishes
-// (see run).
-func (r *batchRun) finalizeLane(l int, runErr error) *Result {
-	low, B := r.s.low, r.B
-	n := low.numTiles
-	res := &Result{
-		BlockExecs:  map[cdfg.BBID]int64{},
-		Tiles:       make([]TileCounters, n),
+// finalizeLane builds the Result of lane l of group g from the static
+// block tables and marks the lane done. A lane that executed every block
+// as often as the last lane counted copies that lane's counters. Its
+// buffered block timeline and, on a clean exit, its run counters reach
+// the recorder when the batch publishes (see run).
+func (r *batchRun) finalizeLane(l int, g *laneGroup, runErr error) *Result {
+	low, B, n := r.s.low, r.B, r.s.low.numTiles
+	res := &r.res[l]
+	*res = Result{
+		Tiles:       r.tiles[l*n : (l+1)*n : (l+1)*n],
 		ConfigWords: r.s.prog.TotalWords(),
-		Cycles:      r.cycles[l],
-		StallCycles: r.stalls[l],
+		Cycles:      g.cycles + r.cycles[l],
+		StallCycles: g.stalls + r.stalls[l],
 	}
-	for bi := range low.blocks {
-		cnt := r.execs[bi*B+l]
-		if cnt == 0 {
-			continue
+	if r.sameExecs(l) {
+		last := r.results[r.last]
+		res.BlockExecs = maps.Clone(last.BlockExecs)
+		copy(res.Tiles, last.Tiles)
+	} else {
+		res.BlockExecs = map[cdfg.BBID]int64{}
+		for bi := range low.blocks {
+			cnt := r.execs[bi*B+l]
+			if cnt == 0 {
+				continue
+			}
+			res.BlockExecs[cdfg.BBID(bi)] = cnt
+			st := low.blocks[bi].static
+			for t := range res.Tiles {
+				addScaled(&res.Tiles[t], &st[t], cnt)
+			}
 		}
-		res.BlockExecs[cdfg.BBID(bi)] = cnt
-		st := low.blocks[bi].static
-		for t := 0; t < n; t++ {
-			addScaled(&res.Tiles[t], &st[t], cnt)
-		}
+		r.last = l
 	}
 	r.results[l] = res
 	r.errs[l] = runErr
 	r.done[l] = true
 	return res
+}
+
+// sameExecs reports whether lane l executed every block as often as
+// lane r.last.
+func (r *batchRun) sameExecs(l int) bool {
+	if r.last < 0 {
+		return false
+	}
+	for i := 0; i < len(r.execs); i += r.B {
+		if r.execs[i+l] != r.execs[i+r.last] {
+			return false
+		}
+	}
+	return true
 }
 
 // aluEval applies one lowered ALU op to every run of lanes: it computes
@@ -1273,17 +1433,63 @@ func aluEval(op cdfg.Opcode, runs []laneRun, st []int32, d, a, b, c int) {
 	}
 }
 
-// copyLanes copies run rn's lanes of state row src into row dst (row
-// offsets into st). A one-lane run, every run of a B=1 batch, is a
-// single store: a call into memmove per committed op costs a B=1 run
-// more than the copy itself. A longer run goes to copy, which beats a
-// per-lane loop from a few lanes on.
-func copyLanes(st []int32, rn laneRun, dst, src int) {
-	if rn.hi-rn.lo == 1 {
-		st[dst+rn.lo] = st[src+rn.lo]
-		return
+// aluScalar applies one lowered ALU op to the scalar operands a, b and
+// c, for a uniform op. Its cases mirror aluEval's (and cdfg.EvalOp's);
+// TestALUEvalMatchesEvalOp pins them together.
+func aluScalar(op cdfg.Opcode, a, b, c int32) int32 {
+	switch op {
+	case cdfg.OpAdd:
+		return a + b
+	case cdfg.OpSub:
+		return a - b
+	case cdfg.OpMul:
+		return a * b
+	case cdfg.OpMulH:
+		return int32((int64(a) * int64(b)) >> 32)
+	case cdfg.OpAnd:
+		return a & b
+	case cdfg.OpOr:
+		return a | b
+	case cdfg.OpXor:
+		return a ^ b
+	case cdfg.OpShl:
+		return a << (uint32(b) & 31)
+	case cdfg.OpShr:
+		return int32(uint32(a) >> (uint32(b) & 31))
+	case cdfg.OpSra:
+		return a >> (uint32(b) & 31)
+	case cdfg.OpLt:
+		return b2i32(a < b)
+	case cdfg.OpLe:
+		return b2i32(a <= b)
+	case cdfg.OpEq:
+		return b2i32(a == b)
+	case cdfg.OpNe:
+		return b2i32(a != b)
+	case cdfg.OpGe:
+		return b2i32(a >= b)
+	case cdfg.OpGt:
+		return b2i32(a > b)
+	case cdfg.OpMin:
+		return min(a, b)
+	case cdfg.OpMax:
+		return max(a, b)
+	case cdfg.OpAbs:
+		if a < 0 {
+			return -a
+		}
+		return a
+	case cdfg.OpNeg:
+		return -a
+	case cdfg.OpSelect:
+		if a != 0 {
+			return b
+		}
+		return c
+	case cdfg.OpMove:
+		return a
 	}
-	copy(st[dst+rn.lo:dst+rn.hi], st[src+rn.lo:src+rn.hi])
+	return 0
 }
 
 // rows1 returns run rn's slices of state rows d and a (row offsets into

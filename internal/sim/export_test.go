@@ -234,3 +234,13 @@ func (s *Sim) readSrcs(p *asm.Program, tiles []tileState, t int, in *isa.Instr, 
 	}
 	return vals, nil
 }
+
+// EdgeRows counts the rows the program's CFG edges broadcast (see
+// lblock.edge), so a test can check that its graph exercises them.
+func EdgeRows(s *Sim) int {
+	n := 0
+	for _, lb := range s.low.blocks {
+		n += len(lb.edge[0]) + len(lb.edge[1])
+	}
+	return n
+}

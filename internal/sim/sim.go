@@ -181,12 +181,14 @@ func New(p *asm.Program, opts ...Option) (*Sim, error) {
 		return s, nil
 	}
 	start := time.Now()
-	nb := len(p.Graph.Blocks)
+	nb, n := len(p.Graph.Blocks), p.Grid.NumTiles()
 	s.expanded = make([][][]*isa.Instr, nb)
 	for bb := 0; bb < nb; bb++ {
-		s.expanded[bb] = make([][]*isa.Instr, p.Grid.NumTiles())
+		s.expanded[bb] = make([][]*isa.Instr, n)
+		L := p.BlockLens[bb]
+		cells := make([]*isa.Instr, n*L) // the block's grids, tile by tile
 		for t := range s.expanded[bb] {
-			grid, err := expand(&p.Tiles[t].Segments[bb], p.BlockLens[bb])
+			grid, err := expand(&p.Tiles[t].Segments[bb], cells[t*L:t*L:(t+1)*L])
 			if err != nil {
 				return nil, fmt.Errorf("sim: tile %d block %q: %w", t+1, p.Graph.Blocks[bb].Name, err)
 			}
@@ -201,9 +203,10 @@ func New(p *asm.Program, opts ...Option) (*Sim, error) {
 	return s, nil
 }
 
-// expand unrolls a segment's pnop words into idle cycles.
-func expand(seg *asm.Segment, blockLen int) ([]*isa.Instr, error) {
-	grid := make([]*isa.Instr, 0, blockLen)
+// expand unrolls a segment's pnop words into idle cycles, appending
+// them to grid, an empty slice whose capacity is the block's length.
+func expand(seg *asm.Segment, grid []*isa.Instr) ([]*isa.Instr, error) {
+	blockLen := cap(grid)
 	for i := range seg.Instrs {
 		in := &seg.Instrs[i]
 		if in.Kind == isa.KPnop {

@@ -204,15 +204,17 @@ go run ./cmd/cgrametrics "$backend_metrics"
 # memory words and checks the parser never panics, the verifier's error
 # text matches the map-based reference verifier, and every graph that
 # verifies interprets exactly like the map-based reference interpreter
-# (final memory, error text, every trace field).
+# (final memory, error text, every trace field). Minimizing a new
+# interesting input is capped at 1s (the default is 60s), so the 10s
+# smoke keeps executing inputs instead of minimizing one.
 echo "== interpreter fuzz smoke (FuzzInterp, 10s)"
-go test -run '^$' -fuzz '^FuzzInterp$' -fuzztime 10s ./internal/cdfg
+go test -run '^$' -fuzz '^FuzzInterp$' -fuzztime 10s -fuzzminimizetime 1s ./internal/cdfg
 
 # Bounded engine fuzz smoke: FuzzBatchVsScalar maps mutated graphs and
 # runs each through the batched engine and, lane by lane, through the
 # reference interpreter (results, counters, memories, errors).
 echo "== batched-engine fuzz smoke (FuzzBatchVsScalar, 10s)"
-go test -run '^$' -fuzz '^FuzzBatchVsScalar$' -fuzztime 10s ./internal/sim
+go test -run '^$' -fuzz '^FuzzBatchVsScalar$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 
 echo "== go test $short ./..."
 go test $short ./...
