@@ -31,26 +31,34 @@ import (
 //     at most the peak number of arenas held at once (one per concurrent
 //     Map, exact search or portfolio worker), and keeps them for the life
 //     of the process.
-//   - Partials share buffers copy-on-write. A partial owns only its
-//     headers: the tile and location pointer arrays, the three register
-//     hazard arrays, its symbol-home map and scalars. Each tile schedule
-//     (tileState) and each node's location list (locBuf) is a buffer
-//     that every partial pointing at it shares; its refs field counts
-//     them. cloneInto copies the headers and takes one more reference to
-//     every buffer. tileW and locsW hand out a buffer for writing only at
-//     refs == 1; a shared one is first copied into a private buffer and
-//     the shared one loses a reference. So a write to one partial can
-//     never show in another, and every write goes through those two
-//     accessors.
-//   - putPartial drops one reference per buffer; a buffer reaching zero
-//     goes on the arena's free list, and only then is it handed out
-//     again. Buffers never leave the arena whose partials hold them, so
-//     the counts need no atomics. A recycled buffer is fully overwritten
-//     before any partial reads it (reset for a new block, copyFrom for a
-//     copy, a cleared location list), and a fresh partial's headers are
-//     fully rewritten (resetPartial, cloneInto), so reuse cannot change
-//     mapping results: identical Options + seed produce byte-identical
-//     mappings (pinned by testdata/golden_mappings.txt).
+//   - Partials share tile schedules copy-on-write. A partial owns only
+//     its headers: the tile pointer array, the location references, the
+//     three register hazard arrays, its symbol-home list and scalars.
+//     Each tile schedule (tileState) is a buffer that every partial
+//     pointing at it shares; its refs field counts them. cloneInto copies
+//     the headers and takes one more reference to every tile. tileW hands
+//     out a tile for writing only at refs == 1; a shared one is first
+//     copied into a private buffer and the shared one loses a reference.
+//   - Location lists live in the arena's location pool (locPool), which
+//     only grows: a partial's locs[n] is an (offset, length) reference
+//     into it, and no entry is ever rewritten once another reference may
+//     read it. addLoc appends in place only to a list that ends the pool
+//     (a partial sharing the old reference reads just its own prefix);
+//     any other write copies the list to the pool's end first (locsW).
+//     So cloneInto copies the references with no per-node work, and a
+//     write to one partial can never show in another. The pool is emptied
+//     only where no partial of the arena is alive: at the start of a
+//     heuristic block attempt and of an exact search (resetLocs, which
+//     panics otherwise).
+//   - putPartial drops one reference per tile; a tile reaching zero goes
+//     on the arena's free list, and only then is it handed out again.
+//     Buffers never leave the arena whose partials hold them, so the
+//     counts need no atomics. A recycled tile is fully overwritten before
+//     any partial reads it (reset for a new block, copyFrom for a copy),
+//     and a fresh partial's headers are fully rewritten (resetPartial,
+//     cloneInto), so reuse cannot change mapping results: identical
+//     Options + seed produce byte-identical mappings (pinned by
+//     testdata/golden_mappings.txt).
 //   - Plan chunks are reset at each bind step; committed partials copy
 //     everything they keep out of plan memory, so no chunk pointer
 //     survives a reset.
@@ -83,14 +91,16 @@ func (c *chunk[T]) reset() { c.buf = c.buf[:0] }
 
 // mapperArena owns every reusable buffer of one mapper goroutine.
 type mapperArena struct {
-	// free, tileFree and locFree are the free lists of partials and of
-	// the tile and location buffers partials share; tilesMade and
-	// locsMade count the buffers the arena ever made.
+	// free and tileFree are the free lists of partials and of the tile
+	// buffers partials share; tilesMade counts the tiles the arena ever
+	// made and live the partials handed out and not yet returned.
 	free      []*partial
 	tileFree  []*tileState
-	locFree   []*locBuf
 	tilesMade int
-	locsMade  int
+	live      int
+	// locPool holds the location lists of the arena's partials (see
+	// locRef).
+	locPool []loc
 
 	// Map-level scratch (one Map call at a time).
 	used     []int
@@ -107,12 +117,12 @@ type mapperArena struct {
 	ready    []cdfg.NodeID
 	pending  []int
 	owed     []int8
-
-	// frontierHeads' unbound-node membership, a stamped array standing
-	// in for a per-step map, and its result.
-	mark    []uint32
-	markGen uint32
-	heads   []cdfg.NodeID
+	// beams are the two buffers mapBlock's beam alternates between (see
+	// stochasticPrune); liveOut and wbSyms back the block context's
+	// live-out tables.
+	beams   [2][]*partial
+	liveOut []bool
+	wbSyms  []wbSym
 
 	// overlay is the single in-flight candidate overlay (planCandidate
 	// never nests) and affTiles the affected-tile scratch list.
@@ -211,6 +221,7 @@ func (a *mapperArena) bindReset() {
 // caller must fully initialize it via resetPartial or cloneInto before
 // use.
 func (a *mapperArena) getPartial() *partial {
+	a.live++
 	if n := len(a.free); n > 0 {
 		p := a.free[n-1]
 		a.free[n-1] = nil
@@ -221,7 +232,7 @@ func (a *mapperArena) getPartial() *partial {
 }
 
 // putPartial returns a dead partial to the free list and drops its
-// references to the buffers it shares. The caller must guarantee nothing
+// references to the tiles it shares. The caller must guarantee nothing
 // references it anymore.
 func (a *mapperArena) putPartial(p *partial) {
 	if p == nil {
@@ -233,17 +244,18 @@ func (a *mapperArena) putPartial(p *partial) {
 			a.tileFree = append(a.tileFree, ts)
 		}
 	}
-	for _, b := range p.locs {
-		if b == nil {
-			continue
-		}
-		b.refs--
-		if b.refs == 0 {
-			a.locFree = append(a.locFree, b)
-		}
-	}
 	p.tiles, p.locs = p.tiles[:0], p.locs[:0]
 	a.free = append(a.free, p)
+	a.live--
+}
+
+// resetLocs empties the location pool. No partial of the arena may be
+// alive: its location references would dangle.
+func (a *mapperArena) resetLocs() {
+	if a.live != 0 {
+		panic("core: location pool reset with live partials")
+	}
+	a.locPool = a.locPool[:0]
 }
 
 // putPartials returns every partial of a dead list to the free list.
@@ -264,19 +276,6 @@ func (a *mapperArena) newTile() *tileState {
 	a.tileFree = a.tileFree[:n-1]
 	ts.refs = 1
 	return ts
-}
-
-// newLocs returns an empty location buffer with one reference.
-func (a *mapperArena) newLocs() *locBuf {
-	n := len(a.locFree)
-	if n == 0 {
-		a.locsMade++
-		return &locBuf{refs: 1}
-	}
-	b := a.locFree[n-1]
-	a.locFree = a.locFree[:n-1]
-	b.l, b.refs = b.l[:0], 1
-	return b
 }
 
 // intsBuf resizes buf to n, zero-filled.
@@ -301,7 +300,7 @@ func (a *mapperArena) resetPartial(p *partial, nTiles, nNodes, rrf int) {
 		p.tiles = append(p.tiles, ts)
 	}
 	if cap(p.locs) < nNodes {
-		p.locs = make([]*locBuf, nNodes)
+		p.locs = make([]locRef, nNodes)
 	}
 	p.locs = p.locs[:nNodes]
 	clear(p.locs)
@@ -319,63 +318,29 @@ func (a *mapperArena) resetPartial(p *partial, nTiles, nNodes, rrf int) {
 		p.regLastWrite[i] = -1
 		p.regWriteCycle[i] = noWrite
 	}
-	if p.newHomes != nil {
-		clear(p.newHomes)
-	}
-	p.maxCycle, p.moves, p.recomputes, p.checkedTo = 0, 0, 0, 0
+	p.newHomes = p.newHomes[:0]
+	p.maxCycle, p.moves, p.recomputes = 0, 0, 0
 	p.cost = 0
 	p.touch()
 }
 
 // cloneInto makes the recycled dst a copy of src that shares every tile
-// and location buffer with it: only the headers are copied.
+// and location list with it: only the headers are copied.
 func (a *mapperArena) cloneInto(dst, src *partial) {
 	dst.tiles = append(dst.tiles[:0], src.tiles...)
 	for _, ts := range src.tiles {
 		ts.refs++
 	}
 	dst.locs = append(dst.locs[:0], src.locs...)
-	for _, b := range src.locs {
-		if b != nil {
-			b.refs++
-		}
-	}
 	dst.regLastRead = append(dst.regLastRead[:0], src.regLastRead...)
 	dst.regLastWrite = append(dst.regLastWrite[:0], src.regLastWrite...)
 	dst.regWriteCycle = append(dst.regWriteCycle[:0], src.regWriteCycle...)
-	if src.newHomes != nil {
-		if dst.newHomes == nil {
-			dst.newHomes = make(map[string]SymLoc, len(src.newHomes))
-		} else {
-			clear(dst.newHomes)
-		}
-		for k, v := range src.newHomes {
-			dst.newHomes[k] = v
-		}
-	} else if dst.newHomes != nil {
-		clear(dst.newHomes)
-	}
+	dst.newHomes = append(dst.newHomes[:0], src.newHomes...)
 	dst.maxCycle = src.maxCycle
 	dst.moves = src.moves
 	dst.recomputes = src.recomputes
 	dst.cost = src.cost
-	dst.checkedTo = src.checkedTo
 	dst.touch()
-}
-
-// markBegin hands out the stamped membership array frontierHeads uses
-// in place of a per-call map. gen identifies valid entries.
-func (a *mapperArena) markBegin(n int) (mark []uint32, gen uint32) {
-	if cap(a.mark) < n {
-		a.mark = make([]uint32, n)
-	}
-	a.mark = a.mark[:n]
-	a.markGen++
-	if a.markGen == 0 { // wrapped: every stale mark looks current
-		clear(a.mark)
-		a.markGen = 1
-	}
-	return a.mark, a.markGen
 }
 
 // owedBuf returns the pendingWB scratch, zeroed. Only one pendingWB result

@@ -53,10 +53,12 @@ func TestArenaSurvivesGC(t *testing.T) {
 	}
 }
 
-// checkBuffers fails unless every tile and location buffer ar and its
-// child arenas ever made is back on their free lists, once, with no
-// reference left: no leak and no double release. Free partials hold no
-// buffers.
+// checkBuffers fails unless every tile buffer ar and its child arenas
+// ever made is back on their free lists, once, with no reference left
+// (no leak and no double release), and no partial is alive: free
+// partials hold no tiles or location references, and the arena may empty
+// its location pool, as every block attempt and exact search starts by
+// doing (resetLocs panics on a live partial).
 func checkBuffers(t *testing.T, what string, ar *mapperArena) {
 	t.Helper()
 	for i, a := range append([]*mapperArena{ar}, ar.sub...) {
@@ -67,16 +69,11 @@ func checkBuffers(t *testing.T, what string, ar *mapperArena) {
 			}
 			tiles[ts] = true
 		}
-		locs := map[*locBuf]bool{}
-		for _, b := range a.locFree {
-			if b.refs != 0 || locs[b] {
-				t.Fatalf("%s: arena %d: free location buffer with %d references, listed twice: %v", what, i, b.refs, locs[b])
-			}
-			locs[b] = true
+		if len(tiles) != a.tilesMade {
+			t.Fatalf("%s: arena %d: %d of %d tile buffers are free", what, i, len(tiles), a.tilesMade)
 		}
-		if len(tiles) != a.tilesMade || len(locs) != a.locsMade {
-			t.Fatalf("%s: arena %d: %d of %d tile and %d of %d location buffers are free",
-				what, i, len(tiles), a.tilesMade, len(locs), a.locsMade)
+		if a.live != 0 {
+			t.Fatalf("%s: arena %d: %d partials still alive", what, i, a.live)
 		}
 		for _, p := range a.free {
 			if len(p.tiles) != 0 || len(p.locs) != 0 {

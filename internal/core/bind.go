@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -172,54 +173,6 @@ func (cx *bbCtx) argAvail(p *partial, a cdfg.NodeID) int {
 	return best
 }
 
-// frontierHeads returns the heads of the unbound operations (unbound is
-// in topological order): those none of whose operands is itself
-// unbound. It depends on the bind step only, not on the partial, so one
-// call serves every child of the step. The result aliases arena scratch
-// and is valid until the next call.
-func (cx *bbCtx) frontierHeads(unbound []cdfg.NodeID) []cdfg.NodeID {
-	// mark is an arena-owned stamped array indexed by node id; mark[n] ==
-	// gen stands in for membership in unbound.
-	mark, gen := cx.arena.markBegin(len(cx.block.Nodes))
-	for _, n := range unbound {
-		mark[n] = gen
-	}
-	heads := cx.arena.heads[:0]
-	for _, n := range unbound {
-		head := true
-		for _, a := range cx.block.Nodes[n].Args {
-			if mark[a] == gen {
-				head = false
-				break
-			}
-		}
-		if head {
-			heads = append(heads, n)
-		}
-	}
-	cx.arena.heads = heads
-	return heads
-}
-
-// frontierOf returns the cycle below which no future instruction other
-// than already-planned ones can start: the minimum earliest cycle over
-// the unbound operations, an unbound operand counting one cycle after
-// its own estimate. The minimum is always reached at a head (see
-// frontierHeads): a non-head's estimate exceeds that of one of its
-// unbound operands, so the scan over the heads alone is exact.
-func (cx *bbCtx) frontierOf(p *partial, heads []cdfg.NodeID) int {
-	if len(heads) == 0 {
-		return p.maxCycle
-	}
-	front := math.MaxInt
-	for _, n := range heads {
-		if e := cx.earliestCycle(p, n); e < front {
-			front = e
-		}
-	}
-	return front
-}
-
 // cabBlacklist returns the bitmask of tiles that cannot accept another
 // instruction under the remaining context-memory budget (§III-D4). The
 // mask is a pure function of the partial's binding state, so it is cached
@@ -234,16 +187,7 @@ func (cx *bbCtx) cabBlacklist(p *partial) uint32 {
 	var mask uint32
 	owed := cx.pendingWB(p)
 	for t := range p.tiles {
-		w := p.words(arch.TileID(t), p.maxCycle, false)
-		if w > 0 {
-			w++ // potential trailing pnop
-		} else if p.maxCycle > 0 {
-			w = 1
-		}
-		if owed != nil {
-			w += int(owed[t])
-		}
-		if w >= cx.budget[t] {
+		if cx.headroomWords(p, t, owed) >= cx.budget[t] {
 			mask |= 1 << uint(t)
 		}
 	}
@@ -278,7 +222,7 @@ func (cx *bbCtx) planCandidate(p *partial, n cdfg.NodeID, t arch.TileID, cc int,
 			// binding, tiles whose soft context budget is small, or
 			// already mostly consumed by this block, cannot host one.
 			if cx.cab && (cx.soft[t] < minHomeBudget ||
-				cx.soft[t]-p.words(t, p.maxCycle, false) < minHomeHeadroom) {
+				cx.soft[t]-p.tiles[t].words(p.maxCycle, false) < minHomeHeadroom) {
 				return false
 			}
 			already := false
@@ -328,8 +272,8 @@ func (cx *bbCtx) planCandidate(p *partial, n cdfg.NodeID, t arch.TileID, cc int,
 	// like the basic flow and rely on pruning alone, which is what
 	// separates the paper's Figs 6-8.
 	if cx.cab {
-		gapDelta := p.tiles[t].wordsIfOccupied(cc, p.maxCycle) -
-			p.words(t, p.maxCycle, false) - 1
+		gapDelta := p.tiles[t].wordsIfOccupied(cc) -
+			p.tiles[t].words(p.maxCycle, false) - 1
 		if gapDelta > 0 {
 			cand.cost += 0.4 * float64(gapDelta)
 		}
@@ -362,7 +306,7 @@ func (cx *bbCtx) softCost(p *partial, t arch.TileID) float64 {
 	if !cx.cab || cx.soft[t] >= unconstrained {
 		return 0
 	}
-	frac := float64(p.words(t, p.maxCycle, false)+1) / float64(max(cx.soft[t], 1))
+	frac := float64(p.tiles[t].words(p.maxCycle, false)+1) / float64(max(cx.soft[t], 1))
 	if frac <= 0.5 {
 		return 0
 	}
@@ -399,10 +343,9 @@ func (cx *bbCtx) apply(cand *candidate, st *Stats) *partial {
 	// Place the operation itself. (Stores and branches get the same
 	// sentinel location so placed() works, though nothing consumes them.)
 	ts := p.tileW(cand.tile)
-	slot := ts.slotAt(cand.cycle)
+	slot := ts.occupy(cand.cycle)
 	*slot = Slot{Kind: SlotOp, Node: cand.node, Srcs: srcs, NSrc: len(cand.plans)}
 	ts.Ops++
-	ts.dirty()
 	p.bump(cand.cycle)
 	reg := noReg
 	if nd.Op.HasResult() && cx.wantsWriteback(cand.node) {
@@ -442,11 +385,16 @@ func (cx *bbCtx) releaseDeadRegs(p *partial, nd *cdfg.Node) {
 		if !done {
 			continue
 		}
+		var ls []loc // the private copy, made at the first register freed
 		for i, l := range p.locsOf(a) {
-			if l.Reg != noReg {
-				p.freeReg(l.Tile, l.Reg)
-				p.locsW(a).l[i].Reg = noReg
+			if l.Reg == noReg {
+				continue
 			}
+			p.freeReg(l.Tile, l.Reg)
+			if ls == nil {
+				ls = p.locsW(a)
+			}
+			ls[i].Reg = noReg
 		}
 	}
 }
@@ -464,7 +412,7 @@ func (cx *bbCtx) applyPlan(p *partial, ap *argPlan, st *Stats) isa.Src {
 	src := pl.Src
 	if ap.Pin != nil {
 		var r int8
-		if h, ok := p.newHomes[ap.Pin.Sym]; ok && h.Tile == ap.Pin.Tile {
+		if h, ok := p.newHome(ap.Pin.Sym); ok && h.Tile == ap.Pin.Tile {
 			// Pinned moments ago by a sibling operand of this candidate.
 			r = int8(h.Reg)
 		} else {
@@ -472,10 +420,7 @@ func (cx *bbCtx) applyPlan(p *partial, ap *argPlan, st *Stats) isa.Src {
 			if r == noReg {
 				panic("core: pin plan accepted without a fresh register")
 			}
-			if p.newHomes == nil {
-				p.newHomes = map[string]SymLoc{}
-			}
-			p.newHomes[ap.Pin.Sym] = SymLoc{Tile: ap.Pin.Tile, Reg: uint8(r)}
+			p.pinHome(ap.Pin.Sym, SymLoc{Tile: ap.Pin.Tile, Reg: uint8(r)})
 			p.addLoc(ap.Pin.Node, loc{Tile: ap.Pin.Tile, Cycle: symHomeCycle, Reg: r})
 		}
 		src = isa.Reg(uint8(r))
@@ -500,9 +445,13 @@ func (cx *bbCtx) applyPlan(p *partial, ap *argPlan, st *Stats) isa.Src {
 		slot.WB = true
 		slot.WReg = uint8(retroReg)
 		// Update the matching location with its new register.
+		var ls []loc
 		for i, l := range p.locsOf(ap.Arg) {
 			if l.Tile == pl.Retro.Tile && l.Cycle == pl.Retro.Cycle {
-				p.locsW(ap.Arg).l[i].Reg = retroReg
+				if ls == nil {
+					ls = p.locsW(ap.Arg)
+				}
+				ls[i].Reg = retroReg
 			}
 		}
 	}
@@ -518,10 +467,9 @@ func (cx *bbCtx) applyPlan(p *partial, ap *argPlan, st *Stats) isa.Src {
 	src = resolveReg(src)
 	for _, m := range pl.Moves {
 		ts := p.tileW(m.Tile)
-		slot := ts.slotAt(m.Cycle)
+		slot := ts.occupy(m.Cycle)
 		*slot = Slot{Kind: SlotMove, Node: ap.Arg, Srcs: [isa.MaxSrcs]isa.Src{resolveReg(m.Src)}, NSrc: 1}
 		ts.Moves++
-		ts.dirty()
 		p.moves++
 		p.bump(m.Cycle)
 		p.addLoc(ap.Arg, loc{Tile: m.Tile, Cycle: m.Cycle, Reg: noReg})
@@ -529,10 +477,9 @@ func (cx *bbCtx) applyPlan(p *partial, ap *argPlan, st *Stats) isa.Src {
 	if pl.Recomp != nil {
 		rc := pl.Recomp
 		ts := p.tileW(rc.Tile)
-		slot := ts.slotAt(rc.Cycle)
+		slot := ts.occupy(rc.Cycle)
 		*slot = Slot{Kind: SlotOp, Node: rc.Node, Srcs: rc.Srcs, NSrc: rc.NSrc, Dup: true}
 		ts.Ops++
-		ts.dirty()
 		p.recomputes++
 		if st != nil {
 			st.Recomputes++
@@ -598,8 +545,8 @@ func (cx *bbCtx) diagnose(p *partial, n cdfg.NodeID) string {
 func (cx *bbCtx) memReport(p *partial) string {
 	var b text
 	for t := range p.tiles {
-		w := p.words(arch.TileID(t), p.maxCycle, true)
-		b = b.s("  t").d(t + 1).s(": words=").d(p.words(arch.TileID(t), p.maxCycle, false)).
+		w := p.tiles[t].words(p.maxCycle, true)
+		b = b.s("  t").d(t + 1).s(": words=").d(p.tiles[t].words(p.maxCycle, false)).
 			s("(+trail ").d(w).s(") budget=").d(cx.budget[t])
 		if w > cx.budget[t] {
 			for c, sl := range p.tiles[t].Slots {
@@ -614,24 +561,63 @@ func (cx *bbCtx) memReport(p *partial) string {
 	return string(b)
 }
 
-// violation names the first tile violating the in-flight memory filters.
-func (cx *bbCtx) violation(p *partial) string {
+// memViolation is a pruned child's first tile over the in-flight memory
+// filters' budget, under the filter (FlowACMAP or FlowECMAP) that pruned
+// it: kept as numbers, and rendered only when the bind step fails.
+type memViolation struct {
+	flow                Flow
+	tile, words, budget int // tile < 0: no tile is over
+}
+
+// violation finds the first tile violating the in-flight memory filters.
+func (cx *bbCtx) violation(p *partial, flow Flow) memViolation {
 	owed := cx.pendingWB(p)
 	for t := range p.tiles {
-		w := p.words(arch.TileID(t), p.maxCycle, false)
-		if w > 0 {
-			w++
-		} else if p.maxCycle > 0 {
-			w = 1
-		}
-		if owed != nil {
-			w += int(owed[t])
-		}
-		if w > cx.budget[t] {
-			return string(text(nil).s("t").d(t + 1).s("=").d(w).s("/").d(cx.budget[t]))
+		if w := cx.headroomWords(p, t, owed); w > cx.budget[t] {
+			return memViolation{flow: flow, tile: t, words: w, budget: cx.budget[t]}
 		}
 	}
-	return "?"
+	return memViolation{flow: flow, tile: -1}
+}
+
+// filterTag names a violation's filter in the error text.
+var filterTag = [...]string{FlowACMAP: "acmap:", FlowECMAP: "ecmap:"}
+
+// render appends the violation as "acmap:t3=20/19" (tile 1-based), or
+// "ecmap:?" when no tile is over.
+func (v memViolation) render(b text) text {
+	if b = b.s(filterTag[v.flow]); v.tile < 0 {
+		return b.s("?")
+	}
+	return b.s("t").d(v.tile + 1).s("=").d(v.words).s("/").d(v.budget)
+}
+
+// wbSym is a live-out symbol of the block whose value is not its own
+// entry value (an identity carry needs no writeback). pinned reports
+// that a committed block pinned its home, given in home; otherwise a
+// partial's own pin, if it has one, is the home.
+type wbSym struct {
+	sym    string
+	home   SymLoc
+	pinned bool
+}
+
+// liveOutTables fills cx.liveOutValues and cx.wbSyms for cx's block,
+// reusing the capacity of vals and wb.
+func (cx *bbCtx) liveOutTables(vals []bool, wb []wbSym) {
+	n := len(cx.block.Nodes)
+	vals = append(vals[:0], make([]bool, n)...)
+	wb = wb[:0]
+	for s, def := range cx.block.LiveOut {
+		vals[def] = true
+		if nd := cx.block.Nodes[def]; nd.Op == cdfg.OpSym && nd.Sym == s {
+			continue
+		}
+		h, ok := cx.symHomes[s]
+		wb = append(wb, wbSym{sym: s, home: h, pinned: ok})
+	}
+	slices.SortFunc(wb, func(a, b wbSym) int { return strings.Compare(a.sym, b.sym) })
+	cx.liveOutValues, cx.wbSyms = vals, wb
 }
 
 // pendingWB returns, per tile, how many live-out symbol writebacks are
@@ -642,17 +628,16 @@ func (cx *bbCtx) pendingWB(p *partial) []int8 {
 	// the result before any further pendingWB call, and only one mapper
 	// goroutine ever uses an arena.
 	var owed []int8
-	for s, def := range cx.block.LiveOut {
-		h, ok := cx.lookupHome(p, s)
+	for i := range cx.wbSyms {
+		w := &cx.wbSyms[i]
+		h, ok := w.home, w.pinned
 		if !ok {
-			continue
+			if h, ok = p.newHome(w.sym); !ok {
+				continue
+			}
 		}
 		if p.writeCycle(cx.grid.RRFSize, h.Tile, int8(h.Reg)) != noWrite {
-			continue // already written (retrofit or identity carry)
-		}
-		// The identity carry needs no writeback.
-		if nd := cx.block.Nodes[def]; nd.Op == cdfg.OpSym && nd.Sym == s {
-			continue
+			continue // already written (retrofit)
 		}
 		if owed == nil {
 			owed = cx.arena.owedBuf(cx.grid.NumTiles())
@@ -675,7 +660,7 @@ func (cx *bbCtx) acmapOK(p *partial, reserve bool) bool {
 		owed = cx.pendingWB(p)
 	}
 	for t := range p.tiles {
-		w := p.words(arch.TileID(t), p.maxCycle, false)
+		w := p.tiles[t].words(p.maxCycle, false)
 		if owed != nil {
 			w += int(owed[t])
 		}
@@ -705,23 +690,9 @@ func (cx *bbCtx) ecmapOKHeadroom(p *partial, reserve, headroom bool) bool {
 		owed = cx.pendingWB(p)
 	}
 	for t := range p.tiles {
-		var w int
+		w := p.tiles[t].words(p.maxCycle, true) // exact, trailing pnop included
 		if headroom {
-			// While mapping, a growing makespan can still hand any active
-			// tile a trailing pnop, so one word of headroom is charged
-			// beyond the interior count; idle tiles owe their whole-block
-			// pnop.
-			w = p.words(arch.TileID(t), p.maxCycle, false)
-			if w > 0 {
-				w++
-			} else if p.maxCycle > 0 {
-				w = 1
-			}
-		} else {
-			w = p.words(arch.TileID(t), p.maxCycle, true)
-		}
-		if owed != nil {
-			w += int(owed[t])
+			w = cx.headroomWords(p, t, owed)
 		}
 		if w > cx.budget[t] {
 			return false
@@ -730,22 +701,40 @@ func (cx *bbCtx) ecmapOKHeadroom(p *partial, reserve, headroom bool) bool {
 	return true
 }
 
+// headroomWords is tile t's word count under the in-flight filters.
+// While mapping, a growing makespan can still hand any active tile a
+// trailing pnop, so one word of headroom is charged beyond the interior
+// count; idle tiles owe their whole-block pnop. owed (nil for none) adds
+// the pending writebacks.
+func (cx *bbCtx) headroomWords(p *partial, t int, owed []int8) int {
+	w := p.tiles[t].words(p.maxCycle, false)
+	if w > 0 {
+		w++
+	} else if p.maxCycle > 0 {
+		w = 1
+	}
+	if owed != nil {
+		w += int(owed[t])
+	}
+	return w
+}
+
 // stochasticPrune bounds the beam: the best detFraction of the beam is
 // kept deterministically by cost, the rest of the slots are filled by
-// rank-weighted sampling (the paper's threshold function).
-func stochasticPrune(parts []*partial, beam int, detFrac float64, rng *rand.Rand, st *Stats, ar *mapperArena) []*partial {
-	// parts aliases the arena's children buffer, so the surviving beam is
-	// always copied into a fresh slice; partials that don't survive go
-	// straight back to the arena's free list.
+// rank-weighted sampling (the paper's threshold function). The surviving
+// beam is appended to dst[:0]; parts aliases the arena's children buffer,
+// so dst must not. Partials that don't survive go straight back to the
+// arena's free list.
+func stochasticPrune(dst, parts []*partial, beam int, detFrac float64, rng *rand.Rand, st *Stats, ar *mapperArena) []*partial {
 	if len(parts) <= beam {
-		return append(make([]*partial, 0, len(parts)), parts...)
+		return append(dst[:0], parts...)
 	}
 	sort.Stable(partialsByCost(parts))
 	det := int(float64(beam) * detFrac)
 	if det > beam {
 		det = beam
 	}
-	kept := append(make([]*partial, 0, beam), parts[:det]...)
+	kept := append(dst[:0], parts[:det]...)
 	rest := parts[det:]
 	need := beam - det
 	for need > 0 && len(rest) > 0 {
@@ -780,7 +769,10 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 	tSched := time.Now()
 	order := cx.scheduleOrder()
 	st.Phases.Schedule += time.Since(tSched)
-	beam := []*partial{init}
+	// The beam alternates between the arena's two beam buffers: each bind
+	// step prunes the children into the one the current beam is not in.
+	cur := 0
+	beam := append(ar.beams[cur][:0], init)
 	cs := &ar.stream
 	for oi, n := range order {
 		if cx.race != nil && cx.race.lost(cx.attempt) {
@@ -838,11 +830,8 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 		acPruned, ecPruned, realized := 0, 0, 0
 		var first *partial
 		unbound := order[oi+1:]
-		var heads []cdfg.NodeID
-		if cx.opt.Flow >= FlowECMAP {
-			heads = cx.frontierHeads(unbound)
-		}
-		var sampleViol []string
+		var viols [4]memViolation // the first few, for the error text
+		nViol := 0
 		for len(children) < limit {
 			tPlan := time.Now()
 			cand := cs.next()
@@ -858,8 +847,9 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 			st.Partials++
 			if cx.opt.Flow >= FlowACMAP && !cx.acmapOK(child, true) {
 				acPruned++
-				if len(sampleViol) < 4 {
-					sampleViol = append(sampleViol, "acmap:"+cx.violation(child))
+				if nViol < len(viols) {
+					viols[nViol] = cx.violation(child, FlowACMAP)
+					nViol++
 				}
 				ar.putPartial(child)
 				continue
@@ -868,11 +858,11 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 				// The paper runs the exact filter at each cycle boundary;
 				// checking every binding is equivalent but catches
 				// violating partials before they waste beam slots.
-				child.checkedTo = cx.frontierOf(child, heads)
 				if !cx.ecmapOKHeadroom(child, true, len(unbound) > 3) {
 					ecPruned++
-					if len(sampleViol) < 4 {
-						sampleViol = append(sampleViol, "ecmap:"+cx.violation(child))
+					if nViol < len(viols) {
+						viols[nViol] = cx.violation(child, FlowECMAP)
+						nViol++
 					}
 					ar.putPartial(child)
 					continue
@@ -887,16 +877,24 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 		st.Phases.Bind += time.Since(tBind) - planning
 		if len(children) == 0 {
 			err := text(nil).s("core: all ").d(realized).s(" bindings of node n").d(int(n)).s(" in block ").q(cx.block.Name).
-				s(" violate memory constraints (flow ").s(cx.opt.Flow.String()).s(") [").s(strings.Join(sampleViol, " ")).
-				s("]\n").s(cx.memReport(first))
+				s(" violate memory constraints (flow ").s(cx.opt.Flow.String()).s(") [")
+			for i, v := range viols[:nViol] {
+				if i > 0 {
+					err = err.s(" ")
+				}
+				err = v.render(err)
+			}
+			err = err.s("]\n").s(cx.memReport(first))
 			ar.putPartials(beam)
 			return nil, errors.New(string(err))
 		}
 		tPrune := time.Now()
-		newBeam := stochasticPrune(children, cx.opt.BeamWidth, cx.opt.DetFraction, rng, st, ar)
+		next := 1 - cur
+		newBeam := stochasticPrune(ar.beams[next], children, cx.opt.BeamWidth, cx.opt.DetFraction, rng, st, ar)
+		ar.beams[cur], ar.beams[next] = beam[:0], newBeam[:0]
 		// The old beam (the children's parents) is fully superseded.
 		ar.putPartials(beam)
-		beam = newBeam
+		beam, cur = newBeam, next
 		st.Phases.Prune += time.Since(tPrune)
 	}
 	tFin := time.Now()

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/arch"
@@ -217,6 +219,9 @@ func (s *exactSearch) run() bool {
 	if len(s.order) == 0 {
 		return true
 	}
+	// The warm start's partials are all back on the arena: the search
+	// starts on an empty location pool.
+	s.ar.resetLocs()
 	return s.searchBlock(0, acc)
 }
 
@@ -258,10 +263,7 @@ func (s *exactSearch) searchBlock(bi int, acc *exactAcc) bool {
 		cab:      s.opt.Flow >= FlowCAB,
 		hopsBuf:  make([]arch.TileID, 0, s.grid.Rows+s.grid.Cols+2),
 	}
-	cx.liveOutValues = map[cdfg.NodeID]bool{}
-	for _, id := range block.LiveOut {
-		cx.liveOutValues[id] = true
-	}
+	cx.liveOutTables(nil, nil)
 	homesOn := make([]int, n)
 	for _, h := range acc.symHomes {
 		homesOn[h.Tile] += 2
@@ -308,7 +310,7 @@ func (s *exactSearch) boundedOut(bi int, acc *exactAcc, p *partial) bool {
 	horizon := p.maxCycle
 	idle := horizon > 0 || s.blockFloor[bi] > 0
 	for t := range p.tiles {
-		w := p.words(arch.TileID(t), horizon, false)
+		w := p.tiles[t].words(horizon, false)
 		if w == 0 && idle {
 			w = 1
 		}
@@ -327,7 +329,7 @@ func (s *exactSearch) childFits(cx *bbCtx, child *partial) bool {
 		return true
 	}
 	for t := range child.tiles {
-		if child.words(arch.TileID(t), child.maxCycle, false) > cx.budget[t] {
+		if child.tiles[t].words(child.maxCycle, false) > cx.budget[t] {
 			return false
 		}
 	}
@@ -463,8 +465,8 @@ func (acc *exactAcc) extend(s *exactSearch, bi int, bm *BlockMapping, win *parti
 	for k, v := range acc.symHomes {
 		next.symHomes[k] = v
 	}
-	for k, v := range win.newHomes {
-		next.symHomes[k] = v
+	for _, h := range win.newHomes {
+		next.symHomes[h.sym] = h.at
 	}
 	if next.words+s.suffixFloor[bi+1] >= s.bestWords {
 		return nil
@@ -649,16 +651,12 @@ func (s *exactSearch) fingerprint(bi, oi int, acc *exactAcc, p *partial) uint64 
 		h.i(int(v))
 	}
 	if len(p.newHomes) > 0 {
-		syms := make([]string, 0, len(p.newHomes))
-		for sym := range p.newHomes {
-			syms = append(syms, sym)
-		}
-		sort.Strings(syms)
-		for _, sym := range syms {
-			loc := p.newHomes[sym]
-			h.str(sym)
-			h.i(int(loc.Tile))
-			h.i(int(loc.Reg))
+		homes := slices.Clone(p.newHomes)
+		slices.SortFunc(homes, func(a, b symHome) int { return strings.Compare(a.sym, b.sym) })
+		for _, sh := range homes {
+			h.str(sh.sym)
+			h.i(int(sh.at.Tile))
+			h.i(int(sh.at.Reg))
 		}
 	}
 	return uint64(h)

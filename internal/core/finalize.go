@@ -32,7 +32,7 @@ func (cx *bbCtx) homeOf(p *partial, s string, def cdfg.NodeID) (SymLoc, error) {
 	if h, ok := cx.symHomes[s]; ok {
 		return h, nil
 	}
-	if h, ok := p.newHomes[s]; ok {
+	if h, ok := p.newHome(s); ok {
 		return h, nil
 	}
 	// Pin now: try the defining value's tiles first, then all tiles by
@@ -68,10 +68,7 @@ func (cx *bbCtx) homeOf(p *partial, s string, def cdfg.NodeID) (SymLoc, error) {
 			return SymLoc{}, false
 		}
 		h := SymLoc{Tile: t, Reg: uint8(r)}
-		if p.newHomes == nil {
-			p.newHomes = map[string]SymLoc{}
-		}
-		p.newHomes[s] = h
+		p.pinHome(s, h)
 		p.touch()
 		return h, true
 	}
@@ -170,7 +167,7 @@ func (cx *bbCtx) writebackSym(p *partial, s string, def cdfg.NodeID) error {
 		}
 		src := cx.applyPlan(p, &ap, nil)
 		ts := p.tileW(home.Tile)
-		slot := ts.slotAt(w)
+		slot := ts.occupy(w)
 		*slot = Slot{
 			Kind: SlotMove,
 			Node: def,
@@ -180,7 +177,6 @@ func (cx *bbCtx) writebackSym(p *partial, s string, def cdfg.NodeID) error {
 			WReg: home.Reg,
 		}
 		ts.Moves++
-		ts.dirty()
 		p.moves++
 		p.bump(w)
 		p.addLoc(def, loc{Tile: home.Tile, Cycle: w, Reg: hr})
@@ -204,8 +200,7 @@ func (cx *bbCtx) lookupHome(p *partial, s string) (SymLoc, bool) {
 	if h, ok := cx.symHomes[s]; ok {
 		return h, true
 	}
-	h, ok := p.newHomes[s]
-	return h, ok
+	return p.newHome(s)
 }
 
 // commit converts the winning partial into the block's final mapping.
@@ -259,7 +254,7 @@ func selectBest(parts []*partial) *partial {
 func totalWords(p *partial) int {
 	n := 0
 	for t := range p.tiles {
-		n += p.words(arch.TileID(t), p.maxCycle, true)
+		n += p.tiles[t].words(p.maxCycle, true)
 	}
 	return n
 }

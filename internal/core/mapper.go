@@ -130,10 +130,8 @@ func Map(g *cdfg.Graph, grid *arch.Grid, opt Options) (*Mapping, error) {
 			cab:      opt.Flow >= FlowCAB,
 		}
 		ar.budget = cx.budget
-		cx.liveOutValues = map[cdfg.NodeID]bool{}
-		for _, id := range block.LiveOut {
-			cx.liveOutValues[id] = true
-		}
+		cx.liveOutTables(ar.liveOut, ar.wbSyms)
+		ar.liveOut, ar.wbSyms = cx.liveOutValues, cx.wbSyms
 		// Tiles hosting symbol homes receive writeback and read-out moves
 		// in later blocks; the soft budget (used for placement pressure
 		// and home-pinning eligibility, not for the hard pruning filters)
@@ -187,8 +185,8 @@ func Map(g *cdfg.Graph, grid *arch.Grid, opt Options) (*Mapping, error) {
 			consts[t] = append(consts[t][:0], win.tiles[t].Consts...)
 			usedRegs[t] |= win.tiles[t].EverUsed
 		}
-		for s, h := range win.newHomes {
-			m.SymHomes[s] = h
+		for _, h := range win.newHomes {
+			m.SymHomes[h.sym] = h.at
 		}
 		// Everything the winner contributes is copied out above; the
 		// finalized partials go back to the arena that produced them.
@@ -256,8 +254,10 @@ func (at *blockAttempt) start(cx *bbCtx, a int, ar *mapperArena, rng *rand.Rand)
 	at.cx.attempt = a
 }
 
-// run maps the attempt's block from a fresh initial partial.
+// run maps the attempt's block from a fresh initial partial. No partial
+// of the attempt's arena is alive yet, so the location pool starts empty.
 func (at *blockAttempt) run(consts [][]int32, usedRegs []uint16) {
+	at.cx.arena.resetLocs()
 	init := at.cx.initialPartial(consts, usedRegs)
 	at.done, at.err = at.cx.mapBlock(init, at.rng, &at.st)
 }

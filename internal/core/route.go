@@ -156,8 +156,11 @@ type bbCtx struct {
 	// symHomes is the global symbol-home table (shared, extended as homes
 	// are pinned; pinning happens between blocks, not inside the beam).
 	symHomes map[string]SymLoc
-	// liveOutValues marks nodes whose value a live-out symbol publishes.
-	liveOutValues map[cdfg.NodeID]bool
+	// liveOutValues marks, by node, the values a live-out symbol
+	// publishes; wbSyms lists the live-out symbols that need a writeback
+	// (see liveOutTables).
+	liveOutValues []bool
+	wbSyms        []wbSym
 	// cab enables constraint-aware binding (tile blacklisting).
 	cab bool
 	// arena owns all reusable mapper scratch state (see arena.go); the

@@ -49,13 +49,20 @@ type tileState struct {
 	// Consts are the distinct immediates this tile references in already
 	// committed blocks plus the current one (CRF pressure).
 	Consts []int32
-	// cacheHorizon/cacheWords memoize the last interior words() result
-	// (trailing=false); the memory filters ask for the same horizon over
-	// and over between mutations. cacheHorizon -1 means invalid. The
-	// cache is a pure function of the tile's contents, so words() may
-	// fill it in on a shared tile; only the owned copy ever invalidates.
-	cacheHorizon int32
-	cacheWords   int32
+	// hi is one past the last occupied cycle (0: no instruction yet) and
+	// gaps counts the runs of empty slots before it, the leading run and
+	// the interior ones, one pnop word each. occupy keeps both, so words
+	// is O(1). Slots are never vacated, and every occupy is followed by a
+	// bump of the partial's maxCycle, so no count depends on the horizon.
+	hi, gaps int32
+	// hopGen and hopOff stamp the tile's hop mask in the candidate
+	// stream's pool (see candStream.screen): valid while hopGen is the
+	// stream's generation for the window asked about. Every write that
+	// can change the mask clears hopGen; the stream never hands out 0.
+	// Like a word count, the stamp describes only the buffer's contents,
+	// so screen may set it on a shared buffer.
+	hopGen uint64
+	hopOff int32
 	// refs counts the partials sharing this buffer (see arena.go).
 	refs int32
 }
@@ -68,17 +75,41 @@ func (t *tileState) copyFrom(s *tileState) {
 	consts := append(t.Consts[:0], s.Consts...)
 	*t = *s
 	t.Slots, t.Holds, t.Consts = slots, holds, consts
-	t.refs = 1
+	t.hopGen, t.refs = 0, 1
 }
 
 // reset empties t for a new block, keeping its slice capacity.
 func (t *tileState) reset() {
-	*t = tileState{Slots: t.Slots[:0], Holds: t.Holds[:0], Consts: t.Consts[:0], cacheHorizon: -1, refs: t.refs}
+	*t = tileState{Slots: t.Slots[:0], Holds: t.Holds[:0], Consts: t.Consts[:0], refs: t.refs}
 }
 
-// dirty invalidates the cached interior word count. It must be called on
-// every mutation that changes the tile's Ops, Moves or occupied cycles.
-func (t *tileState) dirty() { t.cacheHorizon = -1 }
+// occupy returns the slot at empty cycle c for the caller to fill with an
+// instruction, growing the schedule as needed and updating hi and the gap
+// count. The caller counts the instruction in Ops or Moves.
+func (t *tileState) occupy(c int) *Slot {
+	t.gaps += t.gapDelta(c)
+	t.hi = max(t.hi, int32(c)+1)
+	t.hopGen = 0
+	return t.slotAt(c)
+}
+
+// gapDelta returns how the gap count changes if cycle c takes an
+// instruction. Each gap ends just before an occupied cycle, so the count
+// is the number of occupied cycles above 0 with an empty cycle before
+// them: only c itself and c+1 can change it.
+func (t *tileState) gapDelta(c int) int32 {
+	if t.occupied(c) {
+		return 0
+	}
+	var d int32
+	if c > 0 && !t.occupied(c-1) {
+		d++
+	}
+	if t.occupied(c + 1) {
+		d--
+	}
+	return d
+}
 
 // slotAt returns the slot at the cycle, growing the schedule as needed.
 func (t *tileState) slotAt(c int) *Slot {
@@ -136,6 +167,7 @@ func (t *tileState) outputLive(prod, read int, b *cdfg.BasicBlock) bool {
 // addHold extends (or records) the output hold for the value produced at
 // prod so it survives through read.
 func (t *tileState) addHold(prod, read int) {
+	t.hopGen = 0
 	for i := range t.Holds {
 		if t.Holds[i].Prod == prod {
 			if read > t.Holds[i].Last {
@@ -180,102 +212,44 @@ func (t *tileState) internConst(v int32, maxCRF int) bool {
 	return true
 }
 
-// gapGroups counts the pnop words of the schedule so far. Leading and
-// interior runs of empty slots each cost one pnop; future insertions can
-// only keep or grow the total word count, so this is a safe lower bound
-// (the ECMAP filter). With trailing set, the run after the last
-// instruction up to the horizon is also charged — the pessimistic ACMAP
-// estimate, which can over- or under-shoot the final count.
-func (t *tileState) gapGroups(horizon int, trailing bool) int {
-	limit := len(t.Slots)
-	if horizon < limit {
-		limit = horizon
+// words returns the tile's context words for the block so far: its
+// instructions plus one pnop per leading or interior gap. Future
+// insertions can only keep or grow that count, so it is a safe lower
+// bound (the ECMAP filter). With trailing set, the idle run after the
+// last instruction up to horizon is also charged — the pessimistic ACMAP
+// estimate, which can over- or under-shoot the final count; an idle tile
+// then owes one pnop for the whole block. horizon must not lie below hi.
+func (t *tileState) words(horizon int, trailing bool) int {
+	w := t.Ops + t.Moves + int(t.gaps)
+	if trailing && int(t.hi) < horizon {
+		w++
 	}
-	n := 0
-	prevOcc := -1
-	any := false
-	for c := 0; c < limit; c++ {
-		if t.Slots[c].Kind == SlotEmpty {
-			continue
-		}
-		if !any {
-			if c > 0 {
-				n++ // leading gap
-			}
-			any = true
-		} else if c > prevOcc+1 {
-			n++ // interior gap
-		}
-		prevOcc = c
-	}
-	if !any {
-		if trailing && horizon > 0 {
-			return 1 // the tile idles through the whole block
-		}
-		return 0
-	}
-	if trailing && prevOcc < horizon-1 {
-		n++ // trailing gap to the current makespan
-	}
-	return n
+	return w
 }
 
-// wordsIfOccupied counts the tile's words (interior accounting) as if
-// cycle c additionally held an instruction — used to price the pnop
+// wordsIfOccupied counts the tile's interior words as if cycle c
+// additionally held an instruction — used to price the pnop
 // fragmentation a placement would cause.
-func (t *tileState) wordsIfOccupied(c, horizon int) int {
-	limit := len(t.Slots)
-	if c+1 > limit {
-		limit = c + 1
-	}
-	if horizon > limit {
-		limit = horizon
-	}
-	n := t.Ops + t.Moves + 1
-	gaps := 0
-	prevOcc := -1
-	any := false
-	occ := func(i int) bool {
-		if i == c {
-			return true
-		}
-		return i < len(t.Slots) && t.Slots[i].Kind != SlotEmpty
-	}
-	for i := 0; i < limit; i++ {
-		if !occ(i) {
-			continue
-		}
-		if !any {
-			if i > 0 {
-				gaps++
-			}
-			any = true
-		} else if i > prevOcc+1 {
-			gaps++
-		}
-		prevOcc = i
-	}
-	return n + gaps
+func (t *tileState) wordsIfOccupied(c int) int {
+	return t.Ops + t.Moves + 1 + int(t.gaps+t.gapDelta(c))
 }
 
-// locBuf is one node's location list: where the value is live. l[0] is
-// the production (or symbol home).
-type locBuf struct {
-	l []loc
-	// refs counts the partials sharing this buffer (see arena.go).
-	refs int32
-}
+// locRef is one node's location list, locPool[off:off+n] of the arena
+// holding the partial; n == 0 means unplaced. l[0] is the production (or
+// symbol home).
+type locRef struct{ off, n int32 }
 
 // partial is one partial mapping of the block being mapped: a point of the
 // design space the beam search explores. Its tile schedules and location
-// lists are buffers shared copy-on-write with the partials it was cloned
-// from or into: read them freely, write them only through tileW and locsW.
+// lists are shared copy-on-write with the partials it was cloned from or
+// into: read them freely, write tiles only through tileW and locations
+// only through addLoc and locsW.
 type partial struct {
-	// ar is the arena whose buffers the partial holds.
+	// ar is the arena whose buffers and location pool the partial holds.
 	ar    *mapperArena
 	tiles []*tileState
-	// locs[n] lists where node n's value is live; nil means unplaced.
-	locs []*locBuf
+	// locs[n] locates where node n's value is live in ar.locPool.
+	locs []locRef
 	// regLastRead[t*rrf+r] is the last cycle tile t's register r was read,
 	// used to order symbol writebacks after all reads and to recycle
 	// registers safely.
@@ -288,20 +262,47 @@ type partial struct {
 	// written back (noWrite when not yet written). Reads of a home
 	// register must not occur after its writeback.
 	regWriteCycle []int16
-	// newHomes records symbol homes pinned while mapping this block; the
-	// winning partial's pins are promoted to the global table on commit.
-	newHomes map[string]SymLoc
+	// newHomes records symbol homes pinned while mapping this block, one
+	// entry per symbol; the winning partial's pins are promoted to the
+	// global table on commit.
+	newHomes []symHome
 
 	maxCycle   int // schedule length so far (last occupied cycle + 1)
 	moves      int
 	recomputes int
 	cost       float64
-	checkedTo  int // ECMAP frontier already verified
 
 	// blMask caches the CAB blacklist while blValid; any mutation of the
 	// binding state clears blValid via touch.
 	blMask  uint32
 	blValid bool
+}
+
+// symHome is a symbol home pinned in the block being mapped.
+type symHome struct {
+	sym string
+	at  SymLoc
+}
+
+// newHome returns the home pinned for symbol s in this block, if any.
+func (p *partial) newHome(s string) (SymLoc, bool) {
+	for _, h := range p.newHomes {
+		if h.sym == s {
+			return h.at, true
+		}
+	}
+	return SymLoc{}, false
+}
+
+// pinHome records symbol s's home, replacing an earlier pin.
+func (p *partial) pinHome(s string, at SymLoc) {
+	for i := range p.newHomes {
+		if p.newHomes[i].sym == s {
+			p.newHomes[i].at = at
+			return
+		}
+	}
+	p.newHomes = append(p.newHomes, symHome{sym: s, at: at})
 }
 
 // touch marks the partial as mutated: the cached CAB blacklist no longer
@@ -335,35 +336,35 @@ func (p *partial) tileW(t arch.TileID) *tileState {
 	return c
 }
 
-// locsOf returns where node n's value is live; empty means unplaced.
+// locsOf returns where node n's value is live; empty means unplaced. The
+// slice reads the pool, whose entries are never rewritten in place, so it
+// stays valid across later writes.
 func (p *partial) locsOf(n cdfg.NodeID) []loc {
-	if b := p.locs[n]; b != nil {
-		return b.l
-	}
-	return nil
+	r := p.locs[n]
+	return p.ar.locPool[r.off : r.off+r.n : r.off+r.n]
 }
 
-// locsW returns node n's location list for writing, first copying it
-// into a private buffer when another partial shares it (or taking an
-// empty one when n is unplaced).
-func (p *partial) locsW(n cdfg.NodeID) *locBuf {
-	b := p.locs[n]
-	if b != nil && b.refs == 1 {
-		return b
-	}
-	c := p.ar.newLocs()
-	if b != nil {
-		c.l = append(c.l, b.l...)
-		b.refs--
-	}
-	p.locs[n] = c
-	return c
-}
-
-// addLoc records a new place node n's value is live.
+// addLoc records a new place node n's value is live. A list that ends the
+// pool grows in place: a partial sharing the old reference still reads
+// only its own entries. Any other list is first copied to the pool's end.
 func (p *partial) addLoc(n cdfg.NodeID, l loc) {
-	b := p.locsW(n)
-	b.l = append(b.l, l)
+	ar, r := p.ar, &p.locs[n]
+	if int(r.off+r.n) != len(ar.locPool) {
+		p.locsW(n)
+	}
+	ar.locPool = append(ar.locPool, l)
+	r.n++
+}
+
+// locsW copies node n's location list to the end of the pool and returns
+// the private copy for rewriting. The slice is valid until the next
+// location write.
+func (p *partial) locsW(n cdfg.NodeID) []loc {
+	ar, r := p.ar, &p.locs[n]
+	off := int32(len(ar.locPool))
+	ar.locPool = append(ar.locPool, ar.locPool[r.off:r.off+r.n]...)
+	r.off = off
+	return ar.locPool[off : off+r.n]
 }
 
 // addHold extends (or records) tile t's output hold for the value
@@ -468,21 +469,4 @@ func (p *partial) bump(c int) {
 	if c+1 > p.maxCycle {
 		p.maxCycle = c + 1
 	}
-}
-
-// words returns the context words tile t consumes for the current block so
-// far: committed instructions plus the chosen pnop estimate. The interior
-// (trailing=false) count is cached per horizon until the tile mutates.
-func (p *partial) words(t arch.TileID, horizon int, trailing bool) int {
-	ts := p.tiles[t]
-	if trailing {
-		return ts.Ops + ts.Moves + ts.gapGroups(horizon, true)
-	}
-	if ts.cacheHorizon == int32(horizon) {
-		return int(ts.cacheWords)
-	}
-	w := ts.Ops + ts.Moves + ts.gapGroups(horizon, false)
-	ts.cacheHorizon = int32(horizon)
-	ts.cacheWords = int32(w)
-	return w
 }

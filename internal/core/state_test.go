@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -13,8 +12,87 @@ import (
 
 func occupy(ts *tileState, cycles ...int) {
 	for _, c := range cycles {
-		*ts.slotAt(c) = Slot{Kind: SlotOp}
+		*ts.occupy(c) = Slot{Kind: SlotOp}
 		ts.Ops++
+	}
+}
+
+// gapGroups is the full scan tileState's gap count replaces, kept as the
+// test reference: the leading and interior runs of empty slots below
+// horizon, plus with trailing set the run from the last instruction up to
+// horizon (or, on an idle tile, the whole block).
+func gapGroups(t *tileState, horizon int, trailing bool) int {
+	limit := min(len(t.Slots), horizon)
+	n := 0
+	prevOcc := -1
+	any := false
+	for c := 0; c < limit; c++ {
+		if t.Slots[c].Kind == SlotEmpty {
+			continue
+		}
+		if !any {
+			if c > 0 {
+				n++ // leading gap
+			}
+			any = true
+		} else if c > prevOcc+1 {
+			n++ // interior gap
+		}
+		prevOcc = c
+	}
+	if !any {
+		if trailing && horizon > 0 {
+			return 1 // the tile idles through the whole block
+		}
+		return 0
+	}
+	if trailing && prevOcc < horizon-1 {
+		n++ // trailing gap to the current makespan
+	}
+	return n
+}
+
+// wordsIfOccupiedScan is the full scan wordsIfOccupied replaces: the
+// interior word count with cycle c additionally occupied.
+func wordsIfOccupiedScan(t *tileState, c int) int {
+	limit := max(len(t.Slots), c+1)
+	gaps, prevOcc, any := 0, -1, false
+	for i := 0; i < limit; i++ {
+		if i != c && (i >= len(t.Slots) || t.Slots[i].Kind == SlotEmpty) {
+			continue
+		}
+		if !any {
+			if i > 0 {
+				gaps++
+			}
+			any = true
+		} else if i > prevOcc+1 {
+			gaps++
+		}
+		prevOcc = i
+	}
+	return t.Ops + t.Moves + 1 + gaps
+}
+
+// checkCounts fails unless every tile of p, whose schedule is
+// maxCycle long, counts its words (both modes, at several horizons from
+// maxCycle on) and its words as if each cycle were occupied exactly as
+// the full scans do.
+func checkCounts(t *testing.T, what string, p *partial) {
+	t.Helper()
+	for i, ts := range p.tiles {
+		for _, h := range []int{p.maxCycle, p.maxCycle + 1, p.maxCycle + 7} {
+			for _, trailing := range []bool{false, true} {
+				if got, want := ts.words(h, trailing), ts.Ops+ts.Moves+gapGroups(ts, h, trailing); got != want {
+					t.Fatalf("%s: tile %d counts %d words at horizon %d (trailing %v), the scan %d", what, i, got, h, trailing, want)
+				}
+			}
+		}
+		for c := range p.maxCycle + 3 {
+			if got, want := ts.wordsIfOccupied(c), wordsIfOccupiedScan(ts, c); got != want {
+				t.Fatalf("%s: tile %d counts %d words if cycle %d were occupied, the scan %d", what, i, got, c, want)
+			}
+		}
 	}
 }
 
@@ -37,11 +115,18 @@ func TestGapGroups(t *testing.T) {
 	for _, c := range cases {
 		var ts tileState
 		occupy(&ts, c.occ...)
-		if got := ts.gapGroups(c.horizon, false); got != c.interior {
-			t.Errorf("%s: interior = %d, want %d", c.name, got, c.interior)
+		ops := len(c.occ)
+		if got := gapGroups(&ts, c.horizon, false); got != c.interior {
+			t.Errorf("%s: interior scan = %d, want %d", c.name, got, c.interior)
 		}
-		if got := ts.gapGroups(c.horizon, true); got != c.withTrailing {
-			t.Errorf("%s: with trailing = %d, want %d", c.name, got, c.withTrailing)
+		if got := gapGroups(&ts, c.horizon, true); got != c.withTrailing {
+			t.Errorf("%s: scan with trailing = %d, want %d", c.name, got, c.withTrailing)
+		}
+		if got := ts.words(c.horizon, false); got != ops+c.interior {
+			t.Errorf("%s: interior words = %d, want %d", c.name, got, ops+c.interior)
+		}
+		if got := ts.words(c.horizon, true); got != ops+c.withTrailing {
+			t.Errorf("%s: words with trailing = %d, want %d", c.name, got, ops+c.withTrailing)
 		}
 	}
 }
@@ -115,33 +200,43 @@ func TestRegisterRecyclingHazards(t *testing.T) {
 func TestWordsIfOccupied(t *testing.T) {
 	var ts tileState
 	occupy(&ts, 0, 2) // words: 2 ops + 1 interior gap = 3
-	base := ts.Ops + ts.Moves + ts.gapGroups(3, false)
-	if base != 3 {
+	if base := ts.words(3, false); base != 3 {
 		t.Fatalf("base words = %d", base)
 	}
 	// Filling the gap at 1: 3 ops, 0 gaps -> 3 (no growth).
-	if got := ts.wordsIfOccupied(1, 3); got != 3 {
+	if got := ts.wordsIfOccupied(1); got != 3 {
 		t.Errorf("fill gap: %d, want 3", got)
 	}
 	// Appending at 3: 3 ops, 1 gap -> 4.
-	if got := ts.wordsIfOccupied(3, 4); got != 4 {
+	if got := ts.wordsIfOccupied(3); got != 4 {
 		t.Errorf("append: %d, want 4", got)
 	}
 	// Placing at 5 creates another gap: 3 ops + 2 gaps -> 5.
-	if got := ts.wordsIfOccupied(5, 6); got != 5 {
+	if got := ts.wordsIfOccupied(5); got != 5 {
 		t.Errorf("fragment: %d, want 5", got)
+	}
+	// Every cycle of a few schedules, against the full scan, including a
+	// cycle already occupied and one in front of the first instruction.
+	for _, occ := range [][]int{nil, {0}, {3}, {1, 2, 6}, {2, 4, 5, 9}} {
+		var ts tileState
+		occupy(&ts, occ...)
+		for c := range 12 {
+			if got, want := ts.wordsIfOccupied(c), wordsIfOccupiedScan(&ts, c); got != want {
+				t.Errorf("occupied %v: cycle %d counts %d, the scan %d", occ, c, got, want)
+			}
+		}
 	}
 }
 
 // partialSnap deep-copies everything a partial's readers can see. The
-// word caches are left out: words() may fill them in on a shared tile,
-// and checkCaches pins that they stay right.
+// hop-mask stamps are left out: screen may set them on a shared tile,
+// and checkHops pins that they stay right.
 type partialSnap struct {
 	Tiles                                    []tileState
 	Locs                                     [][]loc
 	RegLastRead, RegLastWrite, RegWriteCycle []int16
-	NewHomes                                 map[string]SymLoc
-	MaxCycle, Moves, Recomputes, CheckedTo   int
+	NewHomes                                 []symHome
+	MaxCycle, Moves, Recomputes              int
 	Cost                                     float64
 }
 
@@ -153,18 +248,17 @@ func snapshot(p *partial) partialSnap {
 		MaxCycle:      p.maxCycle,
 		Moves:         p.moves,
 		Recomputes:    p.recomputes,
-		CheckedTo:     p.checkedTo,
 		Cost:          p.cost,
 	}
 	if len(p.newHomes) > 0 {
-		s.NewHomes = maps.Clone(p.newHomes)
+		s.NewHomes = slices.Clone(p.newHomes)
 	}
 	for _, ts := range p.tiles {
 		c := *ts
 		c.Slots = append([]Slot(nil), ts.Slots...)
 		c.Holds = append([]hold(nil), ts.Holds...)
 		c.Consts = append([]int32(nil), ts.Consts...)
-		c.cacheHorizon, c.cacheWords, c.refs = 0, 0, 0
+		c.hopGen, c.hopOff, c.refs = 0, 0, 0
 		s.Tiles = append(s.Tiles, c)
 	}
 	for n := range p.locs {
@@ -173,17 +267,23 @@ func snapshot(p *partial) partialSnap {
 	return s
 }
 
-// checkCaches fails unless every valid word cache of p matches a fresh
-// count.
-func checkCaches(t *testing.T, what string, p *partial) {
+// checkHops screens p over cycles [0, to] on cs, in the pass cs is in,
+// and fails unless every tile's hop mask equals a fresh fillFree (all
+// clear on a blacklisted tile): a mask reused through a buffer's stamp
+// must still describe the buffer.
+func checkHops(t *testing.T, what string, cs *candStream, p *partial, to int) {
 	t.Helper()
+	bl := cs.cx.cabBlacklist(p)
+	cs.screen(p, bl, 0, to)
+	want := make([]uint64, cs.hopW)
 	for i, ts := range p.tiles {
-		h := int(ts.cacheHorizon)
-		if h < 0 {
-			continue
+		clear(want)
+		if bl&(1<<uint(i)) == 0 {
+			fillFree(want, ts, cs.hopOrg, to, true)
 		}
-		if want := ts.Ops + ts.Moves + ts.gapGroups(h, false); int(ts.cacheWords) != want {
-			t.Fatalf("%s: tile %d caches %d words at horizon %d, holds %d", what, i, ts.cacheWords, h, want)
+		got := cs.hopPool[cs.hopOff[i] : int(cs.hopOff[i])+cs.hopW]
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: tile %d hop mask %x, fillFree %x", what, i, got, want)
 		}
 	}
 }
@@ -196,13 +296,23 @@ func writeEverything(cx *bbCtx, v *partial) {
 		cx.releaseDeadRegs(v, nd)
 	}
 	_ = cx.finalize(v) // a mid-block finalize may fail; only its writes matter
+	// A move and a recompute through applyPlan on every tile, each in
+	// the tile's first gap (or opening one), where a missed gap update
+	// shows in the word counts.
+	for i := range v.tiles {
+		tid := arch.TileID(i)
+		move := argPlan{Plan: routePlan{Moves: []moveStep{{Tile: tid, Cycle: firstGap(v.tiles[i])}}}}
+		cx.applyPlan(v, &move, nil)
+		recomp := argPlan{Plan: routePlan{Recomp: &recompStep{Tile: tid, Cycle: firstGap(v.tiles[i])}}}
+		cx.applyPlan(v, &recomp, nil)
+	}
 	rrf := cx.grid.RRFSize
 	for i := range v.tiles {
 		tid := arch.TileID(i)
 		c := v.maxCycle + i
 		ts := v.tileW(tid)
 		occupy(ts, c)
-		ts.dirty()
+		v.bump(c)
 		v.addHold(tid, c, c+2)
 		v.internConst(tid, int32(-1000-i), 1<<10)
 		v.allocRegAt(rrf, tid, c, false)
@@ -218,17 +328,27 @@ func writeEverything(cx *bbCtx, v *partial) {
 	for n := range v.locs {
 		id := cdfg.NodeID(n)
 		if v.placed(id) {
-			v.locsW(id).l[0].Reg = 0
+			v.locsW(id)[0].Reg = 0
 		}
 		v.addLoc(id, loc{Tile: 0, Cycle: v.maxCycle, Reg: noReg})
 	}
-	if v.newHomes == nil {
-		v.newHomes = map[string]SymLoc{}
-	}
-	v.newHomes["isolation"] = SymLoc{Tile: 1, Reg: 1}
+	v.pinHome("isolation", SymLoc{Tile: 1, Reg: 1})
 	v.bump(v.maxCycle + 10)
 	v.cost++
 	v.touch()
+}
+
+// firstGap returns ts's first empty cycle, or one past it when that cycle
+// would extend the schedule without a gap.
+func firstGap(ts *tileState) int {
+	c := 0
+	for ts.occupied(c) {
+		c++
+	}
+	if c >= int(ts.hi) {
+		c++
+	}
+	return c
 }
 
 // isolationTally accumulates what the isolation tests saw.
@@ -278,21 +398,42 @@ func isolationStep(t *testing.T, what string, cx *bbCtx, beam []*partial, n cdfg
 	victim := cx.apply(&best, &st)
 	others := append(slices.Clone(beam), kids...)
 	snaps := make([]partialSnap, len(others))
+	// One hop window past every write below, screened on every partial
+	// first, so the buffers the victim shares carry stamps when it writes.
+	to := victim.maxCycle + 2*cx.grid.NumTiles()
+	cs.reset(cx, n, &st)
 	for i, p := range others {
-		cx.cabBlacklist(p) // fill in word caches, shared tiles' too
+		checkHops(t, what, cs, p, to)
 		snaps[i] = snapshot(p)
 	}
+	checkHops(t, what, cs, victim, to)
 	writeEverything(cx, victim)
 	for i, ts := range victim.tiles {
 		if ts.refs != 1 {
 			t.Fatalf("%s: written tile %d still has %d references", what, i, ts.refs)
 		}
 	}
+	checkCounts(t, what+" written child", victim)
+	checkHops(t, what+" written child", cs, victim, to)
+	// So must a hold added to, or an instruction placed on, a private
+	// tile that carries a stamp.
+	for i := range victim.tiles {
+		c := victim.maxCycle + i
+		victim.addHold(arch.TileID(i), c, c+3)
+		checkHops(t, what+" held child", cs, victim, to)
+		ts := victim.tileW(arch.TileID(i))
+		for c = 0; ts.occupied(c); c++ {
+		}
+		occupy(ts, c)
+		victim.bump(c)
+		checkHops(t, what+" occupied child", cs, victim, to)
+	}
 	for i, p := range others {
 		if !reflect.DeepEqual(snapshot(p), snaps[i]) {
 			t.Fatalf("%s: writing one child changed partial %d of %d beam partials and %d siblings", what, i, len(beam), len(kids))
 		}
-		checkCaches(t, what, p)
+		checkCounts(t, what, p)
+		checkHops(t, what, cs, p, to)
 	}
 	cx.arena.putPartial(victim)
 	tl.steps++

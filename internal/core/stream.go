@@ -36,14 +36,30 @@ type candStream struct {
 	cands []candidate
 	dirty bool // entries appended since the heap was last ordered
 
-	// Per-call scratch of the reach screen: every tile's hop mask over
-	// cycles [from-hopReach, to], hopW words per tile.
-	hop      []uint64
+	// The reach screen's hop masks over cycles [hopOrg, to] of the
+	// current enumerate call, hopW words each: tile t's starts at
+	// hopPool[hopOff[t]]. A pass builds each distinct (tile buffer,
+	// window) pair's mask once: wins lists the pass's windows, and a
+	// tile buffer stamped with a window's generation already has its mask
+	// in the pool (see screen).
+	hopPool  []uint64
+	hopOff   []int32
+	wins     []hopWindow
+	hopGen   uint64 // the last generation handed out
 	hopOrg   int
 	hopReach int
 	hopW     int
 	acc      []uint64
 	caps     []bool
+}
+
+// hopWindow is one window of hop masks in a pass: cycles [org, to] under
+// stamp generation gen; zero is the offset of an all-clear mask, shared
+// by the blacklisted tiles.
+type hopWindow struct {
+	org, to int
+	gen     uint64
+	zero    int32
 }
 
 // slotEntry is one heap entry: a run's current slot, keyed by its bound
@@ -90,6 +106,7 @@ func (s *candStream) reset(cx *bbCtx, n cdfg.NodeID, st *Stats) {
 	s.cx, s.n, s.st = cx, n, st
 	s.heap, s.runs, s.calls, s.masks = s.heap[:0], s.runs[:0], s.calls[:0], s.masks[:0]
 	s.cands, s.dirty = s.cands[:0], false
+	s.hopPool, s.wins = s.hopPool[:0], s.wins[:0]
 }
 
 // enumerate adds p's slots at cycles [base+lo, base+hi], where base is
@@ -171,33 +188,67 @@ func (s *candStream) enumerate(p *partial, lo, hi int, tail bool) {
 	s.dirty = true
 }
 
-// screen fills the hop masks reach reads for window [from, to] under p:
+// screen points the hop masks reach reads at window [from, to] under p:
 // bit c of tile t says a move may execute on t at cycle c (the slot is
 // free, it can produce without clobbering a held output, and t is not
 // blacklisted). The masks start hopReach cycles early: the furthest back
 // a chain's first hop (the grid's diameter) or a recompute (one cycle)
-// runs before its consumer.
+// runs before its consumer. Beam siblings share most tile buffers, so a
+// mask depends only on the buffer and the window: a buffer stamped with
+// the window's generation reuses the mask built for it earlier in the
+// pass, and any write to the buffer clears the stamp.
 func (s *candStream) screen(p *partial, bl uint32, from, to int) {
 	g := s.cx.grid
 	s.hopReach = max(1, g.Rows/2+g.Cols/2)
 	s.hopOrg = from - s.hopReach
 	s.hopW = (to-s.hopOrg+64)>>6 + 1
-	s.hop = slices.Grow(s.hop[:0], g.NumTiles()*s.hopW)[:g.NumTiles()*s.hopW]
-	for t := range g.NumTiles() {
-		m := s.hop[t*s.hopW : (t+1)*s.hopW]
+	win := s.window(s.hopOrg, to)
+	nt := g.NumTiles()
+	s.hopOff = slices.Grow(s.hopOff[:0], nt)[:nt]
+	for t := range nt {
 		if bl&(1<<uint(t)) != 0 {
-			clear(m)
+			s.hopOff[t] = win.zero
 			continue
 		}
-		fillFree(m, p.tiles[t], s.hopOrg, to, true)
+		ts := p.tiles[t]
+		if ts.hopGen != win.gen {
+			off := s.grow()
+			fillFree(s.hopPool[off:int(off)+s.hopW], ts, s.hopOrg, to, true)
+			ts.hopGen, ts.hopOff = win.gen, off
+		}
+		s.hopOff[t] = ts.hopOff
 	}
+}
+
+// window returns the pass's hop window [org, to], adding it under a new
+// stamp generation on first use. Generations only grow and start at 1,
+// so a cleared stamp (0) or one from an earlier window never matches.
+func (s *candStream) window(org, to int) hopWindow {
+	for _, w := range s.wins {
+		if w.org == org && w.to == to {
+			return w
+		}
+	}
+	s.hopGen++
+	zero := s.grow()
+	clear(s.hopPool[zero : int(zero)+s.hopW])
+	w := hopWindow{org: org, to: to, gen: s.hopGen, zero: zero}
+	s.wins = append(s.wins, w)
+	return w
+}
+
+// grow adds hopW words to the mask pool and returns their offset.
+func (s *candStream) grow() int32 {
+	off := len(s.hopPool)
+	s.hopPool = slices.Grow(s.hopPool, s.hopW)[:off+s.hopW]
+	return int32(off)
 }
 
 // hopWord returns word w of tile t's hop mask shifted k cycles later:
 // bit i says a move may run on t at cycle from+64w+i-k.
 func (s *candStream) hopWord(t arch.TileID, k, w int) uint64 {
 	off := s.hopReach - k + 64*w
-	m := s.hop[int(t)*s.hopW : (int(t)+1)*s.hopW]
+	m := s.hopPool[s.hopOff[t] : int(s.hopOff[t])+s.hopW]
 	i, sh := off>>6, uint(off&63)
 	v := m[i] >> sh
 	if sh != 0 {
@@ -211,7 +262,7 @@ func (s *candStream) hopWord(t arch.TileID, k, w int) uint64 {
 // only ask there about routes that serve no slot in the window.
 func (s *candStream) hopAt(p *partial, t arch.TileID, c int) bool {
 	if i := c - s.hopOrg; i >= 0 {
-		return s.hop[int(t)*s.hopW+i>>6]&(1<<uint(i&63)) != 0
+		return s.hopPool[int(s.hopOff[t])+i>>6]&(1<<uint(i&63)) != 0
 	}
 	cx := s.cx
 	return cx.cabBlacklist(p)&(1<<uint(t)) == 0 && cx.free(p, nil, t, c) && cx.canProduce(p, nil, t, c)

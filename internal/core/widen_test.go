@@ -40,22 +40,19 @@ func slotsOf(cx *bbCtx, p *partial, n cdfg.NodeID, tail bool, passes ...[2]int) 
 func testBlockCtx(g *cdfg.Graph, b *cdfg.BasicBlock, grid *arch.Grid, opt *Options) *bbCtx {
 	n := grid.NumTiles()
 	cx := &bbCtx{
-		grid:          grid,
-		block:         b,
-		opt:           opt,
-		arena:         new(mapperArena),
-		budget:        make([]int, n),
-		soft:          make([]int, n),
-		sched:         cdfg.Analyze(b),
-		users:         cdfg.Users(b),
-		symHomes:      map[string]SymLoc{},
-		liveOutValues: map[cdfg.NodeID]bool{},
-		cab:           opt.Flow >= FlowCAB,
-		hopsBuf:       make([]arch.TileID, 0, grid.Rows+grid.Cols+2),
+		grid:     grid,
+		block:    b,
+		opt:      opt,
+		arena:    new(mapperArena),
+		budget:   make([]int, n),
+		soft:     make([]int, n),
+		sched:    cdfg.Analyze(b),
+		users:    cdfg.Users(b),
+		symHomes: map[string]SymLoc{},
+		cab:      opt.Flow >= FlowCAB,
+		hopsBuf:  make([]arch.TileID, 0, grid.Rows+grid.Cols+2),
 	}
-	for _, id := range b.LiveOut {
-		cx.liveOutValues[id] = true
-	}
+	cx.liveOutTables(nil, nil)
 	for t := range cx.budget {
 		cx.budget[t], cx.soft[t] = unconstrained, unconstrained
 		if opt.Flow.memoryAware() {

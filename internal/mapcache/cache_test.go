@@ -317,6 +317,48 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCacheDiskEntryPure: two cold compiles of one request, each in its
+// own cache directory, write byte-identical entry files. The disk hit
+// reports compile time 0; the memory tier keeps the measured time.
+func TestCacheDiskEntryPure(t *testing.T) {
+	grid := arch.MustGrid(arch.HOM32)
+	g := kernelGraph(t, "FIR")
+	opt := core.DefaultOptions(core.FlowCAB)
+	req := mapcache.Request{Graph: g, Grid: grid, Opt: opt}
+	var entries [][]byte
+	var cold mapcache.Result
+	for range 2 {
+		dir := t.TempDir()
+		var err error
+		cold, err = mapcache.New(mapcache.Config{Dir: dir}).GetOrStore(req, mapCompute(t, g, grid, opt, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, err := mapcache.EntryFiles(dir)
+		if err != nil || len(files) != 1 {
+			t.Fatalf("EntryFiles = %v, %v; want exactly one entry", files, err)
+		}
+		data, err := os.ReadFile(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, data)
+		if cold.Meta.Stats.CompileTime == 0 {
+			t.Fatal("a cold compile reports compile time 0")
+		}
+		warm, err := mapcache.New(mapcache.Config{Dir: dir}).GetOrStore(req, mapCompute(t, g, grid, opt, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Source != "disk" || warm.Meta.Stats.CompileTime != 0 || warm.Meta.Stats.Phases != (core.PhaseTimes{}) {
+			t.Fatalf("disk hit: source %q, compile time %v, phases %+v; want disk, 0, zero", warm.Source, warm.Meta.Stats.CompileTime, warm.Meta.Stats.Phases)
+		}
+	}
+	if !bytes.Equal(entries[0], entries[1]) {
+		t.Fatal("two cold compiles of one request wrote different entry files")
+	}
+}
+
 // TestCacheDiskCorruption: flipping raw bytes on disk breaks the envelope
 // checksum; the entry is rejected and recomputed, never served.
 func TestCacheDiskCorruption(t *testing.T) {

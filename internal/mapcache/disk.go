@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/core"
 	"repro/internal/verify"
 )
 
@@ -39,11 +40,17 @@ func (c *Cache) diskPath(key string) string {
 	return filepath.Join(c.cfg.Dir, fmt.Sprintf("%x%s", sum[:16], diskSuffix))
 }
 
-// encodeEnvelope serializes e in the disk-tier envelope format.
+// encodeEnvelope serializes e in the disk-tier envelope format. The
+// wall-clock stats (CompileTime, Phases) are stored as zero, so an entry
+// is a pure function of its request: two cold compiles write the same
+// bytes. A disk hit therefore reports compile time 0; the memory tier
+// keeps the measured times.
 func encodeEnvelope(e *entry) []byte {
+	meta := e.meta
+	meta.Stats.CompileTime, meta.Stats.Phases = 0, core.PhaseTimes{}
 	// Meta holds only integers, strings and integer slices, which
 	// json.Marshal always encodes.
-	metaJSON, _ := json.Marshal(e.meta)
+	metaJSON, _ := json.Marshal(meta)
 	buf := []byte(diskMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, diskVersion)
 	for _, blob := range [][]byte{[]byte(e.key), e.graphText, e.image, metaJSON} {
