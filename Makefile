@@ -67,8 +67,8 @@ metrics:
 	$(GO) run ./cmd/cgrametrics out/metrics.json
 	$(GO) run ./cmd/cgratrace out/events.trace
 
-# Live telemetry demo: the full evaluation with /metrics, /healthz,
-# /events and /debug/pprof served on :9090 while it runs (scrape with
+# Live telemetry demo: the full evaluation with /metrics, /healthz and
+# /debug/pprof served on :9090 while it runs (scrape with
 # `go run ./cmd/cgrametrics -scrape http://127.0.0.1:9090/metrics`).
 serve:
 	$(GO) run ./cmd/cgrabench -serve 127.0.0.1:9090 -linger 30s

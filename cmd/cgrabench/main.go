@@ -18,8 +18,7 @@
 //
 // -serve ADDR exposes live telemetry while the evaluation runs:
 // /metrics (Prometheus text over the instrumentation registry),
-// /healthz and /readyz, /events (live JSONL span feed) and
-// /debug/pprof. The bound address is announced on stderr as
+// /healthz and /debug/pprof. The bound address is announced on stderr as
 // "telemetry: serving on http://HOST:PORT" so scripts can scrape an
 // ephemeral :0 port; -linger keeps the server (and process) up that
 // long after the run so a scraper always finds the final counters.
@@ -67,13 +66,11 @@ func main() {
 		err = run(os.Stdout, r, *fig, *table, *gap)
 		if err == nil && rec.Enabled() {
 			fmt.Fprint(os.Stdout, r.InstrumentationSummary())
-			if reg := rec.Registry(); reg != nil {
-				rows := make([]trace.MetricRow, 0, 64)
-				for _, m := range reg.Snapshot() {
-					rows = append(rows, trace.MetricRow{Name: m.Name, Value: m.Display()})
-				}
-				fmt.Fprint(os.Stdout, trace.Metrics("instrumentation counters", rows))
+			rows := make([]trace.MetricRow, 0, 64)
+			for _, m := range rec.Registry().Snapshot() {
+				rows = append(rows, trace.MetricRow{Name: m.Name, Value: m.Display()})
 			}
+			fmt.Fprint(os.Stdout, trace.Metrics("instrumentation counters", rows))
 		}
 		err = tf.Finish(err)
 	}

@@ -114,7 +114,6 @@ func TestScrapeAndGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.SetReady(true)
 
 	var sb strings.Builder
 	if err := runScrape(&sb, srv.URL("/metrics")); err != nil {

@@ -1,8 +1,8 @@
 // Command cgratrace analyzes the event traces the toolchain records:
-// the Chrome-trace files written by the CLIs' -events flag and the JSONL
-// feeds served by the telemetry /events endpoint. It reconstructs the
-// span forest per run (validating begin/end pairing, durations and
-// per-track timestamp order on the way) and reports
+// the Chrome-trace files written by the CLIs' -events flag, or the same
+// events one JSON object per line (the form of its test fixtures). It
+// reconstructs the span forest per run (validating begin/end pairing,
+// durations and per-track timestamp order on the way) and reports
 //
 //   - per-phase attribution: total vs. self wall time per span name,
 //   - the critical path: the longest root-to-leaf span chain (through

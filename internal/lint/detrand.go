@@ -17,11 +17,12 @@ import (
 // counts of the bitstream and the memory image, and cache keys of the
 // request content, never of the process environment.
 //
-// internal/telemetry is held to the same bar: the server sits on the
-// recorder's hot path (RingSink.Emit runs inside mapper workers), so
-// its behaviour must be a function of the events it is handed — no
-// wall-clock branching, no global rand, and configuration threaded
-// through Config rather than read from the environment.
+// internal/telemetry is held to the same bar: Flags.Start builds the
+// recorder every mapper worker writes to, and the server renders that
+// recorder's registry, so both must be a function of the flags and the
+// metrics they are handed — no wall-clock branching, no global rand,
+// and configuration threaded through Flags and Config rather than read
+// from the environment.
 var detrandRule = &Rule{
 	Name: "detrand",
 	Doc:  "nondeterminism source inside the deterministic mapper, simulator, mapping cache or telemetry server",

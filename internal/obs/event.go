@@ -11,9 +11,8 @@ import (
 
 // Phase codes follow the Chrome trace_event format: "B"/"E" open and
 // close a duration span, "X" is a self-contained complete event, "i" an
-// instant event, "M" metadata. Recorder spans emit a begin/end pair (so a
-// live event stream shows spans the moment they open); the simulator's
-// cycle-domain block events stay single "X" records.
+// instant event, "M" metadata. Recorder spans emit a begin/end pair; the
+// simulator's cycle-domain block events stay single "X" records.
 const (
 	PhaseBegin    = "B"
 	PhaseEnd      = "E"
@@ -31,8 +30,8 @@ const (
 )
 
 // Event is one structured instrumentation event. Field names mirror the
-// Chrome trace_event JSON keys so one struct serves both the JSONL log
-// and the trace exporter.
+// Chrome trace_event JSON keys so one struct serves both the trace
+// exporter and the JSONL form ReadEvents accepts.
 type Event struct {
 	Name string `json:"name"`
 	Cat  string `json:"cat,omitempty"`
@@ -62,51 +61,9 @@ type Sink interface {
 	Emit(Event)
 }
 
-// JSONLSink writes each event as one JSON line — the structured event
-// log. Encoding errors are recorded and reported by Err rather than
-// interrupting the instrumented computation.
-type JSONLSink struct {
-	mu     sync.Mutex
-	enc    *json.Encoder
-	err    error
-	errCtr *Counter
-}
-
-// NewJSONLSink returns a sink writing JSON lines to w.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{enc: json.NewEncoder(w)}
-}
-
-// Meter surfaces the sink's write failures as the registry counter
-// obs.sink.errors, so a dying event log is visible on a live /metrics
-// scrape instead of only in the post-run Err check.
-func (s *JSONLSink) Meter(reg *Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.errCtr = reg.Counter("obs.sink.errors")
-}
-
-// Emit writes one event line.
-func (s *JSONLSink) Emit(e Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err == nil {
-		if s.err = s.enc.Encode(e); s.err != nil {
-			s.errCtr.Inc()
-		}
-	}
-}
-
-// Err returns the first write error, if any.
-func (s *JSONLSink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
 // BufferSink collects events in memory, bounded by Cap, for later export
-// (WriteTrace / WriteJSONL). Dropped counts events discarded past the cap
-// — truncation is reported, never silent.
+// (WriteTrace). Dropped counts events discarded past the cap — truncation
+// is reported, never silent.
 type BufferSink struct {
 	mu      sync.Mutex
 	events  []Event
@@ -164,17 +121,6 @@ func (s *BufferSink) Dropped() int64 {
 	return s.dropped
 }
 
-// WriteJSONL writes the buffered events as JSON lines.
-func (s *BufferSink) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range s.Events() {
-		if err := enc.Encode(e); err != nil {
-			return fmt.Errorf("obs: writing events: %w", err)
-		}
-	}
-	return nil
-}
-
 // WriteTrace writes the buffered events in the Chrome trace_event JSON
 // format (the {"traceEvents": [...]} object form), which chrome://tracing
 // and Perfetto's trace viewer load directly. Process-name metadata labels
@@ -209,12 +155,12 @@ func (s *BufferSink) WriteTrace(w io.Writer) error {
 }
 
 // ReadEvents parses an event artifact in either of the repository's two
-// on-disk forms: JSON lines (one Event per line — the telemetry /events
-// stream and the cgratrace fixtures) or the Chrome trace_event object
-// form the CLIs' -events flag writes ({"traceEvents": [...]}). Decoding
-// is strict — an unknown field or trailing garbage is an error naming
-// the offending line — so a corrupted or mis-routed artifact cannot pass
-// cgratrace's load check silently.
+// on-disk forms: JSON lines (one Event per line — the form of the
+// cgratrace fixtures) or the Chrome trace_event object form the CLIs'
+// -events flag writes ({"traceEvents": [...]}). Decoding is strict — an
+// unknown field or trailing garbage is an error naming the offending
+// line — so a corrupted or mis-routed artifact cannot pass cgratrace's
+// load check silently.
 func ReadEvents(r io.Reader) ([]Event, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -278,14 +224,4 @@ func decodeEvent(raw []byte) (Event, error) {
 		return Event{}, fmt.Errorf("event has no phase (not an event object?)")
 	}
 	return e, nil
-}
-
-// MultiSink fans each event out to every child sink.
-type MultiSink []Sink
-
-// Emit forwards the event to every sink.
-func (m MultiSink) Emit(e Event) {
-	for _, s := range m {
-		s.Emit(e)
-	}
 }

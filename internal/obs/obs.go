@@ -10,9 +10,9 @@
 // the BenchmarkCoreMapObsOff guard pins the mapper's off-path at zero
 // extra allocations.
 //
-// Events are exported two ways: as a JSONL log (one JSON object per
-// line, see JSONLSink) and as a Chrome trace_event file (WriteTrace)
-// that chrome://tracing and https://ui.perfetto.dev open directly.
+// Events are exported as a Chrome trace_event file (WriteTrace) that
+// chrome://tracing and https://ui.perfetto.dev open directly; ReadEvents
+// also accepts one JSON event per line.
 package obs
 
 import (

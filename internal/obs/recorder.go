@@ -74,9 +74,10 @@ func (r *Recorder) EmitEvent(e Event) {
 }
 
 // Span is an in-flight duration measurement. StartSpan emits the
-// PhaseBegin event immediately — a live /events stream shows the span
-// while it is open — and End emits the matching PhaseEnd carrying the
-// duration and args. The zero Span (from a nil recorder) is a no-op.
+// PhaseBegin event when the span opens and End emits the matching
+// PhaseEnd carrying the duration and args, so each track's events reach
+// the sink in timestamp order, the order BuildSpanForest checks. The
+// zero Span (from a nil recorder) is a no-op.
 type Span struct {
 	r    *Recorder
 	name string
@@ -102,8 +103,8 @@ func (r *Recorder) StartSpan(name, cat string, tid int) Span {
 }
 
 // End closes the span, attaching the args to the emitted end event. Dur
-// repeats the begin-to-end distance so a span is self-describing even
-// when its begin event was dropped from a bounded stream.
+// repeats the begin-to-end distance on the end event, where
+// BuildSpanForest and cgratrace read a span's duration.
 func (s Span) End(args map[string]any) {
 	if s.r == nil {
 		return
@@ -129,45 +130,20 @@ type FileRecorder struct {
 // recorder whose registry snapshot is written as JSONL to metricsPath and
 // whose events are written as a Chrome trace to eventsPath by Flush.
 // Either path may be empty; with both empty the recorder is nil (fully
-// disabled) and Flush is still safe to call.
+// disabled) and Flush is still safe to call. An enabled recorder always
+// has a registry, so a live /metrics endpoint can serve it whichever
+// artifacts were asked for.
 func FileOutputs(metricsPath, eventsPath string) *FileRecorder {
-	return FileOutputsWith(metricsPath, eventsPath, nil)
-}
-
-// FileOutputsWith is FileOutputs with an extra live sink fanned in — the
-// telemetry server's ring buffer rides alongside the file artifacts.
-// With a non-nil extra sink the registry always exists (a live /metrics
-// endpoint needs one even when no metrics file was requested) and every
-// event reaches both the buffer (when eventsPath is set) and the extra
-// sink. extra == nil degrades exactly to FileOutputs.
-func FileOutputsWith(metricsPath, eventsPath string, extra Sink) *FileRecorder {
 	f := &FileRecorder{metricsPath: metricsPath, eventsPath: eventsPath}
-	if metricsPath == "" && eventsPath == "" && extra == nil {
+	if metricsPath == "" && eventsPath == "" {
 		return f
 	}
-	var reg *Registry
-	if metricsPath != "" || extra != nil {
-		reg = NewRegistry()
-	}
-	var sinks MultiSink
+	reg := NewRegistry()
+	var sink Sink
 	if eventsPath != "" {
 		f.buf = NewBufferSink(0)
-		if reg != nil {
-			f.buf.Meter(reg)
-		}
-		sinks = append(sinks, f.buf)
-	}
-	if extra != nil {
-		sinks = append(sinks, extra)
-	}
-	var sink Sink
-	switch len(sinks) {
-	case 0:
-		// metrics-only recorder
-	case 1:
-		sink = sinks[0]
-	default:
-		sink = sinks
+		f.buf.Meter(reg)
+		sink = f.buf
 	}
 	f.Recorder = NewRecorder(reg, sink)
 	return f

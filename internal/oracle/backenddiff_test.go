@@ -44,7 +44,7 @@ func TestBackendPairByNames(t *testing.T) {
 // inversion. ORACLE_BACKEND_DIFF_N overrides the graph count and
 // ORACLE_BACKEND_DIFF_BUDGET the exact node budget (CI runs an explicit
 // bounded smoke); short mode and the race detector trim the count.
-// ORACLE_METRICS and ORACLE_SERVE attach a recorder as in TestSweepClean.
+// ORACLE_METRICS attaches a recorder as in TestSweepClean.
 func TestBackendDiffSweepClean(t *testing.T) {
 	n := 25
 	if testing.Short() {

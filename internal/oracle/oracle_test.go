@@ -105,17 +105,13 @@ func TestSweepClean(t *testing.T) {
 // sweepRecorder attaches the recorder the CI oracle smoke steps ask for
 // through the environment. ORACLE_METRICS names a JSONL file the sweep's
 // counters are flushed to when the test ends; CI validates that artifact
-// with cgrametrics. ORACLE_SERVE additionally exposes the sweep live on
-// that address (telemetry server: /metrics, /healthz, /events, announced
-// on stderr) while it runs, so a long sweep is observable from outside
-// the test process.
-// With neither set, p is left without a recorder.
+// with cgrametrics. Without it, p is left without a recorder.
 func sweepRecorder(t *testing.T, p *Pipeline) {
 	t.Helper()
-	tf := telemetry.Flags{Metrics: os.Getenv("ORACLE_METRICS"), Serve: os.Getenv("ORACLE_SERVE")}
+	tf := telemetry.Flags{Metrics: os.Getenv("ORACLE_METRICS")}
 	rec, err := tf.Start(os.Stderr)
 	if err != nil {
-		t.Fatalf("ORACLE_METRICS/ORACLE_SERVE: %v", err)
+		t.Fatalf("ORACLE_METRICS: %v", err)
 	}
 	p.Obs = rec
 	t.Cleanup(func() {

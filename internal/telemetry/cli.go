@@ -39,25 +39,25 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 
 // RegisterServe declares -serve and -linger on fs.
 func (f *Flags) RegisterServe(fs *flag.FlagSet) {
-	fs.StringVar(&f.Serve, "serve", "", "serve live telemetry (/metrics, /healthz, /events, /debug/pprof) on this address for the duration of the run (host:port; :0 picks a port, announced on stderr)")
+	fs.StringVar(&f.Serve, "serve", "", "serve live telemetry (/metrics, /healthz, /debug/pprof) on this address for the duration of the run (host:port; :0 picks a port, announced on stderr)")
 	fs.DurationVar(&f.Linger, "linger", 0, "with -serve, keep the telemetry server up this long after the run so scrapers catch the final state")
 }
 
 // Start opens what the flags ask for and returns the run's recorder (nil
-// when no flag is set). With Serve set, the recorder also feeds a live
-// event ring, and a ready server listens on Serve; its address is
-// announced on out as "telemetry: serving on http://HOST:PORT", so
-// scripts can scrape an ephemeral :0 port. The profiles start last, so
-// they cover the run alone.
+// when no flag is set). With Serve set, a server exposing the recorder's
+// registry listens on Serve; its address is announced on out as
+// "telemetry: serving on http://HOST:PORT", so scripts can scrape an
+// ephemeral :0 port. A -serve run without -metrics or -events records
+// into a registry alone. The profiles start last, so they cover the run
+// alone.
 func (f *Flags) Start(out io.Writer) (*obs.Recorder, error) {
 	f.out = out
-	if f.Serve == "" {
-		f.fr = obs.FileOutputs(f.Metrics, f.Events)
-	} else {
-		ring := NewRingSink(0)
-		f.fr = obs.FileOutputsWith(f.Metrics, f.Events, ring)
-		ring.Meter(f.fr.Registry())
-		srv, err := Start(Config{Addr: f.Serve, Registry: f.fr.Registry(), Events: ring})
+	f.fr = obs.FileOutputs(f.Metrics, f.Events)
+	if f.Serve != "" {
+		if f.fr.Recorder == nil {
+			f.fr.Recorder = obs.NewRecorder(obs.NewRegistry(), nil)
+		}
+		srv, err := Start(Config{Addr: f.Serve, Registry: f.fr.Registry()})
 		if err != nil {
 			return nil, err
 		}
@@ -72,9 +72,6 @@ func (f *Flags) Start(out io.Writer) (*obs.Recorder, error) {
 		return nil, err
 	}
 	f.stopProf = stop
-	if f.srv != nil {
-		f.srv.SetReady(true)
-	}
 	return f.fr.Recorder, nil
 }
 

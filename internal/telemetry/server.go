@@ -1,57 +1,42 @@
+// Package telemetry is the live-observability layer over internal/obs:
+// an HTTP server exposing the recorder's registry as Prometheus text
+// (/metrics), a liveness probe (/healthz) and the runtime profiler
+// (/debug/pprof). cgrabench mounts it behind -serve so a long evaluation
+// can be scraped while it executes; the span timeline stays a -events
+// file artifact, analyzed offline by cgratrace.
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// Check is one pluggable health probe. Probe returns nil when the
-// component is healthy; the error message is reported verbatim on
-// /healthz and /readyz.
-type Check struct {
-	Name  string
-	Probe func() error
-}
-
-// Config assembles a Server. Registry and Events may each be nil — the
-// corresponding endpoint then reports that it is not configured instead
-// of serving empty data, so a mis-wired CLI is diagnosable from the
-// endpoint itself.
+// Config assembles a Server.
 type Config struct {
 	// Addr is the listen address (":0" picks an ephemeral port, the form
 	// tests and CI use).
 	Addr string
-	// Registry backs /metrics.
+	// Registry backs /metrics. When nil, /metrics answers 404 instead of
+	// serving an empty page, so a mis-wired caller is diagnosable from
+	// the endpoint itself.
 	Registry *obs.Registry
-	// Events backs /events.
-	Events *RingSink
-	// Checks are evaluated on every /healthz and /readyz request.
-	Checks []Check
 }
 
 // Server is a running telemetry endpoint. Start it with Start; it serves
-// until Close. The server starts not-ready (readyz returns 503) so a
-// load balancer or script polling readiness cannot route to a CLI that
-// is still loading kernels; the embedding tool calls SetReady(true) once
-// its setup is done.
+// until Close.
 type Server struct {
-	cfg   Config
-	ln    net.Listener
-	srv   *http.Server
-	ready atomic.Bool
+	cfg Config
+	ln  net.Listener
+	srv *http.Server
 }
 
 // Start binds cfg.Addr and serves the telemetry endpoints on it. The
-// returned server is live (Addr reports the bound address) but not yet
-// ready.
+// returned server is live: Addr reports the bound address.
 func Start(cfg Config) (*Server, error) {
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -61,16 +46,15 @@ func Start(cfg Config) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/events", s.handleEvents)
+	mux.HandleFunc("/healthz", handleHealthz)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	// No write timeout: /events?follow=1 is a deliberately long-lived
-	// stream. The read timeout bounds request-header parsing only.
+	// No write timeout: /debug/pprof/profile and /debug/pprof/trace
+	// answer only after sampling for ?seconds=. The read timeout bounds
+	// request-header parsing only.
 	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	go func() {
 		// Serve returns http.ErrServerClosed on Close; other errors mean
@@ -87,10 +71,6 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // URL returns an absolute http URL for a path on this server.
 func (s *Server) URL(path string) string { return "http://" + s.Addr() + path }
 
-// SetReady flips the /readyz verdict. Tools call SetReady(true) after
-// their setup completes and may flip it back off while draining.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
 // Close stops the server and releases the listener.
 func (s *Server) Close() error {
 	return s.srv.Close()
@@ -102,7 +82,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "cgra telemetry\n\n/metrics\n/healthz\n/readyz\n/events (add ?follow=1 to stream live)\n/debug/pprof/\n")
+	fmt.Fprintf(w, "cgra telemetry\n\n/metrics\n/healthz\n/debug/pprof/\n")
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -116,99 +96,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = WritePrometheus(w, s.cfg.Registry.Snapshot())
 }
 
-// runChecks evaluates every configured check, rendering one line per
-// check, and reports whether all passed. Checks run in name order so the
-// body is deterministic.
-func (s *Server) runChecks(w http.ResponseWriter) bool {
-	checks := append([]Check(nil), s.cfg.Checks...)
-	sort.Slice(checks, func(i, j int) bool { return checks[i].Name < checks[j].Name })
-	type result struct {
-		name string
-		err  error
-	}
-	results := make([]result, 0, len(checks))
-	ok := true
-	for _, c := range checks {
-		var err error
-		if c.Probe != nil {
-			err = c.Probe()
-		}
-		if err != nil {
-			ok = false
-		}
-		results = append(results, result{c.Name, err})
-	}
+// handleHealthz answers ok while the process serves: a scraper that
+// reaches it knows the run is alive.
+func handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if !ok {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	for _, res := range results {
-		if res.err != nil {
-			fmt.Fprintf(w, "fail %s: %v\n", res.name, res.err)
-		} else {
-			fmt.Fprintf(w, "ok %s\n", res.name)
-		}
-	}
-	if ok {
-		fmt.Fprintf(w, "ok\n")
-	}
-	return ok
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.runChecks(w)
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !s.ready.Load() {
-		http.Error(w, "not ready", http.StatusServiceUnavailable)
-		return
-	}
-	s.runChecks(w)
-}
-
-// handleEvents serves the ring backlog as JSONL and, with ?follow=1,
-// keeps streaming live events until the client disconnects. A reader
-// that stops draining loses events (its subscription channel is
-// buffered, sends never block the recorder); the loss shows up on
-// /metrics as telemetry.events.dropped.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Events == nil {
-		http.Error(w, "no event stream configured", http.StatusNotFound)
-		return
-	}
-	follow := r.URL.Query().Get("follow") == "1"
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	backlog, sub := s.cfg.Events.Subscribe(0)
-	defer s.cfg.Events.Unsubscribe(sub)
-	for _, e := range backlog {
-		if err := enc.Encode(e); err != nil {
-			return
-		}
-	}
-	if !follow {
-		return
-	}
-	fl, _ := w.(http.Flusher)
-	if fl != nil {
-		fl.Flush()
-	}
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case e, ok := <-sub.C:
-			if !ok {
-				return
-			}
-			if err := enc.Encode(e); err != nil {
-				return
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-		}
-	}
+	fmt.Fprint(w, "ok\n")
 }

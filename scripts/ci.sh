@@ -93,11 +93,11 @@ rm -rf "$cache_dir" "$cold_out" "$warm_out"
 # Live telemetry smoke: run a real (small) evaluation with -serve and
 # scrape it over HTTP while it lingers. The scrape must be well-formed
 # Prometheus text with at least one sample (cgrametrics -scrape
-# validates line by line) and /healthz must answer ok. The run's
-# -events artifact then goes through cgratrace, which rejects a
+# validates line by line) and /healthz must answer exactly ok. The
+# run's -events artifact then goes through cgratrace, which rejects a
 # malformed span structure on load before it analyzes, so the whole
-# observability pipeline — recorder, ring, server, offline analysis —
-# is exercised against one live process.
+# observability pipeline — recorder, server, file artifacts, offline
+# analysis — is exercised against one live process.
 echo "== live telemetry smoke (cgrabench -serve, scrape + trace analysis)"
 tele_dir="$(mktemp -d)"
 tele_pid=""
@@ -131,7 +131,12 @@ if ! grep -q 'telemetry: lingering' "$tele_dir/stderr"; then
 fi
 go run ./cmd/cgrametrics -scrape "http://$tele_addr/metrics" > "$tele_dir/scrape.txt"
 grep -c '^core_map' "$tele_dir/scrape.txt" | sed 's/^/  core_map samples: /'
-go run ./cmd/cgrametrics -get "http://$tele_addr/healthz" | sed 's/^/  healthz: /'
+healthz="$(go run ./cmd/cgrametrics -get "http://$tele_addr/healthz")"
+echo "  healthz: $healthz"
+if [ "$healthz" != "ok" ]; then
+    echo "telemetry smoke: /healthz answered \"$healthz\", want ok" >&2
+    exit 1
+fi
 kill "$tele_pid" 2>/dev/null || true
 tele_pid=""
 echo "== telemetry artifacts (cgrametrics + cgratrace)"
