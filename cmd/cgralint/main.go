@@ -1,7 +1,7 @@
 // Command cgralint runs the repository's own static analysis
 // (internal/lint) over the module: determinism-sensitive map iteration,
-// nondeterminism sources inside the mapper, and dropped errors on
-// toolchain boundaries. It prints one finding per line as
+// nondeterminism sources inside the mapper, dropped errors on toolchain
+// boundaries, console prints, and exported API no non-test code uses. It prints one finding per line as
 // path:line:col: rule: message and exits 1 when anything is found, so
 // CI can gate on it next to go vet.
 //

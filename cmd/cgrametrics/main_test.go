@@ -116,7 +116,7 @@ func TestScrapeAndGet(t *testing.T) {
 	defer srv.Close()
 
 	var sb strings.Builder
-	if err := runScrape(&sb, srv.URL("/metrics")); err != nil {
+	if err := runScrape(&sb, "http://"+srv.Addr()+"/metrics"); err != nil {
 		t.Fatalf("scrape: %v", err)
 	}
 	if !strings.Contains(sb.String(), "core_map_calls 7") {
@@ -124,14 +124,14 @@ func TestScrapeAndGet(t *testing.T) {
 	}
 
 	sb.Reset()
-	if err := runGet(&sb, srv.URL("/healthz")); err != nil {
+	if err := runGet(&sb, "http://"+srv.Addr()+"/healthz"); err != nil {
 		t.Fatalf("get healthz: %v", err)
 	}
 	if !strings.Contains(sb.String(), "ok") {
 		t.Fatalf("healthz body:\n%s", sb.String())
 	}
 	// A 404 must fail the probe.
-	if err := runGet(&sb, srv.URL("/no-such-endpoint")); err == nil {
+	if err := runGet(&sb, "http://"+srv.Addr()+"/no-such-endpoint"); err == nil {
 		t.Fatal("get accepted a 404")
 	}
 }

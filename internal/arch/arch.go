@@ -26,9 +26,6 @@ type Tile struct {
 	CMWords int  // context-memory capacity in instruction words
 }
 
-// Num returns the 1-based tile number used in the paper's figures.
-func (t Tile) Num() int { return int(t.ID) + 1 }
-
 // Grid is a CGRA instance: a rectangular torus of tiles plus the shared
 // data-memory parameters.
 type Grid struct {

@@ -27,6 +27,28 @@ type Segment struct {
 // Words returns the context words the segment occupies.
 func (s *Segment) Words() int { return len(s.Instrs) }
 
+// Expand unrolls the segment's pnop words into idle (nil) cycles,
+// appending one cell per cycle to grid, an empty slice whose capacity is
+// the block's length. The simulator and the static analyzer decode
+// context words through it.
+func (s *Segment) Expand(grid []*isa.Instr) ([]*isa.Instr, error) {
+	blockLen := cap(grid)
+	for i := range s.Instrs {
+		in := &s.Instrs[i]
+		if in.Kind == isa.KPnop {
+			for k := 0; k < in.Count; k++ {
+				grid = append(grid, nil)
+			}
+		} else {
+			grid = append(grid, in)
+		}
+	}
+	if len(grid) != blockLen {
+		return nil, fmt.Errorf("segment spans %d cycles, block is %d", len(grid), blockLen)
+	}
+	return grid, nil
+}
+
 // TileContext is everything loaded into one tile before execution.
 type TileContext struct {
 	Tile arch.TileID

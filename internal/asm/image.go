@@ -45,9 +45,6 @@ type ImageTile struct {
 	Binary   []uint64
 }
 
-// Words returns the tile's context-word count.
-func (t *ImageTile) Words() int { return len(t.Binary) }
-
 // SaveImage serializes the program's context memories.
 func SaveImage(p *Program) ([]byte, error) {
 	var buf bytes.Buffer

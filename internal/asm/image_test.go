@@ -36,8 +36,8 @@ func TestImageRoundTrip(t *testing.T) {
 	for i := range p.Tiles {
 		want := &p.Tiles[i]
 		got := &img.Tiles[i]
-		if got.Words() != want.Words() {
-			t.Fatalf("tile %d words %d != %d", i+1, got.Words(), want.Words())
+		if len(got.Binary) != want.Words() {
+			t.Fatalf("tile %d words %d != %d", i+1, len(got.Binary), want.Words())
 		}
 		idx := 0
 		for b, seg := range want.Segments {

@@ -44,15 +44,6 @@ func (b *Builder) Block(name string) *BlockBuilder {
 	return bb
 }
 
-// SetEntry marks the named block as the graph entry.
-func (b *Builder) SetEntry(name string) {
-	bb, ok := b.byName[name]
-	if !ok {
-		panic(fmt.Sprintf("cdfg: SetEntry of unknown block %q", name))
-	}
-	b.g.Entry = bb.blk.ID
-}
-
 // Finish verifies the graph and returns it. It panics on malformed graphs:
 // the builder is used by in-repo kernel generators where a malformed graph
 // is a programming error, not an input error.
@@ -63,17 +54,11 @@ func (b *Builder) Finish() *Graph {
 	return b.g
 }
 
-// Graph returns the graph under construction without verification.
-func (b *Builder) Graph() *Graph { return b.g }
-
 // Value is a handle to a node's result, used as operands in the builder API.
 type Value struct {
 	bb *BlockBuilder
 	id NodeID
 }
-
-// ID returns the underlying node id.
-func (v Value) ID() NodeID { return v.id }
 
 // BlockBuilder adds nodes to one basic block.
 type BlockBuilder struct {
@@ -83,12 +68,6 @@ type BlockBuilder struct {
 	consts map[int32]NodeID  // value-numbered constants
 	syms   map[string]NodeID // value-numbered symbol reads
 }
-
-// ID returns the block's id.
-func (bb *BlockBuilder) ID() BBID { return bb.blk.ID }
-
-// Name returns the block's name.
-func (bb *BlockBuilder) Name() string { return bb.blk.Name }
 
 func (bb *BlockBuilder) add(n *Node) Value {
 	n.ID = NodeID(len(bb.blk.Nodes))
@@ -207,7 +186,3 @@ func (bb *BlockBuilder) BranchIf(cond Value, taken, fallthrough_ string) {
 	bb.blk.Branch = br.id
 	bb.blk.Succs = []BBID{bb.b.Block(taken).blk.ID, bb.b.Block(fallthrough_).blk.ID}
 }
-
-// Halt marks the block as a program exit (no successors). Blocks without a
-// terminator are exits by default; Halt documents the intent.
-func (bb *BlockBuilder) Halt() {}

@@ -7,10 +7,10 @@ func TestBuilderValueNumbering(t *testing.T) {
 	e := b.Block("entry")
 	c1 := e.Const(7)
 	c2 := e.Const(7)
-	if c1.ID() != c2.ID() {
+	if c1.id != c2.id {
 		t.Error("equal constants should share a node")
 	}
-	if e.Const(8).ID() == c1.ID() {
+	if e.Const(8).id == c1.id {
 		t.Error("distinct constants should not share a node")
 	}
 	e.SetSym("s", c1)
@@ -18,7 +18,7 @@ func TestBuilderValueNumbering(t *testing.T) {
 	n := b.Block("next")
 	s1 := n.Sym("s")
 	s2 := n.Sym("s")
-	if s1.ID() != s2.ID() {
+	if s1.id != s2.id {
 		t.Error("repeated symbol reads should share a node")
 	}
 	n.Store(n.Const(0), s1)
@@ -32,11 +32,10 @@ func TestBuilderEntryAndBlockReuse(t *testing.T) {
 	if again := b.Block("two"); again != two {
 		t.Error("Block should return the existing block")
 	}
-	b.SetEntry("two")
 	two.Store(two.Const(0), two.Const(1))
 	g := b.Graph()
-	if g.Blocks[g.Entry].Name != "two" {
-		t.Errorf("entry = %q, want two", g.Blocks[g.Entry].Name)
+	if g.Blocks[g.Entry].Name != "one" {
+		t.Errorf("entry = %q, want the first block, one", g.Blocks[g.Entry].Name)
 	}
 }
 
@@ -74,11 +73,6 @@ func TestBuilderPanics(t *testing.T) {
 		b := NewBuilder("x")
 		e := b.Block("a")
 		e.OpN(OpAdd, e.Const(1))
-	})
-	expectPanic(t, "unknown entry", func() {
-		b := NewBuilder("x")
-		b.Block("a")
-		b.SetEntry("nope")
 	})
 	expectPanic(t, "invalid finish", func() {
 		b := NewBuilder("x")

@@ -130,15 +130,6 @@ func (op Opcode) HasResult() bool { return op != OpStore && op != OpBr }
 // placed on a load/store tile.
 func (op Opcode) IsMem() bool { return op == OpLoad || op == OpStore }
 
-// IsCommutative reports whether the two arguments of op may be swapped.
-func (op Opcode) IsCommutative() bool {
-	switch op {
-	case OpAdd, OpMul, OpMulH, OpAnd, OpOr, OpXor, OpEq, OpNe, OpMin, OpMax:
-		return true
-	}
-	return false
-}
-
 // Node is one operation of a basic block's data-flow graph.
 type Node struct {
 	ID   NodeID
@@ -186,9 +177,6 @@ type BasicBlock struct {
 	Succs []BBID
 }
 
-// Node returns the node with the given id.
-func (b *BasicBlock) Node(id NodeID) *Node { return b.Nodes[id] }
-
 // HasBranch reports whether the block ends in a conditional branch.
 func (b *BasicBlock) HasBranch() bool { return b.Branch != None }
 
@@ -225,12 +213,6 @@ type Graph struct {
 	Entry  BBID
 }
 
-// Block returns the basic block with the given id.
-func (g *Graph) Block(id BBID) *BasicBlock { return g.Blocks[id] }
-
-// EntryBlock returns the entry basic block.
-func (g *Graph) EntryBlock() *BasicBlock { return g.Blocks[g.Entry] }
-
 // NumNodes returns the total node count over all blocks.
 func (g *Graph) NumNodes() int {
 	n := 0
@@ -238,43 +220,6 @@ func (g *Graph) NumNodes() int {
 		n += len(b.Nodes)
 	}
 	return n
-}
-
-// NumOps returns the total count of value-producing or memory/branch
-// operations, excluding constants and symbol reads (which the CGRA serves
-// from the constant register file and regular register file respectively,
-// consuming no context words).
-func (g *Graph) NumOps() int {
-	n := 0
-	for _, b := range g.Blocks {
-		for _, nd := range b.Nodes {
-			if nd.Op != OpConst && nd.Op != OpSym {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// Symbols returns all symbol names appearing anywhere in the graph, sorted.
-func (g *Graph) Symbols() []string {
-	seen := map[string]bool{}
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			if n.Op == OpSym {
-				seen[n.Sym] = true
-			}
-		}
-		for s := range b.LiveOut {
-			seen[s] = true
-		}
-	}
-	syms := make([]string, 0, len(seen))
-	for s := range seen {
-		syms = append(syms, s)
-	}
-	sort.Strings(syms)
-	return syms
 }
 
 // String renders the whole graph as a readable listing.

@@ -7,26 +7,25 @@ import (
 
 func TestOpcodeProperties(t *testing.T) {
 	cases := []struct {
-		op      Opcode
-		args    int
-		result  bool
-		mem     bool
-		commute bool
+		op     Opcode
+		args   int
+		result bool
+		mem    bool
 	}{
-		{OpConst, 0, true, false, false},
-		{OpSym, 0, true, false, false},
-		{OpAdd, 2, true, false, true},
-		{OpSub, 2, true, false, false},
-		{OpMul, 2, true, false, true},
-		{OpAbs, 1, true, false, false},
-		{OpNeg, 1, true, false, false},
-		{OpSelect, 3, true, false, false},
-		{OpLoad, 1, true, true, false},
-		{OpStore, 2, false, true, false},
-		{OpBr, 1, false, false, false},
-		{OpMove, 1, true, false, false},
-		{OpEq, 2, true, false, true},
-		{OpLt, 2, true, false, false},
+		{OpConst, 0, true, false},
+		{OpSym, 0, true, false},
+		{OpAdd, 2, true, false},
+		{OpSub, 2, true, false},
+		{OpMul, 2, true, false},
+		{OpAbs, 1, true, false},
+		{OpNeg, 1, true, false},
+		{OpSelect, 3, true, false},
+		{OpLoad, 1, true, true},
+		{OpStore, 2, false, true},
+		{OpBr, 1, false, false},
+		{OpMove, 1, true, false},
+		{OpEq, 2, true, false},
+		{OpLt, 2, true, false},
 	}
 	for _, c := range cases {
 		if got := c.op.NumArgs(); got != c.args {
@@ -37,9 +36,6 @@ func TestOpcodeProperties(t *testing.T) {
 		}
 		if got := c.op.IsMem(); got != c.mem {
 			t.Errorf("%s.IsMem() = %v, want %v", c.op, got, c.mem)
-		}
-		if got := c.op.IsCommutative(); got != c.commute {
-			t.Errorf("%s.IsCommutative() = %v, want %v", c.op, got, c.commute)
 		}
 		if !c.op.Valid() {
 			t.Errorf("%s.Valid() = false", c.op)
@@ -135,10 +131,10 @@ func TestGraphAccessorsAndString(t *testing.T) {
 	b.Block("done")
 	g := b.Finish()
 
-	if g.NumNodes() == 0 || g.NumOps() == 0 {
+	if g.NumNodes() == 0 {
 		t.Fatal("empty counts")
 	}
-	if got := g.Symbols(); len(got) != 1 || got[0] != "s" {
+	if got := graphSymbols(g); len(got) != 1 || got[0] != "s" {
 		t.Fatalf("Symbols() = %v", got)
 	}
 	s := g.String()
@@ -147,13 +143,13 @@ func TestGraphAccessorsAndString(t *testing.T) {
 			t.Errorf("String() missing %q:\n%s", want, s)
 		}
 	}
-	if !g.EntryBlock().HasBranch() {
+	if !g.Blocks[g.Entry].HasBranch() {
 		t.Error("entry should have a branch")
 	}
-	if syms := g.EntryBlock().SymReads(); len(syms) != 0 {
+	if syms := g.Blocks[g.Entry].SymReads(); len(syms) != 0 {
 		t.Errorf("entry reads %v, want none", syms)
 	}
-	if lo := g.EntryBlock().LiveOutSyms(); len(lo) != 1 || lo[0] != "s" {
+	if lo := g.Blocks[g.Entry].LiveOutSyms(); len(lo) != 1 || lo[0] != "s" {
 		t.Errorf("LiveOutSyms = %v", lo)
 	}
 }

@@ -7,3 +7,7 @@ var (
 	RefInterp = refInterp
 	RefVerify = refVerify
 )
+
+// Graph returns the graph under construction without verification, so
+// tests can build graphs Finish would reject.
+func (b *Builder) Graph() *Graph { return b.g }

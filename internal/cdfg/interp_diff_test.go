@@ -142,10 +142,13 @@ func faultingGraphs() map[string]graphCase {
 	for _, op := range []cdfg.Opcode{cdfg.OpMove, cdfg.Opcode(200)} {
 		b = cdfg.NewBuilder("evalop")
 		e = b.Block("entry")
-		v := e.OpN(cdfg.OpNeg, e.Const(3))
-		e.Store(e.Const(0), v)
+		e.Store(e.Const(0), e.OpN(cdfg.OpNeg, e.Const(3)))
 		g := b.Graph()
-		g.Blocks[0].Nodes[v.ID()].Op = op
+		for _, n := range g.Blocks[0].Nodes {
+			if n.Op == cdfg.OpNeg {
+				n.Op = op
+			}
+		}
 		out[fmt.Sprintf("no ALU semantics (%s)", op)] = graphCase{g, make(cdfg.Memory, 1)}
 	}
 

@@ -102,7 +102,7 @@ func refInterp(g *Graph, mem Memory) (*Trace, error) {
 // refVerifySymbolDefs performs a forward may-not-be-defined dataflow analysis:
 // a symbol read in block b must be defined on every path reaching b.
 func refVerifySymbolDefs(g *Graph) error {
-	all := g.Symbols()
+	all := graphSymbols(g)
 	idx := map[string]int{}
 	for i, s := range all {
 		idx[s] = i
@@ -170,4 +170,25 @@ func refCopySet(s map[int]bool) map[int]bool {
 		c[k] = true
 	}
 	return c
+}
+
+// graphSymbols returns all symbol names appearing anywhere in g, sorted.
+func graphSymbols(g *Graph) []string {
+	seen := map[string]bool{}
+	for _, b := range g.Blocks {
+		for _, n := range b.Nodes {
+			if n.Op == OpSym {
+				seen[n.Sym] = true
+			}
+		}
+		for s := range b.LiveOut {
+			seen[s] = true
+		}
+	}
+	syms := make([]string, 0, len(seen))
+	for s := range seen {
+		syms = append(syms, s)
+	}
+	sort.Strings(syms)
+	return syms
 }

@@ -6,7 +6,16 @@ import (
 	"testing/quick"
 )
 
-// TestQuickCommutativity checks that every opcode reporting commutativity
+// isCommutative reports whether the two arguments of op may be swapped.
+func isCommutative(op Opcode) bool {
+	switch op {
+	case OpAdd, OpMul, OpMulH, OpAnd, OpOr, OpXor, OpEq, OpNe, OpMin, OpMax:
+		return true
+	}
+	return false
+}
+
+// TestQuickCommutativity checks that every opcode isCommutative lists
 // actually commutes, and that EvalOp never errors on valid ALU inputs.
 func TestQuickCommutativity(t *testing.T) {
 	for op := OpAdd; op < numOpcodes; op++ {
@@ -24,7 +33,7 @@ func TestQuickCommutativity(t *testing.T) {
 			if err1 != nil || err2 != nil {
 				return false
 			}
-			if op.IsCommutative() {
+			if isCommutative(op) {
 				return x == y
 			}
 			return true

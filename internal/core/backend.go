@@ -17,14 +17,6 @@ type Capabilities struct {
 	// once per portfolio — extra seeds cannot improve them the way they
 	// improve the stochastic heuristic.
 	Exhaustive bool
-	// SeedSensitive marks a backend whose result depends on Options.Seed.
-	// The heuristic is fully seed-driven; the exact backend inherits only
-	// its warm start from the seed, so both report true.
-	SeedSensitive bool
-	// Anytime marks a backend that returns its best mapping found so far
-	// when a budget or ctx cancellation cuts the search short, instead of
-	// failing.
-	Anytime bool
 }
 
 // Backend is one mapper implementation: a strategy for producing a legal
@@ -38,8 +30,8 @@ type Backend interface {
 	Name() string
 	Capabilities() Capabilities
 	// Map maps the graph onto the grid. A nil ctx means background; a
-	// cancelled ctx makes the backend return promptly (with its incumbent
-	// for Anytime backends that already hold one, an error otherwise).
+	// cancelled ctx makes the backend return promptly (with its best
+	// mapping so far when it already holds one, an error otherwise).
 	Map(ctx context.Context, g *cdfg.Graph, grid *arch.Grid, opt Options) (*Mapping, error)
 }
 
@@ -51,9 +43,7 @@ type HeuristicBackend struct{}
 func (HeuristicBackend) Name() string { return "heuristic" }
 
 // Capabilities implements Backend.
-func (HeuristicBackend) Capabilities() Capabilities {
-	return Capabilities{SeedSensitive: true}
-}
+func (HeuristicBackend) Capabilities() Capabilities { return Capabilities{} }
 
 // Map implements Backend by delegating to the package-level Map with the
 // context threaded into the options.

@@ -71,9 +71,18 @@ func TestBackendRegistry(t *testing.T) {
 	if (core.HeuristicBackend{}).Capabilities().Exhaustive {
 		t.Fatal("the heuristic must not claim exhaustiveness")
 	}
-	caps := (core.ExactBackend{}).Capabilities()
-	if !caps.Exhaustive || !caps.Anytime {
-		t.Fatalf("exact capabilities %+v: want Exhaustive and Anytime", caps)
+	if !(core.ExactBackend{}).Capabilities().Exhaustive {
+		t.Fatal("the exact backend must claim exhaustiveness")
+	}
+	// A search cut short by its budget still returns its best mapping.
+	k, err := kernels.ByName("FIR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := conformanceOptions(core.FlowCAB)
+	opt.ExactNodeBudget = 1
+	if _, err := (core.ExactBackend{}).Map(context.Background(), k.Build(), arch.MustGrid(arch.HOM64), opt); err != nil {
+		t.Fatalf("exact search with a 1-node budget: %v", err)
 	}
 }
 

@@ -1,11 +1,11 @@
 package core
 
-import "fmt"
-
 // The symbolic dataflow engine lives in internal/verify (the "dataflow"
 // pass of the static mapping verifier), which imports this package for
 // the Mapping types — so core reaches it through a registered hook
-// instead of an import. internal/verify installs the hook from its
+// instead of an import. The engine symbolically executes every block
+// schedule and checks that each operand source delivers the value the
+// CDFG prescribes. internal/verify installs the hook from its
 // init, meaning any binary that links the verifier (the cmds, the
 // oracle, the tests) gets the dataflow post-condition automatically.
 var dataflowCheck func(*Mapping) error
@@ -14,20 +14,3 @@ var dataflowCheck func(*Mapping) error
 // It is called from internal/verify's init; later registrations replace
 // earlier ones.
 func RegisterDataflowCheck(f func(*Mapping) error) { dataflowCheck = f }
-
-// CheckDataflow symbolically executes every block schedule of the mapping
-// and verifies that each instruction's operand sources actually deliver
-// the values the CDFG prescribes: neighbor reads see the producer's value
-// still live on the output register, register reads see the right
-// register content, symbol homes hold their entry values until the
-// writeback, and every live-out symbol ends in its home register.
-//
-// It is a thin compatibility wrapper over internal/verify's dataflow
-// pass and requires that package to be linked (any import, including a
-// blank one, suffices).
-func CheckDataflow(m *Mapping) error {
-	if dataflowCheck == nil {
-		return fmt.Errorf("core: dataflow checker not linked; import repro/internal/verify to install it")
-	}
-	return dataflowCheck(m)
-}

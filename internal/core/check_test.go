@@ -46,7 +46,7 @@ func firstSlot(m *Mapping, kind SlotKind, withSrc isa.SrcKind) (bb, tile, cyc in
 
 func TestCheckDataflowDetectsCorruption(t *testing.T) {
 	t.Run("clean passes", func(t *testing.T) {
-		if err := CheckDataflow(mapped(t)); err != nil {
+		if err := dataflowCheck(mapped(t)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -62,7 +62,7 @@ func TestCheckDataflowDetectsCorruption(t *testing.T) {
 				s.Srcs[i].Reg ^= 7
 			}
 		}
-		if err := CheckDataflow(m); err == nil {
+		if err := dataflowCheck(m); err == nil {
 			t.Fatal("corrupted register operand not detected")
 		}
 	})
@@ -78,7 +78,7 @@ func TestCheckDataflowDetectsCorruption(t *testing.T) {
 				s.Srcs[i].Dir = (s.Srcs[i].Dir + 1) % 4
 			}
 		}
-		if err := CheckDataflow(m); err == nil {
+		if err := dataflowCheck(m); err == nil {
 			t.Fatal("corrupted neighbor direction not detected")
 		}
 	})
@@ -108,7 +108,7 @@ func TestCheckDataflowDetectsCorruption(t *testing.T) {
 		if !found {
 			t.Skip("no slot available on the home tile")
 		}
-		err := CheckDataflow(m)
+		err := dataflowCheck(m)
 		if err == nil {
 			t.Fatal("home clobber not detected")
 		}
@@ -128,7 +128,7 @@ func TestCheckDataflowDetectsCorruption(t *testing.T) {
 				s.Srcs[i].Val++
 			}
 		}
-		if err := CheckDataflow(m); err == nil {
+		if err := dataflowCheck(m); err == nil {
 			t.Fatal("corrupted constant not detected")
 		}
 	})

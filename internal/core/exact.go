@@ -39,12 +39,12 @@ type ExactBackend struct{}
 // Name implements Backend.
 func (ExactBackend) Name() string { return "exact" }
 
-// Capabilities implements Backend. The exact backend is exhaustive (one
-// portfolio job regardless of the seed count), seed-sensitive only
-// through its warm start, and anytime: budget exhaustion or cancellation
-// returns the best mapping found so far.
+// Capabilities implements Backend. The exact backend is exhaustive: one
+// portfolio job regardless of the seed count, since the seed only moves
+// its warm start. Budget exhaustion or cancellation returns the best
+// mapping found so far.
 func (ExactBackend) Capabilities() Capabilities {
-	return Capabilities{Exhaustive: true, SeedSensitive: true, Anytime: true}
+	return Capabilities{Exhaustive: true}
 }
 
 // resolveExactBudget picks the node budget: the explicit option, else the

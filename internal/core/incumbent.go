@@ -68,9 +68,9 @@ type incumbentRec struct {
 // those published so far.
 type incumbent struct {
 	rec atomic.Pointer[incumbentRec]
-	// tiePrune allows pruning on bound equality. It is only sound when the
-	// objective is the pure word count (PortfolioOptions.Objective == nil):
-	// a custom objective's Secondary could still win an equal-Primary tie.
+	// tiePrune allows pruning on bound equality. It is only sound without
+	// a PortfolioOptions.TieBreak, whose Secondary could still win an
+	// equal-words tie.
 	tiePrune bool
 }
 
@@ -106,8 +106,8 @@ func (inc *incumbent) publish(words int, seed int64, job int) {
 //
 // Winner invariance: let h be the current record (a completed job). A job
 // j is pruned only when (a) bound > h.words — j's final score is strictly
-// worse than a completed competitor's, so j can never win; or (b) the
-// objective is the pure word count, bound == h.words, and j loses the
+// worse than a completed competitor's, so j can never win; or (b) no
+// TieBreak is set, bound == h.words, and j loses the
 // (seed, job) tie-break to h — then even if j finished at exactly its
 // bound it would lose to h in the final deterministic scan, and h itself
 // either wins or loses only to a job that also beats j. Publishing only

@@ -88,15 +88,15 @@ func TestIncumbentPruneRules(t *testing.T) {
 		t.Fatal("equal bound, same seed, later job not pruned")
 	}
 
-	// Without tiePrune (custom objective), equality must never prune: the
-	// objective's secondary criteria could still prefer the candidate.
+	// Without tiePrune (a TieBreak is set), equality must never prune: the
+	// tie-break could still prefer the candidate.
 	strict := &incumbent{}
 	strict.publish(50, 3, 1)
 	if _, ok := strict.prune(50, 9, 9); ok {
-		t.Fatal("tie pruned under a custom objective")
+		t.Fatal("tie pruned under a tie-break")
 	}
 	if _, ok := strict.prune(51, 9, 9); !ok {
-		t.Fatal("strictly worse bound not pruned under a custom objective")
+		t.Fatal("strictly worse bound not pruned under a tie-break")
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -36,8 +37,8 @@ func TestMapSmallLoopAllFlowsAllConfigs(t *testing.T) {
 			if err := m.Validate(); err != nil {
 				t.Fatalf("%s/%s: Validate: %v", cfg, flow, err)
 			}
-			if err := CheckDataflow(m); err != nil {
-				t.Fatalf("%s/%s: CheckDataflow: %v", cfg, flow, err)
+			if err := dataflowCheck(m); err != nil {
+				t.Fatalf("%s/%s: dataflow check: %v", cfg, flow, err)
 			}
 			if flow.memoryAware() {
 				if ok, tile := m.FitsMemory(); !ok {
@@ -127,10 +128,9 @@ func TestMapKernelsMatrix(t *testing.T) {
 				}
 				for s := range m.SymHomes {
 					found := false
-					for _, sym := range g.Symbols() {
-						if sym == s {
-							found = true
-						}
+					for _, b := range g.Blocks {
+						_, live := b.LiveOut[s]
+						found = found || live || slices.Contains(b.SymReads(), s)
 					}
 					if !found {
 						t.Fatalf("%s/%s: home for unknown symbol %q", c.flow, c.cfg, s)

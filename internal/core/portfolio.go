@@ -19,11 +19,11 @@ import (
 // tie-break — applied by MapPortfolio, not by Score — is the lowest seed,
 // which makes the portfolio winner a pure function of the seed set.
 type Score struct {
-	// Primary is the dominant cost (the default objective uses total
-	// context-memory words, the quantity the paper's flow minimizes).
+	// Primary is the mapping's total context-memory words, the quantity
+	// the paper's flow minimizes.
 	Primary float64
-	// Secondary breaks Primary ties (the CLI default uses the static
-	// energy estimate from internal/power).
+	// Secondary is PortfolioOptions.TieBreak's score, 0 without one (the
+	// CLI tools use the static energy estimate from internal/power).
 	Secondary float64
 }
 
@@ -40,17 +40,6 @@ func (s Score) String() string {
 		return fmt.Sprintf("%g", s.Primary)
 	}
 	return fmt.Sprintf("%g/%.4f", s.Primary, s.Secondary)
-}
-
-// Objective scores a successful mapping. Objectives must be pure functions
-// of the mapping: they run concurrently on the portfolio workers.
-type Objective func(*Mapping) Score
-
-// WordsObjective is the default portfolio objective: total context-memory
-// words over all tiles, no tie-break (equal-word mappings then fall back
-// to the lowest seed).
-func WordsObjective(m *Mapping) Score {
-	return Score{Primary: float64(m.TotalWords())}
 }
 
 // TotalWords returns the context words the mapping occupies over all
@@ -74,8 +63,10 @@ type PortfolioOptions struct {
 	// Workers bounds the concurrently running mappers; 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Objective scores successful mappings; nil means WordsObjective.
-	Objective Objective
+	// TieBreak, when set, scores successful mappings as Score.Secondary,
+	// ordering mappings with equal word counts (lower wins). It must be a
+	// pure function of the mapping: it runs concurrently on the workers.
+	TieBreak func(*Mapping) float64
 	// Backends are the mapper backends to race; nil means the heuristic
 	// alone (the historical portfolio). Seed-sensitive backends get one
 	// job per seed; Exhaustive backends (the exact search) get a single
@@ -83,15 +74,6 @@ type PortfolioOptions struct {
 	// start, not their search space.
 	Backends []Backend
 
-	// PrimaryIsWords declares that Objective's Score.Primary equals
-	// Mapping.TotalWords() (true for power.PortfolioObjective). It enables
-	// incumbent-sharing pruning for custom objectives: jobs whose
-	// admissible word lower bound is strictly worse than a completed
-	// competitor's are abandoned. Equality never prunes under a custom
-	// objective — its Secondary could still win the tie — so the winner is
-	// unchanged. Declaring this for an objective whose Primary is not the
-	// word count voids the winner-invariance guarantee.
-	PrimaryIsWords bool
 	// NoIncumbent disables incumbent-sharing pruning entirely, restoring
 	// the run-every-seed-to-completion behavior (useful for benchmarking
 	// the pruning itself and for per-seed quality studies where losing
@@ -162,7 +144,7 @@ type PortfolioReport struct {
 	// Which losing jobs get pruned (vs. completing as losers) depends on
 	// scheduling; the winner does not.
 	Pruned bool
-	// Score is the objective's verdict (valid only when OK).
+	// Score is the job's score (valid only when OK).
 	Score Score
 	// Wall is the seed's mapping wall time (zero when the seed was
 	// cancelled before starting).
@@ -174,10 +156,10 @@ type PortfolioReport struct {
 // PortfolioResult is the outcome of a portfolio run: the winning mapping
 // plus the per-seed reports, ordered like the seed list.
 type PortfolioResult struct {
-	// Mapping is the winner under the objective.
+	// Mapping is the winner: fewest words, then TieBreak, then seed.
 	Mapping *Mapping
 	// Seed produced the winner; Backend names the backend that ran it;
-	// Score is its objective value.
+	// Score is its score.
 	Seed    int64
 	Backend string
 	Score   Score
@@ -225,7 +207,7 @@ func (r *PortfolioResult) RenderReports() string {
 }
 
 // MapPortfolio runs a portfolio of (backend, seed) jobs concurrently and
-// returns the best mapping under the objective. The heuristic flow is
+// returns the mapping with the fewest context words. The heuristic flow is
 // stochastic (the pruning step samples partial mappings, §III of the
 // paper), so different seeds reach mappings of different quality; a
 // portfolio buys quality with idle cores instead of a wider beam. With
@@ -234,21 +216,21 @@ func (r *PortfolioResult) RenderReports() string {
 // job and whose budget/ctx handling makes it a safe anytime participant
 // under the same cancellation.
 //
-// The winner is deterministic for a given job set: ties on the objective
-// break toward the lowest seed (then the earlier-listed backend), and the
-// selection scans the completed results in job order after all workers
-// finish, so neither GOMAXPROCS nor goroutine completion order can change
-// the outcome (unless ctx cancels the run early).
+// The winner is deterministic for a given job set: ties on the score
+// (words, then TieBreak) break toward the lowest seed (then the
+// earlier-listed backend), and the selection scans the completed results
+// in job order after all workers finish, so neither GOMAXPROCS nor
+// goroutine completion order can change the outcome (unless ctx cancels
+// the run early).
 //
-// When the objective's Primary is the total word count (the default, or a
-// custom objective declared via PortfolioOptions.PrimaryIsWords), workers
-// share the best completed result through an atomic incumbent and abandon
-// jobs whose admissible word lower bound (WordLowerBound, rechecked
-// between basic blocks as words commit) provably cannot beat it. Pruning
-// is winner-invariant — only jobs that would lose the deterministic
-// tie-break anyway are cut — but the per-job reports are not: which losing
-// jobs show as pruned instead of completing depends on scheduling. Set
-// PortfolioOptions.NoIncumbent to run every job to completion.
+// Workers share the best completed result through an atomic incumbent and
+// abandon jobs whose admissible word lower bound (WordLowerBound,
+// rechecked between basic blocks as words commit) provably cannot beat
+// it. Pruning is winner-invariant — only jobs that would lose the
+// deterministic tie-break anyway are cut — but the per-job reports are
+// not: which losing jobs show as pruned instead of completing depends on
+// scheduling. Set PortfolioOptions.NoIncumbent to run every job to
+// completion.
 //
 // Cancelling ctx stops workers promptly: seeds not yet started are
 // skipped, and running mappers abort at their next basic-block boundary.
@@ -262,19 +244,12 @@ func MapPortfolio(ctx context.Context, g *cdfg.Graph, grid *arch.Grid, opt Optio
 	}
 
 	work := popt.jobs(opt.Seed)
-	objective := popt.Objective
-	if objective == nil {
-		objective = WordsObjective
-	}
-	// Incumbent sharing: enabled when the objective's Primary is known to
-	// be the total word count — always true for the default objective, and
-	// declared via PrimaryIsWords for custom ones. Tie-break pruning (see
-	// incumbent.prune) additionally needs the objective to have no
-	// Secondary, i.e. the default.
+	// Pruning on a bound equal to the incumbent (see incumbent.prune) is
+	// sound only without a TieBreak, which could still win the tie.
 	var inc *incumbent
 	var lbound int
-	if !popt.NoIncumbent && (popt.Objective == nil || popt.PrimaryIsWords) {
-		inc = &incumbent{tiePrune: popt.Objective == nil}
+	if !popt.NoIncumbent {
+		inc = &incumbent{tiePrune: popt.TieBreak == nil}
 		lbound = WordLowerBound(g, grid)
 	}
 	workers := popt.Workers
@@ -357,7 +332,10 @@ func MapPortfolio(ctx context.Context, g *cdfg.Graph, grid *arch.Grid, opt Optio
 					continue
 				}
 				rep.OK = true
-				rep.Score = objective(m)
+				rep.Score = Score{Primary: float64(m.TotalWords())}
+				if popt.TieBreak != nil {
+					rep.Score.Secondary = popt.TieBreak(m)
+				}
 				mappings[i] = m
 				if inc != nil {
 					inc.publish(m.TotalWords(), job.seed, i)

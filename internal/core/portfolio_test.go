@@ -113,10 +113,10 @@ func TestPortfolioPreCancelled(t *testing.T) {
 	}
 }
 
-// TestPortfolioTieBreaks drives the objective tie-break table: a constant
-// objective must fall through to the lowest seed, a Secondary-only
-// objective must order by Secondary, and an explicit unordered seed list
-// must not bias the winner toward its first element.
+// TestPortfolioTieBreaks drives the tie-break table: with a constant
+// tie-break equal word counts must fall through to the lowest seed, a
+// TieBreak must order equal word counts by Secondary, and an explicit
+// unordered seed list must not bias the winner toward its first element.
 func TestPortfolioTieBreaks(t *testing.T) {
 	k, err := kernels.ByName("FIR")
 	if err != nil {
@@ -128,7 +128,7 @@ func TestPortfolioTieBreaks(t *testing.T) {
 
 	// expectedWinner replays the portfolio serially with plain Map and
 	// applies the documented rule: best score, ties to the lowest seed.
-	expectedWinner := func(seeds []int64, obj core.Objective) (int64, bool) {
+	expectedWinner := func(seeds []int64, tieBreak func(*core.Mapping) float64) (int64, bool) {
 		bestSeed, ok := int64(0), false
 		var bestScore core.Score
 		for _, s := range seeds {
@@ -138,7 +138,10 @@ func TestPortfolioTieBreaks(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			sc := obj(m)
+			sc := core.Score{Primary: float64(m.TotalWords())}
+			if tieBreak != nil {
+				sc.Secondary = tieBreak(m)
+			}
 			if !ok || sc.Less(bestScore) || (!bestScore.Less(sc) && s < bestSeed) {
 				bestSeed, bestScore, ok = s, sc, true
 			}
@@ -147,25 +150,25 @@ func TestPortfolioTieBreaks(t *testing.T) {
 	}
 
 	cases := []struct {
-		name  string
-		seeds []int64
-		obj   core.Objective
+		name     string
+		seeds    []int64
+		tieBreak func(*core.Mapping) float64
 	}{
-		{"constant score falls through to lowest seed", []int64{4, 2, 9}, func(*core.Mapping) core.Score { return core.Score{} }},
-		{"secondary breaks primary ties", []int64{1, 2, 3, 4}, func(m *core.Mapping) core.Score {
-			return core.Score{Primary: 1, Secondary: float64(m.TotalMoves())}
+		{"constant score falls through to lowest seed", []int64{4, 2, 9}, func(*core.Mapping) float64 { return 0 }},
+		{"secondary breaks primary ties", []int64{1, 2, 3, 4}, func(m *core.Mapping) float64 {
+			return float64(m.TotalMoves())
 		}},
-		{"default words objective", []int64{1, 2, 3, 4, 5, 6}, core.WordsObjective},
-		{"energy-tie-break objective", []int64{1, 2, 3, 4, 5, 6}, power.PortfolioObjective(power.Default())},
+		{"default words objective", []int64{1, 2, 3, 4, 5, 6}, nil},
+		{"energy-tie-break objective", []int64{1, 2, 3, 4, 5, 6}, power.Default().StaticMappingEnergy},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, ok := expectedWinner(tc.seeds, tc.obj)
+			want, ok := expectedWinner(tc.seeds, tc.tieBreak)
 			if !ok {
 				t.Fatal("no seed mapped")
 			}
 			res, err := core.MapPortfolio(context.Background(), g, grid, opt,
-				core.PortfolioOptions{Seeds: tc.seeds, Objective: tc.obj, Workers: 4})
+				core.PortfolioOptions{Seeds: tc.seeds, TieBreak: tc.tieBreak, Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +221,7 @@ func TestPortfolioGOMAXPROCSIndependence(t *testing.T) {
 	g := k.Build()
 	grid := arch.MustGrid(arch.HOM32)
 	opt := core.DefaultOptions(core.FlowCAB)
-	popt := core.PortfolioOptions{NumSeeds: 8, Objective: power.PortfolioObjective(power.Default())}
+	popt := core.PortfolioOptions{NumSeeds: 8, TieBreak: power.Default().StaticMappingEnergy}
 
 	runAt := func(procs int) (int64, core.Score, []byte) {
 		old := runtime.GOMAXPROCS(procs)

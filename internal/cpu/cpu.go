@@ -55,14 +55,6 @@ type Result struct {
 	ALUOps, Muls, Loads, Stores, Branches, Consts int64
 }
 
-// IPC returns executed instructions per cycle.
-func (r *Result) IPC() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.Instrs) / float64(r.Cycles)
-}
-
 // Run executes the graph on the core against the memory (modified in
 // place) and returns cycle and instruction counts. Symbol variables live
 // in the core's register file and cost nothing to read.

@@ -23,8 +23,8 @@ func TestRunKernelsMatchGolden(t *testing.T) {
 			if res.Cycles <= res.Instrs {
 				t.Errorf("cycles %d should exceed instrs %d (multi-cycle loads/muls)", res.Cycles, res.Instrs)
 			}
-			if ipc := res.IPC(); ipc <= 0 || ipc > 1 {
-				t.Errorf("IPC = %v out of (0,1]", ipc)
+			if res.Instrs <= 0 {
+				t.Errorf("instrs = %d, want > 0", res.Instrs)
 			}
 		})
 	}

@@ -177,17 +177,6 @@ func (in Instr) Cycles() int {
 	return 1
 }
 
-// HasResult reports whether the word produces a value on the output register.
-func (in Instr) HasResult() bool {
-	switch in.Kind {
-	case KMove:
-		return true
-	case KOp:
-		return in.Op.HasResult()
-	}
-	return false
-}
-
 func (in Instr) String() string {
 	var b strings.Builder
 	switch in.Kind {

@@ -21,12 +21,12 @@ func TestInstrConstructorsAndStrings(t *testing.T) {
 	if err := mv.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !mv.HasResult() || mv.Cycles() != 1 {
-		t.Error("move result/cycles")
+	if mv.Cycles() != 1 {
+		t.Error("move cycles")
 	}
 	p := Pnop(5)
-	if p.Cycles() != 5 || p.HasResult() {
-		t.Error("pnop cycles/result")
+	if p.Cycles() != 5 {
+		t.Error("pnop cycles")
 	}
 	if s := p.String(); s != "pnop 5" {
 		t.Errorf("pnop string %q", s)

@@ -14,10 +14,15 @@
 //   - noprint: direct fmt.Print*/log.* console output inside the mapper
 //     (internal/core) or simulator (internal/sim), whose diagnostics must
 //     flow through errors or the obs recorder.
+//   - unusedapi: an exported function, method, type or variable that no
+//     non-test code of the module uses. Its allow-list may hold only
+//     reference models the tests check production code against,
+//     test-support API shared across packages, and fault-injection
+//     helpers, each with a reason.
 //
 // The rules run over the module's non-test sources; _test.go files may
-// break and print from map ranges freely. Command cgralint is the CLI,
-// and scripts/ci.sh runs it on every build.
+// break and print from map ranges freely, and do not count as users.
+// Command cgralint is the CLI, and scripts/ci.sh runs it on every build.
 package lint
 
 import (
@@ -59,11 +64,14 @@ type Rule struct {
 	Applies func(pkgPath string) bool
 	// Check reports the rule's findings in the package.
 	Check func(p *Package) []Finding
+	// CheckModule, set instead of Check, reports findings that need
+	// every loaded package at once.
+	CheckModule func(pkgs []*Package) []Finding
 }
 
 // Rules returns the full rule set.
 func Rules() []*Rule {
-	return []*Rule{maprangeRule, detrandRule, errcheckRule, noprintRule}
+	return []*Rule{maprangeRule, detrandRule, errcheckRule, noprintRule, unusedapiRule}
 }
 
 // Analyze loads every non-test package under the module rooted at root
@@ -81,12 +89,19 @@ func Analyze(root string, rules []*Rule) ([]Finding, error) {
 		return nil, err
 	}
 	var out []Finding
+	pkgs := make([]*Package, 0, len(paths))
 	for _, path := range paths {
 		p, err := l.load(path)
 		if err != nil {
 			return nil, fmt.Errorf("lint: loading %s: %w", path, err)
 		}
+		pkgs = append(pkgs, p)
 		out = append(out, check(p, rules)...)
+	}
+	for _, r := range rules {
+		if r.CheckModule != nil {
+			out = append(out, r.CheckModule(pkgs)...)
+		}
 	}
 	sortFindings(out)
 	return out, nil
@@ -96,7 +111,7 @@ func Analyze(root string, rules []*Rule) ([]Finding, error) {
 func check(p *Package, rules []*Rule) []Finding {
 	var out []Finding
 	for _, r := range rules {
-		if r.Applies != nil && !r.Applies(p.Path) {
+		if r.Check == nil || r.Applies != nil && !r.Applies(p.Path) {
 			continue
 		}
 		out = append(out, r.Check(p)...)

@@ -6,6 +6,8 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -390,7 +392,7 @@ func TestAnalyzeSortsFindings(t *testing.T) {
 func TestRulesMetadata(t *testing.T) {
 	seen := map[string]bool{}
 	for _, r := range Rules() {
-		if r.Name == "" || r.Doc == "" || r.Check == nil {
+		if r.Name == "" || r.Doc == "" || (r.Check == nil) == (r.CheckModule == nil) {
 			t.Errorf("rule %+v misses metadata", r)
 		}
 		if seen[r.Name] {
@@ -499,6 +501,97 @@ func Good(t0 time.Time) time.Duration {
 	for _, f := range fs {
 		if f.Rule == "detrand" && !strings.Contains(f.Msg, "telemetry server") {
 			t.Errorf("telemetry finding does not name the telemetry server: %q", f.Msg)
+		}
+	}
+}
+
+// TestUnusedAPIFixture runs the unusedapi rule over a throwaway module:
+// a library package, a test file in it, and a package main that uses
+// part of the library the way bench/ uses the toolchain.
+func TestUnusedAPIFixture(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module scratch\n\ngo 1.22\n",
+		"lib/lib.go": `package lib
+
+import "fmt"
+
+type Shape interface{ Area() int }
+
+type Square struct{ N int }
+
+func (s Square) Area() int      { return s.N * s.N } // satisfies Shape
+func (s Square) String() string { return fmt.Sprint(s.N) }
+func (s Square) Perimeter() int { return 4 * s.N } // flagged
+
+type Failure struct{}
+
+func (Failure) Error() string { return "failure" }
+
+func Describe(s Shape) int { return s.Area() }
+func Unused()              {} // flagged
+func TestOnly()            {} // flagged: only lib_test.go calls it
+func Kept()                {} // allow-listed
+func UsedByMain() error    { return Failure{} }
+
+var Table = []int{1} // flagged
+`,
+		"lib/lib_test.go": `package lib
+
+import "testing"
+
+func TestLib(t *testing.T) { TestOnly() }
+`,
+		"bench/main.go": `package main
+
+import "scratch/lib"
+
+func main() {
+	_ = lib.Describe(lib.Square{N: 2})
+	_ = lib.UsedByMain()
+}
+`,
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rule := &Rule{Name: "unusedapi", Doc: "fixture", CheckModule: func(ps []*Package) []Finding {
+		return checkUnusedAPI(ps, map[string]string{
+			"scratch/lib.Kept":    "kept on purpose",
+			"scratch/lib.Missing": "names nothing",
+		})
+	}}
+	fs, err := Analyze(dir, []*Rule{rule})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range fs {
+		got = append(got, f.Msg)
+	}
+	want := []string{
+		"lib.Square.Perimeter has no non-test user",
+		"lib.Unused has no non-test user",
+		"lib.TestOnly has no non-test user",
+		"lib.Table has no non-test user",
+		"allow-list entry scratch/lib.Missing covers no unused symbol",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d findings, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
+	}
+	for _, w := range want {
+		found := false
+		for _, g := range got {
+			found = found || strings.HasPrefix(g, w)
+		}
+		if !found {
+			t.Errorf("missing finding %q in:\n%s", w, strings.Join(got, "\n"))
 		}
 	}
 }

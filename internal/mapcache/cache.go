@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -185,18 +184,6 @@ func New(cfg Config) *Cache {
 		c.shards[i].inflight = make(map[string]*flight)
 	}
 	return c
-}
-
-// Len returns the in-memory entry count.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // shardOf picks the shard from the leading bytes of the graph digest.
@@ -405,19 +392,4 @@ func (c *Cache) remove(sh *shard, key string) {
 		sh.lru.Remove(el)
 		delete(sh.entries, key)
 	}
-}
-
-// Keys returns the sorted in-memory keys (test support).
-func (c *Cache) Keys() []string {
-	var keys []string
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k := range s.entries {
-			keys = append(keys, k)
-		}
-		s.mu.Unlock()
-	}
-	sort.Strings(keys)
-	return keys
 }

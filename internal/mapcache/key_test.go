@@ -47,6 +47,12 @@ func permuteGraph(t *testing.T, g *cdfg.Graph, rng *rand.Rand) *cdfg.Graph {
 	return ng
 }
 
+// commutes holds the binary opcodes whose two arguments may be swapped.
+var commutes = map[cdfg.Opcode]bool{
+	cdfg.OpAdd: true, cdfg.OpMul: true, cdfg.OpMulH: true, cdfg.OpAnd: true, cdfg.OpOr: true,
+	cdfg.OpXor: true, cdfg.OpEq: true, cdfg.OpNe: true, cdfg.OpMin: true, cdfg.OpMax: true,
+}
+
 func permuteBlockNodes(b *cdfg.BasicBlock, rng *rand.Rand) {
 	n := len(b.Nodes)
 	if n == 0 {
@@ -121,7 +127,7 @@ func permuteBlockNodes(b *cdfg.BasicBlock, rng *rand.Rand) {
 		for ai, a := range nd.Args {
 			nd.Args[ai] = newID[a]
 		}
-		if nd.Op.IsCommutative() && len(nd.Args) == 2 && rng.Intn(2) == 1 {
+		if commutes[nd.Op] && rng.Intn(2) == 1 {
 			nd.Args[0], nd.Args[1] = nd.Args[1], nd.Args[0]
 		}
 		nodes[pos] = nd

@@ -146,13 +146,10 @@ func (j *Job) Compile() (Compiled, error) {
 	compute := func() (mapcache.Computed, error) {
 		if j.portfolio() {
 			res, err := core.MapPortfolio(context.Background(), j.Graph, j.Grid, j.Opt, core.PortfolioOptions{
-				NumSeeds:  j.Flags.Seeds,
-				Workers:   j.Flags.Parallel,
-				Backends:  j.Backends,
-				Objective: power.PortfolioObjective(power.Default()),
-				// The objective's Primary is TotalWords, so incumbent-sharing
-				// pruning is winner-invariant here.
-				PrimaryIsWords: true,
+				NumSeeds: j.Flags.Seeds,
+				Workers:  j.Flags.Parallel,
+				Backends: j.Backends,
+				TieBreak: power.Default().StaticMappingEnergy,
 			})
 			if err != nil {
 				return mapcache.Computed{}, err

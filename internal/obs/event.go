@@ -62,13 +62,12 @@ type Sink interface {
 }
 
 // BufferSink collects events in memory, bounded by Cap, for later export
-// (WriteTrace). Dropped counts events discarded past the cap — truncation
-// is reported, never silent.
+// (WriteTrace). Events past the cap are dropped and counted on the
+// registry counter Meter installs.
 type BufferSink struct {
 	mu      sync.Mutex
 	events  []Event
 	cap     int
-	dropped int64
 	dropCtr *Counter
 }
 
@@ -100,7 +99,6 @@ func (s *BufferSink) Emit(e Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.events) >= s.cap {
-		s.dropped++
 		s.dropCtr.Inc()
 		return
 	}
@@ -112,13 +110,6 @@ func (s *BufferSink) Events() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Event(nil), s.events...)
-}
-
-// Dropped returns how many events were discarded past the cap.
-func (s *BufferSink) Dropped() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
 }
 
 // WriteTrace writes the buffered events in the Chrome trace_event JSON

@@ -38,7 +38,7 @@ func TestSweepObs(t *testing.T) {
 			if got := reg.Counter(tc.prefix + "graphs").Value(); got != n {
 				t.Errorf("%sgraphs = %d, want %d", tc.prefix, got, n)
 			}
-			for o, want := range rep.Counts() {
+			for o, want := range outcomeCounts(rep) {
 				name := tc.prefix + "outcome." + outcomeCounter(o)
 				if got := reg.Counter(name).Value(); got != int64(want) {
 					t.Errorf("%s = %d, want %d", name, got, want)

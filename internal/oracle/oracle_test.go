@@ -93,7 +93,7 @@ func TestSweepClean(t *testing.T) {
 				f.Index, f.Seed, bug.Cell, bug.Outcome, bug.Err)
 		}
 	}
-	counts := rep.Counts()
+	counts := outcomeCounts(rep)
 	if counts[Pass] == 0 {
 		t.Fatal("sweep produced no passing cell at all")
 	}
@@ -388,4 +388,15 @@ func TestCheckReportsNoMappingCleanly(t *testing.T) {
 			}
 		}
 	}
+}
+
+// outcomeCounts sums a sweep report's outcomes over the whole matrix.
+func outcomeCounts(r *SweepReport) map[Outcome]int {
+	total := map[Outcome]int{}
+	for _, m := range r.ByCell {
+		for o, n := range m {
+			total[o] += n
+		}
+	}
+	return total
 }

@@ -62,17 +62,6 @@ type SweepReport struct {
 	Failures []GraphResult
 }
 
-// Counts sums outcomes over the whole matrix.
-func (r *SweepReport) Counts() map[Outcome]int {
-	total := map[Outcome]int{}
-	for _, m := range r.ByCell {
-		for o, n := range m {
-			total[o] += n
-		}
-	}
-	return total
-}
-
 // String renders a per-cell outcome table.
 func (r *SweepReport) String() string {
 	var sb strings.Builder

@@ -12,7 +12,8 @@ import (
 // closely enough to rank mappings of the same kernel on the same grid —
 // its only job in the seed portfolio — because mappings differ mainly in
 // context words and moves, which this model prices exactly like
-// CGRAEnergy does.
+// CGRAEnergy does. The CLI tools pass it as the portfolio's
+// PortfolioOptions.TieBreak.
 func (p Params) StaticMappingEnergy(m *core.Mapping) float64 {
 	e := p.ConfigWord * float64(m.Grid.TotalCM())
 	leakPerCycle := p.LeakGlobal
@@ -24,17 +25,4 @@ func (p Params) StaticMappingEnergy(m *core.Mapping) float64 {
 	e += p.ALUEnergy*float64(m.TotalOps()) + p.MoveEnergy*float64(m.TotalMoves())
 	e += leakPerCycle * float64(m.StaticCycles(nil))
 	return e * pJtoUJ
-}
-
-// PortfolioObjective is the CLI tools' default portfolio objective:
-// minimize total context-memory words (the paper's constraint quantity),
-// break ties by the static energy estimate; MapPortfolio itself breaks
-// remaining ties toward the lowest seed.
-func PortfolioObjective(p Params) core.Objective {
-	return func(m *core.Mapping) core.Score {
-		return core.Score{
-			Primary:   float64(m.TotalWords()),
-			Secondary: p.StaticMappingEnergy(m),
-		}
-	}
 }

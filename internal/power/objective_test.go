@@ -1,6 +1,7 @@
 package power
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/arch"
@@ -35,15 +36,26 @@ func TestStaticMappingEnergy(t *testing.T) {
 	}
 }
 
+// TestPortfolioObjectiveOrdering checks the CLI tools' portfolio
+// objective: the winner's score is its word count, tie-broken by the
+// static energy estimate.
 func TestPortfolioObjectiveOrdering(t *testing.T) {
-	obj := PortfolioObjective(Default())
-	m := mapFIR(t, arch.HOM32)
-	s := obj(m)
+	k, err := kernels.ByName("FIR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Default()
+	res, err := core.MapPortfolio(context.Background(), k.Build(), arch.MustGrid(arch.HOM32),
+		core.DefaultOptions(core.FlowCAB), core.PortfolioOptions{NumSeeds: 2, TieBreak: p.StaticMappingEnergy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, m := res.Score, res.Mapping
 	if s.Primary != float64(m.TotalWords()) {
 		t.Errorf("primary %g, want total words %d", s.Primary, m.TotalWords())
 	}
-	if s.Secondary <= 0 {
-		t.Errorf("secondary %g, want a positive energy estimate", s.Secondary)
+	if s.Secondary != p.StaticMappingEnergy(m) || s.Secondary <= 0 {
+		t.Errorf("secondary %g, want the positive energy estimate %g", s.Secondary, p.StaticMappingEnergy(m))
 	}
 	// Score ordering: fewer words dominates any energy difference.
 	a := core.Score{Primary: 10, Secondary: 99}

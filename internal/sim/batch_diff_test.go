@@ -149,36 +149,30 @@ func corruptStoreValues(prog *asm.Program, v int32) {
 	}
 }
 
-// TestBatchVerifiedMismatchTruncation checks the batched verifier's
-// divergence behavior against a hand-computed scalar reference: each
-// lane of RunBatchVerified on a store-corrupted program must report a
-// *DivergenceError with the same mismatches as the scalar interpreter
-// diffed against the CDFG reference, truncated to WithMaxMismatches but
-// with the full Total.
-func TestBatchVerifiedMismatchTruncation(t *testing.T) {
+// TestMismatchCap checks RunVerified's divergence report against a
+// hand-computed scalar reference: on a store-corrupted program, every
+// input must report a *DivergenceError with the same mismatches as the
+// scalar interpreter diffed against the CDFG reference, truncated to
+// MaxMismatches but with the full Total.
+func TestMismatchCap(t *testing.T) {
 	k, err := kernels.ByName("FIR")
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := assembleCell(t, k, oracle.ModeCAB, arch.HOM64)
 	corruptStoreValues(prog, 0x5aa5a5)
-
-	const cap = 2
-	s, err := sim.New(prog, sim.WithMaxMismatches(cap))
+	s, err := sim.New(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const B = 3
-	initials := make([]cdfg.Memory, B)
-	wants := make([]*sim.DivergenceError, B)
-	for l := range initials {
-		initials[l] = laneMemory(k.Init(), l)
+	for l := 0; l < 3; l++ {
+		initial := laneMemory(k.Init(), l)
 		// Scalar reference divergence, truncated by hand.
-		ref := initials[l].Clone()
+		ref := initial.Clone()
 		if _, err := cdfg.Interp(prog.Graph, ref); err != nil {
 			t.Fatal(err)
 		}
-		got := initials[l].Clone()
+		got := initial.Clone()
 		res, err := s.RunScalar(got)
 		if err != nil {
 			t.Fatal(err)
@@ -187,46 +181,25 @@ func TestBatchVerifiedMismatchTruncation(t *testing.T) {
 		for i := range ref {
 			if ref[i] != got[i] {
 				want.Total++
-				if len(want.Mismatches) < cap {
+				if len(want.Mismatches) < sim.MaxMismatches {
 					want.Mismatches = append(want.Mismatches, sim.Mismatch{Addr: i, Ref: ref[i], Got: got[i]})
 				}
 			}
 		}
-		if want.Total <= cap {
-			t.Fatalf("lane %d: corruption produced only %d mismatches, need > %d to see truncation", l, want.Total, cap)
+		if want.Total <= sim.MaxMismatches {
+			t.Fatalf("input %d: corruption produced only %d mismatches, need > %d to see truncation", l, want.Total, sim.MaxMismatches)
 		}
-		wants[l] = want
-	}
 
-	_, _, mems, err := s.Engine().RunBatchVerified(initials)
-	if err == nil {
-		t.Fatal("RunBatchVerified on corrupted program did not fail")
-	}
-	var be *sim.BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("error is %T, want *sim.BatchError", err)
-	}
-	if len(be.Errs) != B {
-		t.Fatalf("BatchError has %d lanes, want %d", len(be.Errs), B)
-	}
-	// errors.As must surface a lane's DivergenceError through the batch.
-	var div *sim.DivergenceError
-	if !errors.As(err, &div) {
-		t.Fatal("errors.As found no *DivergenceError inside the BatchError")
-	}
-	for l := 0; l < B; l++ {
-		if mems[l] != nil {
-			t.Fatalf("lane %d: diverged lane returned a verified memory", l)
+		_, _, mem, err := s.RunVerified(initial)
+		var div *sim.DivergenceError
+		if !errors.As(err, &div) {
+			t.Fatalf("input %d: error is %v, want *DivergenceError", l, err)
 		}
-		var laneDiv *sim.DivergenceError
-		if !errors.As(be.Errs[l], &laneDiv) {
-			t.Fatalf("lane %d: error is %T, want *DivergenceError", l, be.Errs[l])
+		if mem != nil {
+			t.Fatalf("input %d: diverged run returned a verified memory", l)
 		}
-		if !reflect.DeepEqual(laneDiv, wants[l]) {
-			t.Fatalf("lane %d: divergence differs from scalar reference\n got %+v\nwant %+v", l, laneDiv, wants[l])
-		}
-		if len(laneDiv.Mismatches) != cap {
-			t.Fatalf("lane %d: recorded %d mismatches, want cap %d", l, len(laneDiv.Mismatches), cap)
+		if !reflect.DeepEqual(div, want) {
+			t.Fatalf("input %d: divergence differs from scalar reference\n got %+v\nwant %+v", l, div, want)
 		}
 	}
 }

@@ -116,10 +116,10 @@ func copyThroughGraph() *cdfg.Graph {
 }
 
 // TestBatchSingleLaneDivergence: with the store value corrupted to a
-// constant K, a lane whose input already holds K at the source address
-// verifies clean while every other lane diverges — the batch verifier
-// must blame exactly the diverging lanes, with per-lane mismatch
-// detail, and still return verified memories for the clean ones.
+// constant K, an input that already holds K at the source address
+// verifies clean while every other input diverges — the verifier must
+// blame exactly the diverging inputs, with mismatch detail, and still
+// return the verified memory for the clean one.
 func TestBatchSingleLaneDivergence(t *testing.T) {
 	const magic = 42
 	prog := buildProgram(t, copyThroughGraph())
@@ -135,18 +135,16 @@ func TestBatchSingleLaneDivergence(t *testing.T) {
 		{magic, 0, 0, 0},
 		{-3, 0, 0, 0},
 	}
-	results, _, mems, err := s.Engine().RunBatchVerified(initials)
-	if err == nil {
-		t.Fatal("RunBatchVerified did not report the diverging lanes")
-	}
-	var be *sim.BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("error is %T, want *sim.BatchError", err)
+	results := make([]*sim.Result, len(initials))
+	mems := make([]cdfg.Memory, len(initials))
+	errs := make([]error, len(initials))
+	for l, initial := range initials {
+		results[l], _, mems[l], errs[l] = s.RunVerified(initial)
 	}
 	for _, l := range []int{0, 2} {
 		var div *sim.DivergenceError
-		if !errors.As(be.Errs[l], &div) {
-			t.Fatalf("lane %d: error is %v, want *DivergenceError", l, be.Errs[l])
+		if !errors.As(errs[l], &div) {
+			t.Fatalf("lane %d: error is %v, want *DivergenceError", l, errs[l])
 		}
 		if div.Total != 1 || div.Mismatches[0].Addr != 1 || div.Mismatches[0].Got != magic {
 			t.Fatalf("lane %d: unexpected divergence detail %+v", l, div)
@@ -159,8 +157,8 @@ func TestBatchSingleLaneDivergence(t *testing.T) {
 			t.Fatalf("lane %d: diverged lane returned a verified memory", l)
 		}
 	}
-	if be.Errs[1] != nil {
-		t.Fatalf("clean lane blamed: %v", be.Errs[1])
+	if errs[1] != nil {
+		t.Fatalf("clean lane blamed: %v", errs[1])
 	}
 	if mems[1] == nil || mems[1][1] != magic {
 		t.Fatalf("clean lane memory not verified: %v", mems[1])

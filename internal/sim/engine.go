@@ -467,19 +467,10 @@ func addScaled(dst, src *TileCounters, k int64) {
 }
 
 // Engine executes a program on batches of independent input memories.
-// It shares the simulator's options (mismatch cap, obs recorder) and the
-// program's memoized lowered form; constructing one is cheap.
+// It shares the simulator's obs recorder and the program's memoized
+// lowered form; constructing one is cheap.
 type Engine struct {
 	s *Sim
-}
-
-// NewEngine prepares a batched engine for the program.
-func NewEngine(p *asm.Program, opts ...Option) (*Engine, error) {
-	s, err := New(p, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{s: s}, nil
 }
 
 // Engine returns a batched execution engine sharing this simulator's
@@ -488,8 +479,7 @@ func (s *Sim) Engine() *Engine { return &Engine{s: s} }
 
 // BatchError aggregates per-lane failures of a RunBatch. Errs always has
 // one entry per lane; nil entries are lanes that completed. Unwrap
-// exposes the failed lanes so errors.As finds lane errors (for example
-// *DivergenceError from RunBatchVerified).
+// exposes the failed lanes so errors.As finds lane errors.
 type BatchError struct {
 	Errs []error
 }

@@ -11,6 +11,15 @@ import (
 	"repro/internal/sim"
 )
 
+// totalActivity sums an activity report's per-tile counters.
+func totalActivity(a *sim.ActivityReport) sim.TileCounters {
+	var t sim.TileCounters
+	for _, tc := range a.Tiles {
+		t.Add(tc)
+	}
+	return t
+}
+
 // TestActivityDecomposition pins the op-class counter invariants the
 // activity report is built on: the per-class counters must exactly
 // partition the aggregate cycle and fetch counters.
@@ -34,7 +43,7 @@ func TestActivityDecomposition(t *testing.T) {
 				i+1, tc.OpCycles, tc.MoveCycles, tc.PnopFetches, tc.Fetches)
 		}
 	}
-	total := act.Total()
+	total := totalActivity(act)
 	if total.ALUOps == 0 || total.MemOps == 0 {
 		t.Errorf("FIR ran with no ALU (%d) or memory (%d) operations", total.ALUOps, total.MemOps)
 	}
@@ -74,7 +83,7 @@ func TestRunWithObs(t *testing.T) {
 	if got := rec.Counter("sim.cycles").Value(); got != res.Cycles {
 		t.Errorf("sim.cycles = %d, want %d", got, res.Cycles)
 	}
-	total := res.Activity().Total()
+	total := totalActivity(res.Activity())
 	if got := rec.Counter("sim.alu_ops").Value(); got != total.ALUOps {
 		t.Errorf("sim.alu_ops = %d, want %d", got, total.ALUOps)
 	}
@@ -87,7 +96,7 @@ func TestRunWithObs(t *testing.T) {
 		execs += n
 	}
 	events := sink.Events()
-	if int64(len(events)) != execs && int64(len(events))+sink.Dropped() < execs {
+	if int64(len(events)) != execs {
 		t.Errorf("captured %d block events for %d block executions", len(events), execs)
 	}
 	var lastEnd float64

@@ -85,15 +85,6 @@ func (r *Result) Activity() *ActivityReport {
 	}
 }
 
-// Total sums the per-tile counters.
-func (a *ActivityReport) Total() TileCounters {
-	var t TileCounters
-	for i := range a.Tiles {
-		t.Add(a.Tiles[i])
-	}
-	return t
-}
-
 // Result is one simulated execution.
 type Result struct {
 	// Cycles is the total execution time including stalls (and excluding
@@ -124,8 +115,6 @@ type Sim struct {
 	// low is the pre-decoded struct-of-arrays form the engine executes
 	// (see engine.go), built once per program next to expanded.
 	low *lowered
-	// maxMismatches caps the divergent words a RunVerified failure records.
-	maxMismatches int
 	// obs, when non-nil, receives run counters and the cycle-domain block
 	// timeline (see WithObs).
 	obs *obs.Recorder
@@ -133,17 +122,6 @@ type Sim struct {
 
 // Option configures a simulator instance.
 type Option func(*Sim)
-
-// WithMaxMismatches caps how many divergent words RunVerified records in a
-// DivergenceError (the total is always counted). Values < 1 keep the
-// default.
-func WithMaxMismatches(n int) Option {
-	return func(s *Sim) {
-		if n >= 1 {
-			s.maxMismatches = n
-		}
-	}
-}
 
 // WithObs attaches an instrumentation recorder: each Run publishes its
 // aggregate activity counters and stamps one timeline event per
@@ -171,7 +149,7 @@ type decodedContexts struct {
 
 // New prepares a simulator for the program.
 func New(p *asm.Program, opts ...Option) (*Sim, error) {
-	s := &Sim{prog: p, maxMismatches: DefaultMaxMismatches}
+	s := &Sim{prog: p}
 	for _, o := range opts {
 		o(s)
 	}
@@ -188,7 +166,7 @@ func New(p *asm.Program, opts ...Option) (*Sim, error) {
 		L := p.BlockLens[bb]
 		cells := make([]*isa.Instr, n*L) // the block's grids, tile by tile
 		for t := range s.expanded[bb] {
-			grid, err := expand(&p.Tiles[t].Segments[bb], cells[t*L:t*L:(t+1)*L])
+			grid, err := p.Tiles[t].Segments[bb].Expand(cells[t*L : t*L : (t+1)*L])
 			if err != nil {
 				return nil, fmt.Errorf("sim: tile %d block %q: %w", t+1, p.Graph.Blocks[bb].Name, err)
 			}
@@ -201,26 +179,6 @@ func New(p *asm.Program, opts ...Option) (*Sim, error) {
 		s.obs.Counter("sim.engine.predecode_ns").Add(time.Since(start).Nanoseconds())
 	}
 	return s, nil
-}
-
-// expand unrolls a segment's pnop words into idle cycles, appending
-// them to grid, an empty slice whose capacity is the block's length.
-func expand(seg *asm.Segment, grid []*isa.Instr) ([]*isa.Instr, error) {
-	blockLen := cap(grid)
-	for i := range seg.Instrs {
-		in := &seg.Instrs[i]
-		if in.Kind == isa.KPnop {
-			for k := 0; k < in.Count; k++ {
-				grid = append(grid, nil)
-			}
-		} else {
-			grid = append(grid, in)
-		}
-	}
-	if len(grid) != blockLen {
-		return nil, fmt.Errorf("segment spans %d cycles, block is %d", len(grid), blockLen)
-	}
-	return grid, nil
 }
 
 // Run executes the program against the memory (modified in place). It

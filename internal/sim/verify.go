@@ -7,9 +7,9 @@ import (
 	"repro/internal/cdfg"
 )
 
-// DefaultMaxMismatches is the default cap on how many divergent words a
-// DivergenceError records; override per simulator with WithMaxMismatches.
-const DefaultMaxMismatches = 16
+// MaxMismatches caps how many divergent words a DivergenceError records
+// (Total always counts all of them).
+const MaxMismatches = 16
 
 // Mismatch is one divergent data-memory word.
 type Mismatch struct {
@@ -20,15 +20,15 @@ type Mismatch struct {
 
 // DivergenceError reports that a simulated execution produced a final
 // data memory different from the CDFG reference interpreter — a mapping,
-// assembler or simulator bug. It records every mismatched word up to the
-// simulator's cap so differential harnesses (internal/oracle) can classify
+// assembler or simulator bug. It records every mismatched word up to
+// MaxMismatches so differential harnesses (internal/oracle) can classify
 // and shrink failures with errors.As instead of string matching.
 type DivergenceError struct {
 	// Kernel is the graph name; Config names the grid configuration.
 	Kernel string
 	Config string
-	// Mismatches holds the first divergent words in address order, capped
-	// by the simulator's mismatch limit; Total counts all of them.
+	// Mismatches holds the first divergent words in address order, at
+	// most MaxMismatches; Total counts all of them.
 	Mismatches []Mismatch
 	Total      int
 	// Cycles is the simulated execution time of the divergent run.
@@ -53,62 +53,22 @@ func (e *DivergenceError) Error() string {
 // interpreter run on another copy. It returns the simulation result, the
 // interpreter trace (useful as an execution profile), and the verified
 // final memory. Any divergence is a mapping or simulator bug and is
-// returned as a *DivergenceError recording up to the simulator's mismatch
-// cap (see WithMaxMismatches). It is the batch-of-one form of
-// Engine.RunBatchVerified.
+// returned as a *DivergenceError recording up to MaxMismatches words.
 func (s *Sim) RunVerified(initial cdfg.Memory) (*Result, *cdfg.Trace, cdfg.Memory, error) {
-	results, trs, mems, errs := s.Engine().runVerified([]cdfg.Memory{initial})
-	return results[0], trs[0], mems[0], errs[0]
-}
-
-// RunBatchVerified is the batched form of RunVerified: every lane's
-// final memory is cross-checked against the CDFG reference interpreter
-// on its own copy of the initial memory. It returns per-lane results,
-// interpreter traces, and verified final memories; a lane that diverges
-// (or fails) has a nil memory and its *DivergenceError (or run error)
-// in the returned *BatchError, which parallels the lanes.
-func (e *Engine) RunBatchVerified(initials []cdfg.Memory) ([]*Result, []*cdfg.Trace, []cdfg.Memory, error) {
-	results, trs, mems, errs := e.runVerified(initials)
-	return results, trs, mems, batchError(errs)
-}
-
-// runVerified is RunBatchVerified with the per-lane errors unwrapped. A
-// lane whose reference interpretation fails is not simulated.
-func (e *Engine) runVerified(initials []cdfg.Memory) ([]*Result, []*cdfg.Trace, []cdfg.Memory, []error) {
-	s := e.s
-	B := len(initials)
-	results := make([]*Result, B)
-	trs := make([]*cdfg.Trace, B)
-	mems := make([]cdfg.Memory, B)
-	errs := make([]error, B)
-	refs := make([]cdfg.Memory, B)
-	var lanes []int
-	var got []cdfg.Memory
-	for l, initial := range initials {
-		ref := initial.Clone()
-		tr, err := cdfg.Interp(s.prog.Graph, ref)
-		if err != nil {
-			errs[l] = fmt.Errorf("sim: reference interpretation: %w", err)
-			continue
-		}
-		trs[l], refs[l] = tr, ref
-		lanes = append(lanes, l)
-		got = append(got, initial.Clone())
+	ref := initial.Clone()
+	tr, err := cdfg.Interp(s.prog.Graph, ref)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("sim: reference interpretation: %w", err)
 	}
-	res, runErrs := e.run(got)
-	for i, l := range lanes {
-		results[l] = res[i]
-		if runErrs[i] != nil {
-			errs[l] = runErrs[i]
-			continue
-		}
-		if div := s.divergence(refs[l], got[i], res[i].Cycles); div != nil {
-			errs[l] = div
-			continue
-		}
-		mems[l] = got[i]
+	got := initial.Clone()
+	res, err := s.Run(got)
+	if err != nil {
+		return res, tr, nil, err
 	}
-	return results, trs, mems, errs
+	if div := s.divergence(ref, got, res.Cycles); div != nil {
+		return res, tr, nil, div
+	}
+	return res, tr, got, nil
 }
 
 // divergence diffs a simulated final memory against the reference
@@ -125,7 +85,7 @@ func (s *Sim) divergence(ref, got cdfg.Memory, cycles int64) *DivergenceError {
 				}
 			}
 			div.Total++
-			if len(div.Mismatches) < s.maxMismatches {
+			if len(div.Mismatches) < MaxMismatches {
 				div.Mismatches = append(div.Mismatches, Mismatch{Addr: i, Ref: ref[i], Got: got[i]})
 			}
 		}

@@ -78,7 +78,7 @@ func BuildCFG(p *asm.Program) (*CFG, error) {
 				return nil, fmt.Errorf("tile %d holds %d segments, graph has %d blocks",
 					t+1, len(p.Tiles[t].Segments), nb)
 			}
-			row, err := expandSegment(&p.Tiles[t].Segments[bb], bc.Len)
+			row, err := p.Tiles[t].Segments[bb].Expand(make([]*isa.Instr, 0, bc.Len))
 			if err != nil {
 				return nil, fmt.Errorf("tile %d block %q: %w", t+1, b.Name, err)
 			}
@@ -96,24 +96,4 @@ func BuildCFG(p *asm.Program) (*CFG, error) {
 		}
 	}
 	return cfg, nil
-}
-
-// expandSegment unrolls a segment's pnop words into idle (nil) cells,
-// mirroring the simulator's decode.
-func expandSegment(seg *asm.Segment, blockLen int) ([]*isa.Instr, error) {
-	row := make([]*isa.Instr, 0, blockLen)
-	for i := range seg.Instrs {
-		in := &seg.Instrs[i]
-		if in.Kind == isa.KPnop {
-			for k := 0; k < in.Count; k++ {
-				row = append(row, nil)
-			}
-		} else {
-			row = append(row, in)
-		}
-	}
-	if len(row) != blockLen {
-		return nil, fmt.Errorf("segment spans %d cycles, block is %d", len(row), blockLen)
-	}
-	return row, nil
 }

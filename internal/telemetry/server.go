@@ -68,9 +68,6 @@ func Start(cfg Config) (*Server, error) {
 // config asked for :0).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// URL returns an absolute http URL for a path on this server.
-func (s *Server) URL(path string) string { return "http://" + s.Addr() + path }
-
 // Close stops the server and releases the listener.
 func (s *Server) Close() error {
 	return s.srv.Close()

@@ -60,7 +60,7 @@ func TestLiveScrapeMetrics(t *testing.T) {
 	}
 	defer srv.Close()
 
-	body := scrape(t, srv.URL("/metrics"))
+	body := scrape(t, serverURL(srv, "/metrics"))
 
 	// Parse the exposition: every non-comment line must be "name value"
 	// or "name{labels} value".
@@ -136,10 +136,10 @@ func TestHealthzAndReadyz(t *testing.T) {
 	}
 	defer srv.Close()
 
-	if body := scrape(t, srv.URL("/healthz")); body != "ok\n" {
+	if body := scrape(t, serverURL(srv, "/healthz")); body != "ok\n" {
 		t.Fatalf("healthz body = %q, want %q", body, "ok\n")
 	}
-	resp, err := http.Get(srv.URL("/readyz"))
+	resp, err := http.Get(serverURL(srv, "/readyz"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestUnconfiguredEndpoints(t *testing.T) {
 	}
 	defer srv.Close()
 	for _, path := range []string{"/metrics", "/events"} {
-		resp, err := http.Get(srv.URL(path))
+		resp, err := http.Get(serverURL(srv, path))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestUnconfiguredEndpoints(t *testing.T) {
 	}
 	// The index and pprof surfaces are always mounted.
 	var listed []string
-	for _, line := range strings.Split(scrape(t, srv.URL("/")), "\n") {
+	for _, line := range strings.Split(scrape(t, serverURL(srv, "/")), "\n") {
 		if strings.HasPrefix(line, "/") {
 			listed = append(listed, line)
 		}
@@ -178,7 +178,7 @@ func TestUnconfiguredEndpoints(t *testing.T) {
 	if got, want := strings.Join(listed, " "), "/metrics /healthz /debug/pprof/"; got != want {
 		t.Fatalf("index lists %q, want %q", got, want)
 	}
-	if body := scrape(t, srv.URL("/debug/pprof/cmdline")); body == "" {
+	if body := scrape(t, serverURL(srv, "/debug/pprof/cmdline")); body == "" {
 		t.Fatal("pprof cmdline endpoint returned nothing")
 	}
 }
@@ -345,3 +345,6 @@ func TestServeArtifactsBadAddr(t *testing.T) {
 		t.Fatalf("Finish after a failed Start = %v", err)
 	}
 }
+
+// serverURL returns an absolute http URL for a path on srv.
+func serverURL(srv *Server, path string) string { return "http://" + srv.Addr() + path }

@@ -15,8 +15,7 @@ import (
 // proves each operand read (neighbor output register, register file,
 // constant file) delivers the value the CDFG prescribes, that symbol
 // homes hold their entry values until the writeback, and that every
-// live-out symbol ends in its home register. It is the engine that used
-// to live in core.CheckDataflow.
+// live-out symbol ends in its home register.
 //
 //	DF001  operand source cannot be resolved (bad kind, direction or
 //	       register index — the machine has no such location)

@@ -57,9 +57,6 @@ func TestKernelMatrixClean(t *testing.T) {
 				if len(res.Skipped) != 0 {
 					t.Errorf("full context must run every pass, skipped %v", res.Skipped)
 				}
-				if want := len(verify.Passes()); len(res.Ran) != want {
-					t.Errorf("ran %d of %d passes", len(res.Ran), want)
-				}
 			})
 		}
 	}

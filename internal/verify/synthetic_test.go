@@ -19,7 +19,6 @@ func storesGraph(n int) *cdfg.Graph {
 	for i := 0; i < n; i++ {
 		bb.Store(bb.Const(int32(i)), bb.Const(7))
 	}
-	bb.Halt()
 	return b.Finish()
 }
 
@@ -78,7 +77,7 @@ func TestSyntheticMappingClean(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatalf("synthetic mapping is structurally invalid: %v", err)
 	}
-	if res := verify.CheckMapping(m); !res.OK() {
+	if res := verify.Run(&verify.Context{Mapping: m}); !res.OK() {
 		t.Fatalf("clean synthetic mapping reported diagnostics:\n%s", res.Report())
 	}
 }
@@ -88,10 +87,7 @@ func TestSyntheticMappingClean(t *testing.T) {
 func TestREG003CRFPressure(t *testing.T) {
 	g := storesGraph(isa.MaxCRF + 3)
 	m := storesMapping(g, arch.MustGrid(arch.HOM64))
-	res := verify.CheckMapping(m)
-	if !res.HasCode("REG003") {
-		t.Fatalf("want REG003, got %v:\n%s", res.Codes(), res.Report())
-	}
+	requireCode(t, verify.Run(&verify.Context{Mapping: m}), "REG003")
 }
 
 // TestBR002PhantomBranchTile announces a branch tile on a branch-less
@@ -100,8 +96,5 @@ func TestBR002PhantomBranchTile(t *testing.T) {
 	g := storesGraph(3)
 	m := storesMapping(g, arch.MustGrid(arch.HOM64))
 	m.Blocks[0].BranchTile = 2
-	res := verify.CheckMapping(m)
-	if !res.HasCode("BR002") {
-		t.Fatalf("want BR002, got %v:\n%s", res.Codes(), res.Report())
-	}
+	requireCode(t, verify.Run(&verify.Context{Mapping: m}), "BR002")
 }

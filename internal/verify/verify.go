@@ -17,8 +17,7 @@
 //
 // Importing this package (even blank) installs the dataflow pass as
 // core.Map's hard post-condition via core.RegisterDataflowCheck, which
-// keeps core free of an import cycle while core.CheckDataflow keeps
-// working for existing call sites.
+// keeps core free of an import cycle.
 package verify
 
 import (
@@ -161,9 +160,6 @@ var passes = []*Pass{
 	pnopPass,
 }
 
-// Passes returns the pass catalog in execution order.
-func Passes() []*Pass { return append([]*Pass(nil), passes...) }
-
 // Result collects the diagnostics of one verifier run.
 type Result struct {
 	// Diags holds all findings in pass-catalog order (deterministic).
@@ -176,29 +172,6 @@ type Result struct {
 
 // OK reports whether the run produced no diagnostics.
 func (r *Result) OK() bool { return len(r.Diags) == 0 }
-
-// HasCode reports whether any diagnostic carries the exact code.
-func (r *Result) HasCode(code string) bool {
-	for _, d := range r.Diags {
-		if d.Code == code {
-			return true
-		}
-	}
-	return false
-}
-
-// Codes returns the distinct diagnostic codes, in first-seen order.
-func (r *Result) Codes() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, d := range r.Diags {
-		if !seen[d.Code] {
-			seen[d.Code] = true
-			out = append(out, d.Code)
-		}
-	}
-	return out
-}
 
 // Err returns nil when the run is clean, otherwise an error summarizing
 // the first diagnostic and the total count.
@@ -281,31 +254,13 @@ func runPasses(cx *Context, ps []*Pass) *Result {
 	return res
 }
 
-// CheckMapping verifies a mapping (no assembled program): the
-// mapping-level passes run, program-level passes are skipped.
-func CheckMapping(m *core.Mapping) *Result {
-	return Run(&Context{Mapping: m})
-}
-
 // CheckProgram verifies an assembled program.
 func CheckProgram(p *asm.Program) *Result {
 	return Run(&Context{Program: p})
 }
 
-// CheckImage reconstructs a program from a saved context-memory image
-// and verifies it. The graph and grid must be the ones the image was
-// assembled for (the image format stores neither).
-func CheckImage(img *asm.Image, g *cdfg.Graph, grid *arch.Grid) (*Result, error) {
-	p, err := asm.ProgramFromImage(img, g, grid)
-	if err != nil {
-		return nil, err
-	}
-	return CheckProgram(p), nil
-}
-
-// Dataflow runs only the dataflow pass — the engine behind
-// core.CheckDataflow — and returns its findings as an error. core.Map
-// uses it as the mapping's hard post-condition.
+// Dataflow runs only the dataflow pass and returns its findings as an
+// error. core.Map uses it as the mapping's hard post-condition.
 func Dataflow(m *core.Mapping) error {
 	return runPasses(&Context{Mapping: m}, []*Pass{dataflowPass}).Err()
 }

@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/arch"
@@ -39,9 +40,12 @@ func assembled(t *testing.T, m *core.Mapping) *asm.Program {
 // requireCode asserts the verifier (full context) reports the code.
 func requireCode(t *testing.T, res *verify.Result, code string) {
 	t.Helper()
-	if !res.HasCode(code) {
-		t.Fatalf("want diagnostic %s, got %v:\n%s", code, res.Codes(), res.Report())
+	for _, d := range res.Diags {
+		if d.Code == code {
+			return
+		}
 	}
+	t.Fatalf("want diagnostic %s, got:\n%s", code, res.Report())
 }
 
 // firstSlot finds a slot of the given kind carrying the wanted source.
@@ -77,14 +81,14 @@ func TestCleanKernelFullContext(t *testing.T) {
 	if !res.OK() {
 		t.Fatalf("clean kernel reported diagnostics:\n%s", res.Report())
 	}
-	if want := len(verify.Passes()); len(res.Ran) != want || len(res.Skipped) != 0 {
-		t.Fatalf("ran %v skipped %v, want all %d passes", res.Ran, res.Skipped, want)
+	if len(res.Skipped) != 0 {
+		t.Fatalf("ran %v skipped %v, want every pass run", res.Ran, res.Skipped)
 	}
 }
 
 func TestMappingOnlySkipsProgramPasses(t *testing.T) {
 	m := mapKernel(t, "DCFilter", arch.HOM64, core.FlowCAB)
-	res := verify.CheckMapping(m)
+	res := verify.Run(&verify.Context{Mapping: m})
 	if !res.OK() {
 		t.Fatalf("clean mapping reported diagnostics:\n%s", res.Report())
 	}
@@ -108,27 +112,12 @@ func TestCheckImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := verify.CheckImage(img, m.Graph, m.Grid)
+	prog, err := asm.ProgramFromImage(img, m.Graph, m.Grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.OK() {
+	if res := verify.CheckProgram(prog); !res.OK() {
 		t.Fatalf("clean image reported diagnostics:\n%s", res.Report())
-	}
-}
-
-func TestPassCatalog(t *testing.T) {
-	names := map[string]bool{}
-	prefixes := map[string]bool{}
-	for _, p := range verify.Passes() {
-		if p.Name == "" || p.Code == "" || p.Doc == "" {
-			t.Fatalf("pass %+v missing metadata", p)
-		}
-		if names[p.Name] || prefixes[p.Code] {
-			t.Fatalf("duplicate pass name/code: %s/%s", p.Name, p.Code)
-		}
-		names[p.Name] = true
-		prefixes[p.Code] = true
 	}
 }
 
@@ -150,14 +139,14 @@ func TestMappingFaults(t *testing.T) {
 				s.Srcs[i].Dir = 7
 			}
 		}
-		requireCode(t, verify.CheckMapping(m), "ROUTE001")
+		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "ROUTE001")
 	})
 	t.Run("ROUTE002 read of undriven output register", func(t *testing.T) {
 		m := fresh(t)
 		if !redirectToUndriven(m) {
 			t.Skip("every neighbor is driven before every read")
 		}
-		requireCode(t, verify.CheckMapping(m), "ROUTE002")
+		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "ROUTE002")
 	})
 	t.Run("REG001 writeback outside the RRF", func(t *testing.T) {
 		m := fresh(t)
@@ -166,7 +155,7 @@ func TestMappingFaults(t *testing.T) {
 			t.Skip("no writeback slot")
 		}
 		m.Blocks[bb].Tiles[ti][ci].WReg = 15
-		requireCode(t, verify.CheckMapping(m), "REG001")
+		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "REG001")
 	})
 	t.Run("REG002 register read outside the RRF", func(t *testing.T) {
 		m := fresh(t)
@@ -180,14 +169,14 @@ func TestMappingFaults(t *testing.T) {
 				s.Srcs[i].Reg = 15
 			}
 		}
-		requireCode(t, verify.CheckMapping(m), "REG002")
+		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "REG002")
 	})
 	t.Run("REG004 home register clobbered", func(t *testing.T) {
 		m := fresh(t)
 		if !clobberHome(m) {
 			t.Skip("no clobberable slot on a home tile")
 		}
-		requireCode(t, verify.CheckMapping(m), "REG004")
+		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "REG004")
 	})
 	t.Run("DF002 neighbor direction rotated", func(t *testing.T) {
 		m := fresh(t)
@@ -201,7 +190,7 @@ func TestMappingFaults(t *testing.T) {
 				s.Srcs[i].Dir = (s.Srcs[i].Dir + 1) % 4
 			}
 		}
-		requireCode(t, verify.CheckMapping(m), "DF002")
+		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "DF002")
 	})
 	t.Run("DF002 constant rebound", func(t *testing.T) {
 		m := fresh(t)
@@ -215,21 +204,21 @@ func TestMappingFaults(t *testing.T) {
 				s.Srcs[i].Val++
 			}
 		}
-		requireCode(t, verify.CheckMapping(m), "DF002")
+		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "DF002")
 	})
 	t.Run("DF005 home register corrupted at block end", func(t *testing.T) {
 		m := fresh(t)
 		if !displaceHome(m) {
 			t.Skip("no displaceable home")
 		}
-		requireCode(t, verify.CheckMapping(m), "DF005")
+		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "DF005")
 	})
 	t.Run("LSU001 store on a non-LSU tile", func(t *testing.T) {
 		m := fresh(t)
 		if !relocateMemRow(m) {
 			t.Skip("no memory row to relocate")
 		}
-		requireCode(t, verify.CheckMapping(m), "LSU001")
+		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "LSU001")
 	})
 	t.Run("CM001 context memory exceeded", func(t *testing.T) {
 		m := fresh(t)
@@ -242,12 +231,12 @@ func TestMappingFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Grid = tiny
-		requireCode(t, verify.CheckMapping(m), "CM001")
+		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "CM001")
 	})
 	t.Run("CM002 word accounting drifted", func(t *testing.T) {
 		m := fresh(t)
 		m.Blocks[0].Pnops[3]++
-		requireCode(t, verify.CheckMapping(m), "CM002")
+		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "CM002")
 	})
 	t.Run("BR001 branch tile dropped", func(t *testing.T) {
 		m := fresh(t)
@@ -256,7 +245,7 @@ func TestMappingFaults(t *testing.T) {
 			t.Skip("no branching block")
 		}
 		m.Blocks[bb].BranchTile = -1
-		requireCode(t, verify.CheckMapping(m), "BR001")
+		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "BR001")
 	})
 	t.Run("BR003 branch tile retargeted", func(t *testing.T) {
 		m := fresh(t)
@@ -265,7 +254,7 @@ func TestMappingFaults(t *testing.T) {
 			t.Skip("no branching block")
 		}
 		m.Blocks[bb].BranchTile = (m.Blocks[bb].BranchTile + 1) % arch.TileID(m.Grid.NumTiles())
-		res := verify.CheckMapping(m)
+		res := verify.Run(&verify.Context{Mapping: m})
 		requireCode(t, res, "BR003")
 		requireCode(t, res, "BR004")
 	})
@@ -430,8 +419,14 @@ func clobberHome(m *core.Mapping) bool {
 	return false
 }
 
+// sortedSyms lists the mapping's homed symbols, sorted.
 func sortedSyms(m *core.Mapping) []string {
-	return m.Graph.Symbols()
+	syms := make([]string, 0, len(m.SymHomes))
+	for s := range m.SymHomes {
+		syms = append(syms, s)
+	}
+	sort.Strings(syms)
+	return syms
 }
 
 // displaceHome moves a written symbol's home to a free register: the

@@ -221,6 +221,18 @@ go test -run '^$' -fuzz '^FuzzInterp$' -fuzztime 10s -fuzzminimizetime 1s ./inte
 echo "== batched-engine fuzz smoke (FuzzBatchVsScalar, 10s)"
 go test -run '^$' -fuzz '^FuzzBatchVsScalar$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 
+# Bounded input-boundary fuzz smokes: every decoder of outside bytes —
+# bitstream images, mapping-cache disk entries, .repro files and event
+# files — must return an error on malformed input, never panic or hang.
+# FuzzDiskImage stays out until a corrupted disk image that still
+# decodes is rejected; it fails today.
+for target in 'FuzzLoadImage ./internal/asm' 'FuzzDiskEntry ./internal/mapcache' \
+    'FuzzParseRepro ./internal/oracle' 'FuzzReadEvents ./internal/obs'; do
+    set -- $target
+    echo "== boundary fuzz smoke ($1, 10s)"
+    go test -run '^$' -fuzz "^$1\$" -fuzztime 10s -fuzzminimizetime 1s "$2"
+done
+
 echo "== go test $short ./..."
 go test $short ./...
 
