@@ -2,7 +2,7 @@ package arch
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Fingerprint returns a deterministic rendering of every structural grid
@@ -12,18 +12,17 @@ import (
 // fingerprint identically so content-addressed caches (internal/mapcache)
 // key on what the mapper actually sees, not on a label.
 func (g *Grid) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "grid:%dx%d;rrf=%d;ports=%d;banks=%d;tiles=",
+	b := fmt.Appendf(nil, "grid:%dx%d;rrf=%d;ports=%d;banks=%d;tiles=",
 		g.Rows, g.Cols, g.RRFSize, g.MemPorts, g.MemBanks)
 	for i, t := range g.Tiles {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		lsu := 0
+		lsu := byte('0')
 		if t.HasLSU {
-			lsu = 1
+			lsu = '1'
 		}
-		fmt.Fprintf(&b, "%d:%d", lsu, t.CMWords)
+		b = strconv.AppendInt(append(b, lsu, ':'), int64(t.CMWords), 10)
 	}
-	return b.String()
+	return string(b)
 }

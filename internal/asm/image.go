@@ -1,9 +1,9 @@
 package asm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"repro/internal/arch"
 	"repro/internal/cdfg"
@@ -47,37 +47,39 @@ type ImageTile struct {
 
 // SaveImage serializes the program's context memories.
 func SaveImage(p *Program) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(imageMagic)
-	w32 := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w32(imageVersion)
-	w32(uint32(len(p.Tiles)))
-	w32(uint32(len(p.BlockLens)))
+	size := len(imageMagic) + 12 + 8*len(p.BlockLens)
+	for i := range p.Tiles {
+		size += 4 + 4*p.Tiles[i].CRF.Len() + 4*len(p.BlockLens) + 8*p.Tiles[i].Words()
+	}
+	buf := append(make([]byte, 0, size), imageMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, imageVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Tiles)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.BlockLens)))
 	for _, l := range p.BlockLens {
-		w32(uint32(l))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
 	}
 	for _, bt := range p.BranchTiles {
-		_ = binary.Write(&buf, binary.LittleEndian, int32(bt))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(bt)))
 	}
 	for i := range p.Tiles {
 		tc := &p.Tiles[i]
 		vals := tc.CRF.Values()
-		w32(uint32(len(vals)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vals)))
 		for _, v := range vals {
-			_ = binary.Write(&buf, binary.LittleEndian, v)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 		}
 		for _, seg := range tc.Segments {
-			w32(uint32(len(seg.Instrs)))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(seg.Instrs)))
 			for _, in := range seg.Instrs {
 				word, err := encodeAgainst(in, tc.CRF)
 				if err != nil {
 					return nil, err
 				}
-				_ = binary.Write(&buf, binary.LittleEndian, word)
+				buf = binary.LittleEndian.AppendUint64(buf, word)
 			}
 		}
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // encodeAgainst encodes without growing the CRF (all constants were
@@ -94,22 +96,33 @@ func encodeAgainst(in isa.Instr, crf *isa.CRF) (uint64, error) {
 	return w, nil
 }
 
-// LoadImage parses and decodes a saved image.
+// LoadImage parses and decodes a saved image. It reads the fields
+// straight off the byte slice and checks every count against the bytes
+// that remain before using it, so a truncated or lying image is an
+// error, never a panic, and allocation follows the bytes given rather
+// than the counts claimed.
 func LoadImage(data []byte) (*Image, error) {
-	r := bytes.NewReader(data)
-	magic := make([]byte, 4)
-	if _, err := r.Read(magic); err != nil || string(magic) != imageMagic {
+	if len(data) < len(imageMagic) || string(data[:len(imageMagic)]) != imageMagic {
 		return nil, fmt.Errorf("asm: bad image magic")
 	}
-	var version, tiles, blocks uint32
-	rd := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	if err := rd(&version); err != nil || version != imageVersion {
+	r := data[len(imageMagic):]
+	u32 := func() (uint32, error) {
+		if len(r) < 4 {
+			return 0, fmt.Errorf("asm: image truncated: %w", io.ErrUnexpectedEOF)
+		}
+		v := binary.LittleEndian.Uint32(r)
+		r = r[4:]
+		return v, nil
+	}
+	if version, err := u32(); err != nil || version != imageVersion {
 		return nil, fmt.Errorf("asm: unsupported image version")
 	}
-	if err := rd(&tiles); err != nil {
+	tiles, err := u32()
+	if err != nil {
 		return nil, err
 	}
-	if err := rd(&blocks); err != nil {
+	blocks, err := u32()
+	if err != nil {
 		return nil, err
 	}
 	if tiles > 4096 || blocks > 1<<20 {
@@ -118,8 +131,8 @@ func LoadImage(data []byte) (*Image, error) {
 	// Each block takes 8 bytes of tables and each tile at least a CRF
 	// length and one word count per block: a header promising more than
 	// the image holds is rejected before anything is sized by it.
-	if need := 8*uint64(blocks) + uint64(tiles)*(4+4*uint64(blocks)); need > uint64(r.Len()) {
-		return nil, fmt.Errorf("asm: image header (%d tiles, %d blocks) needs %d more bytes, %d remain", tiles, blocks, need, r.Len())
+	if need := 8*uint64(blocks) + uint64(tiles)*(4+4*uint64(blocks)); need > uint64(len(r)) {
+		return nil, fmt.Errorf("asm: image header (%d tiles, %d blocks) needs %d more bytes, %d remain", tiles, blocks, need, len(r))
 	}
 	img := &Image{
 		BlockLens:   make([]int, blocks),
@@ -127,23 +140,21 @@ func LoadImage(data []byte) (*Image, error) {
 		Tiles:       make([]ImageTile, tiles),
 	}
 	for i := range img.BlockLens {
-		var l uint32
-		if err := rd(&l); err != nil {
-			return nil, err
-		}
+		l, _ := u32() // the header check covered both tables
 		img.BlockLens[i] = int(l)
 	}
 	for i := range img.BranchTiles {
-		var bt int32
-		if err := rd(&bt); err != nil {
-			return nil, err
-		}
-		img.BranchTiles[i] = arch.TileID(bt)
+		bt, _ := u32()
+		img.BranchTiles[i] = arch.TileID(int32(bt))
 	}
+	// Every word takes 8 of the bytes that remain, so one array of each
+	// kind sized from them holds the whole image without regrowing; each
+	// tile and segment keeps a capped sub-slice of it.
+	instrs, bin := make([]isa.Instr, 0, len(r)/8), make([]uint64, 0, len(r)/8)
 	for t := range img.Tiles {
 		it := &img.Tiles[t]
-		var crfLen uint32
-		if err := rd(&crfLen); err != nil {
+		crfLen, err := u32()
+		if err != nil {
 			return nil, err
 		}
 		if crfLen > isa.MaxCRF {
@@ -151,36 +162,45 @@ func LoadImage(data []byte) (*Image, error) {
 		}
 		it.CRF = isa.NewCRF()
 		for j := uint32(0); j < crfLen; j++ {
-			var v int32
-			if err := rd(&v); err != nil {
+			v, err := u32()
+			if err != nil {
 				return nil, err
 			}
-			if _, err := it.CRF.Intern(v); err != nil {
+			if _, err := it.CRF.Intern(int32(v)); err != nil {
 				return nil, err
 			}
 		}
 		it.Segments = make([][]isa.Instr, blocks)
-		for b := uint32(0); b < blocks; b++ {
-			var words uint32
-			if err := rd(&words); err != nil {
+		tileStart := len(bin)
+		for b := range it.Segments {
+			words, err := u32()
+			if err != nil {
 				return nil, err
 			}
-			for j := uint32(0); j < words; j++ {
-				var w uint64
-				if err := rd(&w); err != nil {
-					return nil, err
-				}
+			if uint64(words)*8 > uint64(len(r)) {
+				return nil, fmt.Errorf("asm: tile %d block %d holds %d words, %d bytes remain", t+1, b, words, len(r))
+			}
+			if words == 0 {
+				continue
+			}
+			segStart := len(instrs)
+			for j := 0; j < int(words); j++ {
+				w := binary.LittleEndian.Uint64(r[8*j:])
 				in, err := isa.Decode(w, it.CRF)
 				if err != nil {
 					return nil, fmt.Errorf("asm: tile %d block %d word %d: %w", t+1, b, j, err)
 				}
-				it.Segments[b] = append(it.Segments[b], in)
-				it.Binary = append(it.Binary, w)
+				instrs, bin = append(instrs, in), append(bin, w)
 			}
+			it.Segments[b] = instrs[segStart:len(instrs):len(instrs)]
+			r = r[8*words:]
+		}
+		if len(bin) > tileStart {
+			it.Binary = bin[tileStart:len(bin):len(bin)]
 		}
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("asm: %d trailing bytes in image", r.Len())
+	if len(r) != 0 {
+		return nil, fmt.Errorf("asm: %d trailing bytes in image", len(r))
 	}
 	return img, nil
 }

@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"bytes"
 	"runtime"
 	"slices"
 	"strings"
@@ -70,6 +71,43 @@ func TestLoadImageRejectsGarbage(t *testing.T) {
 	corrupt[4] = 99 // version
 	if _, err := LoadImage(corrupt); err == nil {
 		t.Error("bad version should fail")
+	}
+}
+
+// TestImageBytesExact pins the decoder's edges on every suite kernel's
+// cab/HET1 image: each proper prefix and the image with one byte
+// appended are refused, and the image survives LoadImage,
+// ProgramFromImage and SaveImage byte for byte.
+func TestImageBytesExact(t *testing.T) {
+	for _, name := range kernels.Names() {
+		p := assemble(t, name, core.FlowCAB, arch.HET1)
+		data, err := SaveImage(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := range data {
+			if _, err := LoadImage(data[:n]); err == nil {
+				t.Fatalf("%s: %d-byte prefix of a %d-byte image loaded", name, n, len(data))
+			}
+		}
+		if _, err := LoadImage(append(data[:len(data):len(data)], 0)); err == nil {
+			t.Fatalf("%s: image with a trailing byte loaded", name)
+		}
+		img, err := LoadImage(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		p2, err := ProgramFromImage(img, p.Graph, p.Grid)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		again, err := SaveImage(p2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("%s: image changed across a load/save round trip", name)
+		}
 	}
 }
 

@@ -49,43 +49,65 @@ func OpcodeByName(name string) (Opcode, bool) {
 
 // MarshalText renders the graph in the package's line-oriented text form.
 // The output round-trips through UnmarshalText for any graph that passes
-// Verify.
+// Verify. It is also the graph half of every mapping-cache key, so it
+// appends into one buffer sized from the graph rather than formatting
+// line by line.
 func (g *Graph) MarshalText() ([]byte, error) {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "cdfg %s\n", strconv.Quote(g.Name))
-	fmt.Fprintf(&sb, "entry %d\n", g.Entry)
+	size := 32 + len(g.Name)
 	for _, b := range g.Blocks {
-		fmt.Fprintf(&sb, "block %s\n", strconv.Quote(b.Name))
+		size += 32 + len(b.Name) + 16*len(b.Nodes) + 24*len(b.LiveOut) + 8*len(b.Succs)
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, "cdfg "...)
+	buf = strconv.AppendQuote(buf, g.Name)
+	buf = append(buf, "\nentry "...)
+	buf = strconv.AppendInt(buf, int64(g.Entry), 10)
+	buf = append(buf, '\n')
+	for _, b := range g.Blocks {
+		buf = append(buf, "block "...)
+		buf = strconv.AppendQuote(buf, b.Name)
+		buf = append(buf, '\n')
 		for _, n := range b.Nodes {
 			switch n.Op {
 			case OpConst:
-				fmt.Fprintf(&sb, "n const %d\n", n.Val)
+				buf = append(buf, "n const "...)
+				buf = strconv.AppendInt(buf, int64(n.Val), 10)
 			case OpSym:
-				fmt.Fprintf(&sb, "n sym %s\n", strconv.Quote(n.Sym))
+				buf = append(buf, "n sym "...)
+				buf = strconv.AppendQuote(buf, n.Sym)
 			default:
-				fmt.Fprintf(&sb, "n %s", n.Op)
+				buf = append(buf, "n "...)
+				buf = append(buf, n.Op.String()...)
 				for _, a := range n.Args {
-					fmt.Fprintf(&sb, " %d", a)
+					buf = append(buf, ' ')
+					buf = strconv.AppendInt(buf, int64(a), 10)
 				}
-				sb.WriteString("\n")
 			}
+			buf = append(buf, '\n')
 		}
 		for _, s := range b.LiveOutSyms() {
-			fmt.Fprintf(&sb, "liveout %s %d\n", strconv.Quote(s), b.LiveOut[s])
+			buf = append(buf, "liveout "...)
+			buf = strconv.AppendQuote(buf, s)
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, int64(b.LiveOut[s]), 10)
+			buf = append(buf, '\n')
 		}
 		if b.Branch != None {
-			fmt.Fprintf(&sb, "branch %d\n", b.Branch)
+			buf = append(buf, "branch "...)
+			buf = strconv.AppendInt(buf, int64(b.Branch), 10)
+			buf = append(buf, '\n')
 		}
 		if len(b.Succs) > 0 {
-			sb.WriteString("succs")
+			buf = append(buf, "succs"...)
 			for _, s := range b.Succs {
-				fmt.Fprintf(&sb, " %d", s)
+				buf = append(buf, ' ')
+				buf = strconv.AppendInt(buf, int64(s), 10)
 			}
-			sb.WriteString("\n")
+			buf = append(buf, '\n')
 		}
-		sb.WriteString("end\n")
+		buf = append(buf, "end\n"...)
 	}
-	return []byte(sb.String()), nil
+	return buf, nil
 }
 
 // UnmarshalText parses the format produced by MarshalText and verifies

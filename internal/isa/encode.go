@@ -148,7 +148,11 @@ func Encode(in Instr, crf *CRF) (uint64, error) {
 func Decode(w uint64, crf *CRF) (Instr, error) {
 	kind := Kind(w >> kindShift & 3)
 	if kind == KPnop {
-		return Pnop(int(w >> pnopShift & MaxPnop)), nil
+		// A zero idle count is a word Encode never writes.
+		if n := int(w >> pnopShift & MaxPnop); n >= 1 {
+			return Pnop(n), nil
+		}
+		return Instr{}, fmt.Errorf("isa: decoded invalid word %#x: pnop with count 0", w)
 	}
 	in := Instr{Kind: kind}
 	in.Op = cdfg.Opcode(w >> opShift & 63)

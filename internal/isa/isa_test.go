@@ -166,4 +166,11 @@ func TestEncodePnopBounds(t *testing.T) {
 	if _, err := Encode(Pnop(MaxPnop+1), crf); err == nil {
 		t.Error("oversized pnop should fail")
 	}
+	w, err := Encode(Pnop(1), crf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(w&^(MaxPnop<<pnopShift), crf); err == nil {
+		t.Error("a pnop word with a zero count should not decode")
+	}
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 )
 
+// detrandRule: nondeterminism source inside the deterministic mapper,
+// simulator, mapping cache or telemetry server.
 // detrandRule guards the reproducibility promise of the mapper and the
 // simulator: internal/core and internal/sim must derive every random
 // choice from the caller's seed (the paper's stochastic pruning is
@@ -25,7 +27,6 @@ import (
 // from the environment.
 var detrandRule = &Rule{
 	Name: "detrand",
-	Doc:  "nondeterminism source inside the deterministic mapper, simulator, mapping cache or telemetry server",
 	Applies: func(pkgPath string) bool {
 		return strings.HasSuffix(pkgPath, "internal/core") ||
 			strings.HasSuffix(pkgPath, "internal/sim") ||

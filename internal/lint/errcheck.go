@@ -6,6 +6,7 @@ import (
 	"go/types"
 )
 
+// errcheckRule: dropped error from a module call.
 // errcheckRule flags error-returning calls to this module's own
 // functions used as bare statements. The toolchain's encode, assemble
 // and simulate boundaries all report failure through errors; dropping
@@ -14,7 +15,6 @@ import (
 // `_ = f()` stays a visible, greppable waiver.
 var errcheckRule = &Rule{
 	Name:  "errcheck",
-	Doc:   "dropped error from a module call",
 	Check: checkErrcheck,
 }
 

@@ -58,8 +58,6 @@ type Package struct {
 type Rule struct {
 	// Name identifies the rule in findings and docs.
 	Name string
-	// Doc is a one-line description.
-	Doc string
 	// Applies restricts the rule to some packages; nil means all.
 	Applies func(pkgPath string) bool
 	// Check reports the rule's findings in the package.

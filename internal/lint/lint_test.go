@@ -392,7 +392,7 @@ func TestAnalyzeSortsFindings(t *testing.T) {
 func TestRulesMetadata(t *testing.T) {
 	seen := map[string]bool{}
 	for _, r := range Rules() {
-		if r.Name == "" || r.Doc == "" || (r.Check == nil) == (r.CheckModule == nil) {
+		if r.Name == "" || (r.Check == nil) == (r.CheckModule == nil) {
 			t.Errorf("rule %+v misses metadata", r)
 		}
 		if seen[r.Name] {
@@ -561,7 +561,7 @@ func main() {
 			t.Fatal(err)
 		}
 	}
-	rule := &Rule{Name: "unusedapi", Doc: "fixture", CheckModule: func(ps []*Package) []Finding {
+	rule := &Rule{Name: "unusedapi", CheckModule: func(ps []*Package) []Finding {
 		return checkUnusedAPI(ps, map[string]string{
 			"scratch/lib.Kept":    "kept on purpose",
 			"scratch/lib.Missing": "names nothing",

@@ -7,6 +7,7 @@ import (
 	"go/types"
 )
 
+// maprangeRule: map iteration feeding an order-sensitive sink.
 // maprangeRule flags map iterations whose body feeds an order-sensitive
 // sink. Go randomizes map iteration order on purpose; the mapper, the
 // renderers and the oracle all promise deterministic output, so a map
@@ -17,7 +18,6 @@ import (
 // declared outside the loop that is never sorted afterwards.
 var maprangeRule = &Rule{
 	Name:  "maprange",
-	Doc:   "map iteration feeding an order-sensitive sink",
 	Check: checkMaprange,
 }
 

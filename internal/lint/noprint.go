@@ -5,6 +5,8 @@ import (
 	"strings"
 )
 
+// noprintRule: direct console output inside internal/core, internal/sim
+// or internal/telemetry.
 // noprintRule keeps the mapper, the simulator and the telemetry server
 // free of direct console output: the first two run inside worker pools
 // and benchmarks where stray writes interleave nondeterministically and
@@ -16,7 +18,6 @@ import (
 // writer and fmt.Sprintf stay legal.
 var noprintRule = &Rule{
 	Name: "noprint",
-	Doc:  "direct console output inside internal/core, internal/sim or internal/telemetry",
 	Applies: func(pkgPath string) bool {
 		return strings.HasSuffix(pkgPath, "internal/core") ||
 			strings.HasSuffix(pkgPath, "internal/sim") ||

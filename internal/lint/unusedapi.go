@@ -9,6 +9,7 @@ import (
 	"strings"
 )
 
+// unusedapiRule: exported symbol no non-test code references.
 // unusedapiRule flags exported package-level functions, methods, types
 // and variables that no non-test file of the module references. The
 // loader reads only non-test sources, so a symbol that only tests call
@@ -19,7 +20,6 @@ import (
 // Constants and struct fields are out of scope.
 var unusedapiRule = &Rule{
 	Name: "unusedapi",
-	Doc:  "exported symbol no non-test code references",
 	CheckModule: func(pkgs []*Package) []Finding {
 		return checkUnusedAPI(pkgs, unusedAllow)
 	},

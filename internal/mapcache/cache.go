@@ -6,6 +6,9 @@
 // description. A graph hits only entries stored for the same text: a
 // renamed or renumbered copy is a different key.
 //
+// A hit renders the key and decodes the stored image on every request,
+// so neither path goes through fmt or reflection.
+//
 // Determinism rules: nothing in the key may consult wall-clock time, map
 // iteration order, or process-local identities — the detrand/maprange
 // analyzers in internal/lint enforce this package-wide.
@@ -18,6 +21,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -91,7 +95,7 @@ func (r *Request) key(sum [sha256.Size]byte) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%d", s)
+		b.WriteString(strconv.FormatInt(s, 10))
 	}
 	b.WriteString("|backends=")
 	b.WriteString(strings.Join(r.Backends, ","))

@@ -115,46 +115,28 @@ func parseEnvelope(data []byte) (*entry, error) {
 	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], digest) {
 		return nil, fmt.Errorf("mapcache: disk entry checksum mismatch")
 	}
-	r := bytes.NewReader(body[4:])
-	var version uint32
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil || version != diskVersion {
+	r := body[4:]
+	if binary.LittleEndian.Uint32(r) != diskVersion {
 		return nil, fmt.Errorf("mapcache: unsupported disk entry version")
 	}
-	blob := func() ([]byte, error) {
-		var n uint32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return nil, err
+	r = r[4:]
+	// The blobs alias the file's bytes, each capped at its own end.
+	var blobs [4][]byte
+	for i := range blobs {
+		if len(r) < 4 {
+			return nil, fmt.Errorf("mapcache: disk entry truncated: %w", io.ErrUnexpectedEOF)
 		}
-		if int64(n) > int64(r.Len()) {
+		n := binary.LittleEndian.Uint32(r)
+		r = r[4:]
+		if int64(n) > int64(len(r)) {
 			return nil, fmt.Errorf("mapcache: blob of %d bytes overruns entry", n)
 		}
-		b := make([]byte, n)
-		if n > 0 {
-			if _, err := io.ReadFull(r, b); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
+		blobs[i], r = r[:n:n], r[n:]
 	}
-	key, err := blob()
-	if err != nil {
-		return nil, err
+	if len(r) != 0 {
+		return nil, fmt.Errorf("mapcache: %d trailing bytes in disk entry", len(r))
 	}
-	graphText, err := blob()
-	if err != nil {
-		return nil, err
-	}
-	image, err := blob()
-	if err != nil {
-		return nil, err
-	}
-	metaJSON, err := blob()
-	if err != nil {
-		return nil, err
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("mapcache: %d trailing bytes in disk entry", r.Len())
-	}
+	key, graphText, image, metaJSON := blobs[0], blobs[1], blobs[2], blobs[3]
 	e := &entry{key: string(key), graphText: graphText, image: image}
 	if err := json.Unmarshal(metaJSON, &e.meta); err != nil {
 		return nil, err

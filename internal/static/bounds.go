@@ -171,9 +171,13 @@ func sortedExecs(execs map[cdfg.BBID]int64) []cdfg.BBID {
 
 // ActivityBounds scales the tables by a run's block-execution counts
 // into a bracketing pair of activity reports: identical exact counters,
-// cycle counts at the stall lower/upper bound.
+// cycle counts at the stall lower/upper bound. It rebuilds the tables
+// on each call; Analyze does not keep them.
 func (a *Analysis) ActivityBounds(execs map[cdfg.BBID]int64) (lo, hi *sim.ActivityReport, err error) {
-	b := a.Bounds
+	return buildBounds(a.CFG).activity(execs)
+}
+
+func (b *Bounds) activity(execs map[cdfg.BBID]int64) (lo, hi *sim.ActivityReport, err error) {
 	lo = &sim.ActivityReport{ConfigWords: b.ConfigWords, Tiles: make([]sim.TileCounters, b.numTiles)}
 	hi = &sim.ActivityReport{ConfigWords: b.ConfigWords, Tiles: make([]sim.TileCounters, b.numTiles)}
 	for _, bb := range sortedExecs(execs) {
@@ -215,9 +219,10 @@ func (a *Analysis) EnergyBounds(pr power.Params, execs map[cdfg.BBID]int64) (low
 // A non-nil error means the analysis is unsound for this program — the
 // oracle turns it into the static-unsound outcome.
 func (a *Analysis) CheckRun(res *sim.Result) error {
-	if res.ConfigWords != a.Bounds.ConfigWords {
+	b := buildBounds(a.CFG)
+	if res.ConfigWords != b.ConfigWords {
 		return fmt.Errorf("static: run reports %d config words, program holds %d",
-			res.ConfigWords, a.Bounds.ConfigWords)
+			res.ConfigWords, b.ConfigWords)
 	}
 	for _, bb := range sortedExecs(res.BlockExecs) {
 		if res.BlockExecs[bb] > 0 && (int(bb) >= len(a.Reachable) || !a.Reachable[bb]) {
@@ -225,7 +230,7 @@ func (a *Analysis) CheckRun(res *sim.Result) error {
 				bb, res.BlockExecs[bb])
 		}
 	}
-	lo, hi, err := a.ActivityBounds(res.BlockExecs)
+	lo, hi, err := b.activity(res.BlockExecs)
 	if err != nil {
 		return err
 	}

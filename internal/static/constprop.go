@@ -166,9 +166,9 @@ func stepAbstract(cfg *CFG, st *cpState, bb cdfg.BBID, c int, res []cval, has []
 }
 
 // propagateConsts runs the SCCP fixed point and returns the refined
-// reachability, the per-block branch facts, and the count of operand
-// reads over reachable blocks that carry a provable constant.
-func propagateConsts(cfg *CFG) ([]bool, []BranchFact, int) {
+// reachability, the per-block branch facts, and the solution itself,
+// which countConstOperands replays.
+func propagateConsts(cfg *CFG) ([]bool, []BranchFact, *Solution[cpState]) {
 	res := make([]cval, cfg.NumTiles)
 	has := make([]bool, cfg.NumTiles)
 	transfer := func(bb cdfg.BBID, in cpState) cpState {
@@ -234,8 +234,7 @@ func propagateConsts(cfg *CFG) ([]bool, []BranchFact, int) {
 			}
 		}
 	}
-	consts := countConstOperands(cfg, sol)
-	return sol.Reached, facts, consts
+	return sol.Reached, facts, sol
 }
 
 // countConstOperands replays each reachable block over its fixed-point

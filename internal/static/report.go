@@ -39,14 +39,16 @@ func (a *Analysis) Report() string {
 	fmt.Fprintf(&sb, "  context cells: %d occupied, %d provably dead (%d ops, %d moves)\n",
 		occupied, deadOps+deadMoves, deadOps, deadMoves)
 	fmt.Fprintf(&sb, "  const operands: %d register/route reads carry one provable value\n",
-		a.ConstOperands)
+		a.ConstOperands())
+	du := buildDefUse(a.CFG, a.Reachable)
 	fmt.Fprintf(&sb, "  def-use: %d defs, %d unused locally, %d upstream operand reads\n",
-		len(a.DefUse.Defs), a.DefUse.Unused(), a.DefUse.UpstreamUses)
+		len(du.Defs), du.Unused(), du.UpstreamUses)
 
 	t := trace.NewTable("per-block static cost (one execution)",
 		"block", "reachable", "cycles", "stalls lb", "stalls ub", "branch")
+	bounds := buildBounds(a.CFG)
 	for bb := range a.CFG.Blocks {
-		tb := &a.Bounds.PerBlock[bb]
+		tb := &bounds.PerBlock[bb]
 		reachable := "yes"
 		if !a.Reachable[bb] {
 			reachable = "no"

@@ -13,9 +13,9 @@
 //
 //  1. reachability — blocks executable from the entry block through
 //     branch ops (reach.go);
-//  2. liveness + def-use — per-tile output-register and RF def-use
-//     chains, and faint-variable liveness over them (live.go,
-//     defuse.go);
+//  2. liveness + def-use — faint-variable liveness over per-tile
+//     output registers and RF entries (live.go), and the def-use chains
+//     Report prints (defuse.go);
 //  3. constant propagation — SCCP-style constant/route propagation
 //     through move/hold chains, refining reachability where a branch
 //     condition is provably constant (constprop.go);
@@ -57,19 +57,14 @@ type Analysis struct {
 	// condition: BranchUnknown, BranchTaken (condition != 0, control
 	// goes to Succs[0]) or BranchNotTaken (condition == 0, Succs[1]).
 	BranchConst []BranchFact
-	// ConstOperands counts operands (over reachable blocks) the constant
-	// propagation proved to carry one single value on every execution.
-	ConstOperands int
-
-	// DefUse holds the per-tile register and output def-use chains.
-	DefUse *DefUse
 	// Live is the faint-variable liveness solution; Live.Dead reports
 	// provably-dead context cells.
 	Live *Liveness
-	// Bounds holds the per-block activity tables and stall bounds.
-	Bounds *Bounds
 
-	obs *obs.Recorder
+	// consts is the constant-propagation fixed point ConstOperands
+	// replays.
+	consts *Solution[cpState]
+	obs    *obs.Recorder
 }
 
 // BranchFact is the provable constancy of a block's branch condition.
@@ -90,10 +85,14 @@ func WithObs(r *obs.Recorder) Option {
 	return func(a *Analysis) { a.obs = r }
 }
 
-// Analyze runs the full analysis pipeline over the program. The program
-// must be structurally sound (segments spanning their block lengths, as
-// the pnop verifier pass demands); Analyze errors out otherwise rather
-// than guessing.
+// Analyze computes what Strip and DeadCells read: the CFG, structural
+// and constant-refined reachability, branch facts and liveness. The
+// def-use chains, the cost bounds and the constant-operand count are
+// built on demand by the methods that read them (Report, CheckRun,
+// ActivityBounds, ConstOperands), so an Analysis is read-only once
+// Analyze returns. The program must be structurally sound (segments
+// spanning their block lengths, as the pnop verifier pass demands);
+// Analyze errors out otherwise rather than guessing.
 func Analyze(p *asm.Program, opts ...Option) (*Analysis, error) {
 	a := &Analysis{Prog: p}
 	for _, o := range opts {
@@ -105,7 +104,7 @@ func Analyze(p *asm.Program, opts ...Option) (*Analysis, error) {
 	}
 	a.CFG = cfg
 	a.StructReachable = Reachability(cfg)
-	a.Reachable, a.BranchConst, a.ConstOperands = propagateConsts(cfg)
+	a.Reachable, a.BranchConst, a.consts = propagateConsts(cfg)
 	// Constant-refined reachability must be a subset of the structural
 	// one; a violation is an analyzer bug, not a program property.
 	for bb, r := range a.Reachable {
@@ -114,8 +113,6 @@ func Analyze(p *asm.Program, opts ...Option) (*Analysis, error) {
 		}
 	}
 	a.Live = solveLiveness(cfg, a.Reachable, a.BranchConst)
-	a.DefUse = buildDefUse(cfg, a.Reachable)
-	a.Bounds = buildBounds(cfg)
 	if a.obs.Enabled() {
 		a.record()
 	}
@@ -127,6 +124,11 @@ func Analyze(p *asm.Program, opts ...Option) (*Analysis, error) {
 func (a *Analysis) DeadCells() (ops, moves int) {
 	return a.Live.deadOps, a.Live.deadMoves
 }
+
+// ConstOperands counts the register/route operand reads (over reachable
+// blocks) the constant propagation proved to carry one single value on
+// every execution.
+func (a *Analysis) ConstOperands() int { return countConstOperands(a.CFG, a.consts) }
 
 // UnreachableBlocks counts blocks the refined reachability rules out.
 func (a *Analysis) UnreachableBlocks() int {
@@ -148,5 +150,5 @@ func (a *Analysis) record() {
 	r.Counter("static.blocks_unreachable").Add(int64(a.UnreachableBlocks()))
 	r.Counter("static.dead_ops").Add(int64(ops))
 	r.Counter("static.dead_moves").Add(int64(moves))
-	r.Counter("static.const_operands").Add(int64(a.ConstOperands))
+	r.Counter("static.const_operands").Add(int64(a.ConstOperands()))
 }

@@ -6,7 +6,7 @@ func TestPassCatalog(t *testing.T) {
 	names := map[string]bool{}
 	prefixes := map[string]bool{}
 	for _, p := range passes {
-		if p.Name == "" || p.Code == "" || p.Doc == "" {
+		if p.Name == "" || p.Code == "" {
 			t.Fatalf("pass %+v missing metadata", p)
 		}
 		if names[p.Name] || prefixes[p.Code] {

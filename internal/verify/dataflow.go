@@ -10,6 +10,8 @@ import (
 	"repro/internal/isa"
 )
 
+// dataflowPass: def-before-use liveness: symbolic execution of every
+// block schedule.
 // The dataflow pass is the def-before-use liveness check on the
 // time-extended grid: it symbolically executes every block schedule and
 // proves each operand read (neighbor output register, register file,
@@ -26,7 +28,6 @@ import (
 var dataflowPass = &Pass{
 	Name:  "dataflow",
 	Code:  "DF",
-	Doc:   "def-before-use liveness: symbolic execution of every block schedule",
 	Needs: NeedMapping,
 	run:   runDataflow,
 }

@@ -4,6 +4,7 @@ import (
 	"repro/internal/isa"
 )
 
+// encodePass: context-word encode/decode round-trip legality.
 // The encode pass proves the assembled context words are loadable: every
 // instruction is structurally valid, survives a binary encode/decode
 // round trip against a re-derived constant file, and matches the word
@@ -19,7 +20,6 @@ import (
 var encodePass = &Pass{
 	Name:  "encode",
 	Code:  "ENC",
-	Doc:   "context-word encode/decode round-trip legality",
 	Needs: NeedProgram,
 	run:   runEncode,
 }

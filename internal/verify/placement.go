@@ -7,6 +7,7 @@ import (
 	"repro/internal/isa"
 )
 
+// lsuPass: loads and stores execute only on LSU tiles.
 // The lsu pass pins memory traffic to the hardware that can serve it:
 // loads and stores may only execute on tiles carrying a load/store unit
 // (rows 0–1 of the paper's 4×4 array).
@@ -15,7 +16,6 @@ import (
 var lsuPass = &Pass{
 	Name:  "lsu",
 	Code:  "LSU",
-	Doc:   "loads and stores execute only on LSU tiles",
 	Needs: NeedEither,
 	run:   runLSU,
 }
@@ -57,6 +57,7 @@ func runLSU(c *checker) {
 	}
 }
 
+// cmPass: per-tile context-memory capacity and word accounting.
 // The cm pass enforces the paper's central constraint: every tile's
 // context — operations, moves and folded pnop words — must fit its
 // context memory under the configured (possibly heterogeneous) sizing,
@@ -71,7 +72,6 @@ func runLSU(c *checker) {
 var cmPass = &Pass{
 	Name:  "cm",
 	Code:  "CM",
-	Doc:   "per-tile context-memory capacity and word accounting",
 	Needs: NeedEither,
 	run:   runCM,
 }
@@ -149,6 +149,7 @@ func countPnopWords(row []core.Slot) int {
 	return n
 }
 
+// branchPass: branch-target and block-ordering consistency.
 // The branch pass ties control flow together: a branching block must
 // announce a real branch tile, that tile must execute the block's OpBr,
 // no other tile may branch, and the program's per-block tables must
@@ -164,7 +165,6 @@ func countPnopWords(row []core.Slot) int {
 var branchPass = &Pass{
 	Name:  "branch",
 	Code:  "BR",
-	Doc:   "branch-target and block-ordering consistency",
 	Needs: NeedEither,
 	run:   runBranch,
 }

@@ -4,6 +4,7 @@ import (
 	"repro/internal/isa"
 )
 
+// pnopPass: pnop/hold legality: idle counts and per-block cycle spans.
 // The pnop pass checks the hold legality of folded idle cycles: every
 // pnop word idles a representable, positive cycle count, and each
 // segment's words span exactly the block's schedule length — the
@@ -15,7 +16,6 @@ import (
 var pnopPass = &Pass{
 	Name:  "pnop",
 	Code:  "PNOP",
-	Doc:   "pnop/hold legality: idle counts and per-block cycle spans",
 	Needs: NeedProgram,
 	run:   runPnop,
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/isa"
 )
 
+// regsPass: RRF/CRF capacity and symbol-home live-range overlap.
 // The regs pass bounds register-file traffic: writebacks and register
 // reads must address the RRF (the mapper's 8-entry window), a tile's
 // distinct constants must fit the 32-entry CRF the assembler will
@@ -24,7 +25,6 @@ import (
 var regsPass = &Pass{
 	Name:  "regs",
 	Code:  "REG",
-	Doc:   "RRF/CRF capacity and symbol-home live-range overlap",
 	Needs: NeedEither,
 	run:   runRegs,
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/isa"
 )
 
+// routePass: torus-adjacency and definedness of every neighbor read.
 // The route pass proves every operand transported over the torus rides a
 // real link and reads a defined output register: a neighbor direction
 // must name one of the four torus links (the simulator indexes the
@@ -21,7 +22,6 @@ import (
 var routePass = &Pass{
 	Name:  "route",
 	Code:  "ROUTE",
-	Doc:   "torus-adjacency and definedness of every neighbor read",
 	Needs: NeedMapping,
 	run:   runRoute,
 }

@@ -129,8 +129,6 @@ type Pass struct {
 	Name string
 	// Code is the diagnostic code prefix the pass owns.
 	Code string
-	// Doc is a one-line description for catalogs and -verify output.
-	Doc string
 	// Needs declares the inputs the pass requires.
 	Needs Need
 
