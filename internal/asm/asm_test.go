@@ -79,7 +79,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 			t.Fatalf("tile %d: %d instrs vs %d words", i+1, len(want), len(tc.Binary))
 		}
 		for j, w := range tc.Binary {
-			got, err := isa.Decode(w, tc.CRF)
+			got, err := isa.Decode(w, tc.CRF.Values())
 			if err != nil {
 				t.Fatalf("tile %d word %d: %v", i+1, j, err)
 			}
@@ -108,7 +108,7 @@ func TestBinaryRoundTripAllConfigs(t *testing.T) {
 				want = append(want, seg.Instrs...)
 			}
 			for j, w := range tc.Binary {
-				got, err := isa.Decode(w, tc.CRF)
+				got, err := isa.Decode(w, tc.CRF.Values())
 				if err != nil {
 					t.Fatalf("%s tile %d word %d: %v", cfg, i+1, j, err)
 				}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/cdfg"
@@ -19,7 +20,7 @@ import (
 //	blockLens   [blocks]u32
 //	branchTiles [blocks]i32
 //	per tile:
-//	  crfLen u32, crf [crfLen]i32
+//	  crfLen u32, crf [crfLen]i32 (no value repeated)
 //	  segments [blocks]{words u32, context [words]u64}
 //
 // The image intentionally excludes the CDFG: it is exactly what the
@@ -147,10 +148,12 @@ func LoadImage(data []byte) (*Image, error) {
 		bt, _ := u32()
 		img.BranchTiles[i] = arch.TileID(int32(bt))
 	}
-	// Every word takes 8 of the bytes that remain, so one array of each
-	// kind sized from them holds the whole image without regrowing; each
-	// tile and segment keeps a capped sub-slice of it.
+	// Every word takes 8 of the bytes that remain and every constant 4, so
+	// one array of each kind sized from them holds the whole image without
+	// regrowing; each tile and segment keeps a capped sub-slice of it.
 	instrs, bin := make([]isa.Instr, 0, len(r)/8), make([]uint64, 0, len(r)/8)
+	consts := make([]int32, 0, min(len(r)/4, int(tiles)*isa.MaxCRF))
+	crfs := make([]isa.CRF, tiles)
 	for t := range img.Tiles {
 		it := &img.Tiles[t]
 		crfLen, err := u32()
@@ -160,16 +163,22 @@ func LoadImage(data []byte) (*Image, error) {
 		if crfLen > isa.MaxCRF {
 			return nil, fmt.Errorf("asm: tile %d CRF of %d entries exceeds %d", t+1, crfLen, isa.MaxCRF)
 		}
-		it.CRF = isa.NewCRF()
+		crfStart := len(consts)
 		for j := uint32(0); j < crfLen; j++ {
 			v, err := u32()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := it.CRF.Intern(int32(v)); err != nil {
-				return nil, err
+			// SaveImage writes each constant once; an image that repeats
+			// one would decode against indices it could not save back.
+			if slices.Contains(consts[crfStart:], int32(v)) {
+				return nil, fmt.Errorf("asm: tile %d CRF repeats constant %d", t+1, int32(v))
 			}
+			consts = append(consts, int32(v))
 		}
+		vals := consts[crfStart:len(consts):len(consts)]
+		crfs[t] = isa.CRFOf(vals)
+		it.CRF = &crfs[t]
 		it.Segments = make([][]isa.Instr, blocks)
 		tileStart := len(bin)
 		for b := range it.Segments {
@@ -186,7 +195,7 @@ func LoadImage(data []byte) (*Image, error) {
 			segStart := len(instrs)
 			for j := 0; j < int(words); j++ {
 				w := binary.LittleEndian.Uint64(r[8*j:])
-				in, err := isa.Decode(w, it.CRF)
+				in, err := isa.Decode(w, vals)
 				if err != nil {
 					return nil, fmt.Errorf("asm: tile %d block %d word %d: %w", t+1, b, j, err)
 				}

@@ -111,6 +111,33 @@ func TestImageBytesExact(t *testing.T) {
 	}
 }
 
+// TestLoadImageRejectsRepeatedConstant: SaveImage writes each constant of
+// a tile's CRF once, so an image whose CRF repeats one is refused. Loaded,
+// its words would decode against indices that save back as other bytes.
+func TestLoadImageRejectsRepeatedConstant(t *testing.T) {
+	p := assemble(t, "FFT", core.FlowCAB, arch.HET1)
+	data, err := SaveImage(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tile t's CRF length word sits after the header, the block tables
+	// and every earlier tile's CRF and segments.
+	off := len(imageMagic) + 12 + 8*len(p.BlockLens)
+	for i := range p.Tiles {
+		tc := &p.Tiles[i]
+		if tc.CRF.Len() >= 2 {
+			corrupt := append([]byte(nil), data...)
+			copy(corrupt[off+8:off+12], corrupt[off+4:off+8]) // constant 1 := constant 0
+			if _, err := LoadImage(corrupt); err == nil || !strings.Contains(err.Error(), "repeats constant") {
+				t.Fatalf("tile %d CRF with a repeated constant: err = %v", i+1, err)
+			}
+			return
+		}
+		off += 4 + 4*tc.CRF.Len() + 4*len(tc.Segments) + 8*tc.Words()
+	}
+	t.Fatal("no tile holds two constants")
+}
+
 func TestProgramFromImage(t *testing.T) {
 	k, _ := kernels.ByName("Convolution")
 	g := k.Build()

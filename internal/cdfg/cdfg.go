@@ -246,69 +246,71 @@ func (g *Graph) String() string {
 	return sb.String()
 }
 
-// EvalOp applies the pure ALU semantics of op to the given arguments.
-// Memory, symbol, and control opcodes are not handled here.
-func EvalOp(op Opcode, args []int32) (int32, error) {
-	a := func(i int) int32 { return args[i] }
+// EvalOp applies the pure ALU semantics of op to the operands a, b and
+// c; an op that reads fewer operands ignores the rest. ok is false for
+// an opcode with no pure ALU semantics (memory, symbol, constant and
+// control opcodes; NoALUError describes the refusal). It is the one
+// scalar ALU: the interpreter, the CPU baseline, the static constant
+// propagation and the simulator all evaluate through it.
+func EvalOp(op Opcode, a, b, c int32) (v int32, ok bool) {
 	switch op {
 	case OpAdd:
-		return a(0) + a(1), nil
+		return a + b, true
 	case OpSub:
-		return a(0) - a(1), nil
+		return a - b, true
 	case OpMul:
-		return a(0) * a(1), nil
+		return a * b, true
 	case OpMulH:
-		return int32((int64(a(0)) * int64(a(1))) >> 32), nil
+		return int32((int64(a) * int64(b)) >> 32), true
 	case OpAnd:
-		return a(0) & a(1), nil
+		return a & b, true
 	case OpOr:
-		return a(0) | a(1), nil
+		return a | b, true
 	case OpXor:
-		return a(0) ^ a(1), nil
+		return a ^ b, true
 	case OpShl:
-		return a(0) << (uint32(a(1)) & 31), nil
+		return a << (uint32(b) & 31), true
 	case OpShr:
-		return int32(uint32(a(0)) >> (uint32(a(1)) & 31)), nil
+		return int32(uint32(a) >> (uint32(b) & 31)), true
 	case OpSra:
-		return a(0) >> (uint32(a(1)) & 31), nil
+		return a >> (uint32(b) & 31), true
 	case OpLt:
-		return b2i(a(0) < a(1)), nil
+		return b2i(a < b), true
 	case OpLe:
-		return b2i(a(0) <= a(1)), nil
+		return b2i(a <= b), true
 	case OpEq:
-		return b2i(a(0) == a(1)), nil
+		return b2i(a == b), true
 	case OpNe:
-		return b2i(a(0) != a(1)), nil
+		return b2i(a != b), true
 	case OpGe:
-		return b2i(a(0) >= a(1)), nil
+		return b2i(a >= b), true
 	case OpGt:
-		return b2i(a(0) > a(1)), nil
+		return b2i(a > b), true
 	case OpMin:
-		if a(0) < a(1) {
-			return a(0), nil
-		}
-		return a(1), nil
+		return min(a, b), true
 	case OpMax:
-		if a(0) > a(1) {
-			return a(0), nil
-		}
-		return a(1), nil
+		return max(a, b), true
 	case OpAbs:
-		if a(0) < 0 {
-			return -a(0), nil
+		if a < 0 {
+			return -a, true
 		}
-		return a(0), nil
+		return a, true
 	case OpNeg:
-		return -a(0), nil
+		return -a, true
 	case OpSelect:
-		if a(0) != 0 {
-			return a(1), nil
+		if a != 0 {
+			return b, true
 		}
-		return a(2), nil
+		return c, true
 	case OpMove:
-		return a(0), nil
+		return a, true
 	}
-	return 0, fmt.Errorf("cdfg: opcode %s has no pure ALU semantics", op)
+	return 0, false
+}
+
+// NoALUError is the error for an opcode EvalOp refuses.
+func NoALUError(op Opcode) error {
+	return fmt.Errorf("cdfg: opcode %s has no pure ALU semantics", op)
 }
 
 func b2i(b bool) int32 {

@@ -80,7 +80,7 @@ func TestEvalOpSemantics(t *testing.T) {
 		{OpMove, []int32{42}, 42},
 	}
 	for _, c := range cases {
-		got, err := EvalOp(c.op, c.args)
+		got, err := evalArgs(c.op, c.args)
 		if err != nil {
 			t.Fatalf("EvalOp(%s, %v): %v", c.op, c.args, err)
 		}
@@ -89,7 +89,7 @@ func TestEvalOpSemantics(t *testing.T) {
 		}
 	}
 	for _, op := range []Opcode{OpLoad, OpStore, OpBr, OpConst, OpSym} {
-		if _, err := EvalOp(op, []int32{0, 0, 0}); err == nil {
+		if _, ok := EvalOp(op, 0, 0, 0); ok {
 			t.Errorf("EvalOp(%s) should fail: no pure semantics", op)
 		}
 	}

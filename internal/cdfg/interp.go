@@ -71,7 +71,6 @@ func InterpBudget(g *Graph, mem Memory, blocks int) (*Trace, error) {
 	defined := make(bitset, words(len(st.names)))
 	runs := make([]int, len(p.blocks))
 	cur := g.Entry
-	var args [3]int32
 	for steps := 0; ; steps++ {
 		if steps >= blocks {
 			return p.trace(runs, cur, -1), fmt.Errorf("cdfg: interpretation of %q exceeded %d blocks", g.Name, blocks)
@@ -103,10 +102,9 @@ func InterpBudget(g *Graph, mem Memory, blocks int) (*Trace, error) {
 			case OpBr:
 				branchTaken = vals[o.in[0]] != 0
 			default:
-				args[0], args[1], args[2] = vals[o.in[0]], vals[o.in[1]], vals[o.in[2]]
-				v, err := EvalOp(o.op, args[:o.nargs])
-				if err != nil {
-					return p.trace(runs, cur, i), fmt.Errorf("block %q n%d: %w", g.Blocks[cur].Name, i, err)
+				v, ok := EvalOp(o.op, vals[o.in[0]], vals[o.in[1]], vals[o.in[2]])
+				if !ok {
+					return p.trace(runs, cur, i), fmt.Errorf("block %q n%d: %w", g.Blocks[cur].Name, i, NoALUError(o.op))
 				}
 				vals[i] = v
 			}
@@ -150,9 +148,8 @@ type loweredBlock struct {
 // (unused ones are 0, always a valid index); OpConst keeps its value in
 // in[0] and OpSym its symbol's slot.
 type loweredOp struct {
-	op    Opcode
-	nargs uint8
-	in    [3]int32
+	op Opcode
+	in [3]int32
 }
 
 // lowerGraph compiles a verified graph with the symbol slots st assigned.
@@ -166,7 +163,7 @@ func lowerGraph(g *Graph, st *symtab) *lowered {
 		reads := st.blocks[bi].reads
 		for i, n := range b.Nodes {
 			o := &lb.ops[i]
-			o.op, o.nargs = n.Op, uint8(len(n.Args))
+			o.op = n.Op
 			switch n.Op {
 			case OpConst:
 				o.in[0] = n.Val

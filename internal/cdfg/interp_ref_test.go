@@ -73,7 +73,7 @@ func refInterp(g *Graph, mem Memory) (*Trace, error) {
 				for i, a := range n.Args {
 					args[i] = vals[a]
 				}
-				v, err := EvalOp(n.Op, args)
+				v, err := evalArgs(n.Op, args)
 				if err != nil {
 					return tr, fmt.Errorf("block %q n%d: %w", b.Name, n.ID, err)
 				}
@@ -191,4 +191,16 @@ func graphSymbols(g *Graph) []string {
 	}
 	sort.Strings(syms)
 	return syms
+}
+
+// evalArgs is EvalOp over an argument slice, as the reference model and
+// the table tests hold their operands.
+func evalArgs(op Opcode, args []int32) (int32, error) {
+	var abc [3]int32
+	copy(abc[:], args)
+	v, ok := EvalOp(op, abc[0], abc[1], abc[2])
+	if !ok {
+		return 0, NoALUError(op)
+	}
+	return v, nil
 }

@@ -114,13 +114,13 @@ func Run(g *cdfg.Graph, mem cdfg.Memory, costs Costs) (*Result, error) {
 				res.Branches++
 				res.Instrs++
 			default:
-				args := make([]int32, len(n.Args))
+				var args [3]int32
 				for i, a := range n.Args {
 					args[i] = vals[a]
 				}
-				v, err := cdfg.EvalOp(n.Op, args)
-				if err != nil {
-					return res, fmt.Errorf("cpu: block %q n%d: %w", b.Name, n.ID, err)
+				v, ok := cdfg.EvalOp(n.Op, args[0], args[1], args[2])
+				if !ok {
+					return res, fmt.Errorf("cpu: block %q n%d: %w", b.Name, n.ID, cdfg.NoALUError(n.Op))
 				}
 				vals[n.ID] = v
 				if n.Op == cdfg.OpMul || n.Op == cdfg.OpMulH {

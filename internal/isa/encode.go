@@ -44,15 +44,27 @@ const MaxPnop = 1<<pnopBits - 1
 // encoded context words.
 type CRF struct {
 	vals  []int32
-	index map[int32]int
+	index map[int32]int // value -> index, built by the first Intern
 }
 
 // NewCRF returns an empty constant register file.
-func NewCRF() *CRF { return &CRF{index: map[int32]int{}} }
+func NewCRF() *CRF { return &CRF{} }
+
+// CRFOf returns a constant register file holding vals in index order, as
+// a loaded image carries them; vals must not repeat a value. Decoding
+// reads only the values, so the index Intern needs is built on its first
+// call, never on the load path.
+func CRFOf(vals []int32) CRF { return CRF{vals: vals} }
 
 // Intern returns the CRF index of v, adding it if absent. It fails when
 // the tile needs more than MaxCRF distinct constants.
 func (c *CRF) Intern(v int32) (int, error) {
+	if c.index == nil {
+		c.index = make(map[int32]int, len(c.vals))
+		for i, x := range c.vals {
+			c.index[x] = i
+		}
+	}
 	if i, ok := c.index[v]; ok {
 		return i, nil
 	}
@@ -93,7 +105,7 @@ func encodeSrc(s Src, crf *CRF) (uint64, error) {
 	return uint64(s.Kind)<<srcPayload | payload, nil
 }
 
-func decodeSrc(bits uint64, crf *CRF) (Src, error) {
+func decodeSrc(bits uint64, consts []int32) (Src, error) {
 	kind := SrcKind(bits >> srcPayload)
 	payload := bits & (1<<srcPayload - 1)
 	switch kind {
@@ -106,10 +118,10 @@ func decodeSrc(bits uint64, crf *CRF) (Src, error) {
 	case SrcReg:
 		return Reg(uint8(payload)), nil
 	case SrcConst:
-		if int(payload) >= crf.Len() {
-			return Src{}, fmt.Errorf("isa: CRF index %d out of range %d", payload, crf.Len())
+		if int(payload) >= len(consts) {
+			return Src{}, fmt.Errorf("isa: CRF index %d out of range %d", payload, len(consts))
 		}
-		return Const(crf.Values()[payload]), nil
+		return Const(consts[payload]), nil
 	}
 	return Src{}, fmt.Errorf("isa: undecodable source kind %d", kind)
 }
@@ -144,8 +156,9 @@ func Encode(in Instr, crf *CRF) (uint64, error) {
 	return w, nil
 }
 
-// Decode unpacks a context word encoded by Encode against the same CRF.
-func Decode(w uint64, crf *CRF) (Instr, error) {
+// Decode unpacks a context word encoded by Encode against a CRF holding
+// consts (CRF.Values).
+func Decode(w uint64, consts []int32) (Instr, error) {
 	kind := Kind(w >> kindShift & 3)
 	if kind == KPnop {
 		// A zero idle count is a word Encode never writes.
@@ -165,7 +178,7 @@ func Decode(w uint64, crf *CRF) (Instr, error) {
 	}
 	in.NSrc = int(w >> nsrcShift & 3)
 	for i := 0; i < in.NSrc; i++ {
-		s, err := decodeSrc(w>>(src0Shift+srcBits*i)&(1<<srcBits-1), crf)
+		s, err := decodeSrc(w>>(src0Shift+srcBits*i)&(1<<srcBits-1), consts)
 		if err != nil {
 			return Instr{}, err
 		}

@@ -84,6 +84,20 @@ func TestCRFIntern(t *testing.T) {
 	}
 }
 
+// TestCRFOfInternsLoadedValues: a CRF built from a loaded value list
+// finds those values at their loaded indices and appends new ones.
+func TestCRFOfInternsLoadedValues(t *testing.T) {
+	c := CRFOf([]int32{7, -3, 12})
+	for want, v := range []int32{7, -3, 12, 5} {
+		if i, err := c.Intern(v); err != nil || i != want {
+			t.Fatalf("Intern(%d) = %d, %v; want %d", v, i, err, want)
+		}
+	}
+	if c.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", c.Len())
+	}
+}
+
 // randomInstr builds a random valid instruction.
 func randomInstr(rng *rand.Rand) Instr {
 	switch rng.Intn(3) {
@@ -144,7 +158,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			}
 			t.Fatalf("trial %d: encode %v: %v", trial, in, err)
 		}
-		got, err := Decode(w, crf)
+		got, err := Decode(w, crf.Values())
 		if err != nil {
 			t.Fatalf("trial %d: decode %#x: %v", trial, w, err)
 		}
@@ -170,7 +184,7 @@ func TestEncodePnopBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(w&^(MaxPnop<<pnopShift), crf); err == nil {
+	if _, err := Decode(w&^(MaxPnop<<pnopShift), nil); err == nil {
 		t.Error("a pnop word with a zero count should not decode")
 	}
 }

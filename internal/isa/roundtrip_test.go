@@ -41,7 +41,7 @@ func TestEncodeDecodeTable(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Encode(%v): %v", tc.in, err)
 			}
-			got, err := Decode(w, crf)
+			got, err := Decode(w, crf.Values())
 			if err != nil {
 				t.Fatalf("Decode(%#x): %v", w, err)
 			}
@@ -74,7 +74,7 @@ func TestEncodeDecodeQuick(t *testing.T) {
 				t.Logf("Encode(%v): %v", in, err)
 				return false
 			}
-			got, err := Decode(w, crf)
+			got, err := Decode(w, crf.Values())
 			if err != nil {
 				t.Logf("Decode(%#x): %v", w, err)
 				return false
@@ -103,7 +103,7 @@ func TestDecodeRejectsBadCRFIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(w, NewCRF()); err == nil {
+	if _, err := Decode(w, nil); err == nil {
 		t.Fatal("decoding against an empty CRF succeeded")
 	}
 }

@@ -341,9 +341,8 @@ func opFault(in *isa.Instr, nbrs, rrf int) (srcs int, class bool, err error) {
 	k := kindOf(in)
 	need := 1
 	if k == lkALU {
-		var zeros [isa.MaxSrcs]int32
-		if _, err := cdfg.EvalOp(in.Op, zeros[:]); err != nil {
-			return in.NSrc, true, err
+		if _, ok := cdfg.EvalOp(in.Op, 0, 0, 0); !ok {
+			return in.NSrc, true, cdfg.NoALUError(in.Op)
 		}
 		need = in.Op.NumArgs()
 	} else if k == lkStore {
@@ -922,7 +921,7 @@ func (r *batchRun) execBlock(lb *lblock, g *laneGroup) {
 		o0, ld, sto, br, o1 := int(cy.alu), int(cy.ld), int(cy.st), int(cy.br), int(lb.cyc[c+1].alu)
 		for oi := o0; oi < ld; oi++ {
 			if one || lb.kind[oi]&kUni != 0 {
-				sc[nout+int(lb.tile[oi])] = aluScalar(lb.op[oi], sc[src[0][oi]], sc[src[1][oi]], sc[src[2][oi]])
+				sc[nout+int(lb.tile[oi])], _ = cdfg.EvalOp(lb.op[oi], sc[src[0][oi]], sc[src[1][oi]], sc[src[2][oi]])
 				continue
 			}
 			r.fillOperands(g, lb, oi)
@@ -1421,65 +1420,6 @@ func aluEval(op cdfg.Opcode, runs []laneRun, st []int32, d, a, b, c int) {
 			}
 		}
 	}
-}
-
-// aluScalar applies one lowered ALU op to the scalar operands a, b and
-// c, for a uniform op. Its cases mirror aluEval's (and cdfg.EvalOp's);
-// TestALUEvalMatchesEvalOp pins them together.
-func aluScalar(op cdfg.Opcode, a, b, c int32) int32 {
-	switch op {
-	case cdfg.OpAdd:
-		return a + b
-	case cdfg.OpSub:
-		return a - b
-	case cdfg.OpMul:
-		return a * b
-	case cdfg.OpMulH:
-		return int32((int64(a) * int64(b)) >> 32)
-	case cdfg.OpAnd:
-		return a & b
-	case cdfg.OpOr:
-		return a | b
-	case cdfg.OpXor:
-		return a ^ b
-	case cdfg.OpShl:
-		return a << (uint32(b) & 31)
-	case cdfg.OpShr:
-		return int32(uint32(a) >> (uint32(b) & 31))
-	case cdfg.OpSra:
-		return a >> (uint32(b) & 31)
-	case cdfg.OpLt:
-		return b2i32(a < b)
-	case cdfg.OpLe:
-		return b2i32(a <= b)
-	case cdfg.OpEq:
-		return b2i32(a == b)
-	case cdfg.OpNe:
-		return b2i32(a != b)
-	case cdfg.OpGe:
-		return b2i32(a >= b)
-	case cdfg.OpGt:
-		return b2i32(a > b)
-	case cdfg.OpMin:
-		return min(a, b)
-	case cdfg.OpMax:
-		return max(a, b)
-	case cdfg.OpAbs:
-		if a < 0 {
-			return -a
-		}
-		return a
-	case cdfg.OpNeg:
-		return -a
-	case cdfg.OpSelect:
-		if a != 0 {
-			return b
-		}
-		return c
-	case cdfg.OpMove:
-		return a
-	}
-	return 0
 }
 
 // rows1 returns run rn's slices of state rows d and a (row offsets into

@@ -127,9 +127,11 @@ func (s *Sim) runScalar(mem cdfg.Memory, tid int) (*Result, error) {
 				default:
 					tc.OpCycles++
 					tc.ALUOps++
-					v, err := cdfg.EvalOp(in.Op, vals)
-					if err != nil {
-						return res, fmt.Errorf("sim: block %q cycle %d tile %d: %w", b.Name, c, t+1, err)
+					var args [isa.MaxSrcs]int32
+					copy(args[:], vals)
+					v, ok := cdfg.EvalOp(in.Op, args[0], args[1], args[2])
+					if !ok {
+						return res, fmt.Errorf("sim: block %q cycle %d tile %d: %w", b.Name, c, t+1, cdfg.NoALUError(in.Op))
 					}
 					newOut[t] = v
 					hasOut[t] = true

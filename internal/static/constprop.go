@@ -144,7 +144,7 @@ func stepAbstract(cfg *CFG, st *cpState, bb cdfg.BBID, c int, res []cval, has []
 				args[i] = vals[i].v
 			}
 			if allConst {
-				if v, err := cdfg.EvalOp(in.Op, args[:in.NSrc]); err == nil {
+				if v, ok := cdfg.EvalOp(in.Op, args[0], args[1], args[2]); ok {
 					out = cval{k: cConst, v: v}
 				}
 			}

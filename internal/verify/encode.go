@@ -39,7 +39,7 @@ func runEncode(c *checker) {
 				} else if w, err := isa.Encode(in, crf); err != nil {
 					c.diag("ENC002", here, "encode: %v", err)
 				} else {
-					if back, err := isa.Decode(w, crf); err != nil {
+					if back, err := isa.Decode(w, crf.Values()); err != nil {
 						c.diag("ENC002", here, "decode: %v", err)
 					} else if back != in {
 						c.diag("ENC003", here, "round trip yields %v, want %v", back, in)

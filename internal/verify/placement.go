@@ -1,9 +1,10 @@
 package verify
 
 import (
+	"slices"
+
 	"repro/internal/arch"
 	"repro/internal/cdfg"
-	"repro/internal/core"
 	"repro/internal/isa"
 )
 
@@ -16,29 +17,12 @@ import (
 var lsuPass = &Pass{
 	Name:  "lsu",
 	Code:  "LSU",
-	Needs: NeedEither,
+	Needs: NeedProgram,
 	run:   runLSU,
 }
 
 func runLSU(c *checker) {
 	grid := c.cx.Grid
-	if m := c.cx.Mapping; m != nil {
-		for _, bm := range m.Blocks {
-			b := m.Graph.Blocks[bm.BB]
-			for t, row := range bm.Tiles {
-				if grid.Tile(arch.TileID(t)).HasLSU {
-					continue
-				}
-				for cyc, s := range row {
-					if s.Kind == core.SlotOp && b.Nodes[s.Node].Op.IsMem() {
-						c.diag("LSU001", atBlock(bm.BB).onTile(t).atCycle(cyc).forNode(s.Node),
-							"%s on a tile without a load/store unit", b.Nodes[s.Node].Op)
-					}
-				}
-			}
-		}
-		return
-	}
 	p := c.cx.Program
 	for t := range p.Tiles {
 		if grid.Tile(arch.TileID(t)).HasLSU {
@@ -57,96 +41,30 @@ func runLSU(c *checker) {
 	}
 }
 
-// cmPass: per-tile context-memory capacity and word accounting.
+// cmPass: per-tile context-memory capacity.
 // The cm pass enforces the paper's central constraint: every tile's
-// context — operations, moves and folded pnop words — must fit its
-// context memory under the configured (possibly heterogeneous) sizing,
-// and the mapper's word accounting must agree with the schedule it
-// annotates and with the program the assembler emitted.
+// context — operations, moves and folded pnop words, as loaded — must
+// fit its context memory under the configured (possibly heterogeneous)
+// sizing.
 //
 //	CM001  a tile's context words exceed its context-memory capacity
-//	CM002  the mapper's per-tile op/move/pnop counts disagree with the
-//	       schedule grid
-//	CM003  the assembled program's word count disagrees with the
-//	       mapping's accounting
 var cmPass = &Pass{
 	Name:  "cm",
 	Code:  "CM",
-	Needs: NeedEither,
+	Needs: NeedProgram,
 	run:   runCM,
 }
 
 func runCM(c *checker) {
 	grid := c.cx.Grid
-	m, p := c.cx.Mapping, c.cx.Program
-	// Capacity: prefer the program (the words actually loaded), fall back
-	// to the mapping's accounting.
-	for t := 0; t < grid.NumTiles(); t++ {
-		var words int
-		switch {
-		case p != nil:
-			words = p.Tiles[t].Words()
-		default:
-			for _, bm := range m.Blocks {
-				words += bm.Words(arch.TileID(t))
-			}
-		}
+	p := c.cx.Program
+	for t := range p.Tiles {
+		words := p.Tiles[t].Words()
 		if limit := grid.Tile(arch.TileID(t)).CMWords; words > limit {
 			c.diag("CM001", nowhere().onTile(t),
 				"context needs %d words, context memory holds %d", words, limit)
 		}
 	}
-	if m != nil {
-		for _, bm := range m.Blocks {
-			for t, row := range bm.Tiles {
-				ops, moves := 0, 0
-				for _, s := range row {
-					switch s.Kind {
-					case core.SlotOp:
-						ops++
-					case core.SlotMove:
-						moves++
-					}
-				}
-				pnops := countPnopWords(row)
-				if ops != bm.Ops[t] || moves != bm.Moves[t] || pnops != bm.Pnops[t] {
-					c.diag("CM002", atBlock(bm.BB).onTile(t),
-						"schedule holds op=%d move=%d pnop=%d, accounting says op=%d move=%d pnop=%d",
-						ops, moves, pnops, bm.Ops[t], bm.Moves[t], bm.Pnops[t])
-				}
-			}
-		}
-	}
-	if m != nil && p != nil {
-		for t := 0; t < grid.NumTiles(); t++ {
-			want := 0
-			for _, bm := range m.Blocks {
-				want += bm.Words(arch.TileID(t))
-			}
-			if got := p.Tiles[t].Words(); got != want {
-				c.diag("CM003", nowhere().onTile(t),
-					"program holds %d words, mapping accounts for %d", got, want)
-			}
-		}
-	}
-}
-
-// countPnopWords counts the pnop words a slot row assembles into: one per
-// maximal run of empty slots (mirrors the assembler's folding).
-func countPnopWords(row []core.Slot) int {
-	n := 0
-	inGap := false
-	for _, s := range row {
-		if s.Kind == core.SlotEmpty {
-			if !inGap {
-				n++
-				inGap = true
-			}
-		} else {
-			inGap = false
-		}
-	}
-	return n
 }
 
 // branchPass: branch-target and block-ordering consistency.
@@ -165,51 +83,48 @@ func countPnopWords(row []core.Slot) int {
 var branchPass = &Pass{
 	Name:  "branch",
 	Code:  "BR",
-	Needs: NeedEither,
+	Needs: NeedProgram,
 	run:   runBranch,
 }
 
 func runBranch(c *checker) {
 	g := c.cx.Graph
-	if p := c.cx.Program; p != nil {
-		if len(p.BlockLens) != len(g.Blocks) || len(p.BranchTiles) != len(g.Blocks) {
-			c.diag("BR005", nowhere(),
-				"program tables cover %d/%d blocks, graph has %d",
-				len(p.BlockLens), len(p.BranchTiles), len(g.Blocks))
+	p := c.cx.Program
+	if len(p.BlockLens) != len(g.Blocks) || len(p.BranchTiles) != len(g.Blocks) {
+		c.diag("BR005", nowhere(),
+			"program tables cover %d/%d blocks, graph has %d",
+			len(p.BlockLens), len(p.BranchTiles), len(g.Blocks))
+		return
+	}
+	for t := range p.Tiles {
+		tc := &p.Tiles[t]
+		if len(tc.Segments) != len(g.Blocks) {
+			c.diag("BR006", nowhere().onTile(t),
+				"tile holds %d segments, graph has %d blocks", len(tc.Segments), len(g.Blocks))
 			return
 		}
-		for t := range p.Tiles {
-			tc := &p.Tiles[t]
-			if len(tc.Segments) != len(g.Blocks) {
-				c.diag("BR006", nowhere().onTile(t),
-					"tile holds %d segments, graph has %d blocks", len(tc.Segments), len(g.Blocks))
+		for bb, seg := range tc.Segments {
+			if seg.BB != cdfg.BBID(bb) {
+				c.diag("BR006", atBlock(cdfg.BBID(bb)).onTile(t),
+					"segment %d belongs to block b%d", bb, seg.BB)
 				return
-			}
-			for bb, seg := range tc.Segments {
-				if seg.BB != cdfg.BBID(bb) {
-					c.diag("BR006", atBlock(cdfg.BBID(bb)).onTile(t),
-						"segment %d belongs to block b%d", bb, seg.BB)
-					return
-				}
 			}
 		}
 	}
 	for _, blk := range g.Blocks {
-		bt, brTiles := branchFacts(c, blk.ID)
+		bt := p.BranchTiles[blk.ID]
+		var brTiles []int
+		for t := range p.Tiles {
+			if branches(p.Tiles[t].Segments[blk.ID].Instrs) {
+				brTiles = append(brTiles, t)
+			}
+		}
 		here := atBlock(blk.ID)
 		if blk.HasBranch() {
 			if bt < 0 || int(bt) >= c.cx.Grid.NumTiles() {
 				c.diag("BR001", here, "branching block announces branch tile %d", bt)
-			} else {
-				onBT := false
-				for _, t := range brTiles {
-					if t == int(bt) {
-						onBT = true
-					}
-				}
-				if !onBT {
-					c.diag("BR003", here.onTile(int(bt)), "announced branch tile never executes the branch")
-				}
+			} else if !slices.Contains(brTiles, int(bt)) {
+				c.diag("BR003", here.onTile(int(bt)), "announced branch tile never executes the branch")
 			}
 		} else if bt >= 0 {
 			c.diag("BR002", here.onTile(int(bt)), "block has no branch but announces a branch tile")
@@ -222,35 +137,12 @@ func runBranch(c *checker) {
 	}
 }
 
-// branchFacts returns the announced branch tile of a block and the tiles
-// that actually execute an OpBr, preferring the mapping's view.
-func branchFacts(c *checker, bb cdfg.BBID) (arch.TileID, []int) {
-	if m := c.cx.Mapping; m != nil {
-		bm := m.Blocks[bb]
-		b := m.Graph.Blocks[bb]
-		var brTiles []int
-		for t, row := range bm.Tiles {
-			for _, s := range row {
-				if s.Kind == core.SlotOp && b.Nodes[s.Node].Op == cdfg.OpBr {
-					brTiles = append(brTiles, t)
-					break
-				}
-			}
-		}
-		return bm.BranchTile, brTiles
-	}
-	p := c.cx.Program
-	var brTiles []int
-	for t := range p.Tiles {
-		if int(bb) >= len(p.Tiles[t].Segments) {
-			continue
-		}
-		for _, in := range p.Tiles[t].Segments[bb].Instrs {
-			if in.Kind == isa.KOp && in.Op == cdfg.OpBr {
-				brTiles = append(brTiles, t)
-				break
-			}
+// branches reports whether a segment executes an OpBr.
+func branches(instrs []isa.Instr) bool {
+	for _, in := range instrs {
+		if in.Kind == isa.KOp && in.Op == cdfg.OpBr {
+			return true
 		}
 	}
-	return p.BranchTiles[bb], brTiles
+	return false
 }

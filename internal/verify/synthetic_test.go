@@ -77,17 +77,18 @@ func TestSyntheticMappingClean(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatalf("synthetic mapping is structurally invalid: %v", err)
 	}
-	if res := verify.Run(&verify.Context{Mapping: m}); !res.OK() {
+	if res := verify.Run(&verify.Context{Mapping: m, Program: assembled(t, m)}); !res.OK() {
 		t.Fatalf("clean synthetic mapping reported diagnostics:\n%s", res.Report())
 	}
 }
 
 // TestREG003CRFPressure gives one tile more distinct constants than the
-// 32-entry CRF holds; the regs pass must predict the assembly failure.
+// 32-entry CRF holds. REG003 is retired: the assembler refuses the
+// mapping (isa.CRF.Intern), so no program with the overflow exists.
 func TestREG003CRFPressure(t *testing.T) {
 	g := storesGraph(isa.MaxCRF + 3)
 	m := storesMapping(g, arch.MustGrid(arch.HOM64))
-	requireCode(t, verify.Run(&verify.Context{Mapping: m}), "REG003")
+	requireAssembleError(t, m, "constant register file overflow")
 }
 
 // TestBR002PhantomBranchTile announces a branch tile on a branch-less
@@ -96,5 +97,5 @@ func TestBR002PhantomBranchTile(t *testing.T) {
 	g := storesGraph(3)
 	m := storesMapping(g, arch.MustGrid(arch.HOM64))
 	m.Blocks[0].BranchTile = 2
-	requireCode(t, verify.Run(&verify.Context{Mapping: m}), "BR002")
+	requireCode(t, checkAssembled(t, m), "BR002")
 }

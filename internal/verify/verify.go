@@ -2,18 +2,38 @@
 // pass-based framework that proves a mapping or an assembled program
 // legal without running it. Where the simulator (internal/sim) and the
 // differential oracle (internal/oracle) check behavior dynamically, the
-// verifier checks the artifact itself — every neighbor read rides a real
-// torus link, every value is defined before it is used, register and
-// constant files are never over-subscribed, per-tile contexts fit their
-// context memories, context words round-trip through the binary
-// encoding, branches resolve on the announced tile, loads and stores sit
-// on LSU tiles, and pnop words account for exactly the idle cycles of
-// each block.
+// verifier checks the artifact itself — every operand read delivers the
+// value the CDFG prescribes, register files are never over-subscribed,
+// per-tile contexts fit their context memories, context words
+// round-trip through the binary encoding, branches resolve on the
+// announced tile, loads and stores sit on LSU tiles, and pnop words
+// account for exactly the idle cycles of each block.
 //
-// Each pass emits Diagnostics with stable codes (ROUTE001, REG003,
-// CM002, ...) attributed back to the CDFG: block, tile, cycle, and node.
-// The codes are part of the package's API — tests and the oracle
-// classify failures by them — and must never be renumbered.
+// Each pass reads exactly one artifact. The dataflow pass reads the
+// mapping (core.Mapping); every other pass reads the assembled program
+// (asm.Program), the artifact the disk tier and the strip
+// re-verification hold without a mapping.
+//
+// Each pass emits Diagnostics with stable codes (DF002, REG001, CM001,
+// ...) attributed back to the CDFG: block, tile, cycle, and node. The
+// codes are part of the package's API — tests and the oracle classify
+// failures by them — and must never be renumbered or reused. These
+// codes are retired, each because another check already proves its
+// property:
+//
+//	ROUTE001  direction off the torus: DF001
+//	ROUTE002  read of an undriven output register: DF002 (the
+//	          undriven register holds no value the CDFG wants)
+//	ROUTE003  neighbor table names a non-adjacent tile: could not fire
+//	          (adjacency is defined by the neighbor table)
+//	REG003    more distinct constants than the CRF holds: asm.Assemble
+//	          (isa.CRF.Intern refuses the overflow; asm.LoadImage bounds
+//	          a loaded CRF)
+//	REG004    a home's final writer clobbers it: DF005
+//	CM002     per-tile op/move/pnop counts disagree with the schedule:
+//	          core.Mapping.Validate, run by asm.Assemble
+//	CM003     program words disagree with the mapping's accounting:
+//	          asm.Assemble's per-segment word check
 //
 // Importing this package (even blank) installs the dataflow pass as
 // core.Map's hard post-condition via core.RegisterDataflowCheck, which
@@ -35,36 +55,15 @@ func init() {
 	core.RegisterDataflowCheck(Dataflow)
 }
 
-// Severity grades a diagnostic. Every current pass emits errors; the
-// level exists so future passes can add advisory findings without a new
-// reporting channel.
-type Severity int
-
-const (
-	SevError Severity = iota
-	SevWarning
-)
-
-func (s Severity) String() string {
-	switch s {
-	case SevError:
-		return "error"
-	case SevWarning:
-		return "warning"
-	}
-	return fmt.Sprintf("severity(%d)", int(s))
-}
-
 // Diagnostic is one verifier finding, attributed as precisely as the
 // pass can: the basic block, the 0-based tile, the cycle within the
 // block schedule, and the CDFG node involved. Unused attributions hold
 // cdfg.None / -1.
 type Diagnostic struct {
-	// Code is the stable machine-readable identifier, e.g. "ROUTE001".
+	// Code is the stable machine-readable identifier, e.g. "DF002".
 	Code string
 	// Pass names the emitting pass.
 	Pass string
-	Sev  Severity
 
 	Block     cdfg.BBID
 	BlockName string
@@ -102,8 +101,8 @@ func (d Diagnostic) String() string {
 
 // Context is the verifier's input. Graph and Grid are required (they are
 // derived from Mapping or Program when nil); Mapping and Program are
-// each optional, and every pass runs on whatever subset it supports —
-// see Pass.Needs.
+// each optional, and each pass runs when the one artifact it reads is
+// present — see Pass.Needs.
 type Context struct {
 	Graph   *cdfg.Graph
 	Grid    *arch.Grid
@@ -111,7 +110,7 @@ type Context struct {
 	Program *asm.Program
 }
 
-// Need says which inputs a pass requires beyond Graph and Grid.
+// Need says which artifact a pass reads beyond Graph and Grid.
 type Need int
 
 const (
@@ -119,8 +118,6 @@ const (
 	NeedMapping Need = iota
 	// NeedProgram: the pass analyzes assembled per-tile contexts.
 	NeedProgram
-	// NeedEither: the pass runs on a mapping, a program, or both.
-	NeedEither
 )
 
 // Pass is one independent legality check.
@@ -136,20 +133,15 @@ type Pass struct {
 }
 
 func (p *Pass) available(cx *Context) bool {
-	switch p.Needs {
-	case NeedMapping:
+	if p.Needs == NeedMapping {
 		return cx.Mapping != nil
-	case NeedProgram:
-		return cx.Program != nil
-	default:
-		return cx.Mapping != nil || cx.Program != nil
 	}
+	return cx.Program != nil
 }
 
 // passes is the catalog in execution order.
 var passes = []*Pass{
 	dataflowPass,
-	routePass,
 	regsPass,
 	lsuPass,
 	cmPass,
@@ -202,7 +194,7 @@ func (r *Result) Report() string {
 		fmt.Fprintf(&sb, "  %-10s skipped\n", name)
 	}
 	for _, d := range r.Diags {
-		fmt.Fprintf(&sb, "  %s: %s\n", d.Sev, d)
+		fmt.Fprintf(&sb, "  error: %s\n", d)
 	}
 	return sb.String()
 }
@@ -235,7 +227,7 @@ func runPasses(cx *Context, ps []*Pass) *Result {
 	res := &Result{}
 	if c.Graph == nil || c.Grid == nil {
 		res.Diags = append(res.Diags, Diagnostic{
-			Code: "VER001", Pass: "framework", Sev: SevError,
+			Code: "VER001", Pass: "framework",
 			Block: cdfg.None, Tile: -1, Cycle: -1, Node: cdfg.None,
 			Msg: "verification context has no graph or grid",
 		})
@@ -287,7 +279,7 @@ func (a at) forNode(n cdfg.NodeID) at { a.node = n; return a }
 
 func (c *checker) diag(code string, a at, format string, args ...any) {
 	d := Diagnostic{
-		Code: code, Pass: c.pass.Name, Sev: SevError,
+		Code: code, Pass: c.pass.Name,
 		Block: a.blk, Tile: a.tile, Cycle: a.cyc, Node: a.node,
 		Msg: fmt.Sprintf(format, args...),
 	}

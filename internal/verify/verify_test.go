@@ -2,6 +2,7 @@ package verify_test
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -86,18 +87,29 @@ func TestCleanKernelFullContext(t *testing.T) {
 	}
 }
 
+// TestMappingOnlySkipsProgramPasses: without a program only the dataflow
+// pass, the one that reads the mapping, runs.
 func TestMappingOnlySkipsProgramPasses(t *testing.T) {
 	m := mapKernel(t, "DCFilter", arch.HOM64, core.FlowCAB)
 	res := verify.Run(&verify.Context{Mapping: m})
 	if !res.OK() {
 		t.Fatalf("clean mapping reported diagnostics:\n%s", res.Report())
 	}
-	skipped := map[string]bool{}
-	for _, name := range res.Skipped {
-		skipped[name] = true
+	if len(res.Ran) != 1 || res.Ran[0] != "dataflow" || len(res.Skipped) != 6 {
+		t.Fatalf("ran %v skipped %v, want only dataflow run", res.Ran, res.Skipped)
 	}
-	if !skipped["encode"] || !skipped["pnop"] {
-		t.Fatalf("program-level passes not skipped: %v", res.Skipped)
+}
+
+// TestProgramOnlySkipsDataflow: without a mapping every pass but
+// dataflow runs — the disk tier's trust gate.
+func TestProgramOnlySkipsDataflow(t *testing.T) {
+	p := assembled(t, mapKernel(t, "DCFilter", arch.HOM64, core.FlowCAB))
+	res := verify.CheckProgram(p)
+	if !res.OK() {
+		t.Fatalf("clean program reported diagnostics:\n%s", res.Report())
+	}
+	if len(res.Ran) != 6 || len(res.Skipped) != 1 || res.Skipped[0] != "dataflow" {
+		t.Fatalf("ran %v skipped %v, want every pass but dataflow run", res.Ran, res.Skipped)
 	}
 }
 
@@ -121,8 +133,30 @@ func TestCheckImage(t *testing.T) {
 	}
 }
 
+// checkAssembled assembles a (corrupted) mapping and verifies the
+// program alone: the path of every mapping fault that the assembler
+// accepts and a program-side pass must refuse.
+func checkAssembled(t *testing.T, m *core.Mapping) *verify.Result {
+	t.Helper()
+	return verify.CheckProgram(assembled(t, m))
+}
+
+// requireAssembleError asserts the assembler refuses the mapping with an
+// error containing want.
+func requireAssembleError(t *testing.T, m *core.Mapping, want string) {
+	t.Helper()
+	_, err := asm.Assemble(m)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("want an assemble error containing %q, got %v", want, err)
+	}
+}
+
 // TestMappingFaults corrupts a fresh DCFilter mapping per fault class and
-// asserts the intended pass reports its stable code.
+// asserts the check that owns the fault refuses it: the dataflow pass on
+// the mapping, the assembler, or a program-side pass on the assembled
+// program. Subtests keep the code they were written for; a retired code's
+// subtest (ROUTE001, ROUTE002, REG004, CM002) names in its body the check
+// that now catches its corruption.
 func TestMappingFaults(t *testing.T) {
 	fresh := func(t *testing.T) *core.Mapping {
 		return mapKernel(t, "DCFilter", arch.HOM64, core.FlowCAB)
@@ -139,14 +173,14 @@ func TestMappingFaults(t *testing.T) {
 				s.Srcs[i].Dir = 7
 			}
 		}
-		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "ROUTE001")
+		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "DF001")
 	})
 	t.Run("ROUTE002 read of undriven output register", func(t *testing.T) {
 		m := fresh(t)
 		if !redirectToUndriven(m) {
 			t.Skip("every neighbor is driven before every read")
 		}
-		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "ROUTE002")
+		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "DF002")
 	})
 	t.Run("REG001 writeback outside the RRF", func(t *testing.T) {
 		m := fresh(t)
@@ -155,7 +189,7 @@ func TestMappingFaults(t *testing.T) {
 			t.Skip("no writeback slot")
 		}
 		m.Blocks[bb].Tiles[ti][ci].WReg = 15
-		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "REG001")
+		requireCode(t, checkAssembled(t, m), "REG001")
 	})
 	t.Run("REG002 register read outside the RRF", func(t *testing.T) {
 		m := fresh(t)
@@ -169,14 +203,14 @@ func TestMappingFaults(t *testing.T) {
 				s.Srcs[i].Reg = 15
 			}
 		}
-		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "REG002")
+		requireCode(t, checkAssembled(t, m), "REG002")
 	})
 	t.Run("REG004 home register clobbered", func(t *testing.T) {
 		m := fresh(t)
 		if !clobberHome(m) {
 			t.Skip("no clobberable slot on a home tile")
 		}
-		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "REG004")
+		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "DF005")
 	})
 	t.Run("DF002 neighbor direction rotated", func(t *testing.T) {
 		m := fresh(t)
@@ -218,54 +252,132 @@ func TestMappingFaults(t *testing.T) {
 		if !relocateMemRow(m) {
 			t.Skip("no memory row to relocate")
 		}
-		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "LSU001")
+		requireAssembleError(t, m, "on non-LSU tile")
 	})
 	t.Run("CM001 context memory exceeded", func(t *testing.T) {
 		m := fresh(t)
-		var cm [16]int
-		for i := range cm {
-			cm[i] = 2
-		}
-		tiny, err := arch.CustomGrid("TINY", cm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Grid = tiny
-		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "CM001")
+		m.Grid = tinyGrid(t)
+		requireCode(t, checkAssembled(t, m), "CM001")
 	})
 	t.Run("CM002 word accounting drifted", func(t *testing.T) {
 		m := fresh(t)
 		m.Blocks[0].Pnops[3]++
-		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "CM002")
+		requireAssembleError(t, m, "pnops")
 	})
 	t.Run("BR001 branch tile dropped", func(t *testing.T) {
 		m := fresh(t)
-		bb, ok := branchingBlock(m)
+		bb, ok := branchingBlock(m.Graph)
 		if !ok {
 			t.Skip("no branching block")
 		}
 		m.Blocks[bb].BranchTile = -1
-		requireCode(t, verify.Run(&verify.Context{Mapping: m}), "BR001")
+		requireCode(t, checkAssembled(t, m), "BR001")
 	})
 	t.Run("BR003 branch tile retargeted", func(t *testing.T) {
 		m := fresh(t)
-		bb, ok := branchingBlock(m)
+		bb, ok := branchingBlock(m.Graph)
 		if !ok {
 			t.Skip("no branching block")
 		}
 		m.Blocks[bb].BranchTile = (m.Blocks[bb].BranchTile + 1) % arch.TileID(m.Grid.NumTiles())
-		res := verify.Run(&verify.Context{Mapping: m})
+		res := checkAssembled(t, m)
 		requireCode(t, res, "BR003")
 		requireCode(t, res, "BR004")
 	})
 }
 
+// tinyGrid is the 4×4 torus with two context words per tile: no kernel
+// fits it.
+func tinyGrid(t *testing.T) *arch.Grid {
+	t.Helper()
+	var cm [16]int
+	for i := range cm {
+		cm[i] = 2
+	}
+	tiny, err := arch.CustomGrid("TINY", cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tiny
+}
+
 // TestProgramFaults corrupts a fresh assembled DCFilter program per fault
-// class and asserts the program-level passes report their codes.
+// class and asserts the program-level passes report their codes — the
+// checks the disk tier's trust gate and the strip re-verification run.
 func TestProgramFaults(t *testing.T) {
 	fresh := func(t *testing.T) *asm.Program {
 		return assembled(t, mapKernel(t, "DCFilter", arch.HOM64, core.FlowCAB))
 	}
+	t.Run("REG001 writeback outside the RRF", func(t *testing.T) {
+		p := fresh(t)
+		in, ok := findInstr(p, func(in *isa.Instr) bool { return in.Kind != isa.KPnop && in.WB })
+		if !ok {
+			t.Skip("no writeback word")
+		}
+		in.WReg = 15
+		requireCode(t, verify.CheckProgram(p), "REG001")
+	})
+	t.Run("REG002 register read outside the RRF", func(t *testing.T) {
+		p := fresh(t)
+		in, ok := findInstr(p, readsReg)
+		if !ok {
+			t.Skip("no register operand")
+		}
+		for i := 0; i < in.NSrc; i++ {
+			if in.Srcs[i].Kind == isa.SrcReg {
+				in.Srcs[i].Reg = 15
+			}
+		}
+		requireCode(t, verify.CheckProgram(p), "REG002")
+	})
+	t.Run("LSU001 memory context on a non-LSU tile", func(t *testing.T) {
+		p := fresh(t)
+		if !relocateMemTile(p) {
+			t.Skip("no memory tile to relocate")
+		}
+		requireCode(t, verify.CheckProgram(p), "LSU001")
+	})
+	t.Run("CM001 context memory exceeded", func(t *testing.T) {
+		p := fresh(t)
+		p.Grid = tinyGrid(t)
+		requireCode(t, verify.CheckProgram(p), "CM001")
+	})
+	t.Run("BR001 branch tile dropped", func(t *testing.T) {
+		p := fresh(t)
+		bb, ok := branchingBlock(p.Graph)
+		if !ok {
+			t.Skip("no branching block")
+		}
+		p.BranchTiles[bb] = -1
+		requireCode(t, verify.CheckProgram(p), "BR001")
+	})
+	t.Run("BR002 phantom branch tile", func(t *testing.T) {
+		p := fresh(t)
+		bb, ok := straightBlock(p.Graph)
+		if !ok {
+			t.Skip("every block branches")
+		}
+		p.BranchTiles[bb] = 2
+		requireCode(t, verify.CheckProgram(p), "BR002")
+	})
+	t.Run("BR003 branch tile retargeted", func(t *testing.T) {
+		p := fresh(t)
+		bb, ok := branchingBlock(p.Graph)
+		if !ok {
+			t.Skip("no branching block")
+		}
+		p.BranchTiles[bb] = (p.BranchTiles[bb] + 1) % arch.TileID(len(p.Tiles))
+		res := verify.CheckProgram(p)
+		requireCode(t, res, "BR003")
+		requireCode(t, res, "BR004")
+	})
+	t.Run("BR004 second tile branches", func(t *testing.T) {
+		p := fresh(t)
+		if !duplicateBranch(p) {
+			t.Skip("no word to turn into a branch")
+		}
+		requireCode(t, verify.CheckProgram(p), "BR004")
+	})
 	t.Run("ENC001 malformed instruction", func(t *testing.T) {
 		p := fresh(t)
 		in, ok := findInstr(p, func(in *isa.Instr) bool { return in.Kind == isa.KOp && in.NSrc > 0 })
@@ -375,7 +487,7 @@ func findWB(m *core.Mapping) (bb, tile, cyc int, ok bool) {
 
 // clobberHome retargets a producing slot on a home tile so it becomes
 // the block's LAST write into the home register while carrying some
-// other value — the end-state corruption REG004 attributes to a slot.
+// other value — the end-state corruption DF005 reports at block end.
 func clobberHome(m *core.Mapping) bool {
 	for _, s := range sortedSyms(m) {
 		home, ok := m.SymHomes[s]
@@ -492,13 +604,83 @@ func relocateMemRow(m *core.Mapping) bool {
 	return false
 }
 
-func branchingBlock(m *core.Mapping) (cdfg.BBID, bool) {
-	for _, blk := range m.Graph.Blocks {
+func branchingBlock(g *cdfg.Graph) (cdfg.BBID, bool) {
+	for _, blk := range g.Blocks {
 		if blk.HasBranch() {
 			return blk.ID, true
 		}
 	}
 	return 0, false
+}
+
+func straightBlock(g *cdfg.Graph) (cdfg.BBID, bool) {
+	for _, blk := range g.Blocks {
+		if !blk.HasBranch() {
+			return blk.ID, true
+		}
+	}
+	return 0, false
+}
+
+func readsReg(in *isa.Instr) bool {
+	if in.Kind == isa.KPnop {
+		return false
+	}
+	for i := 0; i < in.NSrc; i++ {
+		if in.Srcs[i].Kind == isa.SrcReg {
+			return true
+		}
+	}
+	return false
+}
+
+// relocateMemTile swaps the whole context of a tile that loads or stores
+// with that of a tile without an LSU.
+func relocateMemTile(p *asm.Program) bool {
+	for t := range p.Tiles {
+		for _, seg := range p.Tiles[t].Segments {
+			for _, in := range seg.Instrs {
+				if in.Kind != isa.KOp || !in.Op.IsMem() {
+					continue
+				}
+				for t2 := range p.Tiles {
+					if !p.Grid.Tile(arch.TileID(t2)).HasLSU {
+						p.Tiles[t], p.Tiles[t2] = p.Tiles[t2], p.Tiles[t]
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+// duplicateBranch turns an op or move word of some branching block, on a
+// tile other than the block's announced branch tile, into a copy of the
+// program's first branch word.
+func duplicateBranch(p *asm.Program) bool {
+	br, ok := findInstr(p, func(in *isa.Instr) bool { return in.Kind == isa.KOp && in.Op == cdfg.OpBr })
+	if !ok {
+		return false
+	}
+	for bb, bt := range p.BranchTiles {
+		if bt < 0 {
+			continue
+		}
+		for t := range p.Tiles {
+			if t == int(bt) {
+				continue
+			}
+			instrs := p.Tiles[t].Segments[bb].Instrs
+			for i := range instrs {
+				if instrs[i].Kind != isa.KPnop {
+					instrs[i] = *br
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 func findInstr(p *asm.Program, match func(*isa.Instr) bool) (*isa.Instr, bool) {

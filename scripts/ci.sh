@@ -62,14 +62,15 @@ rm -f "$strip_out"
 # store; the second run (a fresh process, so the memory tier is empty)
 # must come back from the disk tier — which re-verifies the entry before
 # serving it — with a byte-identical bitstream, proven by the printed
-# image checksum.
-echo "== mapping-cache round-trip smoke (cgramap -cachedir, MatM HOM64/cab)"
+# image checksum. Both runs verify (-verify): the warm run has no
+# mapping, so its report must show every program pass ok.
+echo "== mapping-cache round-trip smoke (cgramap -cachedir -verify, MatM HOM64/cab)"
 cache_dir="$(mktemp -d)"
 cold_out="$(mktemp)"
 warm_out="$(mktemp)"
 trap 'rm -rf "$cache_dir" "$cold_out" "$warm_out"' EXIT
-go run ./cmd/cgramap -kernel MatM -config HOM64 -flow cab -cachedir "$cache_dir" > "$cold_out"
-go run ./cmd/cgramap -kernel MatM -config HOM64 -flow cab -cachedir "$cache_dir" > "$warm_out"
+go run ./cmd/cgramap -kernel MatM -config HOM64 -flow cab -verify -cachedir "$cache_dir" > "$cold_out"
+go run ./cmd/cgramap -kernel MatM -config HOM64 -flow cab -verify -cachedir "$cache_dir" > "$warm_out"
 grep '^cache:' "$cold_out" "$warm_out" | sed 's/^/  /'
 if ! grep -q '^cache: compute$' "$cold_out"; then
     echo "cache gate: first run did not report a cache miss (cache: compute)" >&2
@@ -88,6 +89,14 @@ if [ -z "$cold_sha" ] || [ "$cold_sha" != "$warm_sha" ]; then
     exit 1
 fi
 echo "  $cold_sha (cold == warm)"
+for pass in regs lsu cm branch encode pnop; do
+    if ! grep -Eq "^  $pass +ok\$" "$warm_out"; then
+        echo "cache gate: warm run's verifier did not report $pass ok" >&2
+        sed -n '/^static verification/,$p' "$warm_out" >&2
+        exit 1
+    fi
+done
+echo "  warm run verified: regs lsu cm branch encode pnop ok"
 rm -rf "$cache_dir" "$cold_out" "$warm_out"
 
 # Live telemetry smoke: run a real (small) evaluation with -serve and
