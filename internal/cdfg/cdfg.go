@@ -180,14 +180,25 @@ type BasicBlock struct {
 // HasBranch reports whether the block ends in a conditional branch.
 func (b *BasicBlock) HasBranch() bool { return b.Branch != None }
 
-// LiveOutSyms returns the block's published symbol names in sorted order.
-func (b *BasicBlock) LiveOutSyms() []string {
-	syms := make([]string, 0, len(b.LiveOut))
-	for s := range b.LiveOut {
-		syms = append(syms, s)
+// LiveOuts calls yield with every published symbol and its defining node,
+// in sorted symbol order, until yield returns false. It walks the map
+// once per symbol instead of sorting a copy of the names: a block
+// publishes a handful of symbols, and the walk allocates nothing. yield
+// must not change LiveOut.
+func (b *BasicBlock) LiveOuts(yield func(sym string, def NodeID) bool) {
+	prev := ""
+	for done := 0; done < len(b.LiveOut); done++ {
+		next, found := "", false
+		for s := range b.LiveOut {
+			if (done == 0 || s > prev) && (!found || s < next) {
+				next, found = s, true
+			}
+		}
+		if !yield(next, b.LiveOut[next]) {
+			return
+		}
+		prev = next
 	}
-	sort.Strings(syms)
-	return syms
 }
 
 // SymReads returns the distinct symbol names read by the block, sorted.
@@ -231,9 +242,10 @@ func (g *Graph) String() string {
 		for _, n := range b.Nodes {
 			fmt.Fprintf(&sb, "  %s\n", n)
 		}
-		for _, s := range b.LiveOutSyms() {
-			fmt.Fprintf(&sb, "  %s <- n%d\n", s, b.LiveOut[s])
-		}
+		b.LiveOuts(func(s string, def NodeID) bool {
+			fmt.Fprintf(&sb, "  %s <- n%d\n", s, def)
+			return true
+		})
 		if b.HasBranch() {
 			fmt.Fprintf(&sb, "  br n%d ? %s : %s\n",
 				b.Nodes[b.Branch].Args[0], g.Blocks[b.Succs[0]].Name, g.Blocks[b.Succs[1]].Name)

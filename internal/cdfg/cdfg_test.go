@@ -149,8 +149,13 @@ func TestGraphAccessorsAndString(t *testing.T) {
 	if syms := g.Blocks[g.Entry].SymReads(); len(syms) != 0 {
 		t.Errorf("entry reads %v, want none", syms)
 	}
-	if lo := g.Blocks[g.Entry].LiveOutSyms(); len(lo) != 1 || lo[0] != "s" {
-		t.Errorf("LiveOutSyms = %v", lo)
+	var lo []string
+	g.Blocks[g.Entry].LiveOuts(func(s string, _ NodeID) bool {
+		lo = append(lo, s)
+		return true
+	})
+	if len(lo) != 1 || lo[0] != "s" {
+		t.Errorf("LiveOuts = %v", lo)
 	}
 }
 

@@ -85,13 +85,14 @@ func (g *Graph) MarshalText() ([]byte, error) {
 			}
 			buf = append(buf, '\n')
 		}
-		for _, s := range b.LiveOutSyms() {
+		b.LiveOuts(func(s string, def NodeID) bool {
 			buf = append(buf, "liveout "...)
 			buf = strconv.AppendQuote(buf, s)
 			buf = append(buf, ' ')
-			buf = strconv.AppendInt(buf, int64(b.LiveOut[s]), 10)
+			buf = strconv.AppendInt(buf, int64(def), 10)
 			buf = append(buf, '\n')
-		}
+			return true
+		})
 		if b.Branch != None {
 			buf = append(buf, "branch "...)
 			buf = strconv.AppendInt(buf, int64(b.Branch), 10)

@@ -90,14 +90,17 @@ func verifyBlock(g *Graph, b *BasicBlock) error {
 		bad = bad || id < 0 || int(id) >= len(b.Nodes) || !b.Nodes[id].Op.HasResult()
 	}
 	if bad {
-		for _, s := range b.LiveOutSyms() {
-			id := b.LiveOut[s]
+		var err error
+		b.LiveOuts(func(s string, id NodeID) bool {
 			if id < 0 || int(id) >= len(b.Nodes) {
-				return fmt.Errorf("live-out %q: node n%d out of range", s, id)
+				err = fmt.Errorf("live-out %q: node n%d out of range", s, id)
+			} else if !b.Nodes[id].Op.HasResult() {
+				err = fmt.Errorf("live-out %q: node n%d produces no value", s, id)
 			}
-			if !b.Nodes[id].Op.HasResult() {
-				return fmt.Errorf("live-out %q: node n%d produces no value", s, id)
-			}
+			return err == nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	for _, s := range b.Succs {

@@ -110,16 +110,19 @@ type mapperArena struct {
 	budget   []int
 	soft     []int
 
-	// Block-level scratch.
-	stream   candStream
-	children []*partial
-	order    []cdfg.NodeID
-	ready    []cdfg.NodeID
-	pending  []int
-	owed     []int8
-	// beams are the two buffers mapBlock's beam alternates between (see
-	// stochasticPrune); liveOut and wbSyms back the block context's
-	// live-out tables.
+	// Block-level scratch. fits and kept hold a bind step's candidate
+	// indices: the ones that pass the memory filters and the survivors.
+	// fp is the single footprint in use (see footprint): cabBlacklist and
+	// mapBlock each consume it before they make another call that fills it.
+	stream  candStream
+	fits    []int32
+	kept    []int32
+	fp      footprint
+	order   []cdfg.NodeID
+	ready   []cdfg.NodeID
+	pending []int
+	// beams are the two buffers mapBlock's beam alternates between;
+	// liveOut and wbSyms back the block context's live-out tables.
 	beams   [2][]*partial
 	liveOut []bool
 	wbSyms  []wbSym
@@ -149,7 +152,7 @@ type mapperArena struct {
 	pathCols  int
 	hopsBuf   []arch.TileID
 
-	// rank[n] holds stochasticPrune's rank weights exp(-i/n) for i in
+	// rank[n] holds survivors' rank weights exp(-i/n) for i in
 	// [0, n), followed by their in-order sum.
 	rank [][]float64
 
@@ -343,19 +346,6 @@ func (a *mapperArena) cloneInto(dst, src *partial) {
 	dst.touch()
 }
 
-// owedBuf returns the pendingWB scratch, zeroed. Only one pendingWB result
-// is ever alive at a time.
-func (a *mapperArena) owedBuf(n int) []int8 {
-	if cap(a.owed) < n {
-		a.owed = make([]int8, n)
-	}
-	a.owed = a.owed[:n]
-	for i := range a.owed {
-		a.owed[i] = 0
-	}
-	return a.owed
-}
-
 // overlayReset clears and returns the single in-flight overlay.
 func (a *mapperArena) overlayReset() *overlay {
 	o := &a.overlay
@@ -408,7 +398,7 @@ func (a *mapperArena) topology(g *arch.Grid) int {
 }
 
 // rankWeights returns exp(-i/n) for i in [0, n) and their in-order sum,
-// computed once per n: stochasticPrune draws from the same few sizes at
+// computed once per n: survivors draws from the same few sizes at
 // every bind step.
 func (a *mapperArena) rankWeights(n int) ([]float64, float64) {
 	if len(a.rank) <= n {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -38,15 +37,6 @@ type argPlan struct {
 	Pin  *pinStep
 }
 
-// partialsByCost is a concrete sort.Interface adapter: the beam sort sits
-// on the binder's hot path, where the reflection-based sort.SliceStable
-// swapper showed up in profiles.
-type partialsByCost []*partial
-
-func (s partialsByCost) Len() int           { return len(s) }
-func (s partialsByCost) Less(i, j int) bool { return s[i].cost < s[j].cost }
-func (s partialsByCost) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-
 // candidate is one feasible binding of a node under a specific partial.
 type candidate struct {
 	parent *partial
@@ -55,6 +45,17 @@ type candidate struct {
 	cycle  int
 	plans  []argPlan
 	cost   float64 // delta cost over the parent
+}
+
+// recomputes counts the recompute transformations the candidate applies.
+func (c *candidate) recomputes() int {
+	n := 0
+	for i := range c.plans {
+		if c.plans[i].Plan.Recomp != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // scheduleOrder on the context reuses the precomputed user lists and the
@@ -185,9 +186,10 @@ func (cx *bbCtx) cabBlacklist(p *partial) uint32 {
 		return p.blMask
 	}
 	var mask uint32
-	owed := cx.pendingWB(p)
+	f := &cx.arena.fp
+	cx.footprintOf(p, f)
 	for t := range p.tiles {
-		if cx.headroomWords(p, t, owed) >= cx.budget[t] {
+		if f.headroom(t) >= cx.budget[t] {
 			mask |= 1 << uint(t)
 		}
 	}
@@ -332,13 +334,13 @@ func (cx *bbCtx) affectedTiles(cand *candidate, op arch.TileID) []arch.TileID {
 
 // apply realizes the candidate on a recycled copy of the parent that
 // shares the parent's buffers until it writes them.
-func (cx *bbCtx) apply(cand *candidate, st *Stats) *partial {
+func (cx *bbCtx) apply(cand *candidate) *partial {
 	p := cx.arena.getPartial()
 	cx.arena.cloneInto(p, cand.parent)
 	nd := cx.block.Nodes[cand.node]
 	var srcs [isa.MaxSrcs]isa.Src
 	for i := range cand.plans {
-		srcs[i] = cx.applyPlan(p, &cand.plans[i], st)
+		srcs[i] = cx.applyPlan(p, &cand.plans[i])
 	}
 	// Place the operation itself. (Stores and branches get the same
 	// sentinel location so placed() works, though nothing consumes them.)
@@ -407,7 +409,7 @@ func (cx *bbCtx) wantsWriteback(n cdfg.NodeID) bool {
 
 // applyPlan realizes one operand plan on the cloned partial and returns
 // the operand source the consuming instruction uses.
-func (cx *bbCtx) applyPlan(p *partial, ap *argPlan, st *Stats) isa.Src {
+func (cx *bbCtx) applyPlan(p *partial, ap *argPlan) isa.Src {
 	pl := &ap.Plan
 	src := pl.Src
 	if ap.Pin != nil {
@@ -481,9 +483,6 @@ func (cx *bbCtx) applyPlan(p *partial, ap *argPlan, st *Stats) isa.Src {
 		*slot = Slot{Kind: SlotOp, Node: rc.Node, Srcs: rc.Srcs, NSrc: rc.NSrc, Dup: true}
 		ts.Ops++
 		p.recomputes++
-		if st != nil {
-			st.Recomputes++
-		}
 		p.bump(rc.Cycle)
 		p.addLoc(ap.Arg, loc{Tile: rc.Tile, Cycle: rc.Cycle, Reg: noReg})
 	}
@@ -561,20 +560,20 @@ func (cx *bbCtx) memReport(p *partial) string {
 	return string(b)
 }
 
-// memViolation is a pruned child's first tile over the in-flight memory
-// filters' budget, under the filter (FlowACMAP or FlowECMAP) that pruned
-// it: kept as numbers, and rendered only when the bind step fails.
+// memViolation is a pruned candidate's first tile over the in-flight
+// memory filters' budget, under the filter (FlowACMAP or FlowECMAP) that
+// pruned it: kept as numbers, and rendered only when the bind step fails.
 type memViolation struct {
 	flow                Flow
 	tile, words, budget int // tile < 0: no tile is over
 }
 
-// violation finds the first tile violating the in-flight memory filters.
-func (cx *bbCtx) violation(p *partial, flow Flow) memViolation {
-	owed := cx.pendingWB(p)
-	for t := range p.tiles {
-		if w := cx.headroomWords(p, t, owed); w > cx.budget[t] {
-			return memViolation{flow: flow, tile: t, words: w, budget: cx.budget[t]}
+// violation finds the first tile of f over its budget under the headroom
+// count.
+func (cx *bbCtx) violation(f *footprint, flow Flow) memViolation {
+	for t, b := range cx.budget {
+		if w := f.headroom(t); w > b {
+			return memViolation{flow: flow, tile: t, words: w, budget: b}
 		}
 	}
 	return memViolation{flow: flow, tile: -1}
@@ -620,14 +619,50 @@ func (cx *bbCtx) liveOutTables(vals []bool, wb []wbSym) {
 	cx.liveOutValues, cx.wbSyms = vals, wb
 }
 
-// pendingWB returns, per tile, how many live-out symbol writebacks are
-// still owed to home registers on that tile — each will need up to one
-// more context word at finalize.
-func (cx *bbCtx) pendingWB(p *partial) []int8 {
-	// The counts live in a single arena scratch buffer: callers consume
-	// the result before any further pendingWB call, and only one mapper
-	// goroutine ever uses an arena.
-	var owed []int8
+// footprint is what the in-flight memory filters read of a partial, or of
+// the child a candidate would realize. Per tile: words, the interior
+// context words (instructions plus one pnop per leading or interior gap);
+// hi, one past the last occupied cycle; owed, the live-out writebacks
+// still owed to home registers there, each of which needs up to one more
+// word at finalize. maxCycle is the schedule length. claims lists the
+// slots a candidate adds (see claim).
+type footprint struct {
+	words, hi []int
+	owed      []int8
+	maxCycle  int
+	claims    []int64
+}
+
+// trailing reports whether tile t idles after its last instruction until
+// the schedule's end: its exact count owes a trailing pnop.
+func (f *footprint) trailing(t int) bool { return f.hi[t] < f.maxCycle }
+
+// headroom is tile t's word count under the in-flight filters. While
+// mapping, a growing makespan can still hand any active tile a trailing
+// pnop, so one word of headroom is charged beyond the interior count;
+// idle tiles owe their whole-block pnop. The owed writebacks come on top.
+func (f *footprint) headroom(t int) int {
+	w := f.words[t]
+	if w > 0 {
+		w++
+	} else if f.maxCycle > 0 {
+		w = 1
+	}
+	return w + int(f.owed[t])
+}
+
+// footprintOf fills f with partial p's footprint.
+func (cx *bbCtx) footprintOf(p *partial, f *footprint) {
+	n := len(p.tiles)
+	f.words = slices.Grow(f.words[:0], n)[:n]
+	f.hi = slices.Grow(f.hi[:0], n)[:n]
+	f.owed = slices.Grow(f.owed[:0], n)[:n]
+	clear(f.owed)
+	for t, ts := range p.tiles {
+		f.words[t] = ts.words(p.maxCycle, false)
+		f.hi[t] = int(ts.hi)
+	}
+	f.maxCycle = p.maxCycle
 	for i := range cx.wbSyms {
 		w := &cx.wbSyms[i]
 		h, ok := w.home, w.pinned
@@ -636,109 +671,156 @@ func (cx *bbCtx) pendingWB(p *partial) []int8 {
 				continue
 			}
 		}
-		if p.writeCycle(cx.grid.RRFSize, h.Tile, int8(h.Reg)) != noWrite {
-			continue // already written (retrofit)
+		if p.writeCycle(cx.grid.RRFSize, h.Tile, int8(h.Reg)) == noWrite {
+			f.owed[h.Tile]++ // a home already written (retrofit) owes none
 		}
-		if owed == nil {
-			owed = cx.arena.owedBuf(cx.grid.NumTiles())
-		}
-		owed[h.Tile]++
 	}
-	return owed
 }
 
-// acmapOK implements the approximate context-memory aware pruning filter
-// (§III-D2): per tile, committed instructions plus the approximate pnop
-// count (leading and interior gaps of the current partial schedule) must
-// fit the remaining budget. The estimate tracks the schedule so far and is
-// approximate with respect to the final block schedule in both directions.
-// During mapping (reserve set) a word is reserved per pending live-out
-// writeback on its home tile.
-func (cx *bbCtx) acmapOK(p *partial, reserve bool) bool {
-	var owed []int8
-	if reserve {
-		owed = cx.pendingWB(p)
-	}
-	for t := range p.tiles {
-		w := p.tiles[t].words(p.maxCycle, false)
-		if owed != nil {
-			w += int(owed[t])
+// candFootprint fills f with the footprint of the child cand would
+// realize: its parent's plus the slots the plan claims — the operation,
+// every move and any recompute — and one owed writeback per symbol home
+// it pins for a live-out symbol. Writebacks are only scheduled at
+// finalize, so a home pinned mid-block is always owed one.
+func (cx *bbCtx) candFootprint(cand *candidate, f *footprint) {
+	p := cand.parent
+	cx.footprintOf(p, f)
+	f.claims = f.claims[:0]
+	for i := range cand.plans {
+		pl := &cand.plans[i].Plan
+		for _, m := range pl.Moves {
+			f.claim(p, m.Tile, m.Cycle)
 		}
-		if w > cx.budget[t] {
-			return false
+		if rc := pl.Recomp; rc != nil {
+			f.claim(p, rc.Tile, rc.Cycle)
+		}
+		if pin := cand.plans[i].Pin; pin != nil && cx.owesWriteback(pin.Sym) && !pinnedBefore(cand.plans[:i], pin.Sym) {
+			f.owed[pin.Tile]++
 		}
 	}
-	return true
+	f.claim(p, cand.tile, cand.cycle)
 }
 
-// ecmapOK implements the exact context-memory aware pruning filter
-// (§III-D3): per tile, the exact context-word count of the schedule as it
-// stands — including the trailing pnop each lagging tile needs to idle to
-// the current makespan — must fit the remaining budget. During mapping
-// (reserve set) a word is reserved per pending live-out writeback.
-func (cx *bbCtx) ecmapOK(p *partial, reserve bool) bool {
-	return cx.ecmapOKHeadroom(p, reserve, reserve)
-}
-
-// ecmapOKHeadroom lets the caller drop the trailing-headroom and pending-
-// writeback charges near the end of a block, where all future
-// instructions are known and the finalize check is the authority (a
-// writeback can often retrofit into an existing slot at no word cost).
-func (cx *bbCtx) ecmapOKHeadroom(p *partial, reserve, headroom bool) bool {
-	var owed []int8
-	if reserve && headroom {
-		owed = cx.pendingWB(p)
+// claim adds an instruction at cycle c of tile t, a slot empty in p and
+// in every earlier claim, to f: one word, plus the change in t's gap
+// count (see tileState.gapDelta).
+func (f *footprint) claim(p *partial, t arch.TileID, c int) {
+	busy := func(c int) bool {
+		return p.tiles[t].occupied(c) || containsKey(f.claims, slotKey(t, c))
 	}
-	for t := range p.tiles {
-		w := p.tiles[t].words(p.maxCycle, true) // exact, trailing pnop included
-		if headroom {
-			w = cx.headroomWords(p, t, owed)
-		}
-		if w > cx.budget[t] {
-			return false
-		}
-	}
-	return true
-}
-
-// headroomWords is tile t's word count under the in-flight filters.
-// While mapping, a growing makespan can still hand any active tile a
-// trailing pnop, so one word of headroom is charged beyond the interior
-// count; idle tiles owe their whole-block pnop. owed (nil for none) adds
-// the pending writebacks.
-func (cx *bbCtx) headroomWords(p *partial, t int, owed []int8) int {
-	w := p.tiles[t].words(p.maxCycle, false)
-	if w > 0 {
+	w := 1
+	if c > 0 && !busy(c-1) {
 		w++
-	} else if p.maxCycle > 0 {
-		w = 1
 	}
-	if owed != nil {
-		w += int(owed[t])
+	if busy(c + 1) {
+		w--
 	}
-	return w
+	f.words[t] += w
+	f.hi[t] = max(f.hi[t], c+1)
+	f.maxCycle = max(f.maxCycle, c+1)
+	f.claims = append(f.claims, slotKey(t, c))
 }
 
-// stochasticPrune bounds the beam: the best detFraction of the beam is
-// kept deterministically by cost, the rest of the slots are filled by
-// rank-weighted sampling (the paper's threshold function). The surviving
-// beam is appended to dst[:0]; parts aliases the arena's children buffer,
-// so dst must not. Partials that don't survive go straight back to the
-// arena's free list.
-func stochasticPrune(dst, parts []*partial, beam int, detFrac float64, rng *rand.Rand, st *Stats, ar *mapperArena) []*partial {
-	if len(parts) <= beam {
-		return append(dst[:0], parts...)
+// owesWriteback reports whether pinning symbol s's home owes a writeback:
+// s is a live-out symbol of the block that is not its own entry value.
+func (cx *bbCtx) owesWriteback(s string) bool {
+	for i := range cx.wbSyms {
+		if cx.wbSyms[i].sym == s {
+			return true
+		}
 	}
-	sort.Stable(partialsByCost(parts))
-	det := int(float64(beam) * detFrac)
-	if det > beam {
-		det = beam
+	return false
+}
+
+// pinnedBefore reports whether an earlier operand plan pins symbol s: a
+// repeated operand reuses that pin.
+func pinnedBefore(plans []argPlan, s string) bool {
+	for i := range plans {
+		if plans[i].Pin != nil && plans[i].Pin.Sym == s {
+			return true
+		}
 	}
-	kept := append(dst[:0], parts[:det]...)
-	rest := parts[det:]
+	return false
+}
+
+// memPrune applies the flow's in-flight memory filters to a candidate's
+// footprint and returns the one that prunes it: FlowACMAP, FlowECMAP, or
+// FlowBasic when it passes. ACMAP (§III-D2) charges, per tile, the
+// committed instructions plus the approximate pnop count (leading and
+// interior gaps of the schedule so far) and a word per owed writeback;
+// the estimate is approximate with respect to the final block schedule
+// in both directions. ECMAP (§III-D3) runs on what ACMAP passes and
+// charges the headroom count while headroom is set; near the end of a
+// block, where all future instructions are known and the finalize check
+// is the authority (a writeback can often retrofit into an existing slot
+// at no word cost), it charges the exact count, trailing pnop included,
+// and nothing owed. The paper runs the exact filter at each cycle
+// boundary; checking every binding is equivalent but catches violating
+// candidates before they waste beam slots.
+func (cx *bbCtx) memPrune(f *footprint, headroom bool) Flow {
+	pruned := FlowBasic
+	ecmap := cx.opt.Flow >= FlowECMAP
+	for t, b := range cx.budget {
+		if f.words[t]+int(f.owed[t]) > b {
+			return FlowACMAP
+		}
+		if !ecmap || pruned != FlowBasic {
+			continue
+		}
+		w := f.words[t]
+		switch {
+		case headroom:
+			w = f.headroom(t)
+		case f.trailing(t):
+			w++
+		}
+		if w > b {
+			pruned = FlowECMAP
+		}
+	}
+	return pruned
+}
+
+// acmapOK is the ACMAP filter on a finalized block: per tile, the
+// instructions plus leading and interior pnops must fit the budget.
+func (cx *bbCtx) acmapOK(p *partial) bool {
+	for t := range p.tiles {
+		if p.tiles[t].words(p.maxCycle, false) > cx.budget[t] {
+			return false
+		}
+	}
+	return true
+}
+
+// ecmapOK is the ECMAP filter on a finalized block: per tile, the exact
+// context-word count, including the trailing pnop each lagging tile needs
+// to idle to the makespan, must fit the budget.
+func (cx *bbCtx) ecmapOK(p *partial) bool {
+	for t := range p.tiles {
+		if p.tiles[t].words(p.maxCycle, true) > cx.budget[t] {
+			return false
+		}
+	}
+	return true
+}
+
+// survivors cuts the candidates that passed the memory filters, given in
+// the stream's (cost, enumeration order) order, to the beam: the best
+// detFrac of the beam is kept deterministically, the rest of the slots
+// are filled by rank-weighted sampling (the paper's threshold function).
+// The draws read only ranks, so the survivors are chosen before any of
+// them is realized. They are appended to dst[:0] in beam order; fits is
+// consumed.
+func survivors(dst, fits []int32, beam int, detFrac float64, rng *rand.Rand, st *Stats, ar *mapperArena) []int32 {
+	if len(fits) <= beam {
+		return append(dst[:0], fits...)
+	}
+	det := min(int(float64(beam)*detFrac), beam)
+	kept := append(dst[:0], fits[:det]...)
+	rest := fits[det:]
 	need := beam - det
 	for need > 0 && len(rest) > 0 {
-		// Rank-weighted threshold: earlier (cheaper) partials are
+		// Rank-weighted threshold: earlier (cheaper) candidates are
 		// exponentially more likely to survive.
 		w, total := ar.rankWeights(len(rest))
 		x := rng.Float64() * total
@@ -755,9 +837,6 @@ func stochasticPrune(dst, parts []*partial, beam int, detFrac float64, rng *rand
 		need--
 	}
 	st.PrunedStochastic += len(rest)
-	for _, p := range rest {
-		ar.putPartial(p)
-	}
 	return kept
 }
 
@@ -770,7 +849,7 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 	order := cx.scheduleOrder()
 	st.Phases.Schedule += time.Since(tSched)
 	// The beam alternates between the arena's two beam buffers: each bind
-	// step prunes the children into the one the current beam is not in.
+	// step realizes the survivors into the one the current beam is not in.
 	cur := 0
 	beam := append(ar.beams[cur][:0], init)
 	cs := &ar.stream
@@ -819,63 +898,64 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 			st.Retries++
 		}
 		st.Phases.Route += time.Since(tRoute)
-		// Realize candidates best-first until enough children survive the
-		// memory filters (the cap bounds survivors, so a run of filtered
-		// placements does not exhaust the binder's patience). The stream
-		// plans lazily; that planning counts as route time.
+		// Take candidates best-first until enough pass the memory filters
+		// (the cap bounds the ones that pass, so a run of filtered
+		// placements does not exhaust the binder's patience), cut them to
+		// the beam, and realize only the survivors. The filters read the
+		// candidate's footprint, so no filtered or cut candidate is built.
+		// The stream plans lazily; that planning counts as route time.
 		tBind := time.Now()
 		var planning time.Duration
 		limit := cx.opt.CandidateCap
-		children := ar.children[:0]
+		fits := ar.fits[:0]
 		acPruned, ecPruned, realized := 0, 0, 0
 		var first *partial
-		unbound := order[oi+1:]
+		headroom := len(order)-oi-1 > 3
+		fp := &ar.fp
 		var viols [4]memViolation // the first few, for the error text
 		nViol := 0
-		for len(children) < limit {
+		for len(fits) < limit {
 			tPlan := time.Now()
-			cand := cs.next()
+			ci := cs.next()
 			planning += time.Since(tPlan)
-			if cand == nil {
+			if ci < 0 {
 				break
 			}
+			cand := &cs.cands[ci]
 			if realized == 0 {
 				first = cand.parent
 			}
 			realized++
-			child := cx.apply(cand, st)
 			st.Partials++
-			if cx.opt.Flow >= FlowACMAP && !cx.acmapOK(child, true) {
-				acPruned++
-				if nViol < len(viols) {
-					viols[nViol] = cx.violation(child, FlowACMAP)
-					nViol++
-				}
-				ar.putPartial(child)
+			st.Recomputes += cand.recomputes()
+			pruned := FlowBasic
+			if cx.opt.Flow >= FlowACMAP {
+				cx.candFootprint(cand, fp)
+				pruned = cx.memPrune(fp, headroom)
+			}
+			if seen := cx.opt.candidateSeen; seen != nil {
+				seen(cx, cand, realized == 1, headroom, pruned)
+			}
+			switch pruned {
+			case FlowBasic:
+				fits = append(fits, ci)
 				continue
+			case FlowACMAP:
+				acPruned++
+			default:
+				ecPruned++
 			}
-			if cx.opt.Flow >= FlowECMAP {
-				// The paper runs the exact filter at each cycle boundary;
-				// checking every binding is equivalent but catches
-				// violating partials before they waste beam slots.
-				if !cx.ecmapOKHeadroom(child, true, len(unbound) > 3) {
-					ecPruned++
-					if nViol < len(viols) {
-						viols[nViol] = cx.violation(child, FlowECMAP)
-						nViol++
-					}
-					ar.putPartial(child)
-					continue
-				}
+			if nViol < len(viols) {
+				viols[nViol] = cx.violation(fp, pruned)
+				nViol++
 			}
-			children = append(children, child)
 		}
-		ar.children = children[:0]
+		ar.fits = fits[:0]
 		st.PrunedACMAP += acPruned
 		st.PrunedECMAP += ecPruned
 		st.Phases.Route += planning
 		st.Phases.Bind += time.Since(tBind) - planning
-		if len(children) == 0 {
+		if len(fits) == 0 {
 			err := text(nil).s("core: all ").d(realized).s(" bindings of node n").d(int(n)).s(" in block ").q(cx.block.Name).
 				s(" violate memory constraints (flow ").s(cx.opt.Flow.String()).s(") [")
 			for i, v := range viols[:nViol] {
@@ -889,13 +969,19 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 			return nil, errors.New(string(err))
 		}
 		tPrune := time.Now()
+		ar.kept = survivors(ar.kept, fits, cx.opt.BeamWidth, cx.opt.DetFraction, rng, st, ar)
+		st.Phases.Prune += time.Since(tPrune)
+		tApply := time.Now()
 		next := 1 - cur
-		newBeam := stochasticPrune(ar.beams[next], children, cx.opt.BeamWidth, cx.opt.DetFraction, rng, st, ar)
+		newBeam := ar.beams[next][:0]
+		for _, ci := range ar.kept {
+			newBeam = append(newBeam, cx.apply(&cs.cands[ci]))
+		}
 		ar.beams[cur], ar.beams[next] = beam[:0], newBeam[:0]
-		// The old beam (the children's parents) is fully superseded.
+		// The old beam (the survivors' parents) is fully superseded.
 		ar.putPartials(beam)
 		beam, cur = newBeam, next
-		st.Phases.Prune += time.Since(tPrune)
+		st.Phases.Bind += time.Since(tApply)
 	}
 	tFin := time.Now()
 	// Finalize: symbol writebacks and pnop accounting. The ECMAP and CAB
@@ -913,11 +999,11 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 			continue
 		}
 		switch {
-		case cx.opt.Flow >= FlowECMAP && !cx.ecmapOK(p, false):
+		case cx.opt.Flow >= FlowECMAP && !cx.ecmapOK(p):
 			lastErr = errors.New(string(text(nil).s("core: finalized block ").q(cx.block.Name).s(" overflows context memory\n").s(cx.memReport(p))))
 			ar.putPartial(p)
 			continue
-		case cx.opt.Flow == FlowACMAP && !cx.acmapOK(p, false):
+		case cx.opt.Flow == FlowACMAP && !cx.acmapOK(p):
 			lastErr = errors.New(string(text(nil).s("core: finalized block ").q(cx.block.Name).s(" overflows context memory (approximate)\n").s(cx.memReport(p))))
 			ar.putPartial(p)
 			continue

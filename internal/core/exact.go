@@ -14,7 +14,7 @@ import (
 )
 
 // DefaultExactNodeBudget bounds the exact backend's search when
-// Options.ExactNodeBudget does not set one. The unit is realized partial
+// Options.ExactNodeBudget does not set one. The unit is candidate partial
 // mappings — the same work unit Stats.Partials counts for the heuristic —
 // so equal budgets mean comparable wall time across backends.
 const DefaultExactNodeBudget = 200_000
@@ -170,9 +170,9 @@ func (ExactBackend) Map(ctx context.Context, g *cdfg.Graph, grid *arch.Grid, opt
 
 // exactSearch carries one branch-and-bound run. It is single-goroutine
 // and borrows the same mapperArena machinery as the heuristic; every
-// candidate is realized into a self-contained partial before the search
-// recurses, because candidate plans live in arena chunks that die at the
-// next bind step.
+// candidate that fits is realized into a self-contained partial before
+// the search recurses, because candidate plans live in arena chunks that
+// die at the next bind step.
 type exactSearch struct {
 	g        *cdfg.Graph
 	grid     *arch.Grid
@@ -320,16 +320,19 @@ func (s *exactSearch) boundedOut(bi int, acc *exactAcc, p *partial) bool {
 }
 
 // childFits is the only in-flight memory filter the exact search uses:
-// the interior word count against the hard budget. It is monotone (a
-// violating child can never finalize within budget), unlike the
-// heuristic's headroom/pending-writeback variants, which are calibrated
-// to prune eagerly and would cut feasible leaves from an exact search.
-func (s *exactSearch) childFits(cx *bbCtx, child *partial) bool {
+// the interior word count of the child cand would realize against the
+// hard budget. It is monotone (a violating child can never finalize
+// within budget), unlike the heuristic's headroom/pending-writeback
+// variants, which are calibrated to prune eagerly and would cut feasible
+// leaves from an exact search.
+func (s *exactSearch) childFits(cx *bbCtx, cand *candidate) bool {
 	if !s.opt.Flow.memoryAware() {
 		return true
 	}
-	for t := range child.tiles {
-		if child.tiles[t].words(child.maxCycle, false) > cx.budget[t] {
+	f := &s.ar.fp
+	cx.candFootprint(cand, f)
+	for t, b := range cx.budget {
+		if f.words[t] > b {
 			return false
 		}
 	}
@@ -358,8 +361,8 @@ func (s *exactSearch) dfs(cx *bbCtx, bi int, acc *exactAcc, order []cdfg.NodeID,
 	s.st.Expanded++
 
 	n := order[oi]
-	// New bind step: the plan chunks reset. Every candidate must be
-	// realized into a self-contained child before any recursion, which
+	// New bind step: the plan chunks reset. Every candidate that fits must
+	// be realized into a self-contained child before any recursion, which
 	// resets the chunks again.
 	s.ar.bindReset()
 	cs := &s.ar.stream
@@ -374,20 +377,20 @@ func (s *exactSearch) dfs(cx *bbCtx, bi int, acc *exactAcc, order []cdfg.NodeID,
 	}
 
 	var children []*partial
-	for cand := cs.next(); cand != nil; cand = cs.next() {
+	for ci := cs.next(); ci >= 0; ci = cs.next() {
 		if s.budget <= 0 {
 			s.stopped = true
 			break
 		}
-		child := cx.apply(cand, s.mst)
+		cand := &cs.cands[ci]
 		s.budget--
 		s.mst.Partials++
-		if !s.childFits(cx, child) {
+		s.mst.Recomputes += cand.recomputes()
+		if !s.childFits(cx, cand) {
 			s.st.MemPruned++
-			s.ar.putPartial(child)
 			continue
 		}
-		children = append(children, child)
+		children = append(children, cx.apply(cand))
 	}
 	// The stream is done with before any recursion (drained, or abandoned
 	// with the search stopped): deeper dfs levels reuse it.
@@ -422,10 +425,10 @@ func (s *exactSearch) finishBlock(cx *bbCtx, bi int, acc *exactAcc, p *partial) 
 		return true // infeasible leaf: explored
 	}
 	switch {
-	case s.opt.Flow >= FlowECMAP && !cx.ecmapOK(clone, false):
+	case s.opt.Flow >= FlowECMAP && !cx.ecmapOK(clone):
 		s.ar.putPartial(clone)
 		return true
-	case s.opt.Flow == FlowACMAP && !cx.acmapOK(clone, false):
+	case s.opt.Flow == FlowACMAP && !cx.acmapOK(clone):
 		s.ar.putPartial(clone)
 		return true
 	}

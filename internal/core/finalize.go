@@ -17,13 +17,12 @@ import (
 // home register so loop-carried symbols keep their entry value for all
 // in-block readers.
 func (cx *bbCtx) finalize(p *partial) error {
-	syms := cx.block.LiveOutSyms()
-	for _, s := range syms {
-		if err := cx.writebackSym(p, s, cx.block.LiveOut[s]); err != nil {
-			return err
-		}
-	}
-	return nil
+	var err error
+	cx.block.LiveOuts(func(s string, def cdfg.NodeID) bool {
+		err = cx.writebackSym(p, s, def)
+		return err == nil
+	})
+	return err
 }
 
 // homeOf resolves the symbol's home, pinning one if needed. Pinning
@@ -165,7 +164,7 @@ func (cx *bbCtx) writebackSym(p *partial, s string, def cdfg.NodeID) error {
 		if !cx.planOperand(p, nil, def, home.Tile, w, cx.cabBlacklist(p), &ap.Plan) {
 			continue
 		}
-		src := cx.applyPlan(p, &ap, nil)
+		src := cx.applyPlan(p, &ap)
 		ts := p.tileW(home.Tile)
 		slot := ts.occupy(w)
 		*slot = Slot{

@@ -71,9 +71,10 @@ type SymLoc struct {
 
 // PhaseTimes breaks the mapper's wall clock down by binder phase. The
 // phases partition mapBlock: list scheduling, candidate routing (operand
-// route planning across the slack windows), binding (realizing candidates
-// and running the memory filters), stochastic pruning, and finalization
-// (symbol writebacks plus the exact fit check).
+// route planning across the slack windows), binding (running the memory
+// filters on candidates and realizing the survivors), stochastic pruning
+// (choosing the survivors), and finalization (symbol writebacks plus the
+// exact fit check).
 type PhaseTimes struct {
 	Schedule time.Duration
 	Route    time.Duration
@@ -90,10 +91,12 @@ type Stats struct {
 	// over the block attempts that count (see Map). Retry attempts run
 	// side by side, so the sum can exceed CompileTime.
 	Phases PhaseTimes
-	// Partials counts partial mappings created over the whole run.
+	// Partials counts the candidate partial mappings the binder took
+	// from its stream over the whole run. Only the survivors of the
+	// pruning stages are ever built.
 	Partials int
-	// PrunedACMAP/PrunedECMAP/PrunedStochastic count partials discarded by
-	// each pruning stage.
+	// PrunedACMAP/PrunedECMAP/PrunedStochastic count candidates discarded
+	// by each pruning stage.
 	PrunedACMAP      int
 	PrunedECMAP      int
 	PrunedStochastic int
@@ -151,7 +154,7 @@ type ExactStats struct {
 	Leaves int
 	// BoundPruned counts subtrees cut by the admissible word lower bound;
 	// ConflictPruned counts revisits of fully-refuted states (the nogood
-	// cache); MemPruned counts children over a tile's hard word budget.
+	// cache); MemPruned counts candidates over a tile's hard word budget.
 	BoundPruned    int
 	ConflictPruned int
 	MemPruned      int

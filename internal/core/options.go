@@ -72,9 +72,9 @@ type Options struct {
 	// Seed seeds the stochastic pruning. Equal seeds reproduce mappings.
 	Seed int64
 
-	// CandidateCap bounds the children each bind step keeps: candidates
-	// are realized best-first across the whole beam until this many
-	// survive the memory filters (a window holds thousands of slots).
+	// CandidateCap bounds the candidates each bind step keeps: they are
+	// taken best-first across the whole beam until this many pass the
+	// memory filters (a window holds thousands of slots).
 	CandidateCap int
 
 	// SlackWindow is how many cycles beyond a node's earliest feasible
@@ -95,7 +95,7 @@ type Options struct {
 	Recompute bool
 
 	// ExactNodeBudget bounds the exact backend's branch-and-bound search,
-	// in realized partial mappings (the unit Stats.Partials counts). Zero
+	// in candidate partial mappings (the unit Stats.Partials counts). Zero
 	// means DefaultExactNodeBudget. The heuristic backend ignores it.
 	ExactNodeBudget int
 
@@ -135,6 +135,13 @@ type Options struct {
 	// (words, seed, job) tie-break.
 	incumbent *incumbent
 	incJob    int
+
+	// candidateSeen, when set (only by tests), sees every candidate the
+	// heuristic binder takes from its stream, with whether it is the
+	// first of its bind step, whether ECMAP charges headroom there, and
+	// the filter that pruned it (FlowBasic: none). Retry attempts call it
+	// side by side, each on its own arena.
+	candidateSeen func(cx *bbCtx, cand *candidate, first, headroom bool, pruned Flow)
 }
 
 // ctxErr reports the pending cancellation, if any.

@@ -302,9 +302,9 @@ func writeEverything(cx *bbCtx, v *partial) {
 	for i := range v.tiles {
 		tid := arch.TileID(i)
 		move := argPlan{Plan: routePlan{Moves: []moveStep{{Tile: tid, Cycle: firstGap(v.tiles[i])}}}}
-		cx.applyPlan(v, &move, nil)
+		cx.applyPlan(v, &move)
 		recomp := argPlan{Plan: routePlan{Recomp: &recompStep{Tile: tid, Cycle: firstGap(v.tiles[i])}}}
-		cx.applyPlan(v, &recomp, nil)
+		cx.applyPlan(v, &recomp)
 	}
 	rrf := cx.grid.RRFSize
 	for i := range v.tiles {
@@ -377,14 +377,15 @@ func isolationStep(t *testing.T, what string, cx *bbCtx, beam []*partial, n cdfg
 	var kids []*partial
 	var best candidate
 	for len(kids) < k {
-		c := cs.next()
-		if c == nil {
+		ci := cs.next()
+		if ci < 0 {
 			break
 		}
+		c := &cs.cands[ci]
 		if len(kids) == 0 {
 			best = *c
 		}
-		kid := cx.apply(c, &st)
+		kid := cx.apply(c)
 		for i, ts := range kid.tiles {
 			if ts == c.parent.tiles[i] {
 				tl.shared++
@@ -395,7 +396,7 @@ func isolationStep(t *testing.T, what string, cx *bbCtx, beam []*partial, n cdfg
 	if len(kids) == 0 {
 		return nil
 	}
-	victim := cx.apply(&best, &st)
+	victim := cx.apply(&best)
 	others := append(slices.Clone(beam), kids...)
 	snaps := make([]partialSnap, len(others))
 	// One hop window past every write below, screened on every partial

@@ -12,29 +12,32 @@ import (
 // candStream yields one bind step's candidates best-first: exactly the
 // candidates, in exactly the order, that route-planning every slot of the
 // window and sorting by (parent cost + delta cost, enumeration order)
-// gives, while planning only the slots that reach the top of its heap.
+// gives, while planning only the slots that come first in that order.
 //
 // enumerate drops, unplanned, every slot the reach screen proves no route
 // can serve (see reach), and groups the rest into runs: the slots of one
 // (enumerate call, tile), in cycle order. Within a run a slot's bound key
 // never falls as its cycle rises and its enumeration order always rises,
-// so the heap holds only each run's first remaining slot; the successor
-// goes in when that slot is planned or dropped. A slot at the top still
-// keyed by its bound is planned and re-inserted under its exact key, or
-// dropped when planning fails. A bound never exceeds the exact key and
-// both carry the slot's enumeration order as tie-break, so an exactly
-// keyed slot at the top precedes everything left, in the heap or behind
-// it in a run.
+// so the bound heap holds only each run's first remaining slot, keyed by
+// its bound; the successor takes its place when that slot is planned or
+// dropped. A planned slot goes into the planned heap under its exact key,
+// or is dropped when planning fails. A bound never exceeds the exact key
+// and both carry the slot's enumeration order as tie-break, so once the
+// planned heap's top precedes the bound heap's, it precedes everything
+// left, in either heap or behind it in a run.
 type candStream struct {
-	cx    *bbCtx
-	n     cdfg.NodeID
-	st    *Stats
-	heap  []slotEntry
-	runs  []slotRun
-	calls []streamCall
-	masks []uint64 // the runs' slot masks
-	cands []candidate
-	dirty bool // entries appended since the heap was last ordered
+	cx *bbCtx
+	n  cdfg.NodeID
+	st *Stats
+	// bound holds each run's current slot under its bound, planned the
+	// planned slots under their exact keys.
+	bound   slotHeap
+	planned slotHeap
+	runs    []slotRun
+	calls   []streamCall
+	masks   []uint64 // the runs' slot masks
+	cands   []candidate
+	dirty   bool // entries appended since the bound heap was last ordered
 
 	// The reach screen's hop masks over cycles [hopOrg, to] of the
 	// current enumerate call, hopW words each: tile t's starts at
@@ -62,13 +65,13 @@ type hopWindow struct {
 	zero    int32
 }
 
-// slotEntry is one heap entry: a run's current slot, keyed by its bound
-// (cand < 0), or a planned slot keyed exactly (cand indexes cands).
+// slotEntry is one heap entry: in the bound heap a run's current slot
+// keyed by its bound (ref indexes runs), in the planned heap a planned
+// slot keyed exactly (ref indexes cands).
 type slotEntry struct {
 	key   float64 // parent cost + delta-cost bound, exact once planned
 	order uint64  // (enumerate call, cycle, tile): the shared tie-break
-	cand  int32
-	run   int32
+	ref   int32
 }
 
 // streamCall is one enumerate call: a parent, the first cycle of its
@@ -104,7 +107,8 @@ func slotOrder(call int32, cycle int, t arch.TileID) uint64 {
 // reset starts a stream for binding node n.
 func (s *candStream) reset(cx *bbCtx, n cdfg.NodeID, st *Stats) {
 	s.cx, s.n, s.st = cx, n, st
-	s.heap, s.runs, s.calls, s.masks = s.heap[:0], s.runs[:0], s.calls[:0], s.masks[:0]
+	s.bound, s.planned = s.bound[:0], s.planned[:0]
+	s.runs, s.calls, s.masks = s.runs[:0], s.calls[:0], s.masks[:0]
 	s.cands, s.dirty = s.cands[:0], false
 	s.hopPool, s.wins = s.hopPool[:0], s.wins[:0]
 }
@@ -182,7 +186,7 @@ func (s *candStream) enumerate(p *partial, lo, hi int, tail bool) {
 			load: cx.loadCost(p, tid), soft: cx.softCost(p, tid)})
 		ri := int32(len(s.runs) - 1)
 		s.advance(&s.runs[ri])
-		s.heap = append(s.heap, s.entry(ri))
+		s.bound = append(s.bound, s.entry(ri))
 	}
 	s.st.Screened += legal - kept
 	s.dirty = true
@@ -436,7 +440,7 @@ func (s *candStream) entry(ri int32) slotEntry {
 	}
 	key += r.load
 	key += r.soft
-	return slotEntry{key: p.cost + key, order: slotOrder(r.call, r.at, r.tile), cand: -1, run: ri}
+	return slotEntry{key: p.cost + key, order: slotOrder(r.call, r.at, r.tile), ref: ri}
 }
 
 // advance moves r to its next slot, reporting false at the run's end.
@@ -453,59 +457,55 @@ func (s *candStream) advance(r *slotRun) bool {
 	return false
 }
 
-// ready plans bound slots off the top of the heap until an exactly keyed
-// one is there (true) or the heap is empty (false). A planned or dropped
-// slot hands its place in the heap to its run's next slot.
+// ready plans slots off the top of the bound heap while it precedes the
+// planned heap's top, then reports whether a planned slot is left. A
+// planned or dropped slot hands its place in the bound heap to its run's
+// next slot.
 func (s *candStream) ready() bool {
 	if s.dirty {
-		s.heapify()
+		s.bound.heapify()
+		s.dirty = false
 	}
-	for len(s.heap) > 0 {
-		top := &s.heap[0]
-		if top.cand >= 0 {
-			return true
-		}
-		ri := top.run
-		r := &s.runs[ri]
+	for len(s.bound) > 0 && (len(s.planned) == 0 || s.bound[0].before(&s.planned[0])) {
+		top := s.bound[0]
+		r := &s.runs[top.ref]
 		call := &s.calls[r.call]
 		s.st.Planned++
 		s.cands = append(s.cands, candidate{})
-		c := &s.cands[len(s.cands)-1]
-		ok := s.cx.planCandidate(call.parent, s.n, r.tile, r.at, call.blacklist, c)
-		if !ok {
-			s.cands = s.cands[:len(s.cands)-1]
+		ci := len(s.cands) - 1
+		if c := &s.cands[ci]; s.cx.planCandidate(call.parent, s.n, r.tile, r.at, call.blacklist, c) {
+			s.planned.push(slotEntry{key: call.parent.cost + c.cost, order: top.order, ref: int32(ci)})
+		} else {
+			s.cands = s.cands[:ci]
 		}
-		switch more := s.advance(r); {
-		case ok:
-			s.rekeyTop(call.parent.cost+c.cost, int32(len(s.cands)-1))
-			if more {
-				s.push(s.entry(ri))
-			}
-		case more:
-			s.heap[0] = s.entry(ri)
-			s.down(0)
-		default:
-			s.pop()
+		if s.advance(r) {
+			s.bound[0] = s.entry(top.ref)
+			s.bound.down(0)
+		} else {
+			s.bound.pop()
 		}
 	}
-	return false
+	return len(s.planned) > 0
 }
 
-// next pops the best remaining candidate, or nil once the stream is
-// drained. The candidate stays valid until the following call.
-func (s *candStream) next() *candidate {
+// next pops the best remaining candidate and returns its index in cands,
+// or -1 once the stream is drained. The candidate stays in cands until
+// the stream is reset.
+func (s *candStream) next() int32 {
 	if !s.ready() {
-		return nil
+		return -1
 	}
-	c := &s.cands[s.heap[0].cand]
-	s.pop()
-	return c
+	ci := s.planned[0].ref
+	s.planned.pop()
+	return ci
 }
 
-// The heap is 4-ary: entry i's children are 4i+1..4i+4. Against a binary
-// heap it halves the depth a sift walks, for a few more compares per
-// level. (key, order) is a strict total order (order is unique per slot),
-// so the pop order is the sorted order whatever the heap's shape.
+// slotHeap is a 4-ary min-heap under before: entry i's children are
+// 4i+1..4i+4. Against a binary heap it halves the depth a sift walks, for
+// a few more compares per level. (key, order) is a strict total order
+// (order is unique per slot), so the pop order is the sorted order
+// whatever the heap's shape.
+type slotHeap []slotEntry
 
 // before orders slots by key, then enumeration order.
 func (a *slotEntry) before(b *slotEntry) bool {
@@ -515,18 +515,16 @@ func (a *slotEntry) before(b *slotEntry) bool {
 	return a.order < b.order
 }
 
-// heapify orders the whole heap after enumerate appended to it.
-func (s *candStream) heapify() {
-	for i := (len(s.heap)+2)/4 - 1; i >= 0; i-- {
-		s.down(i)
+// heapify orders the whole heap after entries were appended to it.
+func (h slotHeap) heapify() {
+	for i := (len(h)+2)/4 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	s.dirty = false
 }
 
 // down sifts entry i toward the leaves, moving the smaller children up
 // into the hole rather than swapping at every level.
-func (s *candStream) down(i int) {
-	h := s.heap
+func (h slotHeap) down(i int) {
 	e := h[i]
 	for {
 		c := 4*i + 1
@@ -548,35 +546,30 @@ func (s *candStream) down(i int) {
 	h[i] = e
 }
 
-// push adds e to the ordered heap, sifting it toward the root.
-func (s *candStream) push(e slotEntry) {
-	s.heap = append(s.heap, e)
-	h := s.heap
-	i := len(h) - 1
+// push adds e, sifting it up from a new leaf.
+func (h *slotHeap) push(e slotEntry) {
+	*h = append(*h, e)
+	q := *h
+	i := len(q) - 1
 	for i > 0 {
 		up := (i - 1) / 4
-		if !e.before(&h[up]) {
+		if !e.before(&q[up]) {
 			break
 		}
-		h[i] = h[up]
+		q[i] = q[up]
 		i = up
 	}
-	h[i] = e
+	q[i] = e
 }
 
-// rekeyTop gives the top slot its exact key and candidate, keeping heap
-// order. The exact key is never below the bound it replaces.
-func (s *candStream) rekeyTop(key float64, cand int32) {
-	s.heap[0].key, s.heap[0].cand = key, cand
-	s.down(0)
-}
-
-func (s *candStream) pop() {
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
+// pop removes the top entry.
+func (h *slotHeap) pop() {
+	q := *h
+	last := len(q) - 1
+	q[0] = q[last]
+	*h = q[:last]
 	if last > 0 {
-		s.down(0)
+		h.down(0)
 	}
 }
 

@@ -75,7 +75,7 @@ func slotsHeld(cs *candStream) []heldSlot {
 	sort.Slice(ents, func(i, j int) bool { return ents[i].order < ents[j].order })
 	out := make([]heldSlot, len(ents))
 	for i, e := range ents {
-		r := &s.runs[e.run]
+		r := &s.runs[e.ref]
 		out[i] = heldSlot{parent: s.calls[r.call].parent, tile: r.tile, cycle: int(e.order >> 8 & (1<<36 - 1)), key: e.key}
 	}
 	return out
@@ -141,8 +141,8 @@ func checkStream(t *testing.T, what string, cx *bbCtx, beam []*partial, n cdfg.N
 		return want[a].parent.cost+want[a].cost < want[b].parent.cost+want[b].cost
 	})
 	var got []candidate
-	for c := cs.next(); c != nil; c = cs.next() {
-		got = append(got, *c)
+	for ci := cs.next(); ci >= 0; ci = cs.next() {
+		got = append(got, cs.cands[ci])
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%s: stream yields %d candidates, eager planning %d", what, len(got), len(want))
@@ -225,7 +225,7 @@ func greedyWalk(gs []*cdfg.Graph, cells []walkCell, tune func(*Options), step fu
 					}
 					var next []*partial
 					for i := range cands[:min(2, len(cands))] {
-						next = append(next, cx.apply(&cands[i], &Stats{}))
+						next = append(next, cx.apply(&cands[i]))
 					}
 					beam = next
 				}
@@ -333,8 +333,8 @@ func firstCandidates(cx *bbCtx, beam []*partial, n cdfg.NodeID) []candidate {
 			cs.enumerate(p, 0, cx.opt.MaxSlack, tail)
 		}
 		var out []candidate
-		for c := cs.next(); c != nil; c = cs.next() {
-			out = append(out, *c)
+		for ci := cs.next(); ci >= 0; ci = cs.next() {
+			out = append(out, cs.cands[ci])
 		}
 		if len(out) > 0 {
 			return out
@@ -343,37 +343,42 @@ func firstCandidates(cx *bbCtx, beam []*partial, n cdfg.NodeID) []candidate {
 	return nil
 }
 
-// TestCandHeapOrder pins the candidate heap's pop order against
+// TestCandHeapOrder pins the candidate heaps' pop order against
 // sort.SliceStable on the same entries: random keys drawn from a few
 // values, so most keys tie exactly and the enumeration order decides.
-// Half the trials start every slot at a lower bound and, the way ready
-// does, re-key a bound-keyed top in place to its exact key before it
-// may pop, or drop it as a failed plan; a third of them hold entries
-// back and push them as the heap drains, the way runs feed it.
+// Half the trials start every slot in the bound heap at a lower bound
+// and, the way ready does, move a bound top that precedes the planned
+// heap's top into the planned heap under its exact key, or drop it as a
+// failed plan; the other half start every slot in the planned heap. A
+// third of them hold entries back and push them as the heaps drain, the
+// way runs feed the bound heap.
 func TestCandHeapOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := range 400 {
 		rekey := trial%2 == 1
 		n, distinct := rng.Intn(300), 1+rng.Intn(6)
-		var s candStream
+		var bound, planned slotHeap
+		into := &planned
+		if rekey {
+			into = &bound
+		}
 		exact := make([]float64, n)
 		drop := make([]bool, n)
 		var want, later []slotEntry
 		for i := range n {
-			bound := float64(rng.Intn(distinct)) / 4
-			exact[i] = bound
-			e := slotEntry{key: bound, order: uint64(i), cand: int32(i)}
+			key := float64(rng.Intn(distinct)) / 4
+			exact[i] = key
 			if rekey {
 				exact[i] += float64(rng.Intn(3)) / 4
 				drop[i] = rng.Intn(5) == 0
-				e.cand = -1
 			}
+			e := slotEntry{key: key, order: uint64(i)}
 			if trial%3 == 0 && rng.Intn(2) == 0 {
-				// Held back: pushed only once the heap's top is at or
-				// past its key, as a run's successor is.
+				// Held back: pushed only once both tops are at or past
+				// its key, as a run's successor is.
 				later = append(later, e)
 			} else {
-				s.heap = append(s.heap, e)
+				*into = append(*into, e)
 			}
 			if !drop[i] {
 				want = append(want, slotEntry{key: exact[i], order: uint64(i)})
@@ -381,24 +386,25 @@ func TestCandHeapOrder(t *testing.T) {
 		}
 		sort.SliceStable(want, func(a, b int) bool { return want[a].key < want[b].key })
 		sort.Slice(later, func(a, b int) bool { return later[a].before(&later[b]) })
-		s.heapify()
+		into.heapify()
 		var got []slotEntry
-		for len(s.heap) > 0 || len(later) > 0 {
-			if len(later) > 0 && (len(s.heap) == 0 || !s.heap[0].before(&later[0])) {
-				s.push(later[0])
+		for len(bound) > 0 || len(planned) > 0 || len(later) > 0 {
+			if len(later) > 0 && (len(bound) == 0 || !bound[0].before(&later[0])) &&
+				(len(planned) == 0 || !planned[0].before(&later[0])) {
+				into.push(later[0])
 				later = later[1:]
 				continue
 			}
-			top := s.heap[0]
-			switch {
-			case top.cand >= 0:
-				got = append(got, slotEntry{key: top.key, order: top.order})
-				s.pop()
-			case drop[top.order]:
-				s.pop()
-			default:
-				s.rekeyTop(exact[top.order], int32(top.order))
+			if len(bound) > 0 && (len(planned) == 0 || bound[0].before(&planned[0])) {
+				top := bound[0]
+				bound.pop()
+				if !drop[top.order] {
+					planned.push(slotEntry{key: exact[top.order], order: top.order})
+				}
+				continue
 			}
+			got = append(got, planned[0])
+			planned.pop()
 		}
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: popped %d entries, want %d", trial, len(got), len(want))

@@ -127,7 +127,7 @@ func TestIncrementalWideningMatchesFullScan(t *testing.T) {
 					if best == nil {
 						break
 					}
-					p = cx.apply(best, &Stats{})
+					p = cx.apply(best)
 				}
 			}
 		}
@@ -145,8 +145,8 @@ func firstCandidate(cx *bbCtx, p *partial, n cdfg.NodeID) *candidate {
 	for _, tail := range []bool{false, true} {
 		cs.reset(cx, n, &Stats{})
 		cs.enumerate(p, 0, cx.opt.MaxSlack, tail)
-		if c := cs.next(); c != nil {
-			return c
+		if ci := cs.next(); ci >= 0 {
+			return &cs.cands[ci]
 		}
 	}
 	return nil

@@ -47,7 +47,7 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Seeds, "seeds", 1, "portfolio width: seeds mapped concurrently, best mapping wins")
 	fs.IntVar(&f.Parallel, "parallel", 0, "portfolio worker pool size (0 = one per CPU)")
 	fs.IntVar(&f.ExactBudget, "exact-budget", 0,
-		fmt.Sprintf("exact backend search budget in realized partial mappings (0 = %d)", core.DefaultExactNodeBudget))
+		fmt.Sprintf("exact backend search budget in candidate partial mappings (0 = %d)", core.DefaultExactNodeBudget))
 	fs.BoolVar(&f.Cache, "cache", false, "reuse compiled mappings through the content-addressed mapping cache")
 	fs.StringVar(&f.CacheDir, "cachedir", "", "on-disk mapping-cache directory (implies -cache; entries are re-verified before use)")
 }

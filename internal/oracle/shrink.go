@@ -64,14 +64,16 @@ func shrinkStep(g *cdfg.Graph, mem cdfg.Memory, fails FailFn) *cdfg.Graph {
 	}
 	// Drop live-outs: frees the defining chains for dead-code removal.
 	for bb, b := range g.Blocks {
-		for _, sym := range b.LiveOutSyms() {
-			bb, sym := cdfg.BBID(bb), sym
-			if c := try(func(c *cdfg.Graph) bool {
+		var c *cdfg.Graph
+		b.LiveOuts(func(sym string, _ cdfg.NodeID) bool {
+			c = try(func(c *cdfg.Graph) bool {
 				delete(c.Blocks[bb].LiveOut, sym)
 				return true
-			}); c != nil {
-				return c
-			}
+			})
+			return c == nil
+		})
+		if c != nil {
+			return c
 		}
 	}
 	// Drop stores: each store anchors an address and a value chain.

@@ -173,11 +173,12 @@ func checkBlockDataflow(c *checker, bm *core.BlockMapping) {
 	// home register pinned by another block corrupts the symbol at
 	// runtime. (Iterate in sorted symbol order so diagnostics are
 	// deterministic.)
-	for _, s := range b.LiveOutSyms() {
+	b.LiveOuts(func(s string, _ cdfg.NodeID) bool {
 		if _, ok := m.SymHomes[s]; !ok {
 			c.diag("DF004", atBlock(bm.BB), "live-out symbol %q has no home", s)
 		}
-	}
+		return true
+	})
 	syms := make([]string, 0, len(homeOf))
 	for s := range homeOf {
 		syms = append(syms, s)

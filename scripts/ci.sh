@@ -172,13 +172,17 @@ go run ./cmd/cgratrace -diff cmd/cgratrace/testdata/trace_old.jsonl cmd/cgratrac
 # the output. The invariance test pins the winning seed and bitstream
 # bytes with pruning on vs off at several worker counts; the retry test
 # pins the same for a cornered block's side-by-side retry attempts
-# (GOMAXPROCS 1 vs 4: images, search counters, error text); and the golden
-# checksum test pins the single-map path against the 140 checked-in
-# cells in testdata/golden_mappings.txt (-short subset here; the full
+# (GOMAXPROCS 1 vs 4: images, search counters, error text); the
+# candidate-footprint test realizes every candidate the binder filters
+# and cuts without building, and checks its word counts and filter
+# verdicts against the built child's; and the golden checksum and search
+# work tests pin the single-map path's images, search counters and error
+# hashes against the 140 checked-in cells in testdata/golden_mappings.txt
+# and testdata/golden_search_work.txt (-short subset here; the full
 # matrix runs with the suite below).
-echo "== portfolio-pruning golden gate (winner invariance + golden checksums)"
-go test -run 'TestPortfolioPruningWinnerInvariant|TestRetryAttemptsMatchSequential' ./internal/core
-go test -short -run TestGoldenMappingChecksums .
+echo "== portfolio-pruning golden gate (winner invariance, candidate footprints, golden checksums and search work)"
+go test -run 'TestPortfolioPruningWinnerInvariant|TestRetryAttemptsMatchSequential|TestCandidateFootprint' ./internal/core
+go test -short -run 'TestGoldenMappingChecksums|TestGoldenSearchWork' .
 
 # Bounded differential-oracle smoke: a small seeded sweep of generated
 # CDFGs across every mode × CM config, run up front so a mapper or
